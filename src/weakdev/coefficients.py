@@ -93,6 +93,31 @@ class WeightSequence:
         # integral bound: sum_{i >= top} i^-s <= int_{top-1}^inf x^-s dx
         return partial + self.c * (top - 1.0) ** (1.0 - s) / (s - 1.0)
 
+    def tail_sums(self, m: int) -> np.ndarray:
+        """[tail_sum(1), ..., tail_sum(m)], equal to the scalar calls bit for bit.
+
+        The polynomial family raises each index to -power once and sums a
+        sliding window of _PARTIAL_TERMS of them; the integral term stays in
+        Python floats, whose ** differs from numpy's in the last bit.
+        """
+        if m < 1:
+            raise DomainError(f"need m >= 1, got {m}")
+        if self.family == "zero" or self.c == 0.0:
+            return np.zeros(m)
+        c = self.c
+        if self.family == "geometric":
+            q = self.param
+            return np.array([c * q**p / (1.0 - q) for p in range(1, m + 1)])
+        s, K = self.param, self._PARTIAL_TERMS
+        powers = np.arange(1, m + K, dtype=np.float64) ** -s
+        return np.array(
+            [
+                c * float(powers[p - 1 : p - 1 + K].sum())
+                + c * (p + K - 1.0) ** (1.0 - s) / (s - 1.0)
+                for p in range(1, m + 1)
+            ]
+        )
+
     @property
     def total(self) -> float:
         """sum_{j >= 1} a_j (upper bound for the polynomial family)."""
@@ -179,23 +204,49 @@ def infinite_memory_profile(weights: WeightSequence, n: int) -> DependenceProfil
     """Chain with infinite memory, contraction total a = sum a_j < 1.
 
     r delta'_r = sum_{j=r}^{2r-1} min_{0 < p <= j} (a^(r/p) + tail_sum(p)).
-    The inner minimum is a prefix minimum over p, so each r costs O(r).
+    The inner minimum is a prefix minimum over p.  For each r the scan over p
+    runs in chunks of doubling size and stops as soon as a^(r/p) alone
+    reaches the running minimum m: the tails are nonnegative and a^(r/p)
+    rises with p, so no later p lowers m, and all r prefix minima for
+    j = r..2r-1 equal m.  An r costs O(stop point), and the first chunk ends
+    where the previous r stopped; only when the scan reaches p = r - 1
+    without stopping is the full prefix minimum formed.
     """
     n = _check_n(n)
     a = weights.total
     if a >= 1.0:
         raise ValidationError(f"need sum of weights < 1, got {a}", field="weights")
     p = np.arange(1, 2 * n, dtype=np.float64)
-    tails = np.array([weights.tail_sum(int(q)) for q in range(1, 2 * n)])
+    tails = weights.tail_sums(2 * n - 1)
+    # a = 0: exp(-inf) = 0 gives the zero powers
+    log_a = math.log(a) if a > 0.0 else -math.inf
     delta = np.empty(n)
+    stop = 16  # length of the first chunk; afterwards, where the last r stopped
     for r in range(1, n + 1):
-        if a == 0.0:
-            powers = np.zeros(2 * r - 1)
-        else:
-            powers = np.exp((r / p[: 2 * r - 1]) * math.log(a))
-        best = np.minimum.accumulate(powers + tails[: 2 * r - 1])
-        delta[r - 1] = float(np.sum(best[r - 1 : 2 * r - 1])) / r
+        rdelta, stop = _double_min_sum(r, log_a, p, tails, stop)
+        delta[r - 1] = rdelta / r
     return _finalize(delta, "linf")
+
+
+# The early exit needs a^(r/p) a few ulps above the running minimum, so a
+# non-monotone last bit of np.exp cannot let a later p undercut it.
+_EXIT_SLACK = 1.0 + 8.0 * np.finfo(np.float64).eps
+
+
+def _double_min_sum(r: int, log_a: float, p: np.ndarray, tails: np.ndarray, first: int):
+    """(r delta'_r, stop point) of infinite_memory_profile; the scan over p
+    starts with a chunk of `first` terms."""
+    m = math.inf
+    lo, hi = 0, min(first, r - 1)
+    while lo < hi:
+        powers = np.exp((r / p[lo:hi]) * log_a)
+        m = min(m, (powers + tails[lo:hi]).min())
+        if powers[-1] >= m * _EXIT_SLACK:
+            return float(np.full(r, m).sum()), hi
+        lo, hi = hi, min(2 * hi, r - 1)
+    powers = np.exp((r / p[: 2 * r - 1]) * log_a)
+    best = np.minimum.accumulate(powers + tails[: 2 * r - 1])
+    return float(best[r - 1 : 2 * r - 1].sum()), first
 
 
 def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> DependenceProfile:
@@ -204,7 +255,7 @@ def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> D
         raise DomainError(f"need C >= 0, got {C}")
     n = _check_n(n)
     r = np.arange(1, n + 1)
-    delta = np.array([C * weights.tail_sum(int(q)) for q in r]) / r
+    delta = C * weights.tail_sums(n) / r
     return _finalize(delta, "linf")
 
 

@@ -93,8 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"need reps >= 1, got {self.reps}", field="reps")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"need 0 < alpha < 1, got {self.alpha}", field="alpha")
-        if any(x <= 0.0 for x in self.x_grid):
-            raise ConfigError("x_grid entries must be positive", field="x_grid")
+        if any(not 0.0 < x < math.inf for x in self.x_grid):
+            raise ConfigError("x_grid entries must be positive and finite", field="x_grid")
         if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
             raise ConfigError("x_grid must be strictly increasing", field="x_grid")
 
@@ -115,6 +115,8 @@ _WEIGHT_KEYS = {
 
 
 def build_weights(doc: dict) -> WeightSequence:
+    if not isinstance(doc, dict):
+        raise ConfigError("weights must be an object", field="model.weights")
     if "family" not in doc:
         raise ConfigError("weights need a 'family' key", field="model.weights.family")
     family = doc["family"]
@@ -134,14 +136,17 @@ def build_weights(doc: dict) -> WeightSequence:
             f"weight family {family!r} needs {sorted(missing)[0]!r}",
             field=f"model.weights.{sorted(missing)[0]}",
         )
+    c = _number(doc["c"], "model.weights.c")
     if family == "geometric":
-        return WeightSequence.geometric(float(doc["c"]), float(doc["ratio"]))
-    return WeightSequence.polynomial(float(doc["c"]), float(doc["power"]))
+        return WeightSequence.geometric(c, _number(doc["ratio"], "model.weights.ratio"))
+    return WeightSequence.polynomial(c, _number(doc["power"], "model.weights.power"))
 
 
 def build_model(doc: dict | str) -> ProcessModel:
     if isinstance(doc, str):
         doc = {"variant": doc}
+    if not isinstance(doc, dict):
+        raise ConfigError("model must be an object or a variant name", field="model")
     if "variant" not in doc:
         raise ConfigError("model needs a 'variant' key", field="model.variant")
     variant = doc["variant"]
@@ -158,21 +163,42 @@ def build_model(doc: dict | str) -> ProcessModel:
     if variant == "kernel-chain":
         if "kappa" not in doc:
             raise ConfigError("kernel-chain needs 'kappa'", field="model.kappa")
-        return LipschitzKernelChain(kappa=float(doc["kappa"]))
+        return LipschitzKernelChain(kappa=_number(doc["kappa"], "model.kappa"))
     if variant == "bernoulli-shift":
         if "theta" not in doc:
             raise ConfigError("bernoulli-shift needs 'theta'", field="model.theta")
-        trunc = doc.get("truncation")
         return BernoulliShiftGeometric(
-            theta=float(doc["theta"]), truncation=None if trunc is None else int(trunc)
+            theta=_number(doc["theta"], "model.theta"), truncation=_truncation(doc)
         )
     if "weights" not in doc:
         raise ConfigError("infinite-memory needs 'weights'", field="model.weights")
+    return InfiniteMemoryChain(weights=build_weights(doc["weights"]), truncation=_truncation(doc))
+
+
+def _truncation(doc: dict) -> int | None:
     trunc = doc.get("truncation")
-    return InfiniteMemoryChain(
-        weights=build_weights(doc["weights"]),
-        truncation=None if trunc is None else int(trunc),
-    )
+    return None if trunc is None else _integer(trunc, "model.truncation")
+
+
+def _number(value, field: str) -> float:
+    """A finite JSON number; bools and strings are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{field} must be a finite number, got {value!r}", field=field)
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer, or a float with an integral value; bools are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
 
 
 _TOP_KEYS = {"model", "observable", "n", "x_grid", "theorem", "reps", "base_seed", "alpha", "out"}
@@ -198,24 +224,27 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if extra:
             bad = sorted(extra)[0]
             raise ConfigError(f"unknown observable key {bad!r}", field=f"observable.{bad}")
-        omega = int(obs.get("omega", 1))
+        omega = _integer(obs.get("omega", 1), "observable.omega")
         obs = obs.get("id", "centered-identity")
     if obs not in ("centered-identity", "centered-cosine"):
         raise ConfigError(f"unknown observable {obs!r}", field="observable")
     x_grid = doc["x_grid"]
     if not isinstance(x_grid, (list, tuple)):
         raise ConfigError("x_grid must be a list", field="x_grid")
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}", field="out")
     return ExperimentConfig(
         model=build_model(doc["model"]),
         observable=obs,
         omega=omega,
-        n=int(doc["n"]),
-        x_grid=tuple(float(x) for x in x_grid),
+        n=_integer(doc["n"], "n"),
+        x_grid=tuple(_number(x, "x_grid") for x in x_grid),
         theorem=doc["theorem"],
-        reps=int(doc["reps"]),
-        base_seed=int(doc["base_seed"]),
-        alpha=float(doc.get("alpha", DEFAULT_ALPHA)),
-        out=doc.get("out"),
+        reps=_integer(doc["reps"], "reps"),
+        base_seed=_integer(doc["base_seed"], "base_seed"),
+        alpha=_number(doc.get("alpha", DEFAULT_ALPHA), "alpha"),
+        out=out,
     )
 
 
@@ -253,22 +282,19 @@ def hoeffding_phi(profile: DependenceProfile, n: int) -> np.ndarray:
     at lag 2^p), each contributing its blockwise bound 2^p delta'_{2^p}; the
     total T_j is spread uniformly as phi_j = min(1, T_j / (n-j)), so the
     threshold's (n-j) phi_j term recovers T_j. Conservative glue.
+
+    T_j is entry bit_length(n-j) - 1 of the cumulative sum of the dyadic
+    terms, which np.cumsum adds left to right.
     """
     if profile.kind != "linf":
         raise DomainError("per-lag construction needs an linf profile")
     if profile.n < n:
         raise DomainError(f"profile covers {profile.n} lags, need {n}")
-    phis = np.empty(n - 1)
-    for j in range(1, n):
-        L = n - j
-        total = 0.0
-        p = 0
-        while (1 << p) <= L:
-            r = 1 << p
-            total += r * profile.at(r)
-            p += 1
-        phis[j - 1] = min(1.0, total / L)
-    return phis
+    r = 1 << np.arange((n - 1).bit_length())
+    totals = np.cumsum(r * profile.delta[r - 1])
+    L = np.arange(n - 1, 0, -1)
+    # frexp's exponent of a positive integer is its bit length
+    return np.minimum(1.0, totals[np.frexp(L)[1] - 1] / L)
 
 
 def mc_variance_profile(
@@ -355,6 +381,8 @@ def run_verification(config: ExperimentConfig, threads: int | None = 1) -> list[
             varprof = analytic
         else:
             varprof = mc_variance_profile(model, f, n, config.reps, var_lane, threads)
+            # k = 1 is on the grid, estimated on the lane sigma_at(1) would use
+            mc_cache[1] = varprof.sigma_at(1)
         thm1_selection = select_k_star(profile, varprof)
         if thm1_selection.found:
             thm1_sigma_bar = varprof.envelope_at(thm1_selection.k)

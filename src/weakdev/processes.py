@@ -19,6 +19,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class BernoulliShiftGeometric:
         if self.truncation is not None and self.truncation < 1:
             raise DomainError(f"need truncation >= 1, got {self.truncation}")
 
-    @property
+    @cached_property
     def window(self) -> int:
         """Effective truncation M: neglected weight theta^M <= 2^-40 by default."""
         if self.truncation is not None:
@@ -107,13 +108,13 @@ class InfiniteMemoryChain:
         if self.truncation is not None and self.truncation < 1:
             raise DomainError(f"need truncation >= 1, got {self.truncation}")
 
-    @property
+    @cached_property
     def window(self) -> int:
         if self.truncation is not None:
             return self.truncation
         return self.weights.suggest_truncation(TRUNCATION_TAIL)
 
-    @property
+    @cached_property
     def burn_in(self) -> int:
         """Window multiples until the start bias contracts below 2^-40."""
         a = self.weights.total

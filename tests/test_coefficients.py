@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weakdev.coefficients import (
     TRUNCATION_TAIL,
@@ -164,6 +164,66 @@ def test_infinite_memory_contraction_required():
         infinite_memory_profile(WeightSequence.geometric(1.0, 0.6), 5)
     z = infinite_memory_profile(WeightSequence.zero(), 6)
     assert np.all(z.delta == 0.0)
+
+
+# The loops the vectorized profile path replaced, kept as references: the
+# per-p tail_sum list, and the double minimum evaluated in full for every r.
+
+
+def _tail_table_reference(w: WeightSequence, m: int) -> np.ndarray:
+    return np.array([w.tail_sum(p) for p in range(1, m + 1)])
+
+
+def _infinite_memory_reference(w: WeightSequence, n: int) -> np.ndarray:
+    a = w.total
+    p = np.arange(1, 2 * n, dtype=np.float64)
+    tails = _tail_table_reference(w, 2 * n - 1)
+    delta = np.empty(n)
+    for r in range(1, n + 1):
+        if a == 0.0:
+            powers = np.zeros(2 * r - 1)
+        else:
+            powers = np.exp((r / p[: 2 * r - 1]) * math.log(a))
+        best = np.minimum.accumulate(powers + tails[: 2 * r - 1])
+        delta[r - 1] = float(np.sum(best[r - 1 : 2 * r - 1])) / r
+    return validate_profile(DependenceProfile(delta=delta, kind="linf")).delta
+
+
+@st.composite
+def contracting_weights(draw) -> WeightSequence:
+    """Geometric, polynomial or zero weights with total below 1."""
+    family = draw(st.sampled_from(["geometric", "polynomial", "zero"]))
+    share = draw(st.floats(min_value=0.0, max_value=0.99))
+    if family == "geometric":
+        ratio = draw(st.floats(min_value=0.01, max_value=0.95))
+        return WeightSequence.geometric(share * (1.0 - ratio) / ratio, ratio)
+    if family == "polynomial":
+        power = draw(st.floats(min_value=1.1, max_value=4.0))
+        return WeightSequence.polynomial(share / WeightSequence.polynomial(1.0, power).total, power)
+    return WeightSequence.zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(contracting_weights(), st.integers(min_value=1, max_value=600))
+def test_profile_path_matches_reference_loops_bit_for_bit(w, n):
+    assert np.array_equal(w.tail_sums(2 * n - 1), _tail_table_reference(w, 2 * n - 1))
+    assert np.array_equal(infinite_memory_profile(w, n).delta, _infinite_memory_reference(w, n))
+    r = np.arange(1, n + 1)
+    want = np.array([0.5 * w.tail_sum(int(q)) for q in r]) / r
+    got = bernoulli_shift_linf_profile(0.5, w, n).delta
+    assert np.array_equal(got, validate_profile(DependenceProfile(delta=want, kind="linf")).delta)
+
+
+@pytest.mark.parametrize(
+    "w", [WeightSequence.geometric(0.5, 0.5), WeightSequence.polynomial(0.25, 3.0)]
+)
+def test_infinite_memory_profile_matches_reference_at_n_8000(w):
+    assert np.array_equal(infinite_memory_profile(w, 8000).delta, _infinite_memory_reference(w, 8000))
+
+
+def test_tail_sums_validation():
+    with pytest.raises(DomainError):
+        WeightSequence.geometric(0.5, 0.5).tail_sums(0)
 
 
 def test_shift_linf_profile():

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from weakdev.bounds import iid_bernstein_threshold, thm1_threshold, thm2_threshold
+from weakdev.bounds import (
+    DependenceProfile,
+    iid_bernstein_threshold,
+    thm1_threshold,
+    thm2_threshold,
+)
 from weakdev.cli import main, parse_x_grid
 from weakdev.coefficients import (
     WeightSequence,
@@ -16,6 +23,7 @@ from weakdev.coefficients import (
     validate_profile,
 )
 from weakdev.errors import ConfigError, DomainError
+import weakdev.harness as harness
 from weakdev.harness import (
     REPORT_CSV_HEADER,
     ExperimentConfig,
@@ -40,6 +48,7 @@ from weakdev.processes import (
     doubling_sigma_sq,
     observable_for,
 )
+from weakdev.rng import derive_seed
 
 _BASE_DOC = {
     "model": "doubling-map",
@@ -111,6 +120,101 @@ def test_parse_config_field_validation():
         parse_config(_doc(x_grid=[-1.0, 1.0]))
     with pytest.raises(ConfigError):
         parse_config(_doc(x_grid="1,2"))
+
+
+_NOT_INTEGER = st.one_of(
+    st.booleans(),
+    st.floats().filter(lambda x: not x.is_integer()),
+    st.text(),
+    st.lists(st.integers(), max_size=2),
+)
+_NOT_NUMBER = st.one_of(
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.lists(st.floats(), max_size=2),
+)
+
+
+@given(st.sampled_from(["n", "reps", "base_seed"]), _NOT_INTEGER)
+def test_parse_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_doc(**{field: value}))
+    assert ei.value.field == field
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = parse_config(_doc(n=64.0, reps=10.0, base_seed=3.0))
+    assert (cfg.n, cfg.reps, cfg.base_seed) == (64, 10, 3)
+    assert all(type(v) is int for v in (cfg.n, cfg.reps, cfg.base_seed))
+
+
+@given(st.integers(min_value=0, max_value=2), _NOT_NUMBER)
+def test_parse_config_rejects_non_finite_or_non_numeric_x(pos, value):
+    x_grid = [0.5, 1.0, 2.0]
+    x_grid[pos] = value
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_doc(x_grid=x_grid))
+    assert ei.value.field == "x_grid"
+
+
+_NUMERIC_FIELDS = [
+    ("alpha", lambda v: _doc(alpha=v)),
+    ("model.kappa", lambda v: _doc(model={"variant": "kernel-chain", "kappa": v})),
+    ("model.theta", lambda v: _doc(model={"variant": "bernoulli-shift", "theta": v})),
+    ("model.weights.c", lambda v: _doc(model={
+        "variant": "infinite-memory", "weights": {"family": "geometric", "c": v, "ratio": 0.5}})),
+    ("model.weights.ratio", lambda v: _doc(model={
+        "variant": "infinite-memory", "weights": {"family": "geometric", "c": 0.5, "ratio": v}})),
+    ("model.weights.power", lambda v: _doc(model={
+        "variant": "infinite-memory", "weights": {"family": "polynomial", "c": 0.1, "power": v}})),
+]
+_INTEGER_FIELDS = [
+    ("observable.omega", lambda v: _doc(observable={"id": "centered-cosine", "omega": v})),
+    ("model.truncation", lambda v: _doc(model={
+        "variant": "bernoulli-shift", "theta": 0.5, "truncation": v})),
+    ("model.truncation", lambda v: _doc(model={
+        "variant": "infinite-memory", "weights": {"family": "zero"}, "truncation": v})),
+]
+
+
+@given(st.sampled_from(_NUMERIC_FIELDS), _NOT_NUMBER)
+def test_parse_config_rejects_non_numeric_parameters(case, value):
+    field, make = case
+    with pytest.raises(ConfigError) as ei:
+        parse_config(make(value))
+    assert ei.value.field == field
+
+
+@given(st.sampled_from(_INTEGER_FIELDS), _NOT_INTEGER)
+def test_parse_config_rejects_non_integer_parameters(case, value):
+    field, make = case
+    with pytest.raises(ConfigError) as ei:
+        parse_config(make(value))
+    assert ei.value.field == field
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (_doc(model=5), "model"),
+        (_doc(model={"variant": "infinite-memory", "weights": 5}), "model.weights"),
+        (_doc(out=5), "out"),
+    ],
+)
+def test_parse_config_rejects_wrongly_typed_sections(doc, field):
+    with pytest.raises(ConfigError) as ei:
+        parse_config(doc)
+    assert ei.value.field == field
+
+
+def test_experiment_config_rejects_non_finite_x():
+    cfg = parse_config(_doc())
+    fields = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
+    for x in (math.nan, math.inf):
+        with pytest.raises(ConfigError) as ei:
+            ExperimentConfig(**{**fields, "x_grid": (0.5, x)})
+        assert ei.value.field == "x_grid"
 
 
 def test_load_config(tmp_path):
@@ -226,6 +330,38 @@ def test_hoeffding_phi_requires_linf():
         hoeffding_phi(doubling_map_profile(4), 8)
 
 
+def _hoeffding_phi_reference(profile, n: int) -> np.ndarray:
+    """The per-j loop hoeffding_phi replaced: dyadic terms summed left to right."""
+    phis = np.empty(n - 1)
+    for j in range(1, n):
+        L = n - j
+        total = 0.0
+        p = 0
+        while (1 << p) <= L:
+            r = 1 << p
+            total += r * profile.at(r)
+            p += 1
+        phis[j - 1] = min(1.0, total / L)
+    return phis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hoeffding_phi_matches_reference_loop_bit_for_bit(data):
+    n = data.draw(st.integers(min_value=1, max_value=600))
+    delta = data.draw(arrays(np.float64, n, elements=st.floats(min_value=0.0, max_value=1.0)))
+    profile = DependenceProfile(delta=np.sort(delta)[::-1], kind="linf")
+    assert np.array_equal(hoeffding_phi(profile, n), _hoeffding_phi_reference(profile, n))
+
+
+@pytest.mark.parametrize(
+    "w", [WeightSequence.geometric(0.5, 0.5), WeightSequence.polynomial(0.25, 3.0)]
+)
+def test_hoeffding_phi_matches_reference_at_n_8000(w):
+    profile = infinite_memory_profile(w, 8000)
+    assert np.array_equal(hoeffding_phi(profile, 8000), _hoeffding_phi_reference(profile, 8000))
+
+
 def test_mc_variance_profile_step_fill():
     model = DoublingMap()
     f = observable_for(model, "centered-identity")
@@ -320,6 +456,29 @@ def test_run_verification_skips_when_no_block_size():
     assert rows[0].k_selected is None and rows[0].variance_used is None
     assert rows[1].theorem == "iid_eq1_ref"
     assert rows[1].variance_source == "estimated"
+
+
+def test_thm1_estimates_each_block_length_once(monkeypatch):
+    real = harness.estimate_sigma_profile
+    ks = []
+
+    def counting(model, f, k_list, *args):
+        ks.extend(int(k) for k in k_list)
+        return real(model, f, k_list, *args)
+
+    monkeypatch.setattr(harness, "estimate_sigma_profile", counting)
+    cfg = parse_config(
+        _doc(model={"variant": "kernel-chain", "kappa": 0.5}, n=16, x_grid=[1.0, 2.0],
+             theorem="thm1", reps=50)
+    )
+    rows = run_verification(cfg)
+    assert sorted(ks) == [1, 2, 4, 8, 16]
+    # the reference rows carry what a lone k = 1 estimate on the variance lane gives
+    f = observable_for(cfg.model, cfg.observable, cfg.omega,
+                       seed=derive_seed(cfg.base_seed, harness._LANE_CENTERING))
+    want = real(cfg.model, f, [1], cfg.reps, derive_seed(cfg.base_seed, harness._LANE_VARIANCE))
+    refs = [r.variance_used for r in rows if r.theorem == "iid_eq1_ref"]
+    assert refs == [want[0].sigma_sq_hat] * 2
 
 
 def test_run_verification_deterministic_and_thread_invariant():

@@ -85,6 +85,26 @@ def test_infinite_memory_validation():
     assert m.burn_in == 39 * 40
 
 
+def test_window_and_burn_in_computed_once(monkeypatch):
+    real = WeightSequence.suggest_truncation
+    calls = []
+
+    def counting(self, tol):
+        calls.append(tol)
+        return real(self, tol)
+
+    monkeypatch.setattr(WeightSequence, "suggest_truncation", counting)
+    w = WeightSequence.polynomial(0.25, 3.0)
+    m = InfiniteMemoryChain(weights=w)
+    assert m.burn_in == m.burn_in and m.window == m.window
+    assert len(calls) == 1
+    # the cached values leave equality and hashing to the fields
+    assert m == InfiniteMemoryChain(weights=w) and hash(m) == hash(InfiniteMemoryChain(weights=w))
+    s = BernoulliShiftGeometric(theta=0.5)
+    assert s.window == 40 and s == BernoulliShiftGeometric(theta=0.5)
+    assert hash(s) == hash(BernoulliShiftGeometric(theta=0.5))
+
+
 def test_model_names_and_describe():
     assert [model_name(m) for m in _MODELS] == [
         "iid-uniform",
