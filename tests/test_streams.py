@@ -1,0 +1,178 @@
+"""Golden digests of every model's simulated streams.
+
+Each entry is the first 16 hex digits of the sha256 of a little-endian
+float64 array (or of one float), so any change to a model's seeding,
+innovation order, recursion or coupling shows up as a digest mismatch.
+Regenerate only when a stream change is intended and argued for.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from weakdev.coefficients import WeightSequence
+from weakdev.processes import (
+    BernoulliShiftGeometric,
+    DoublingMap,
+    IidUniform,
+    InfiniteMemoryChain,
+    LipschitzKernelChain,
+    ObservableF,
+    coupled_distance_sums,
+    observable_for,
+    observable_sums,
+    simulate,
+    simulate_coupled_block,
+    stationary_init_batch,
+)
+from weakdev.rng import replication_seeds
+
+MODELS = {
+    "iid-uniform": IidUniform(),
+    "doubling-map": DoublingMap(),
+    "kernel-chain": LipschitzKernelChain(kappa=0.7),
+    "bernoulli-shift": BernoulliShiftGeometric(theta=0.5),
+    "bernoulli-shift-truncated": BernoulliShiftGeometric(theta=0.4, truncation=9),
+    "infinite-memory-geometric": InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5)),
+    "infinite-memory-polynomial": InfiniteMemoryChain(
+        weights=WeightSequence.polynomial(0.25, 3.0), truncation=12
+    ),
+}
+BLOCKS = ((1, 1), (3, 4), (50, 7))
+N = 70
+SEEDS = replication_seeds(20261018, 0, 5)
+
+
+def _digest(values) -> str:
+    arr = np.ascontiguousarray(np.asarray(values, dtype="<f8"))
+    return hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+
+
+def _streams(model) -> dict[str, str]:
+    identity = ObservableF(kind="centered-identity", mu=0.375)
+    cosine = ObservableF(
+        kind="centered-cosine", mu=0.01, omega=2, lipschitz_constant=0.5, sup_bound=0.05
+    )
+    out = {
+        "sums.identity": _digest(observable_sums(model, identity, N, SEEDS)),
+        "sums.cosine": _digest(observable_sums(model, cosine, N, SEEDS)),
+        "mu.identity": _digest(observable_for(model, "centered-identity").mu),
+        "mu.cosine": _digest(
+            observable_for(model, "centered-cosine", 3, centering_reps=64, seed=5).mu
+        ),
+        "init": _digest(stationary_init_batch(model, SEEDS)),
+        "simulate": _digest(simulate(model, N, 77)),
+    }
+    for j, r in BLOCKS:
+        out[f"distance.{j}.{r}"] = _digest(coupled_distance_sums(model, j, r, SEEDS))
+        block = simulate_coupled_block(model, j, r, 99)
+        out[f"block.{j}.{r}"] = _digest(np.concatenate([block.original, block.starred]))
+    return out
+
+
+GOLDEN = {
+    "iid-uniform": {
+        "sums.identity": "ae122f6f4429793a",
+        "sums.cosine": "2c86d2a9d1e37ed4",
+        "mu.identity": "4cfa5b42ca669328",
+        "mu.cosine": "af5570f5a1810b7a",
+        "init": "723149b0c6d54e73",
+        "simulate": "685b89b81f1faccd",
+        "distance.1.1": "2c34ce1df23b838c",
+        "block.1.1": "ef465813a4cec29d",
+        "distance.3.4": "2c34ce1df23b838c",
+        "block.3.4": "467cc233886789d4",
+        "distance.50.7": "2c34ce1df23b838c",
+        "block.50.7": "702452f6777a4ac2",
+    },
+    "doubling-map": {
+        "sums.identity": "f4ab02e70679f41f",
+        "sums.cosine": "724c4f549d010581",
+        "mu.identity": "4cfa5b42ca669328",
+        "mu.cosine": "af5570f5a1810b7a",
+        "init": "870b28f2d65fee18",
+        "simulate": "c2595eaa87dd54c1",
+        "distance.1.1": "4591c6ea87f92122",
+        "block.1.1": "4909f88757737c66",
+        "distance.3.4": "b6c3732d3014817d",
+        "block.3.4": "9c00cf41435b77bd",
+        "distance.50.7": "c5ba6ec8717bd876",
+        "block.50.7": "34b487a743b5649c",
+    },
+    "kernel-chain": {
+        "sums.identity": "b4173bdbeed1c113",
+        "sums.cosine": "fa0698a6f237d054",
+        "mu.identity": "4cfa5b42ca669328",
+        "mu.cosine": "003d7d162703ffda",
+        "init": "352c921cb96cc4d2",
+        "simulate": "4600806f4bd20e82",
+        "distance.1.1": "2428352527121812",
+        "block.1.1": "3178174e83a6ac26",
+        "distance.3.4": "eda4b1b12e91a245",
+        "block.3.4": "96c364ba5e687fc1",
+        "distance.50.7": "0365639ff9e42168",
+        "block.50.7": "a4e95a0781a17771",
+    },
+    "bernoulli-shift": {
+        "sums.identity": "3ca298d0eec10b4e",
+        "sums.cosine": "66327e08a5097e4a",
+        "mu.identity": "cd2a0afdea9d1f17",
+        "mu.cosine": "250781ebc3f4f29d",
+        "init": "3d5d62a3a41fccc5",
+        "simulate": "63fb797fbd2cca7f",
+        "distance.1.1": "d13bc7c8a99383fc",
+        "block.1.1": "4b72663598e9a754",
+        "distance.3.4": "279e4ddc0322b9f4",
+        "block.3.4": "6f971b4f11ce5e6a",
+        "distance.50.7": "0c92ec641c435dcb",
+        "block.50.7": "58b8764ed51b02ac",
+    },
+    "bernoulli-shift-truncated": {
+        "sums.identity": "38cd5007b5c87859",
+        "sums.cosine": "8940cfd608960983",
+        "mu.identity": "8d3e5187b5e722fa",
+        "mu.cosine": "bfdc5a9444f80489",
+        "init": "0ad94f7d820b0ab1",
+        "simulate": "2ede69e98d8dd1f4",
+        "distance.1.1": "90168561bbae2f4b",
+        "block.1.1": "be99bca75f6b83e1",
+        "distance.3.4": "28b5b13eca1a538a",
+        "block.3.4": "aa9e757cb1288de6",
+        "distance.50.7": "0da43c98b545b93c",
+        "block.50.7": "395b7745bd4a1be0",
+    },
+    "infinite-memory-geometric": {
+        "sums.identity": "0ecb083d9724a7ee",
+        "sums.cosine": "452c6e114eeec947",
+        "mu.identity": "77597a9b7a9c5340",
+        "mu.cosine": "f934870c5c4d24f0",
+        "init": "52b509193538c018",
+        "simulate": "39630a08aee6ca16",
+        "distance.1.1": "671a6c27d630c84a",
+        "block.1.1": "defd605dcd4ab646",
+        "distance.3.4": "ca9b2b2e8f36fb0d",
+        "block.3.4": "56f77c50c0eaab21",
+        "distance.50.7": "bedb26b748f7b2a1",
+        "block.50.7": "b29431af9fab0d15",
+    },
+    "infinite-memory-polynomial": {
+        "sums.identity": "497c97e564e886f7",
+        "sums.cosine": "1f64070e90a6f94c",
+        "mu.identity": "d4b1f90287a107bb",
+        "mu.cosine": "fcaffa95ccb0688c",
+        "init": "0dd017ffcf2aaec2",
+        "simulate": "05d2485ec6b1a17e",
+        "distance.1.1": "38bd00ea77c61439",
+        "block.1.1": "df6af642c85a35ca",
+        "distance.3.4": "93b85715a144d8be",
+        "block.3.4": "7f0a01998135075f",
+        "distance.50.7": "184284c2cf779296",
+        "block.50.7": "c8396c67b8628c1f",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_streams_match_golden_digests(name):
+    assert _streams(MODELS[name]) == GOLDEN[name]
