@@ -22,7 +22,6 @@ from .bounds import (
     thm2_bennett_tail,
     thm2_threshold,
     varest_bound,
-    variance_envelope,
     variance_profile,
 )
 from .coefficients import (
@@ -71,11 +70,9 @@ from .processes import (
     ObservableF,
     analytic_sigma_profile,
     doubling_sigma_sq,
-    eval_observable,
     observable_for,
     simulate,
     simulate_coupled_block,
-    stationary_init,
 )
 from .rng import VectorXoshiro, derive_seed, mix64, replication_seeds
 

@@ -134,11 +134,6 @@ def variance_profile(sigma_sq: np.ndarray, source: str = "analytic") -> Variance
     return VarianceProfile(sigma_sq=arr, envelope=env, n=int(arr.size), source=source)
 
 
-def variance_envelope(profile: VarianceProfile) -> VarianceProfile:
-    """Recompute the suffix-max envelope of an existing profile."""
-    return variance_profile(profile.sigma_sq, source=profile.source)
-
-
 @dataclass(frozen=True)
 class BlockSelection:
     """Result of a block-size search; k is None when no k is admissible."""

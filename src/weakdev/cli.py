@@ -42,7 +42,7 @@ from .harness import (
     run_verification,
 )
 from .processes import (
-    model_name,
+    MODELS,
     observable_for,
     simulate,
     simulate_coupled_block,
@@ -94,15 +94,29 @@ def _parse_ints(text: str, what: str) -> list[int]:
     return vals
 
 
+def _given(**values) -> dict:
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _model_options(cmd):
+    """Add the model flags; the command receives the built model as m."""
+
+    @functools.wraps(cmd)
+    def with_model(*args, model, kappa, theta, weight_family, weight_c, weight_ratio,
+                   weight_power, truncation, **kwargs):
+        doc = _given(variant=model, kappa=kappa, theta=theta, truncation=truncation)
+        if weight_family is not None:
+            doc["weights"] = _given(
+                family=weight_family, c=weight_c, ratio=weight_ratio, power=weight_power
+            )
+        try:
+            m = build_model(doc)
+        except (ValidationError, ValueError) as exc:
+            raise click.UsageError(str(exc)) from exc
+        return cmd(*args, m=m, **kwargs)
+
     opts = [
-        click.option(
-            "--model",
-            required=True,
-            type=click.Choice(
-                ["iid-uniform", "doubling-map", "kernel-chain", "bernoulli-shift", "infinite-memory"]
-            ),
-        ),
+        click.option("--model", required=True, type=click.Choice(list(MODELS))),
         click.option("--kappa", type=float, default=None, help="kernel-chain contraction"),
         click.option("--theta", type=float, default=None, help="bernoulli-shift decay"),
         click.option(
@@ -117,33 +131,8 @@ def _model_options(cmd):
         click.option("--truncation", type=int, default=None),
     ]
     for opt in reversed(opts):
-        cmd = opt(cmd)
-    return cmd
-
-
-def _build_model_from_flags(
-    model, kappa, theta, weight_family, weight_c, weight_ratio, weight_power, truncation
-):
-    doc: dict = {"variant": model}
-    if kappa is not None:
-        doc["kappa"] = kappa
-    if theta is not None:
-        doc["theta"] = theta
-    if weight_family is not None:
-        w: dict = {"family": weight_family}
-        if weight_c is not None:
-            w["c"] = weight_c
-        if weight_ratio is not None:
-            w["ratio"] = weight_ratio
-        if weight_power is not None:
-            w["power"] = weight_power
-        doc["weights"] = w
-    if truncation is not None:
-        doc["truncation"] = truncation
-    try:
-        return build_model(doc)
-    except (ValidationError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
+        with_model = opt(with_model)
+    return with_model
 
 
 def _friendly_errors(fn):
@@ -215,15 +204,11 @@ def bounds_cmd(theorem, n, x_grid, sigma_sq, k, phi, out):
 @click.option("--n", required=True, type=int)
 @click.option("--out", required=True, type=click.Path())
 @_friendly_errors
-def profile_cmd(model, kappa, theta, weight_family, weight_c, weight_ratio, weight_power,
-                truncation, n, out):
+def profile_cmd(m, n, out):
     """Emit the dependence profile a model satisfies, as CSV (r, delta, kind)."""
-    m = _build_model_from_flags(
-        model, kappa, theta, weight_family, weight_c, weight_ratio, weight_power, truncation
-    )
     prof = dependence_profile_for(m, n)
     write_profile_csv(prof, out)
-    click.echo(f"{model_name(m)}: wrote {prof.n} lags ({prof.kind}) to {out}")
+    click.echo(f"{m.name}: wrote {prof.n} lags ({prof.kind}) to {out}")
 
 
 @main.command("simulate")
@@ -232,15 +217,11 @@ def profile_cmd(model, kappa, theta, weight_family, weight_c, weight_ratio, weig
 @click.option("--seed", type=int, default=0)
 @click.option("--out", required=True, type=click.Path())
 @_friendly_errors
-def simulate_cmd(model, kappa, theta, weight_family, weight_c, weight_ratio, weight_power,
-                 truncation, n, seed, out):
+def simulate_cmd(m, n, seed, out):
     """Simulate one trajectory and write it as CSV (t, x)."""
-    m = _build_model_from_flags(
-        model, kappa, theta, weight_family, weight_c, weight_ratio, weight_power, truncation
-    )
     traj = simulate(m, n, seed)
     write_trajectory_csv(traj, out)
-    click.echo(f"{model_name(m)}: wrote {n} steps to {out}")
+    click.echo(f"{m.name}: wrote {n} steps to {out}")
 
 
 @main.command("estimate-variance")
@@ -254,13 +235,8 @@ def simulate_cmd(model, kappa, theta, weight_family, weight_c, weight_ratio, wei
 @click.option("--threads", type=int, default=None, help="default: logical processors")
 @click.option("--out", type=click.Path(), default=None)
 @_friendly_errors
-def estimate_variance_cmd(model, kappa, theta, weight_family, weight_c, weight_ratio,
-                          weight_power, truncation, observable, omega, k_grid, reps, seed,
-                          threads, out):
+def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out):
     """Estimate sigma_k^2 over a grid of block lengths."""
-    m = _build_model_from_flags(
-        model, kappa, theta, weight_family, weight_c, weight_ratio, weight_power, truncation
-    )
     f = observable_for(m, observable, omega, seed=derive_seed(seed, 3))
     ks = _parse_ints(k_grid, "k-grid")
     ests = estimate_sigma_profile(m, f, ks, reps, seed, threads)
@@ -268,7 +244,7 @@ def estimate_variance_cmd(model, kappa, theta, weight_family, weight_c, weight_r
         click.echo(f"k={e.k} sigma_sq={e.sigma_sq_hat:.6g} se={e.std_error:.3g} reps={e.reps}")
     if out is not None:
         write_estimates_csv(
-            [sigma_csv_row(model_name(m), observable, e, seed) for e in ests], out
+            [sigma_csv_row(m.name, observable, e, seed) for e in ests], out
         )
         click.echo(f"wrote {out}")
 
@@ -284,13 +260,8 @@ def estimate_variance_cmd(model, kappa, theta, weight_family, weight_c, weight_r
 @click.option("--block-out", type=click.Path(), default=None,
               help="also export one coupled block (first r, first j) as CSV")
 @_friendly_errors
-def estimate_coupling_cmd(model, kappa, theta, weight_family, weight_c, weight_ratio,
-                          weight_power, truncation, r_grid, j_grid, reps, seed, threads, out,
-                          block_out):
+def estimate_coupling_cmd(m, r_grid, j_grid, reps, seed, threads, out, block_out):
     """Empirical coupled-block distance maxima over (r, j) grids."""
-    m = _build_model_from_flags(
-        model, kappa, theta, weight_family, weight_c, weight_ratio, weight_power, truncation
-    )
     rs = _parse_ints(r_grid, "r-grid")
     js = _parse_ints(j_grid, "j-grid")
     ests = estimate_coupling_delta(m, rs, js, reps, seed, threads)
@@ -299,7 +270,7 @@ def estimate_coupling_cmd(model, kappa, theta, weight_family, weight_c, weight_r
             f"r={e.r} j={e.j} max_sum={e.max_sum:.6g} witness={e.witness:.6g} reps={e.reps}"
         )
     if out is not None:
-        write_estimates_csv([coupling_csv_row(model_name(m), e, seed) for e in ests], out)
+        write_estimates_csv([coupling_csv_row(m.name, e, seed) for e in ests], out)
         click.echo(f"wrote {out}")
     if block_out is not None:
         block = simulate_coupled_block(m, js[0], rs[0], seed)

@@ -199,7 +199,6 @@ def estimate_coupling_delta(
     reps: int,
     seed: int,
     threads: int | None = 1,
-    share_presplit: bool = False,
 ) -> list[CouplingEstimate]:
     """Per-(r, j) maxima of coupled-block distance sums over reps pairs.
 
@@ -213,9 +212,7 @@ def estimate_coupling_delta(
         lane_r = derive_seed(seed, int(r))
         for j in j_list:
             sums = _per_rep_values(
-                lambda s, r=int(r), j=int(j): coupled_distance_sums(
-                    model, j, r, s, share_presplit=share_presplit
-                ),
+                lambda s, r=int(r), j=int(j): coupled_distance_sums(model, j, r, s),
                 reps,
                 derive_seed(lane_r, int(j)),
                 threads,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -51,11 +51,10 @@ from .processes import (
     BernoulliShiftGeometric,
     DoublingMap,
     IidUniform,
-    InfiniteMemoryChain,
     LipschitzKernelChain,
+    MODELS,
     ProcessModel,
     analytic_sigma_profile,
-    model_name,
     observable_for,
 )
 from .rng import derive_seed
@@ -99,14 +98,6 @@ class ExperimentConfig:
             raise ConfigError("x_grid must be strictly increasing", field="x_grid")
 
 
-_MODEL_KEYS = {
-    "iid-uniform": set(),
-    "doubling-map": set(),
-    "kernel-chain": {"kappa"},
-    "bernoulli-shift": {"theta", "truncation"},
-    "infinite-memory": {"weights", "truncation"},
-}
-
 _WEIGHT_KEYS = {
     "zero": set(),
     "geometric": {"c", "ratio"},
@@ -142,7 +133,17 @@ def build_weights(doc: dict) -> WeightSequence:
     return WeightSequence.polynomial(c, _number(doc["power"], "model.weights.power"))
 
 
+# one parser per model dataclass field
+_MODEL_FIELDS = {
+    "kappa": lambda v: _number(v, "model.kappa"),
+    "theta": lambda v: _number(v, "model.theta"),
+    "weights": build_weights,
+    "truncation": lambda v: None if v is None else _integer(v, "model.truncation"),
+}
+
+
 def build_model(doc: dict | str) -> ProcessModel:
+    """A model from {"variant": name, <field>: value, ...} or a bare variant name."""
     if isinstance(doc, str):
         doc = {"variant": doc}
     if not isinstance(doc, dict):
@@ -150,34 +151,18 @@ def build_model(doc: dict | str) -> ProcessModel:
     if "variant" not in doc:
         raise ConfigError("model needs a 'variant' key", field="model.variant")
     variant = doc["variant"]
-    if variant not in _MODEL_KEYS:
+    if variant not in MODELS:
         raise ConfigError(f"unknown model variant {variant!r}", field="model.variant")
-    extra = set(doc) - _MODEL_KEYS[variant] - {"variant"}
+    cls = MODELS[variant]
+    params = fields(cls)
+    extra = set(doc) - {p.name for p in params} - {"variant"}
     if extra:
         bad = sorted(extra)[0]
         raise ConfigError(f"unknown model key {bad!r}", field=f"model.{bad}")
-    if variant == "iid-uniform":
-        return IidUniform()
-    if variant == "doubling-map":
-        return DoublingMap()
-    if variant == "kernel-chain":
-        if "kappa" not in doc:
-            raise ConfigError("kernel-chain needs 'kappa'", field="model.kappa")
-        return LipschitzKernelChain(kappa=_number(doc["kappa"], "model.kappa"))
-    if variant == "bernoulli-shift":
-        if "theta" not in doc:
-            raise ConfigError("bernoulli-shift needs 'theta'", field="model.theta")
-        return BernoulliShiftGeometric(
-            theta=_number(doc["theta"], "model.theta"), truncation=_truncation(doc)
-        )
-    if "weights" not in doc:
-        raise ConfigError("infinite-memory needs 'weights'", field="model.weights")
-    return InfiniteMemoryChain(weights=build_weights(doc["weights"]), truncation=_truncation(doc))
-
-
-def _truncation(doc: dict) -> int | None:
-    trunc = doc.get("truncation")
-    return None if trunc is None else _integer(trunc, "model.truncation")
+    for p in params:
+        if p.default is MISSING and p.name not in doc:
+            raise ConfigError(f"{variant} needs {p.name!r}", field=f"model.{p.name}")
+    return cls(**{p.name: _MODEL_FIELDS[p.name](doc[p.name]) for p in params if p.name in doc})
 
 
 def _number(value, field: str) -> float:

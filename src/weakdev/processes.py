@@ -39,25 +39,87 @@ _LANE_STARRED = 2
 # models
 
 
+class ProcessModel:
+    """A seeded process on [0, 1]; subclasses are frozen config dataclasses.
+
+    start(gen) draws the time-0 state on gen's parallel streams and returns
+    it with step(x, innov), which maps the state at t-1 and the innovation
+    at t to the state at t. Any further state (a window, a history) lives in
+    step's closure, so the model itself stays an immutable, hashable value.
+    """
+
+    name: str  # CLI and config variant
+    uniform_marginal = False  # stationary marginal is exactly Uniform[0, 1]
+
+    def innovations(self, gen: VectorXoshiro):
+        """Per-step innovation source: one array per call."""
+        return gen.next_uniform
+
+    def start(self, gen: VectorXoshiro):
+        raise NotImplementedError
+
+    def stationary_mean(self) -> float:
+        """E X_t under the (truncated) stationary law."""
+        return 0.5
+
+    def describe(self) -> dict:
+        """Run-report metadata: parameters plus truncation error bounds."""
+        return {"model": self.name}
+
+    def analytic_sigma_sq(self, ks: np.ndarray) -> np.ndarray | None:
+        """Closed-form sigma_k^2 of the centered identity at ks, if known."""
+        return None
+
+
 @dataclass(frozen=True)
-class IidUniform:
+class IidUniform(ProcessModel):
     """Independent Uniform[0, 1] draws."""
 
+    name = "iid-uniform"
+    uniform_marginal = True
+
+    def start(self, gen):
+        return gen.next_uniform(), lambda x, u: u
+
+    def analytic_sigma_sq(self, ks):
+        return np.full(ks.size, 1.0 / 12.0)
+
 
 @dataclass(frozen=True)
-class DoublingMap:
+class DoublingMap(ProcessModel):
     """X_t = (X_{t-1} + xi_t) / 2 with fair coin innovations.
 
     Stationary law is Uniform[0, 1]; the time-reversed binary expansion makes
     the exact stationary initial state a single 64-bit draw.
     """
 
+    name = "doubling-map"
+    uniform_marginal = True
+
+    def innovations(self, gen):
+        """Fair bits, 64 per u64 draw, low bit first within each draw."""
+
+        def bits():
+            while True:
+                word = gen.next_u64()
+                for pos in range(64):
+                    yield ((word >> _U(pos)) & _U(1)).astype(np.float64)
+
+        return bits().__next__
+
+    def start(self, gen):
+        return gen.next_u64().astype(np.float64) * 2.0**-64, lambda x, b: 0.5 * (x + b)
+
+    def analytic_sigma_sq(self, ks):
+        return doubling_sigma_sq(ks)
+
 
 @dataclass(frozen=True)
-class LipschitzKernelChain:
+class LipschitzKernelChain(ProcessModel):
     """X_t = kappa X_{t-1} + (1 - kappa) U_t, U_t iid Uniform[0, 1]."""
 
     kappa: float
+    name = "kernel-chain"
 
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
@@ -68,13 +130,29 @@ class LipschitzKernelChain:
         """Steps until the start bias contracts below 2^-52."""
         return math.ceil(52.0 * math.log(2.0) / math.log(1.0 / self.kappa))
 
+    def start(self, gen):
+        k, c = self.kappa, 1.0 - self.kappa
+
+        def step(x, u):
+            return k * x + c * u
+
+        x = np.full(gen.n_streams, 0.5)
+        for _ in range(self.burn_in):
+            x = step(x, gen.next_uniform())
+        return x, step
+
+    def describe(self):
+        return {"model": self.name, "kappa": self.kappa, "burn_in": self.burn_in,
+                "init_bias": self.kappa**self.burn_in}
+
 
 @dataclass(frozen=True)
-class BernoulliShiftGeometric:
+class BernoulliShiftGeometric(ProcessModel):
     """X_t = (1 - theta) sum_{i < M} theta^i U_{t-i}, truncated at M terms."""
 
     theta: float
     truncation: int | None = None
+    name = "bernoulli-shift"
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
@@ -89,9 +167,33 @@ class BernoulliShiftGeometric:
             return self.truncation
         return math.ceil(40.0 * math.log(2.0) / math.log(1.0 / self.theta))
 
+    def start(self, gen):
+        M, th = self.window, self.theta
+        # window drawn in chronological order: U_{1-M}, ..., U_0
+        win = deque(gen.next_uniform() for _ in range(M))
+        weights = (1.0 - th) * th ** np.arange(M, dtype=np.float64)
+        x = np.zeros(gen.n_streams)
+        for i, u in enumerate(reversed(win)):  # U_{-i} carries theta^i
+            x = x + weights[i] * u
+        drop = (1.0 - th) * th**M
+
+        def step(x, u):
+            oldest = win.popleft()
+            win.append(u)
+            return np.clip(th * x + (1.0 - th) * u - drop * oldest, 0.0, 1.0)
+
+        return x, step
+
+    def stationary_mean(self):
+        return 0.5 * (1.0 - self.theta**self.window)
+
+    def describe(self):
+        return {"model": self.name, "theta": self.theta, "window": self.window,
+                "truncation_tail": self.theta**self.window}
+
 
 @dataclass(frozen=True)
-class InfiniteMemoryChain:
+class InfiniteMemoryChain(ProcessModel):
     """X_t = c0 xi_t + sum_{j <= J} a_j X_{t-j} with c0 = 1 - sum_j a_j.
 
     The weights must be summable below 1; J is the effective truncation.
@@ -99,6 +201,7 @@ class InfiniteMemoryChain:
 
     weights: WeightSequence
     truncation: int | None = None
+    name = "infinite-memory"
 
     def __post_init__(self):
         if self.weights.total >= 1.0:
@@ -122,166 +225,68 @@ class InfiniteMemoryChain:
             return self.window
         return self.window * max(1, math.ceil(40.0 * math.log(2.0) / math.log(1.0 / a)))
 
+    def start(self, gen):
+        J = self.window
+        hist = deque(np.full(gen.n_streams, 0.5) for _ in range(J))  # hist[0] = X_{t-1}
+        a = [self.weights.term(i) for i in range(1, J + 1)]
+        c0 = 1.0 - self.weights.total
 
-ProcessModel = IidUniform | DoublingMap | LipschitzKernelChain | BernoulliShiftGeometric | InfiniteMemoryChain
+        def step(_x, u):
+            x = c0 * u
+            for a_j, h in zip(a, hist):
+                if a_j != 0.0:
+                    x = x + a_j * h
+            hist.pop()
+            hist.appendleft(x)
+            return np.minimum(x, 1.0)
+
+        x = hist[0]
+        for _ in range(self.burn_in):
+            x = step(x, gen.next_uniform())
+        return x, step
+
+    def stationary_mean(self):
+        a_J = self.weights.total - self.weights.tail_sum(self.window + 1)
+        return 0.5 * (1.0 - self.weights.total) / (1.0 - a_J)
+
+    def describe(self):
+        a = self.weights.total
+        return {"model": self.name, "window": self.window, "burn_in": self.burn_in,
+                "truncation_tail": self.weights.tail_sum(self.window + 1),
+                "init_bias": a ** (self.burn_in / self.window) if a > 0 else 0.0}
 
 
-def model_name(model: ProcessModel) -> str:
-    return {
-        IidUniform: "iid-uniform",
-        DoublingMap: "doubling-map",
-        LipschitzKernelChain: "kernel-chain",
-        BernoulliShiftGeometric: "bernoulli-shift",
-        InfiniteMemoryChain: "infinite-memory",
-    }[type(model)]
-
-
-def describe(model: ProcessModel) -> dict:
-    """Run-report metadata: parameters plus truncation error bounds."""
-    info: dict = {"model": model_name(model)}
-    if isinstance(model, LipschitzKernelChain):
-        info.update(kappa=model.kappa, burn_in=model.burn_in, init_bias=model.kappa**model.burn_in)
-    elif isinstance(model, BernoulliShiftGeometric):
-        info.update(theta=model.theta, window=model.window, truncation_tail=model.theta**model.window)
-    elif isinstance(model, InfiniteMemoryChain):
-        a = model.weights.total
-        bias = a ** (model.burn_in / model.window) if a > 0 else 0.0
-        info.update(
-            window=model.window,
-            burn_in=model.burn_in,
-            truncation_tail=model.weights.tail_sum(model.window + 1),
-            init_bias=bias,
-        )
-    return info
+MODELS = {
+    cls.name: cls
+    for cls in (IidUniform, DoublingMap, LipschitzKernelChain, BernoulliShiftGeometric,
+                InfiniteMemoryChain)
+}
 
 
 # ---------------------------------------------------------------------------
 # simulation engine
 
 
-class _BitStream:
-    """Fair bits, 64 per u64 draw, low bit first within each block."""
-
-    def __init__(self, gen: VectorXoshiro):
-        self.gen = gen
-        self.buf: np.ndarray | None = None
-        self.pos = 64
-
-    def __call__(self) -> np.ndarray:
-        if self.pos == 64:
-            self.buf = self.gen.next_u64()
-            self.pos = 0
-        bit = ((self.buf >> _U(self.pos)) & _U(1)).astype(np.float64)
-        self.pos += 1
-        return bit
-
-
-def _innovation_source(model: ProcessModel, gen: VectorXoshiro):
-    if isinstance(model, DoublingMap):
-        return _BitStream(gen)
-    return gen.next_uniform
-
-
-class _Session:
-    """Mutable simulation state for one model over R parallel streams."""
-
-    def __init__(self, model: ProcessModel, gen: VectorXoshiro):
-        self.model = model
-        R = gen.n_streams
-        if isinstance(model, IidUniform):
-            self.x = gen.next_uniform()
-        elif isinstance(model, DoublingMap):
-            self.x = gen.next_u64().astype(np.float64) * 2.0**-64
-        elif isinstance(model, LipschitzKernelChain):
-            x = np.full(R, 0.5)
-            k = model.kappa
-            for _ in range(model.burn_in):
-                x = k * x + (1.0 - k) * gen.next_uniform()
-            self.x = x
-        elif isinstance(model, BernoulliShiftGeometric):
-            M = model.window
-            th = model.theta
-            # window drawn in chronological order: U_{1-M}, ..., U_0
-            self.win = deque(gen.next_uniform() for _ in range(M))
-            weights = (1.0 - th) * th ** np.arange(M, dtype=np.float64)
-            x = np.zeros(R)
-            for i, u in enumerate(reversed(self.win)):  # U_{-i} carries theta^i
-                x = x + weights[i] * u
-            self.x = x
-            self._drop = (1.0 - th) * th**M
-        elif isinstance(model, InfiniteMemoryChain):
-            J = model.window
-            self.hist = deque(np.full(R, 0.5) for _ in range(J))  # hist[0] = X_{t-1}
-            self.a = np.array([model.weights.term(i) for i in range(1, J + 1)])
-            self.c0 = 1.0 - model.weights.total
-            self.x = self.hist[0]
-            for _ in range(model.burn_in):
-                self.step(gen.next_uniform())
-        else:  # pragma: no cover
-            raise TypeError(f"unknown model {model!r}")
-
-    def copy_state_from(self, other: "_Session") -> None:
-        self.x = other.x.copy()
-        if hasattr(other, "win"):
-            self.win = deque(u.copy() for u in other.win)
-        if hasattr(other, "hist"):
-            self.hist = deque(h.copy() for h in other.hist)
-
-    def step(self, innov: np.ndarray) -> np.ndarray:
-        m = self.model
-        if isinstance(m, IidUniform):
-            self.x = innov
-        elif isinstance(m, DoublingMap):
-            self.x = 0.5 * (self.x + innov)
-        elif isinstance(m, LipschitzKernelChain):
-            self.x = m.kappa * self.x + (1.0 - m.kappa) * innov
-        elif isinstance(m, BernoulliShiftGeometric):
-            oldest = self.win.popleft()
-            self.win.append(innov)
-            x = m.theta * self.x + (1.0 - m.theta) * innov - self._drop * oldest
-            self.x = np.clip(x, 0.0, 1.0)
-        else:
-            x = self.c0 * innov
-            for a_j, h in zip(self.a, self.hist):
-                if a_j != 0.0:
-                    x = x + a_j * h
-            self.hist.pop()
-            self.hist.appendleft(x)
-            self.x = np.minimum(x, 1.0)
-        return self.x
+def _states(model: ProcessModel, n: int, seeds: np.ndarray):
+    """Yield X_1..X_n over one stream per seed."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    gen = VectorXoshiro(seeds)
+    x, step = model.start(gen)
+    innov = model.innovations(gen)
+    for _ in range(n):
+        x = step(x, innov())
+        yield x
 
 
 def stationary_init_batch(model: ProcessModel, seeds: np.ndarray) -> np.ndarray:
     """Time-0 state for each replication seed."""
-    return _Session(model, VectorXoshiro(seeds)).x.copy()
+    return model.start(VectorXoshiro(seeds))[0]
 
 
-def stationary_init(model: ProcessModel, seed: int) -> float:
-    return float(stationary_init_batch(model, np.array([seed], dtype=np.uint64))[0])
-
-
-def simulate_batch(
-    model: ProcessModel, n: int, seeds: np.ndarray, keep_times: list[int] | None = None
-) -> np.ndarray:
-    """(R, n) trajectories, or (R, len(keep_times)) selected columns."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    gen = VectorXoshiro(seeds)
-    sess = _Session(model, gen)
-    innov = _innovation_source(model, gen)
-    R = gen.n_streams
-    if keep_times is None:
-        out = np.empty((R, n))
-        for t in range(1, n + 1):
-            out[:, t - 1] = sess.step(innov())
-        return out
-    wanted = {t: i for i, t in enumerate(keep_times)}
-    out = np.empty((R, len(keep_times)))
-    for t in range(1, n + 1):
-        x = sess.step(innov())
-        if t in wanted:
-            out[:, wanted[t]] = x
-    return out
+def simulate_batch(model: ProcessModel, n: int, seeds: np.ndarray) -> np.ndarray:
+    """(R, n) trajectories, one row per seed."""
+    return np.stack(list(_states(model, n, seeds)), axis=1)
 
 
 def simulate(model: ProcessModel, n: int, seed: int) -> np.ndarray:
@@ -291,14 +296,9 @@ def simulate(model: ProcessModel, n: int, seed: int) -> np.ndarray:
 
 def observable_sums(model: ProcessModel, f: "ObservableF", n: int, seeds: np.ndarray) -> np.ndarray:
     """S(f) = sum_{t<=n} f(X_t) per replication, streamed without storing paths."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    gen = VectorXoshiro(seeds)
-    sess = _Session(model, gen)
-    innov = _innovation_source(model, gen)
-    acc = np.zeros(gen.n_streams)
-    for _ in range(n):
-        acc += f.values(sess.step(innov()))
+    acc = np.zeros(len(seeds))
+    for x in _states(model, n, seeds):
+        acc += f.values(x)
     return acc
 
 
@@ -320,141 +320,44 @@ class CoupledBlock:
         return float(np.sum(np.abs(self.original - self.starred)))
 
 
-def coupled_distance_sums(
-    model: ProcessModel,
-    j: int,
-    r: int,
-    seeds: np.ndarray,
-    share_presplit: bool = False,
-) -> np.ndarray:
-    """sum_{i=r+j}^{2r+j-1} |X_i - X*_i| per replication.
+def _coupled_pairs(model: ProcessModel, j: int, r: int, seeds: np.ndarray):
+    """Yield (X_i, X*_i) for i = r+j .. 2r+j-1, one lane per seed.
 
-    share_presplit is a test hook: the starred run reuses the original's
-    initial state and pre-split innovations, forcing identical paths.
+    The starred run starts afresh on its own child stream and shares the
+    original's innovations from time j+1 on.
     """
-    _check_block(j, r)
-    horizon = 2 * r + j - 1
-    gen_o = VectorXoshiro(derive_child_array(seeds, _LANE_ORIGINAL))
-    gen_s = VectorXoshiro(derive_child_array(seeds, _LANE_STARRED))
-    sess_o = _Session(model, gen_o)
-    sess_s = _Session(model, gen_s)
-    if share_presplit:
-        sess_s.copy_state_from(sess_o)
-    innov_o = _innovation_source(model, gen_o)
-    innov_s = _innovation_source(model, gen_s)
-    acc = np.zeros(gen_o.n_streams)
-    for t in range(1, horizon + 1):
-        io = innov_o()
-        if t <= j and not share_presplit:
-            ist = innov_s()
-        else:
-            ist = io
-        xo = sess_o.step(io)
-        xs = sess_s.step(ist)
-        if t >= r + j:
-            acc += np.abs(xo - xs)
-    return acc
-
-
-def coupled_block_sums(
-    model: ProcessModel, j: int, r: int, seeds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replication block sums (sum X_i, sum X*_i) over i = r+j .. 2r+j-1.
-
-    Both runs follow the same construction as coupled_distance_sums; the two
-    returned samples should share a distribution when the starred restart
-    forgets its fresh start by time r+j.
-    """
-    _check_block(j, r)
-    horizon = 2 * r + j - 1
-    gen_o = VectorXoshiro(derive_child_array(seeds, _LANE_ORIGINAL))
-    gen_s = VectorXoshiro(derive_child_array(seeds, _LANE_STARRED))
-    sess_o = _Session(model, gen_o)
-    sess_s = _Session(model, gen_s)
-    innov_o = _innovation_source(model, gen_o)
-    innov_s = _innovation_source(model, gen_s)
-    sum_o = np.zeros(gen_o.n_streams)
-    sum_s = np.zeros(gen_o.n_streams)
-    for t in range(1, horizon + 1):
-        io = innov_o()
-        ist = innov_s() if t <= j else io
-        xo = sess_o.step(io)
-        xs = sess_s.step(ist)
-        if t >= r + j:
-            sum_o += xo
-            sum_s += xs
-    return sum_o, sum_s
-
-
-def simulate_coupled_block(
-    model: ProcessModel, j: int, r: int, seed: int, horizon: int | None = None
-) -> CoupledBlock:
-    """One coupled block pair; the block must fit inside the horizon."""
-    _check_block(j, r)
-    needed = 2 * r + j - 1
-    if horizon is not None and needed > horizon:
-        raise DomainError(f"block needs horizon {needed}, only {horizon} available")
-    seeds = np.array([seed], dtype=np.uint64)
-    gen_o = VectorXoshiro(derive_child_array(seeds, _LANE_ORIGINAL))
-    gen_s = VectorXoshiro(derive_child_array(seeds, _LANE_STARRED))
-    sess_o = _Session(model, gen_o)
-    sess_s = _Session(model, gen_s)
-    innov_o = _innovation_source(model, gen_o)
-    innov_s = _innovation_source(model, gen_s)
-    orig = np.empty(r)
-    star = np.empty(r)
-    for t in range(1, needed + 1):
-        io = innov_o()
-        ist = innov_s() if t <= j else io
-        xo = sess_o.step(io)
-        xs = sess_s.step(ist)
-        if t >= r + j:
-            orig[t - r - j] = xo[0]
-            star[t - r - j] = xs[0]
-    return CoupledBlock(j=j, r=r, original=orig, starred=star)
-
-
-def _check_block(j: int, r: int) -> None:
     if j < 1:
         raise DomainError(f"need split j >= 1, got {j}")
     if r < 1:
         raise DomainError(f"need block length r >= 1, got {r}")
+    gen_o = VectorXoshiro(derive_child_array(seeds, _LANE_ORIGINAL))
+    gen_s = VectorXoshiro(derive_child_array(seeds, _LANE_STARRED))
+    xo, step_o = model.start(gen_o)
+    xs, step_s = model.start(gen_s)
+    innov_o = model.innovations(gen_o)
+    innov_s = model.innovations(gen_s)
+    for t in range(1, 2 * r + j):
+        io = innov_o()
+        xo = step_o(xo, io)
+        xs = step_s(xs, innov_s() if t <= j else io)
+        if t >= r + j:
+            yield xo, xs
 
 
-# ---------------------------------------------------------------------------
-# pure path helpers (test hooks with explicit innovations)
+def coupled_distance_sums(model: ProcessModel, j: int, r: int, seeds: np.ndarray) -> np.ndarray:
+    """sum_{i=r+j}^{2r+j-1} |X_i - X*_i| per replication."""
+    acc = np.zeros(len(seeds))
+    for xo, xs in _coupled_pairs(model, j, r, seeds):
+        acc += np.abs(xo - xs)
+    return acc
 
 
-def doubling_init_from_bits(bits64: int) -> float:
-    """Stationary initial state from 64 explicit past coin flips.
-
-    Bit j of bits64 is xi_{-j}; all zeros gives 0.0, all ones 1 - 2^-64
-    (which rounds to 1.0 in binary64).
-    """
-    if not 0 <= bits64 < 1 << 64:
-        raise DomainError("bits64 must fit in 64 bits")
-    return float(bits64) * 2.0**-64
-
-
-def doubling_path(x0: float, bits) -> np.ndarray:
-    """Forward doubling-map recursion from x0 under explicit innovations."""
-    bits = np.asarray(bits, dtype=np.float64)
-    out = np.empty(bits.size)
-    x = x0
-    for t, b in enumerate(bits):
-        x = 0.5 * (x + b)
-        out[t] = x
-    return out
-
-
-def kernel_chain_path(kappa: float, x0: float, uniforms) -> np.ndarray:
-    us = np.asarray(uniforms, dtype=np.float64)
-    out = np.empty(us.size)
-    x = x0
-    for t, u in enumerate(us):
-        x = kappa * x + (1.0 - kappa) * u
-        out[t] = x
-    return out
+def simulate_coupled_block(model: ProcessModel, j: int, r: int, seed: int) -> CoupledBlock:
+    """One coupled block pair for one seed."""
+    pairs = np.array(
+        [(xo[0], xs[0]) for xo, xs in _coupled_pairs(model, j, r, np.array([seed], dtype=_U))]
+    )
+    return CoupledBlock(j=j, r=r, original=pairs[:, 0], starred=pairs[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +405,10 @@ def observable_for(
     cosine) and is otherwise estimated from centering_reps stationary draws.
     """
     if kind == "centered-identity":
-        return ObservableF(kind=kind, mu=stationary_mean(model), lipschitz_constant=1.0)
+        return ObservableF(kind=kind, mu=model.stationary_mean(), lipschitz_constant=1.0)
     if kind != "centered-cosine":
         raise ValidationError(f"unknown observable kind {kind!r}", field="kind")
-    if isinstance(model, (IidUniform, DoublingMap)):
+    if model.uniform_marginal:
         mu = 0.0  # integral of cos(2 pi w u) over [0, 1] vanishes
     else:
         draws = stationary_init_batch(
@@ -517,22 +420,6 @@ def observable_for(
     return ObservableF(
         kind=kind, mu=mu, omega=omega, lipschitz_constant=0.5, sup_bound=amp + abs(mu)
     )
-
-
-def eval_observable(f: ObservableF, trajectory: np.ndarray) -> np.ndarray:
-    """Pointwise f over a trajectory, values in [-1/2, 1/2]."""
-    return f.values(trajectory)
-
-
-def stationary_mean(model: ProcessModel) -> float:
-    """E X_t under the (truncated) stationary law."""
-    if isinstance(model, (IidUniform, DoublingMap, LipschitzKernelChain)):
-        return 0.5
-    if isinstance(model, BernoulliShiftGeometric):
-        return 0.5 * (1.0 - model.theta**model.window)
-    a_J = model.weights.total - model.weights.tail_sum(model.window + 1)
-    c0 = 1.0 - model.weights.total
-    return 0.5 * c0 / (1.0 - a_J)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +443,8 @@ def analytic_sigma_profile(model: ProcessModel, f: ObservableF, n: int) -> Varia
     """Closed-form variance profile where one exists, else None."""
     if f.kind != "centered-identity":
         return None
-    ks = np.arange(1, n + 1)
-    if isinstance(model, IidUniform):
-        return variance_profile(np.full(n, 1.0 / 12.0), source="analytic")
-    if isinstance(model, DoublingMap):
-        return variance_profile(doubling_sigma_sq(ks.astype(np.float64)), source="analytic")
-    return None
+    sigma_sq = model.analytic_sigma_sq(np.arange(1, n + 1))
+    return None if sigma_sq is None else variance_profile(sigma_sq, source="analytic")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from weakdev.bounds import (
     thm2_bennett_tail,
     thm2_threshold,
     varest_bound,
-    variance_envelope,
     variance_profile,
 )
 from weakdev.coefficients import doubling_map_profile
@@ -101,8 +100,6 @@ def test_variance_envelope_examples():
     assert np.array_equal(const.envelope, const.sigma_sq)
     inc = variance_profile([0.1, 0.2, 0.4])
     assert np.all(inc.envelope == 0.4)
-    again = variance_envelope(inc)
-    assert np.array_equal(again.envelope, inc.envelope)
 
 
 def test_variance_profile_validation():

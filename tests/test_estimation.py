@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from weakdev.bounds import iid_bernstein_threshold, varest_bound
@@ -173,9 +174,17 @@ def test_coupling_kernel_bound():
     assert est.max_sum <= (0.5**2 + 0.5**3) * (1.0 + 1e-12)
 
 
-def test_coupling_share_presplit_zeros():
-    (est,) = estimate_coupling_delta(_DBL, [4], [3], reps=200, seed=15, share_presplit=True)
-    assert est.max_sum == 0.0 and est.witness == 0.0
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(1, 20), min_size=1, max_size=3),
+    st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    st.integers(0, 2**63 - 1),
+)
+def test_iid_coupling_estimate_is_zero(r_list, j_list, seed):
+    # the starred iid run equals the original after the split, so every
+    # block distance, and hence every witness, is exactly zero
+    for est in estimate_coupling_delta(_IID, r_list, j_list, reps=20, seed=seed):
+        assert est.max_sum == 0.0 and est.witness == 0.0
 
 
 def test_coupling_seed_keyed_by_r_and_j():

@@ -21,6 +21,7 @@ from weakdev.coefficients import (
     infinite_memory_profile,
     markov_contraction_profile,
     validate_profile,
+    write_profile_csv,
 )
 from weakdev.errors import ConfigError, DomainError
 import weakdev.harness as harness
@@ -618,6 +619,50 @@ def test_cli_profile_writes_csv(tmp_path):
     prof = doubling_map_profile(8)
     assert len(rows) == 9
     assert float(rows[1][1]) == prof.at(1)
+
+
+_PROFILE_FLAGS = [
+    ("iid-uniform", [], {}),
+    ("doubling-map", [], {}),
+    ("kernel-chain", ["--kappa", "0.6"], {"kappa": 0.6}),
+    ("bernoulli-shift", ["--theta", "0.45", "--truncation", "17"],
+     {"theta": 0.45, "truncation": 17}),
+    ("infinite-memory", ["--weight-family", "zero", "--truncation", "5"],
+     {"weights": {"family": "zero"}, "truncation": 5}),
+    ("infinite-memory",
+     ["--weight-family", "geometric", "--weight-c", "0.5", "--weight-ratio", "0.4"],
+     {"weights": {"family": "geometric", "c": 0.5, "ratio": 0.4}}),
+    ("infinite-memory",
+     ["--weight-family", "polynomial", "--weight-c", "0.25", "--weight-power", "3.0",
+      "--truncation", "20"],
+     {"weights": {"family": "polynomial", "c": 0.25, "power": 3.0}, "truncation": 20}),
+]
+
+
+@pytest.mark.parametrize("variant, flags, fields", _PROFILE_FLAGS)
+def test_cli_profile_flags_build_the_config_model(tmp_path, variant, flags, fields):
+    n = 64
+    out, want = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    res = CliRunner().invoke(
+        main, ["profile", "--model", variant, *flags, "--n", str(n), "--out", str(out)]
+    )
+    assert res.exit_code == 0, res.output
+    write_profile_csv(dependence_profile_for(build_model({"variant": variant, **fields}), n), want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--model", "kernel-chain"], "kappa"),
+        (["--model", "infinite-memory", "--weight-family", "geometric", "--weight-c", "0.5"],
+         "ratio"),
+        (["--model", "doubling-map", "--theta", "0.5"], "theta"),
+    ],
+)
+def test_cli_model_flag_errors_name_the_field(tmp_path, flags, named):
+    res = CliRunner().invoke(main, ["profile", *flags, "--n", "8", "--out", str(tmp_path / "p")])
+    assert res.exit_code == 2 and named in res.output
 
 
 def test_cli_simulate_writes_csv(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from weakdev.coefficients import WeightSequence
@@ -15,24 +16,17 @@ from weakdev.processes import (
     InfiniteMemoryChain,
     LipschitzKernelChain,
     ObservableF,
+    MODELS,
+    _coupled_pairs,
     analytic_sigma_profile,
-    coupled_block_sums,
     coupled_distance_sums,
-    describe,
-    doubling_init_from_bits,
-    doubling_path,
     doubling_sigma_sq,
-    eval_observable,
-    kernel_chain_path,
-    model_name,
     observable_for,
     observable_sums,
     simulate,
     simulate_batch,
     simulate_coupled_block,
-    stationary_init,
     stationary_init_batch,
-    stationary_mean,
     write_coupled_block_csv,
     write_trajectory_csv,
 )
@@ -49,6 +43,46 @@ _MODELS = [
 
 def _seeds(base: int, count: int) -> np.ndarray:
     return replication_seeds(base, 0, count)
+
+
+def _name(model) -> str:
+    return model.name
+
+
+# ---------------------------------------------------------------------------
+# reference paths under explicit innovations
+
+
+def doubling_init_from_bits(bits64: int) -> float:
+    """Stationary initial state from 64 explicit past coin flips.
+
+    Bit j of bits64 is xi_{-j}; all zeros gives 0.0, all ones 1 - 2^-64
+    (which rounds to 1.0 in binary64).
+    """
+    if not 0 <= bits64 < 1 << 64:
+        raise DomainError("bits64 must fit in 64 bits")
+    return float(bits64) * 2.0**-64
+
+
+def doubling_path(x0: float, bits) -> np.ndarray:
+    """Forward doubling-map recursion from x0 under explicit innovations."""
+    bits = np.asarray(bits, dtype=np.float64)
+    out = np.empty(bits.size)
+    x = x0
+    for t, b in enumerate(bits):
+        x = 0.5 * (x + b)
+        out[t] = x
+    return out
+
+
+def kernel_chain_path(kappa: float, x0: float, uniforms) -> np.ndarray:
+    us = np.asarray(uniforms, dtype=np.float64)
+    out = np.empty(us.size)
+    x = x0
+    for t, u in enumerate(us):
+        x = kappa * x + (1.0 - kappa) * u
+        out[t] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -106,29 +140,26 @@ def test_window_and_burn_in_computed_once(monkeypatch):
 
 
 def test_model_names_and_describe():
-    assert [model_name(m) for m in _MODELS] == [
-        "iid-uniform",
-        "doubling-map",
-        "kernel-chain",
-        "bernoulli-shift",
-        "infinite-memory",
-    ]
-    d = describe(LipschitzKernelChain(kappa=0.9))
+    names = ["iid-uniform", "doubling-map", "kernel-chain", "bernoulli-shift", "infinite-memory"]
+    assert [m.name for m in _MODELS] == names
+    assert list(MODELS) == names and [MODELS[m.name] for m in _MODELS] == [type(m) for m in _MODELS]
+    d = LipschitzKernelChain(kappa=0.9).describe()
     assert d["model"] == "kernel-chain" and d["kappa"] == 0.9
     assert d["init_bias"] == pytest.approx(0.9 ** d["burn_in"])
-    d = describe(BernoulliShiftGeometric(theta=0.3))
+    d = BernoulliShiftGeometric(theta=0.3).describe()
     assert set(d) == {"model", "theta", "window", "truncation_tail"}
     assert d["truncation_tail"] <= 2.0**-40
-    d = describe(InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5), truncation=10))
+    m = InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5), truncation=10)
+    d = m.describe()
     assert set(d) == {"model", "window", "burn_in", "truncation_tail", "init_bias"}
-    assert describe(IidUniform()) == {"model": "iid-uniform"}
+    assert IidUniform().describe() == {"model": "iid-uniform"}
 
 
 # ---------------------------------------------------------------------------
 # determinism and range
 
 
-@pytest.mark.parametrize("model", _MODELS, ids=model_name)
+@pytest.mark.parametrize("model", _MODELS, ids=_name)
 def test_simulate_deterministic_and_in_range(model):
     a = simulate(model, 200, 42)
     b = simulate(model, 200, 42)
@@ -137,20 +168,12 @@ def test_simulate_deterministic_and_in_range(model):
     assert not np.array_equal(a, simulate(model, 200, 43))
 
 
-@pytest.mark.parametrize("model", _MODELS, ids=model_name)
+@pytest.mark.parametrize("model", _MODELS, ids=_name)
 def test_batch_matches_single(model):
     seeds = np.array([7, 99, 123456], dtype=np.uint64)
     batch = simulate_batch(model, 50, seeds)
     for i, s in enumerate(seeds):
         assert np.array_equal(batch[i], simulate(model, 50, int(s)))
-
-
-def test_keep_times_selects_columns():
-    model = DoublingMap()
-    seeds = _seeds(5, 4)
-    full = simulate_batch(model, 30, seeds)
-    picked = simulate_batch(model, 30, seeds, keep_times=[1, 7, 30])
-    assert np.array_equal(picked, full[:, [0, 6, 29]])
 
 
 def test_simulate_rejects_bad_n():
@@ -186,7 +209,7 @@ def test_doubling_simulate_replay():
     seed = 12345
     gen = VectorXoshiro(np.array([seed], dtype=np.uint64))
     x0 = float(gen.next_u64().astype(np.float64)[0] * 2.0**-64)
-    assert x0 == stationary_init(DoublingMap(), seed)
+    assert x0 == stationary_init_batch(DoublingMap(), np.array([seed], dtype=np.uint64))[0]
     word = int(gen.next_u64()[0])
     bits = [(word >> t) & 1 for t in range(64)]
     assert np.array_equal(doubling_path(x0, bits), simulate(DoublingMap(), 64, seed))
@@ -222,7 +245,7 @@ def test_stationary_init_uniform(model):
 
 
 def test_doubling_marginals_stay_uniform():
-    cols = simulate_batch(DoublingMap(), 64, _seeds(31, 100_000), keep_times=[1, 32, 64])
+    cols = simulate_batch(DoublingMap(), 64, _seeds(31, 100_000))[:, [0, 31, 63]]
     for c in range(3):
         assert stats.kstest(cols[:, c], "uniform").pvalue > 1e-3
 
@@ -230,7 +253,7 @@ def test_doubling_marginals_stay_uniform():
 @pytest.mark.parametrize("r", [1, 3, 6])
 def test_doubling_autocovariance(r):
     # Cov(X_t, X_{t+r}) = 2^-r / 12 under the stationary law
-    cols = simulate_batch(DoublingMap(), 1 + r, _seeds(500 + r, 100_000), keep_times=[1, 1 + r])
+    cols = simulate_batch(DoublingMap(), 1 + r, _seeds(500 + r, 100_000))[:, [0, r]]
     x, y = cols[:, 0] - np.mean(cols[:, 0]), cols[:, 1] - np.mean(cols[:, 1])
     prods = x * y
     se = np.std(prods, ddof=1) / math.sqrt(prods.size)
@@ -248,18 +271,18 @@ def test_doubling_autocovariance(r):
 def test_stationary_mean_matches_draws(model):
     draws = stationary_init_batch(model, _seeds(88, 50_000))
     se = np.std(draws, ddof=1) / math.sqrt(draws.size)
-    assert abs(np.mean(draws) - stationary_mean(model)) < 4.0 * se
+    assert abs(np.mean(draws) - model.stationary_mean()) < 4.0 * se
 
 
 def test_stationary_mean_formulas():
-    assert stationary_mean(IidUniform()) == 0.5
-    assert stationary_mean(DoublingMap()) == 0.5
-    assert stationary_mean(LipschitzKernelChain(kappa=0.3)) == 0.5
+    assert IidUniform().stationary_mean() == 0.5
+    assert DoublingMap().stationary_mean() == 0.5
+    assert LipschitzKernelChain(kappa=0.3).stationary_mean() == 0.5
     m = BernoulliShiftGeometric(theta=0.5, truncation=4)
-    assert stationary_mean(m) == 0.5 * (1.0 - 0.5**4)
+    assert m.stationary_mean() == 0.5 * (1.0 - 0.5**4)
     im = InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5), truncation=3)
     a_J = sum(0.5 * 0.5**j for j in (1, 2, 3))
-    assert stationary_mean(im) == pytest.approx(0.5 * 0.5 / (1.0 - a_J), abs=1e-15)
+    assert im.stationary_mean() == pytest.approx(0.5 * 0.5 / (1.0 - a_J), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +307,12 @@ def test_kernel_coupling_bound():
         assert np.all(sums <= cap * (1.0 + 1e-12))
 
 
-@pytest.mark.parametrize("model", _MODELS, ids=model_name)
-def test_share_presplit_collapses_distance(model):
-    sums = coupled_distance_sums(model, 4, 3, _seeds(64, 100), share_presplit=True)
-    assert np.all(sums == 0.0)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 30), st.integers(0, 2**63 - 1))
+def test_iid_coupled_paths_share_post_split_innovations(j, r, base):
+    # X_t = U_t for iid draws, so X*_t = X_t at every t > j exactly when the
+    # starred run reuses the original's innovations after the split
+    assert np.all(coupled_distance_sums(IidUniform(), j, r, _seeds(base, 8)) == 0.0)
 
 
 def test_coupled_block_arguments():
@@ -296,7 +321,7 @@ def test_coupled_block_arguments():
     with pytest.raises(DomainError):
         coupled_distance_sums(DoublingMap(), 1, 0, _seeds(1, 4))
     with pytest.raises(DomainError):
-        simulate_coupled_block(DoublingMap(), 5, 10, 1, horizon=20)  # needs 24
+        simulate_coupled_block(DoublingMap(), 0, 10, 1)
 
 
 def test_simulate_coupled_block_matches_batch():
@@ -309,7 +334,8 @@ def test_simulate_coupled_block_matches_batch():
 def test_coupled_block_sums_marginals_agree():
     # the starred restart is stationary too, so block sums from both runs
     # should be indistinguishable in distribution
-    so, ss = coupled_block_sums(DoublingMap(), 5, 10, _seeds(2718, 10_000))
+    pairs = list(_coupled_pairs(DoublingMap(), 5, 10, _seeds(2718, 10_000)))
+    so, ss = (sum(p[side] for p in pairs) for side in (0, 1))
     assert stats.ks_2samp(so, ss).pvalue > 1e-3
     assert np.all(np.abs(so - ss) <= 10 * 2.0**-9)
 
@@ -349,10 +375,10 @@ def test_observable_validation():
         observable_for(DoublingMap(), "nope")
 
 
-@pytest.mark.parametrize("model", _MODELS, ids=model_name)
+@pytest.mark.parametrize("model", _MODELS, ids=_name)
 def test_observable_for_identity_centering(model):
     f = observable_for(model, "centered-identity")
-    assert f.mu == stationary_mean(model)
+    assert f.mu == model.stationary_mean()
     draws = stationary_init_batch(model, _seeds(3, 200_000))
     vals = f.values(draws)
     se = np.std(vals, ddof=1) / math.sqrt(vals.size)
@@ -374,12 +400,6 @@ def test_observable_for_cosine_estimated_centering():
     se_eval = np.std(vals, ddof=1) / math.sqrt(vals.size)
     se_centering = np.std(vals, ddof=1) / math.sqrt(200_000)
     assert abs(np.mean(vals)) < 4.0 * math.hypot(se_eval, se_centering)
-
-
-def test_eval_observable_matches_values():
-    f = observable_for(DoublingMap(), "centered-identity")
-    traj = simulate(DoublingMap(), 50, 8)
-    assert np.array_equal(eval_observable(f, traj), f.values(traj))
 
 
 def test_observable_sums_match_paths():
