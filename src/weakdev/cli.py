@@ -102,8 +102,8 @@ def _model_options(cmd):
     """Add the model flags; the command receives the built model as m."""
 
     @functools.wraps(cmd)
-    def with_model(*args, model, kappa, theta, weight_family, weight_c, weight_ratio,
-                   weight_power, truncation, **kwargs):
+    def with_model(model, kappa, theta, weight_family, weight_c, weight_ratio, weight_power,
+                   truncation, **kwargs):
         doc = _given(variant=model, kappa=kappa, theta=theta, truncation=truncation)
         if weight_family is not None:
             doc["weights"] = _given(
@@ -113,7 +113,7 @@ def _model_options(cmd):
             m = build_model(doc)
         except (ValidationError, ValueError) as exc:
             raise click.UsageError(str(exc)) from exc
-        return cmd(*args, m=m, **kwargs)
+        return cmd(m=m, **kwargs)
 
     opts = [
         click.option("--model", required=True, type=click.Choice(list(MODELS))),
