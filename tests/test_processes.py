@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from weakdev import processes
 from weakdev.coefficients import WeightSequence
 from weakdev.errors import DomainError, ValidationError
 from weakdev.processes import (
@@ -305,6 +306,16 @@ def test_kernel_coupling_bound():
         sums = coupled_distance_sums(model, j, r, _seeds(911, 1000))
         cap = sum(kappa**m for m in range(r, 2 * r))
         assert np.all(sums <= cap * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=_name)
+def test_share_presplit_collapses_distance(model, monkeypatch):
+    # drawing the starred run from the original's own child stream shares the
+    # start and the pre-split innovations too; then the two runs must agree at
+    # every time, so each start() owns its window and history state
+    monkeypatch.setattr(processes, "_LANE_STARRED", processes._LANE_ORIGINAL)
+    sums = coupled_distance_sums(model, 4, 3, _seeds(64, 100))
+    assert np.all(sums == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
