@@ -1,8 +1,8 @@
 """Verify both blockwise deviation bounds on the doubling map.
 
 Runs the full harness at n = 1000 over a small x grid and writes one CSV
-report per theorem next to this script (or under --outdir). The iid-formula
-rows in each report are reference curves only.
+report per theorem under --outdir (default: ./reports in the working
+directory). The iid-formula rows in each report are reference curves only.
 """
 
 import argparse

@@ -25,8 +25,11 @@ from .bounds import (
     variance_profile,
 )
 from .coefficients import (
+    GeometricWeights,
+    PolynomialWeights,
     ShiftRegularity,
     WeightSequence,
+    ZeroWeights,
     bernoulli_shift_linf_profile,
     bernoulli_shift_phi_profile,
     doubling_map_profile,
@@ -46,7 +49,6 @@ from .estimation import (
     estimate_coupling_delta,
     estimate_mean_abs_f,
     estimate_sigma_profile,
-    estimate_tail,
 )
 from .harness import (
     AsymptoticsRow,

@@ -24,9 +24,6 @@ from .errors import DomainError, NoValidBlockSizeError, ValidationError
 PROFILE_KINDS = ("phi", "linf")
 VARIANCE_SOURCES = ("analytic", "estimated")
 
-# Monotonicity slack for profile validation.
-_MONOTONE_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # rate functions

@@ -22,7 +22,7 @@ from .bounds import (
     thm1_threshold,
     thm2_threshold,
 )
-from .coefficients import write_profile_csv
+from .coefficients import WEIGHTS, write_profile_csv
 from .errors import ValidationError
 from .estimation import (
     coupling_csv_row,
@@ -121,7 +121,7 @@ def _model_options(cmd):
         click.option("--theta", type=float, default=None, help="bernoulli-shift decay"),
         click.option(
             "--weight-family",
-            type=click.Choice(["zero", "geometric", "polynomial"]),
+            type=click.Choice(list(WEIGHTS)),
             default=None,
             help="infinite-memory weight family",
         ),

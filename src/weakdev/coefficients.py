@@ -34,89 +34,37 @@ TRUNCATION_TAIL = 2.0**-40
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Summable nonnegative weights a_j, j >= 1.
+    """Summable nonnegative weights a_j, j >= 1, one subclass per family.
 
-    family "geometric": a_j = c * ratio^j with 0 < ratio < 1 (exact tails);
-    family "polynomial": a_j = c * j^(-power) with power > 1 (tails bounded
-    above by partial sums plus an integral estimate);
-    family "zero": a_j = 0.
+    A family's dataclass fields are its config keys and its class attribute
+    `family` is its name in WEIGHTS.  Tails are exact or rigorous upper
+    bounds; a family with c == 0 has zero tails without evaluating them.
     """
 
-    family: str
-    c: float = 0.0
-    param: float = 0.0
-
-    _PARTIAL_TERMS = 1024
-
-    @classmethod
-    def zero(cls) -> "WeightSequence":
-        return cls(family="zero")
-
-    @classmethod
-    def geometric(cls, c: float, ratio: float) -> "WeightSequence":
-        if c < 0:
-            raise DomainError(f"need c >= 0, got {c}")
-        if not 0.0 < ratio < 1.0:
-            raise DomainError(f"need 0 < ratio < 1, got {ratio}")
-        return cls(family="geometric", c=c, param=ratio)
-
-    @classmethod
-    def polynomial(cls, c: float, power: float) -> "WeightSequence":
-        if c < 0:
-            raise DomainError(f"need c >= 0, got {c}")
-        if power <= 1.0:
-            raise DomainError(f"need power > 1 for summability, got {power}")
-        return cls(family="polynomial", c=c, param=power)
+    def __post_init__(self):
+        if self.c < 0:
+            raise DomainError(f"need c >= 0, got {self.c}")
 
     def term(self, j: int) -> float:
         """a_j."""
         if j < 1:
             raise DomainError(f"need j >= 1, got {j}")
-        if self.family == "zero":
-            return 0.0
-        if self.family == "geometric":
-            return self.c * self.param**j
-        return self.c * float(j) ** (-self.param)
+        return self._term(j)
 
     def tail_sum(self, p: int) -> float:
         """sum_{i >= p} a_i, exact or a rigorous upper bound."""
         if p < 1:
             raise DomainError(f"need p >= 1, got {p}")
-        if self.family == "zero" or self.c == 0.0:
-            return 0.0
-        if self.family == "geometric":
-            return self.c * self.param**p / (1.0 - self.param)
-        s = self.param
-        top = p + self._PARTIAL_TERMS
-        i = np.arange(p, top, dtype=np.float64)
-        partial = self.c * float(np.sum(i**-s))
-        # integral bound: sum_{i >= top} i^-s <= int_{top-1}^inf x^-s dx
-        return partial + self.c * (top - 1.0) ** (1.0 - s) / (s - 1.0)
+        return 0.0 if self.c == 0.0 else self._tail(p)
 
     def tail_sums(self, m: int) -> np.ndarray:
-        """[tail_sum(1), ..., tail_sum(m)], equal to the scalar calls bit for bit.
-
-        The polynomial family raises each index to -power once and sums a
-        sliding window of _PARTIAL_TERMS of them; the integral term stays in
-        Python floats, whose ** differs from numpy's in the last bit.
-        """
+        """[tail_sum(1), ..., tail_sum(m)], equal to the scalar calls bit for bit."""
         if m < 1:
             raise DomainError(f"need m >= 1, got {m}")
-        if self.family == "zero" or self.c == 0.0:
-            return np.zeros(m)
-        c = self.c
-        if self.family == "geometric":
-            q = self.param
-            return np.array([c * q**p / (1.0 - q) for p in range(1, m + 1)])
-        s, K = self.param, self._PARTIAL_TERMS
-        powers = np.arange(1, m + K, dtype=np.float64) ** -s
-        return np.array(
-            [
-                c * float(powers[p - 1 : p - 1 + K].sum())
-                + c * (p + K - 1.0) ** (1.0 - s) / (s - 1.0)
-                for p in range(1, m + 1)
-            ]
-        )
+        return np.zeros(m) if self.c == 0.0 else self._tails(m)
+
+    def _tails(self, m: int) -> np.ndarray:
+        return np.array([self._tail(p) for p in range(1, m + 1)])
 
     @property
     def total(self) -> float:
@@ -140,6 +88,82 @@ class WeightSequence:
             else:
                 lo = mid + 1
         return lo
+
+
+@dataclass(frozen=True)
+class ZeroWeights(WeightSequence):
+    """a_j = 0."""
+
+    family = "zero"
+    c = 0.0  # not a field, so not a config key; every tail takes the c == 0 path
+
+    def _term(self, j: int) -> float:
+        return 0.0
+
+
+@dataclass(frozen=True)
+class GeometricWeights(WeightSequence):
+    """a_j = c * ratio^j with c >= 0 and 0 < ratio < 1; tails are exact."""
+
+    c: float
+    ratio: float
+    family = "geometric"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.ratio < 1.0:
+            raise DomainError(f"need 0 < ratio < 1, got {self.ratio}")
+
+    def _term(self, j: int) -> float:
+        return self.c * self.ratio**j
+
+    def _tail(self, p: int) -> float:
+        return self.c * self.ratio**p / (1.0 - self.ratio)
+
+
+@dataclass(frozen=True)
+class PolynomialWeights(WeightSequence):
+    """a_j = c * j^(-power) with c >= 0 and power > 1; tails are bounded above
+    by _PARTIAL_TERMS explicit terms plus an integral estimate."""
+
+    c: float
+    power: float
+    family = "polynomial"
+
+    _PARTIAL_TERMS = 1024
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.power <= 1.0:
+            raise DomainError(f"need power > 1 for summability, got {self.power}")
+
+    def _term(self, j: int) -> float:
+        return self.c * float(j) ** (-self.power)
+
+    def _tail(self, p: int) -> float:
+        s = self.power
+        top = p + self._PARTIAL_TERMS
+        i = np.arange(p, top, dtype=np.float64)
+        partial = self.c * float(np.sum(i**-s))
+        # integral bound: sum_{i >= top} i^-s <= int_{top-1}^inf x^-s dx
+        return partial + self.c * (top - 1.0) ** (1.0 - s) / (s - 1.0)
+
+    def _tails(self, m: int) -> np.ndarray:
+        """Raises each index to -power once and sums a sliding window of
+        _PARTIAL_TERMS of them; the integral term stays in Python floats,
+        whose ** differs from numpy's in the last bit."""
+        c, s, K = self.c, self.power, self._PARTIAL_TERMS
+        powers = np.arange(1, m + K, dtype=np.float64) ** -s
+        return np.array(
+            [
+                c * float(powers[p - 1 : p - 1 + K].sum())
+                + c * (p + K - 1.0) ** (1.0 - s) / (s - 1.0)
+                for p in range(1, m + 1)
+            ]
+        )
+
+
+WEIGHTS = {cls.family: cls for cls in (ZeroWeights, GeometricWeights, PolynomialWeights)}
 
 
 @dataclass(frozen=True)

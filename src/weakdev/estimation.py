@@ -9,6 +9,7 @@ Results are therefore bit-identical for any worker count.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -142,23 +143,6 @@ def tail_from_sums(
     )
 
 
-def estimate_tail(
-    model: ProcessModel,
-    f: ObservableF,
-    n: int,
-    threshold: float,
-    reps: int,
-    seed: int,
-    *,
-    x: float = math.nan,
-    alpha: float = DEFAULT_ALPHA,
-    threads: int | None = 1,
-) -> TailEstimate:
-    """P(S(f) >= threshold) by brute-force MC with a Clopper-Pearson CI."""
-    sums = per_rep_sums(model, f, n, reps, seed, threads)
-    return tail_from_sums(sums, threshold, x=x, alpha=alpha)
-
-
 def estimate_sigma_profile(
     model: ProcessModel,
     f: ObservableF,
@@ -272,20 +256,6 @@ def sigma_csv_row(model_label: str, f_label: str, est: SigmaEstimate, seed: int)
     ]
 
 
-def tail_csv_row(model_label: str, f_label: str, n: int, est: TailEstimate, seed: int) -> list:
-    return [
-        model_label,
-        f_label,
-        n,
-        f"tail@{repr(est.threshold)}",
-        repr(est.p_hat),
-        repr(est.ci_low),
-        repr(est.ci_high),
-        est.reps,
-        seed,
-    ]
-
-
 def coupling_csv_row(model_label: str, est: CouplingEstimate, seed: int) -> list:
     return [
         model_label,
@@ -301,8 +271,6 @@ def coupling_csv_row(model_label: str, est: CouplingEstimate, seed: int) -> list
 
 
 def write_estimates_csv(rows: list[list], path) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(ESTIMATE_CSV_HEADER)

@@ -33,7 +33,9 @@ from .bounds import (
     variance_profile,
 )
 from .coefficients import (
+    WEIGHTS,
     DependenceProfile,
+    GeometricWeights,
     WeightSequence,
     bernoulli_shift_linf_profile,
     doubling_map_profile,
@@ -98,48 +100,13 @@ class ExperimentConfig:
             raise ConfigError("x_grid must be strictly increasing", field="x_grid")
 
 
-_WEIGHT_KEYS = {
-    "zero": set(),
-    "geometric": {"c", "ratio"},
-    "polynomial": {"c", "power"},
-}
-
-
 def build_weights(doc: dict) -> WeightSequence:
+    """A weight sequence from {"family": name, <field>: value, ...}."""
     if not isinstance(doc, dict):
         raise ConfigError("weights must be an object", field="model.weights")
     if "family" not in doc:
         raise ConfigError("weights need a 'family' key", field="model.weights.family")
-    family = doc["family"]
-    if family not in _WEIGHT_KEYS:
-        raise ConfigError(f"unknown weight family {family!r}", field="model.weights.family")
-    extra = set(doc) - _WEIGHT_KEYS[family] - {"family"}
-    if extra:
-        raise ConfigError(
-            f"unknown weight key {sorted(extra)[0]!r}",
-            field=f"model.weights.{sorted(extra)[0]}",
-        )
-    if family == "zero":
-        return WeightSequence.zero()
-    missing = _WEIGHT_KEYS[family] - set(doc)
-    if missing:
-        raise ConfigError(
-            f"weight family {family!r} needs {sorted(missing)[0]!r}",
-            field=f"model.weights.{sorted(missing)[0]}",
-        )
-    c = _number(doc["c"], "model.weights.c")
-    if family == "geometric":
-        return WeightSequence.geometric(c, _number(doc["ratio"], "model.weights.ratio"))
-    return WeightSequence.polynomial(c, _number(doc["power"], "model.weights.power"))
-
-
-# one parser per model dataclass field
-_MODEL_FIELDS = {
-    "kappa": lambda v: _number(v, "model.kappa"),
-    "theta": lambda v: _number(v, "model.theta"),
-    "weights": build_weights,
-    "truncation": lambda v: None if v is None else _integer(v, "model.truncation"),
-}
+    return _build(WEIGHTS, doc, "family", "model.weights.", "weight", "weight family {!r} needs")
 
 
 def build_model(doc: dict | str) -> ProcessModel:
@@ -150,19 +117,31 @@ def build_model(doc: dict | str) -> ProcessModel:
         raise ConfigError("model must be an object or a variant name", field="model")
     if "variant" not in doc:
         raise ConfigError("model needs a 'variant' key", field="model.variant")
-    variant = doc["variant"]
-    if variant not in MODELS:
-        raise ConfigError(f"unknown model variant {variant!r}", field="model.variant")
-    cls = MODELS[variant]
+    return _build(MODELS, doc, "variant", "model.", "model", "{} needs")
+
+
+def _build(registry: dict, doc: dict, tag: str, path: str, noun: str, needs: str):
+    """registry[doc[tag]], each of its dataclass fields parsed from doc by _FIELDS."""
+    name = doc[tag]
+    if not isinstance(name, str) or name not in registry:
+        raise ConfigError(f"unknown {noun} {tag} {name!r}", field=f"{path}{tag}")
+    cls = registry[name]
     params = fields(cls)
-    extra = set(doc) - {p.name for p in params} - {"variant"}
+    required = {p.name for p in params if p.default is MISSING}
+    _check_keys(doc, {tag, *(p.name for p in params)}, path, noun, required, needs.format(name))
+    return cls(**{p.name: _FIELDS[p.name](doc[p.name], path + p.name)
+                  for p in params if p.name in doc})
+
+
+def _check_keys(doc: dict, allowed, path: str, noun: str, required=(), needs: str = "") -> None:
+    """Refuse the first unknown key of doc, then the first missing required one;
+    the field is the key prefixed with path."""
+    extra = sorted(set(doc) - set(allowed))
     if extra:
-        bad = sorted(extra)[0]
-        raise ConfigError(f"unknown model key {bad!r}", field=f"model.{bad}")
-    for p in params:
-        if p.default is MISSING and p.name not in doc:
-            raise ConfigError(f"{variant} needs {p.name!r}", field=f"model.{p.name}")
-    return cls(**{p.name: _MODEL_FIELDS[p.name](doc[p.name]) for p in params if p.name in doc})
+        raise ConfigError(f"unknown {noun} key {extra[0]!r}", field=f"{path}{extra[0]}")
+    missing = sorted(set(required) - set(doc))
+    if missing:
+        raise ConfigError(f"{needs} {missing[0]!r}", field=f"{path}{missing[0]}")
 
 
 def _number(value, field: str) -> float:
@@ -186,6 +165,18 @@ def _integer(value, field: str) -> int:
     raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
 
 
+# one parser per dataclass field of a model or weight family
+_FIELDS = {
+    "kappa": _number,
+    "theta": _number,
+    "c": _number,
+    "ratio": _number,
+    "power": _number,
+    "weights": lambda v, _field: build_weights(v),
+    "truncation": lambda v, field: None if v is None else _integer(v, field),
+}
+
+
 _TOP_KEYS = {"model", "observable", "n", "x_grid", "theorem", "reps", "base_seed", "alpha", "out"}
 _REQUIRED_KEYS = {"model", "n", "x_grid", "theorem", "reps", "base_seed"}
 
@@ -194,21 +185,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a JSON config document; unknown keys are hard errors."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object", field="<root>")
-    extra = set(doc) - _TOP_KEYS
-    if extra:
-        bad = sorted(extra)[0]
-        raise ConfigError(f"unknown config key {bad!r}", field=bad)
-    missing = _REQUIRED_KEYS - set(doc)
-    if missing:
-        bad = sorted(missing)[0]
-        raise ConfigError(f"missing config key {bad!r}", field=bad)
+    _check_keys(doc, _TOP_KEYS, "", "config", _REQUIRED_KEYS, "missing config key")
     obs = doc.get("observable", "centered-identity")
     omega = 1
     if isinstance(obs, dict):
-        extra = set(obs) - {"id", "omega"}
-        if extra:
-            bad = sorted(extra)[0]
-            raise ConfigError(f"unknown observable key {bad!r}", field=f"observable.{bad}")
+        _check_keys(obs, {"id", "omega"}, "observable.", "observable")
         omega = _integer(obs.get("omega", 1), "observable.omega")
         obs = obs.get("id", "centered-identity")
     if obs not in ("centered-identity", "centered-cosine"):
@@ -255,7 +236,7 @@ def dependence_profile_for(model: ProcessModel, n: int) -> DependenceProfile:
         # lag-i innovation weight (1-theta) theta^i gives block tails
         # r delta'_r = theta^r / (1-theta)
         return bernoulli_shift_linf_profile(
-            th / (1.0 - th), WeightSequence.geometric((1.0 - th) / th, th), n
+            th / (1.0 - th), GeometricWeights((1.0 - th) / th, th), n
         )
     return infinite_memory_profile(model.weights, n)
 

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from weakdev.coefficients import (
     TRUNCATION_TAIL,
+    GeometricWeights,
+    PolynomialWeights,
     ShiftRegularity,
     WeightSequence,
+    ZeroWeights,
     bernoulli_shift_linf_profile,
     bernoulli_shift_phi_profile,
     doubling_map_profile,
@@ -26,27 +29,27 @@ from weakdev.errors import DomainError, ValidationError
 
 
 def test_geometric_weights():
-    w = WeightSequence.geometric(1.0, 0.5)
+    w = GeometricWeights(1.0, 0.5)
     assert w.term(1) == 0.5 and w.term(3) == 0.125
     # closed-form tail c ratio^p / (1 - ratio), exact in floating point
     assert w.tail_sum(1) == 1.0
     assert w.tail_sum(3) == 0.25
     assert w.total == 1.0
-    w2 = WeightSequence.geometric(0.5, 0.5)
+    w2 = GeometricWeights(0.5, 0.5)
     assert w2.total == 0.5 and w2.tail_sum(2) == 0.25
 
 
 def test_geometric_validation():
     with pytest.raises(DomainError):
-        WeightSequence.geometric(-1.0, 0.5)
+        GeometricWeights(-1.0, 0.5)
     with pytest.raises(DomainError):
-        WeightSequence.geometric(1.0, 0.0)
+        GeometricWeights(1.0, 0.0)
     with pytest.raises(DomainError):
-        WeightSequence.geometric(1.0, 1.0)
+        GeometricWeights(1.0, 1.0)
 
 
 def test_polynomial_weights():
-    w = WeightSequence.polynomial(1.0, 3.0)
+    w = PolynomialWeights(1.0, 3.0)
     assert w.term(2) == 0.125
     # sum_{j >= 4} j^-3 = zeta(3) - 1 - 1/8 - 1/27 = 0.04001986612255727...;
     # the estimate must upper-bound the true tail and stay within 1e-6 of it
@@ -55,7 +58,7 @@ def test_polynomial_weights():
     assert truth <= got <= truth + 1e-6
     assert got == pytest.approx(0.04001986658392494, abs=1e-15)
     with pytest.raises(DomainError):
-        WeightSequence.polynomial(1.0, 1.0)
+        PolynomialWeights(1.0, 1.0)
     with pytest.raises(DomainError):
         w.term(0)
     with pytest.raises(DomainError):
@@ -63,21 +66,21 @@ def test_polynomial_weights():
 
 
 def test_tails_non_increasing():
-    for w in (WeightSequence.geometric(2.0, 0.7), WeightSequence.polynomial(1.5, 2.5)):
+    for w in (GeometricWeights(2.0, 0.7), PolynomialWeights(1.5, 2.5)):
         tails = [w.tail_sum(p) for p in range(1, 60)]
         assert all(b <= a for a, b in zip(tails, tails[1:]))
         assert all(t >= 0.0 for t in tails)
 
 
 def test_zero_weights():
-    w = WeightSequence.zero()
+    w = ZeroWeights()
     assert w.term(5) == 0.0 and w.tail_sum(1) == 0.0 and w.total == 0.0
     # a zero sequence truncates after a single term
     assert w.suggest_truncation() == 1
 
 
 def test_suggest_truncation_boundary():
-    w = WeightSequence.geometric(1.0, 0.5)
+    w = GeometricWeights(1.0, 0.5)
     # tail_sum(p) = 2^(1-p), so the smallest M with tail_sum(M+1) <= 2^-40 is 40
     m = w.suggest_truncation()
     assert m == 40
@@ -140,7 +143,7 @@ def test_markov_profile():
 
 
 def test_infinite_memory_profile_values():
-    w = WeightSequence.geometric(0.5, 0.5)  # a_j = 2^-(j+1), total 1/2
+    w = GeometricWeights(0.5, 0.5)  # a_j = 2^-(j+1), total 1/2
     p = infinite_memory_profile(w, 20)
     assert p.kind == "linf"
     assert p.at(2) == pytest.approx(0.75, abs=1e-15)
@@ -149,7 +152,7 @@ def test_infinite_memory_profile_values():
 
 
 def test_infinite_memory_brute_force():
-    w = WeightSequence.geometric(0.5, 0.6)  # total 0.75 < 1
+    w = GeometricWeights(0.5, 0.6)  # total 0.75 < 1
     a = w.total
     p = infinite_memory_profile(w, 50)
     for r in (1, 2, 3, 7, 25, 50):
@@ -161,8 +164,8 @@ def test_infinite_memory_brute_force():
 
 def test_infinite_memory_contraction_required():
     with pytest.raises(ValidationError, match="sum of weights"):
-        infinite_memory_profile(WeightSequence.geometric(1.0, 0.6), 5)
-    z = infinite_memory_profile(WeightSequence.zero(), 6)
+        infinite_memory_profile(GeometricWeights(1.0, 0.6), 5)
+    z = infinite_memory_profile(ZeroWeights(), 6)
     assert np.all(z.delta == 0.0)
 
 
@@ -196,11 +199,11 @@ def contracting_weights(draw) -> WeightSequence:
     share = draw(st.floats(min_value=0.0, max_value=0.99))
     if family == "geometric":
         ratio = draw(st.floats(min_value=0.01, max_value=0.95))
-        return WeightSequence.geometric(share * (1.0 - ratio) / ratio, ratio)
+        return GeometricWeights(share * (1.0 - ratio) / ratio, ratio)
     if family == "polynomial":
         power = draw(st.floats(min_value=1.1, max_value=4.0))
-        return WeightSequence.polynomial(share / WeightSequence.polynomial(1.0, power).total, power)
-    return WeightSequence.zero()
+        return PolynomialWeights(share / PolynomialWeights(1.0, power).total, power)
+    return ZeroWeights()
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,7 +218,7 @@ def test_profile_path_matches_reference_loops_bit_for_bit(w, n):
 
 
 @pytest.mark.parametrize(
-    "w", [WeightSequence.geometric(0.5, 0.5), WeightSequence.polynomial(0.25, 3.0)]
+    "w", [GeometricWeights(0.5, 0.5), PolynomialWeights(0.25, 3.0)]
 )
 def test_infinite_memory_profile_matches_reference_at_n_8000(w):
     assert np.array_equal(infinite_memory_profile(w, 8000).delta, _infinite_memory_reference(w, 8000))
@@ -223,17 +226,17 @@ def test_infinite_memory_profile_matches_reference_at_n_8000(w):
 
 def test_tail_sums_validation():
     with pytest.raises(DomainError):
-        WeightSequence.geometric(0.5, 0.5).tail_sums(0)
+        GeometricWeights(0.5, 0.5).tail_sums(0)
 
 
 def test_shift_linf_profile():
-    w = WeightSequence.geometric(1.0, 0.5)  # a_i = 2^-i
+    w = GeometricWeights(1.0, 0.5)  # a_i = 2^-i
     p = bernoulli_shift_linf_profile(1.0, w, 8)
     assert p.kind == "linf"
     assert p.at(3) == pytest.approx(1.0 / 12.0, abs=1e-16)
-    poly = bernoulli_shift_linf_profile(2.0, WeightSequence.polynomial(1.0, 3.0), 6)
+    poly = bernoulli_shift_linf_profile(2.0, PolynomialWeights(1.0, 3.0), 6)
     assert poly.at(4) == pytest.approx(0.02000993329196247, abs=1e-15)
-    z = bernoulli_shift_linf_profile(1.0, WeightSequence.zero(), 4)
+    z = bernoulli_shift_linf_profile(1.0, ZeroWeights(), 4)
     assert np.all(z.delta == 0.0)
     with pytest.raises(DomainError):
         bernoulli_shift_linf_profile(-1.0, w, 4)
@@ -303,8 +306,8 @@ def test_validate_profile_rejects_increase():
         lambda n: doubling_map_profile(n),
         lambda n: expanding_map_profile(3.0, 0.7, n),
         lambda n: markov_contraction_profile(0.8, n),
-        lambda n: infinite_memory_profile(WeightSequence.geometric(0.3, 0.7), n),
-        lambda n: bernoulli_shift_linf_profile(2.0, WeightSequence.polynomial(1.0, 2.0), n),
+        lambda n: infinite_memory_profile(GeometricWeights(0.3, 0.7), n),
+        lambda n: bernoulli_shift_linf_profile(2.0, PolynomialWeights(1.0, 2.0), n),
         lambda n: bernoulli_shift_phi_profile(_example_regularity(), n),
     ],
 )

@@ -15,16 +15,13 @@ from weakdev.estimation import (
     CouplingEstimate,
     MeanAbsEstimate,
     SigmaEstimate,
-    TailEstimate,
     clopper_pearson,
     coupling_csv_row,
     estimate_coupling_delta,
     estimate_mean_abs_f,
     estimate_sigma_profile,
-    estimate_tail,
     per_rep_sums,
     sigma_csv_row,
-    tail_csv_row,
     tail_from_sums,
     write_estimates_csv,
 )
@@ -92,14 +89,15 @@ def test_clopper_pearson_coverage(p):
 
 def test_tail_degenerate_thresholds():
     n = 6
-    est = estimate_tail(_IID, _identity(_IID), n, n, reps=500, seed=1)
+    sums = per_rep_sums(_IID, _identity(_IID), n, 500, seed=1)
+    est = tail_from_sums(sums, n)
     assert est.hits == 0 and est.p_hat == 0.0 and est.ci_low == 0.0
-    est = estimate_tail(_IID, _identity(_IID), n, -float(n), reps=500, seed=1)
+    est = tail_from_sums(sums, -float(n))
     assert est.hits == 500 and est.p_hat == 1.0 and est.ci_high == 1.0
 
 
 def test_tail_ci_ordering_and_fields():
-    est = estimate_tail(_DBL, _identity(_DBL), 50, 2.0, reps=2000, seed=3, x=1.25)
+    est = tail_from_sums(per_rep_sums(_DBL, _identity(_DBL), 50, 2000, seed=3), 2.0, x=1.25)
     assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
     assert est.x == 1.25 and est.reps == 2000 and est.alpha == DEFAULT_ALPHA
     assert est.p_hat == est.hits / est.reps
@@ -108,19 +106,21 @@ def test_tail_ci_ordering_and_fields():
 def test_tail_bernstein_holds_for_iid():
     n, x = 200, 1.0
     thr = iid_bernstein_threshold(n, 1.0 / 12.0, x)
-    est = estimate_tail(_IID, _identity(_IID), n, thr, reps=3000, seed=11, x=x)
+    est = tail_from_sums(per_rep_sums(_IID, _identity(_IID), n, 3000, seed=11), thr, x=x)
     assert est.ci_high <= math.exp(-x)
 
 
-def test_tail_from_sums_matches_estimate_tail():
+def test_tail_from_sums_counts_hits():
     sums = per_rep_sums(_IID, _identity(_IID), 20, 1000, seed=5)
-    direct = tail_from_sums(sums, 1.0, x=0.5)
-    assert direct == estimate_tail(_IID, _identity(_IID), 20, 1.0, reps=1000, seed=5, x=0.5)
+    est = tail_from_sums(sums, 1.0, x=0.5)
+    hits = int(np.count_nonzero(sums >= 1.0))
+    assert (est.hits, est.reps, est.p_hat) == (hits, 1000, hits / 1000)
+    assert (est.ci_low, est.ci_high) == clopper_pearson(hits, 1000)
 
 
 def test_tail_rejects_bad_reps():
     with pytest.raises(DomainError):
-        estimate_tail(_IID, _identity(_IID), 5, 0.0, reps=0, seed=1)
+        per_rep_sums(_IID, _identity(_IID), 5, 0, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,10 @@ _SPAN = 40_000  # several chunks, so the pool actually schedules
 
 
 def test_tail_worker_invariance():
-    one = estimate_tail(_DBL, _identity(_DBL), 4, 0.3, reps=_SPAN, seed=50, threads=1)
-    four = estimate_tail(_DBL, _identity(_DBL), 4, 0.3, reps=_SPAN, seed=50, threads=4)
-    assert one == four
+    one = per_rep_sums(_DBL, _identity(_DBL), 4, _SPAN, seed=50, threads=1)
+    four = per_rep_sums(_DBL, _identity(_DBL), 4, _SPAN, seed=50, threads=4)
+    assert np.array_equal(one, four)
+    assert tail_from_sums(one, 0.3) == tail_from_sums(four, 0.3)
 
 
 def test_sigma_worker_invariance():
@@ -282,13 +283,9 @@ def test_varest_dominates_analytic_doubling_variance_small_k():
 
 def test_estimates_csv_roundtrip(tmp_path):
     sig = SigmaEstimate(k=5, sigma_sq_hat=0.1854, std_error=0.002, reps=100)
-    tail = TailEstimate(
-        threshold=13.0, x=1.0, hits=3, reps=100, p_hat=0.03, ci_low=0.01, ci_high=0.09, alpha=0.01
-    )
     coup = CouplingEstimate(r=3, j=1, max_sum=0.2, witness=0.2 / 3, reps=100)
     rows = [
         sigma_csv_row("doubling-map", "centered-identity", sig, seed=7),
-        tail_csv_row("doubling-map", "centered-identity", 50, tail, seed=7),
         coupling_csv_row("doubling-map", coup, seed=7),
     ]
     path = tmp_path / "est.csv"
@@ -297,6 +294,5 @@ def test_estimates_csv_roundtrip(tmp_path):
         got = list(csv.reader(fh))
     assert got[0] == ESTIMATE_CSV_HEADER
     assert got[1][3] == "sigma_sq" and float(got[1][4]) == 0.1854
-    assert got[2][3] == "tail@13.0" and float(got[2][6]) == 0.09
-    assert got[3][2] == "r=3,j=1" and float(got[3][5]) == pytest.approx(0.2 / 3)
+    assert got[2][2] == "r=3,j=1" and float(got[2][5]) == pytest.approx(0.2 / 3)
     assert all(len(r) == len(ESTIMATE_CSV_HEADER) for r in got)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from weakdev.bounds import (
 )
 from weakdev.cli import main, parse_x_grid
 from weakdev.coefficients import (
-    WeightSequence,
+    WEIGHTS,
+    GeometricWeights,
+    PolynomialWeights,
     doubling_map_profile,
     infinite_memory_profile,
     markov_contraction_profile,
@@ -41,6 +44,7 @@ from weakdev.harness import (
     run_verification,
 )
 from weakdev.processes import (
+    MODELS,
     BernoulliShiftGeometric,
     DoublingMap,
     IidUniform,
@@ -201,12 +205,93 @@ def test_parse_config_rejects_non_integer_parameters(case, value):
         (_doc(model=5), "model"),
         (_doc(model={"variant": "infinite-memory", "weights": 5}), "model.weights"),
         (_doc(out=5), "out"),
+        (_doc(model={"variant": ["x"]}), "model.variant"),
+        (_doc(model={"variant": "infinite-memory", "weights": {"family": ["g"]}}),
+         "model.weights.family"),
     ],
 )
 def test_parse_config_rejects_wrongly_typed_sections(doc, field):
     with pytest.raises(ConfigError) as ei:
         parse_config(doc)
     assert ei.value.field == field
+
+
+# valid values for every dataclass field of a model or weight family; c is kept
+# small so that every weight family is summable below 1
+_FIELD_VALUES = {
+    "kappa": st.floats(0.01, 0.99),
+    "theta": st.floats(0.01, 0.99),
+    "c": st.floats(0.0, 0.1),
+    "ratio": st.floats(0.01, 0.9),
+    "power": st.floats(1.5, 6.0),
+    "truncation": st.none() | st.integers(1, 50),
+}
+_REGISTRIES = {"variant": MODELS, "family": WEIGHTS}
+_REGISTRY_CLASSES = [(tag, name) for tag, reg in _REGISTRIES.items() for name in reg]
+
+
+def _section(draw, tag: str, name: str):
+    """A config section for registry class `name` and the object it must build."""
+    cls = _REGISTRIES[tag][name]
+    doc, kwargs = {tag: name}, {}
+    for f in fields(cls):
+        if f.default is not MISSING and draw(st.booleans()):
+            continue
+        if f.name == "weights":
+            doc["weights"], kwargs["weights"] = _section(
+                draw, "family", draw(st.sampled_from(sorted(WEIGHTS)))
+            )
+        else:
+            doc[f.name] = kwargs[f.name] = draw(_FIELD_VALUES[f.name])
+    return doc, cls(**kwargs)
+
+
+def _config_for(tag: str, section: dict) -> tuple[dict, str]:
+    """A full config holding `section`, and the path prefix of its keys."""
+    if tag == "variant":
+        return _doc(model=section), "model."
+    return _doc(model={"variant": "infinite-memory", "weights": section}), "model.weights."
+
+
+def _built(cfg, tag: str):
+    return cfg.model if tag == "variant" else cfg.model.weights
+
+
+@pytest.mark.parametrize("tag, name", _REGISTRY_CLASSES)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_registry_config_round_trips(tag, name, data):
+    section, want = _section(data.draw, tag, name)
+    doc, _ = _config_for(tag, section)
+    assert _built(parse_config(json.loads(json.dumps(doc))), tag) == want
+
+
+@pytest.mark.parametrize("tag, name", _REGISTRY_CLASSES)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_registry_config_unknown_key_names_its_path(tag, name, data):
+    section, _ = _section(data.draw, tag, name)
+    known = {tag, *(f.name for f in fields(_REGISTRIES[tag][name]))}
+    key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in known))
+    section[key] = data.draw(_FIELD_VALUES["kappa"])
+    doc, prefix = _config_for(tag, section)
+    with pytest.raises(ConfigError) as ei:
+        parse_config(doc)
+    assert ei.value.field == prefix + key
+
+
+@pytest.mark.parametrize("tag, name", _REGISTRY_CLASSES)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_registry_config_missing_key_names_its_path(tag, name, data):
+    section, _ = _section(data.draw, tag, name)
+    required = [tag] + [f.name for f in fields(_REGISTRIES[tag][name]) if f.default is MISSING]
+    key = data.draw(st.sampled_from(required))
+    del section[key]
+    doc, prefix = _config_for(tag, section)
+    with pytest.raises(ConfigError) as ei:
+        parse_config(doc)
+    assert ei.value.field == prefix + key
 
 
 def test_experiment_config_rejects_non_finite_x():
@@ -297,7 +382,7 @@ def test_dependence_profiles_by_model():
         # block tail: r delta'_r = theta^r / (1 - theta), clipped at r
         assert r * shift.at(r) == pytest.approx(min(th**r / (1.0 - th), float(r)), rel=1e-12)
 
-    w = WeightSequence.geometric(0.5, 0.5)
+    w = GeometricWeights(0.5, 0.5)
     mem = dependence_profile_for(InfiniteMemoryChain(weights=w, truncation=6), n)
     assert np.array_equal(mem.delta, infinite_memory_profile(w, n).delta)
 
@@ -356,7 +441,7 @@ def test_hoeffding_phi_matches_reference_loop_bit_for_bit(data):
 
 
 @pytest.mark.parametrize(
-    "w", [WeightSequence.geometric(0.5, 0.5), WeightSequence.polynomial(0.25, 3.0)]
+    "w", [GeometricWeights(0.5, 0.5), PolynomialWeights(0.25, 3.0)]
 )
 def test_hoeffding_phi_matches_reference_at_n_8000(w):
     profile = infinite_memory_profile(w, 8000)
@@ -776,6 +861,23 @@ def test_cli_verify_rejects_bad_config_cleanly(tmp_path):
     assert res.exit_code == 1
     # config rejections come back as CLI errors, not tracebacks
     assert "unknown config key 'bogus'" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "model, named",
+    [
+        ({"variant": ["x"]}, "unknown model variant ['x']"),
+        ({"variant": "infinite-memory", "weights": {"family": ["g"]}},
+         "unknown weight family ['g']"),
+    ],
+)
+def test_cli_verify_rejects_non_string_names_cleanly(tmp_path, model, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_doc(model=model)))
+    res = CliRunner().invoke(main, ["verify", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert f"Error: {named}" in res.output
     assert "Traceback" not in res.output
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from weakdev import processes
-from weakdev.coefficients import WeightSequence
+from weakdev.coefficients import GeometricWeights, PolynomialWeights, WeightSequence
 from weakdev.errors import DomainError, ValidationError
 from weakdev.processes import (
     BernoulliShiftGeometric,
@@ -38,7 +38,7 @@ _MODELS = [
     DoublingMap(),
     LipschitzKernelChain(kappa=0.5),
     BernoulliShiftGeometric(theta=0.5, truncation=12),
-    InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5), truncation=8),
+    InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5), truncation=8),
 ]
 
 
@@ -111,11 +111,11 @@ def test_shift_validation():
 
 def test_infinite_memory_validation():
     with pytest.raises(ValidationError) as ei:
-        InfiniteMemoryChain(weights=WeightSequence.geometric(1.0, 0.6))
+        InfiniteMemoryChain(weights=GeometricWeights(1.0, 0.6))
     assert ei.value.field == "weights"
     with pytest.raises(DomainError):
-        InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5), truncation=0)
-    m = InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5))
+        InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5), truncation=0)
+    m = InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5))
     assert m.window == 39  # tail 2^-p crosses 2^-40 at p = 40
     assert m.burn_in == 39 * 40
 
@@ -129,7 +129,7 @@ def test_window_and_burn_in_computed_once(monkeypatch):
         return real(self, tol)
 
     monkeypatch.setattr(WeightSequence, "suggest_truncation", counting)
-    w = WeightSequence.polynomial(0.25, 3.0)
+    w = PolynomialWeights(0.25, 3.0)
     m = InfiniteMemoryChain(weights=w)
     assert m.burn_in == m.burn_in and m.window == m.window
     assert len(calls) == 1
@@ -150,7 +150,7 @@ def test_model_names_and_describe():
     d = BernoulliShiftGeometric(theta=0.3).describe()
     assert set(d) == {"model", "theta", "window", "truncation_tail"}
     assert d["truncation_tail"] <= 2.0**-40
-    m = InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5), truncation=10)
+    m = InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5), truncation=10)
     d = m.describe()
     assert set(d) == {"model", "window", "burn_in", "truncation_tail", "init_bias"}
     assert IidUniform().describe() == {"model": "iid-uniform"}
@@ -265,7 +265,7 @@ def test_doubling_autocovariance(r):
     "model",
     [
         BernoulliShiftGeometric(theta=0.5, truncation=12),
-        InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5), truncation=6),
+        InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5), truncation=6),
     ],
     ids=["bernoulli-shift", "infinite-memory"],
 )
@@ -281,7 +281,7 @@ def test_stationary_mean_formulas():
     assert LipschitzKernelChain(kappa=0.3).stationary_mean() == 0.5
     m = BernoulliShiftGeometric(theta=0.5, truncation=4)
     assert m.stationary_mean() == 0.5 * (1.0 - 0.5**4)
-    im = InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5), truncation=3)
+    im = InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5), truncation=3)
     a_J = sum(0.5 * 0.5**j for j in (1, 2, 3))
     assert im.stationary_mean() == pytest.approx(0.5 * 0.5 / (1.0 - a_J), abs=1e-15)
 

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from weakdev.coefficients import WeightSequence
+from weakdev.coefficients import GeometricWeights, PolynomialWeights
 from weakdev.processes import (
     BernoulliShiftGeometric,
     DoublingMap,
@@ -34,9 +34,9 @@ MODELS = {
     "kernel-chain": LipschitzKernelChain(kappa=0.7),
     "bernoulli-shift": BernoulliShiftGeometric(theta=0.5),
     "bernoulli-shift-truncated": BernoulliShiftGeometric(theta=0.4, truncation=9),
-    "infinite-memory-geometric": InfiniteMemoryChain(weights=WeightSequence.geometric(0.5, 0.5)),
+    "infinite-memory-geometric": InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5)),
     "infinite-memory-polynomial": InfiniteMemoryChain(
-        weights=WeightSequence.polynomial(0.25, 3.0), truncation=12
+        weights=PolynomialWeights(0.25, 3.0), truncation=12
     ),
 }
 BLOCKS = ((1, 1), (3, 4), (50, 7))
