@@ -105,10 +105,9 @@ def _model_options(cmd):
     def with_model(model, kappa, theta, weight_family, weight_c, weight_ratio, weight_power,
                    truncation, **kwargs):
         doc = _given(variant=model, kappa=kappa, theta=theta, truncation=truncation)
-        if weight_family is not None:
-            doc["weights"] = _given(
-                family=weight_family, c=weight_c, ratio=weight_ratio, power=weight_power
-            )
+        weights = _given(family=weight_family, c=weight_c, ratio=weight_ratio, power=weight_power)
+        if weights:  # build_model refuses them on a model without weights
+            doc["weights"] = weights
         try:
             m = build_model(doc)
         except (ValidationError, ValueError) as exc:

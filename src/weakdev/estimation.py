@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .errors import DomainError
 from .processes import (
@@ -81,20 +81,22 @@ def clopper_pearson(hits: int, reps: int, alpha: float = DEFAULT_ALPHA) -> tuple
         raise DomainError(f"need 0 <= hits <= reps, got {hits}/{reps}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"need 0 < alpha < 1, got {alpha}")
-    lo = 0.0 if hits == 0 else float(_beta.ppf(alpha / 2.0, hits, reps - hits + 1))
-    hi = 1.0 if hits == reps else float(_beta.ppf(1.0 - alpha / 2.0, hits + 1, reps - hits))
+    # beta quantiles; scipy.special spares importing scipy.stats
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, reps - hits + 1, alpha / 2.0))
+    hi = 1.0 if hits == reps else float(betaincinv(hits + 1, reps - hits, 1.0 - alpha / 2.0))
     return lo, hi
 
 
-def _per_rep_values(fn, reps: int, seed: int, threads: int | None) -> np.ndarray:
+def _per_rep_values(fn, reps: int, seed: int, threads: int | None, width: int = 0) -> np.ndarray:
     """Assemble fn(seeds of chunk) for replications 0..reps-1, in order.
 
-    fn must map a seed array to one float per seed. Chunks cover disjoint
-    index ranges, so scheduling cannot reorder or change anything.
+    fn must map a seed array to one float per seed, or to one row of width
+    floats per seed when width > 0. Chunks cover disjoint index ranges, so
+    scheduling cannot reorder or change anything.
     """
     if threads is None:
         threads = os.cpu_count() or 1
-    out = np.empty(reps)
+    out = np.empty((reps, width) if width else reps)
     spans = [(lo, min(lo + _CHUNK, reps)) for lo in range(0, reps, _CHUNK)]
 
     def fill(span):
@@ -187,22 +189,29 @@ def estimate_coupling_delta(
     """Per-(r, j) maxima of coupled-block distance sums over reps pairs.
 
     The max over replications of distance_sum / r witnesses delta'_r from
-    below; profiles must dominate it. Seeds are keyed by (r, j) values.
+    below; profiles must dominate it. Seeds are keyed by the value of j:
+    every r of one j reads its block from the same coupled run, so each
+    estimate is still a maximum over reps independent pairs and does not
+    depend on which other r or j were requested alongside.
     """
     if reps < 1:
         raise DomainError(f"need reps >= 1, got {reps}")
+    rs, js = [int(r) for r in r_list], [int(j) for j in j_list]
+    maxima = {
+        j: _per_rep_values(
+            lambda s, j=j: coupled_distance_sums(model, j, rs, s),
+            reps,
+            derive_seed(seed, j),
+            threads,
+            len(rs),
+        ).max(axis=0)
+        for j in dict.fromkeys(js)
+    }
     out = []
-    for r in r_list:
-        lane_r = derive_seed(seed, int(r))
-        for j in j_list:
-            sums = _per_rep_values(
-                lambda s, r=int(r), j=int(j): coupled_distance_sums(model, j, r, s),
-                reps,
-                derive_seed(lane_r, int(j)),
-                threads,
-            )
-            m = float(np.max(sums))
-            out.append(CouplingEstimate(r=int(r), j=int(j), max_sum=m, witness=m / r, reps=reps))
+    for c, r in enumerate(rs):
+        for j in js:
+            m = float(maxima[j][c])
+            out.append(CouplingEstimate(r=r, j=j, max_sum=m, witness=m / r, reps=reps))
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -321,10 +322,11 @@ class CoupledBlock:
 
 
 def _coupled_pairs(model: ProcessModel, j: int, r: int, seeds: np.ndarray):
-    """Yield (X_i, X*_i) for i = r+j .. 2r+j-1, one lane per seed.
+    """Yield (X_i, X*_i) for i = j+1 .. 2r+j-1, one lane per seed.
 
-    The starred run starts afresh on its own child stream and shares the
-    original's innovations from time j+1 on.
+    That covers every block i = r'+j .. 2r'+j-1 with r' <= r. The starred
+    run starts afresh on its own child stream and shares the original's
+    innovations from time j+1 on.
     """
     if j < 1:
         raise DomainError(f"need split j >= 1, got {j}")
@@ -340,16 +342,26 @@ def _coupled_pairs(model: ProcessModel, j: int, r: int, seeds: np.ndarray):
         io = innov_o()
         xo = step_o(xo, io)
         xs = step_s(xs, innov_s() if t <= j else io)
-        if t >= r + j:
+        if t > j:
             yield xo, xs
 
 
-def coupled_distance_sums(model: ProcessModel, j: int, r: int, seeds: np.ndarray) -> np.ndarray:
-    """sum_{i=r+j}^{2r+j-1} |X_i - X*_i| per replication."""
-    acc = np.zeros(len(seeds))
-    for xo, xs in _coupled_pairs(model, j, r, seeds):
-        acc += np.abs(xo - xs)
-    return acc
+def coupled_distance_sums(model: ProcessModel, j: int, rs, seeds: np.ndarray) -> np.ndarray:
+    """sum_{i=r+j}^{2r+j-1} |X_i - X*_i|, one row per seed and one column per r in rs.
+
+    One coupled run out to 2 max(rs) + j - 1 serves every r. Each column is
+    summed in time order as the run steps, so it equals the single-r sum bit
+    for bit, and no path is stored.
+    """
+    rs = [int(r) for r in rs]
+    if not rs or min(rs) < 1:
+        raise DomainError(f"need block lengths r >= 1, got {rs}")
+    ends = sorted(set(rs))
+    acc = np.zeros((len(ends), len(seeds)))
+    for m, (xo, xs) in enumerate(_coupled_pairs(model, j, ends[-1], seeds), start=1):
+        # i = j + m lies in block r exactly when (m + 1) / 2 <= r <= m
+        acc[bisect_left(ends, (m + 2) // 2):bisect_right(ends, m)] += np.abs(xo - xs)
+    return acc[[ends.index(r) for r in rs]].T
 
 
 def simulate_coupled_block(model: ProcessModel, j: int, r: int, seed: int) -> CoupledBlock:
@@ -357,7 +369,7 @@ def simulate_coupled_block(model: ProcessModel, j: int, r: int, seed: int) -> Co
     pairs = np.array(
         [(xo[0], xs[0]) for xo, xs in _coupled_pairs(model, j, r, np.array([seed], dtype=_U))]
     )
-    return CoupledBlock(j=j, r=r, original=pairs[:, 0], starred=pairs[:, 1])
+    return CoupledBlock(j=j, r=r, original=pairs[r - 1:, 0], starred=pairs[r - 1:, 1])
 
 
 # ---------------------------------------------------------------------------

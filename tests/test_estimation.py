@@ -54,6 +54,24 @@ def test_clopper_pearson_matches_scipy(hits, reps):
     assert hi == pytest.approx(ref.high, abs=1e-10)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 2_000_000),
+    st.floats(0.0, 1.0),
+    st.one_of(st.sampled_from([0.01, 0.05]), st.floats(1e-6, 0.999)),
+)
+def test_clopper_pearson_equals_scipy_stats_beta(reps, where, alpha):
+    # the interval must be the beta.ppf quantiles exactly, edges included
+    for hits in {0, 1, int(where * reps), reps - 1, reps}:
+        lo = 0.0 if hits == 0 else float(stats.beta.ppf(alpha / 2.0, hits, reps - hits + 1))
+        hi = (
+            1.0
+            if hits == reps
+            else float(stats.beta.ppf(1.0 - alpha / 2.0, hits + 1, reps - hits))
+        )
+        assert clopper_pearson(hits, reps, alpha) == (lo, hi)
+
+
 def test_clopper_pearson_edges():
     lo, hi = clopper_pearson(0, 100)
     assert lo == 0.0 and 0.0 < hi < 0.1
@@ -187,11 +205,14 @@ def test_iid_coupling_estimate_is_zero(r_list, j_list, seed):
         assert est.max_sum == 0.0 and est.witness == 0.0
 
 
-def test_coupling_seed_keyed_by_r_and_j():
+def test_coupling_seed_keyed_by_j():
     grid = estimate_coupling_delta(_DBL, [2, 4], [1, 3], reps=500, seed=16)
     assert [(e.r, e.j) for e in grid] == [(2, 1), (2, 3), (4, 1), (4, 3)]
     (alone,) = estimate_coupling_delta(_DBL, [4], [3], reps=500, seed=16)
     assert alone == grid[3]
+    # the lane is the split's alone: other r and j leave an estimate as it is
+    wider = estimate_coupling_delta(_DBL, [5, 4, 1], [7, 3], reps=500, seed=16)
+    assert wider[3] == alone
     with pytest.raises(DomainError):
         estimate_coupling_delta(_DBL, [2], [1], reps=0, seed=1)
 
@@ -244,8 +265,8 @@ def test_sigma_worker_invariance():
 
 
 def test_coupling_worker_invariance():
-    one = estimate_coupling_delta(_DBL, [2], [1], reps=_SPAN, seed=52, threads=1)
-    four = estimate_coupling_delta(_DBL, [2], [1], reps=_SPAN, seed=52, threads=4)
+    one = estimate_coupling_delta(_DBL, [2, 5, 1], [1, 3], reps=_SPAN, seed=52, threads=1)
+    four = estimate_coupling_delta(_DBL, [2, 5, 1], [1, 3], reps=_SPAN, seed=52, threads=4)
     assert one == four
 
 

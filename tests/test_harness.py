@@ -750,6 +750,25 @@ def test_cli_model_flag_errors_name_the_field(tmp_path, flags, named):
     assert res.exit_code == 2 and named in res.output
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--model", "doubling-map", "--weight-ratio", "0.5", "--weight-c", "3"], "'weights'"),
+        (["--model", "kernel-chain", "--kappa", "0.5", "--weight-family", "geometric"],
+         "'weights'"),
+        (["--model", "infinite-memory", "--weight-ratio", "0.5", "--weight-c", "0.5"],
+         "'family'"),
+    ],
+)
+def test_cli_stray_weight_flags_are_refused(tmp_path, flags, named):
+    # weight flags reach build_model even without --weight-family, so a model
+    # without weights refuses them as it refuses a stray --theta
+    out = tmp_path / "p.csv"
+    res = CliRunner().invoke(main, ["profile", *flags, "--n", "4", "--out", str(out)])
+    assert res.exit_code == 2 and named in res.output
+    assert not out.exists()
+
+
 def test_cli_simulate_writes_csv(tmp_path):
     out = tmp_path / "traj.csv"
     runner = CliRunner()

@@ -294,18 +294,18 @@ def test_stationary_mean_formulas():
 def test_doubling_coupling_bound(j):
     # after the restart both paths share innovations, so the distance is
     # exactly |X_j - X*_j| 2^-(i-j); the block sum stays below 2^(1-r)
-    for r in range(1, 9):
-        sums = coupled_distance_sums(DoublingMap(), j, r, _seeds(7000 + j, 2000))
-        assert np.all(sums <= 2.0 ** (1 - r))
+    rs = np.arange(1, 9)
+    sums = coupled_distance_sums(DoublingMap(), j, rs, _seeds(7000 + j, 2000))
+    assert np.all(sums <= 2.0 ** (1 - rs))
 
 
 def test_kernel_coupling_bound():
     kappa, j = 0.6, 3
     model = LipschitzKernelChain(kappa=kappa)
-    for r in (2, 5):
-        sums = coupled_distance_sums(model, j, r, _seeds(911, 1000))
+    sums = coupled_distance_sums(model, j, [2, 5], _seeds(911, 1000))
+    for r, col in zip((2, 5), sums.T):
         cap = sum(kappa**m for m in range(r, 2 * r))
-        assert np.all(sums <= cap * (1.0 + 1e-12))
+        assert np.all(col <= cap * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("model", _MODELS, ids=_name)
@@ -314,7 +314,7 @@ def test_share_presplit_collapses_distance(model, monkeypatch):
     # start and the pre-split innovations too; then the two runs must agree at
     # every time, so each start() owns its window and history state
     monkeypatch.setattr(processes, "_LANE_STARRED", processes._LANE_ORIGINAL)
-    sums = coupled_distance_sums(model, 4, 3, _seeds(64, 100))
+    sums = coupled_distance_sums(model, 4, [3, 1, 5], _seeds(64, 100))
     assert np.all(sums == 0.0)
 
 
@@ -323,14 +323,20 @@ def test_share_presplit_collapses_distance(model, monkeypatch):
 def test_iid_coupled_paths_share_post_split_innovations(j, r, base):
     # X_t = U_t for iid draws, so X*_t = X_t at every t > j exactly when the
     # starred run reuses the original's innovations after the split
-    assert np.all(coupled_distance_sums(IidUniform(), j, r, _seeds(base, 8)) == 0.0)
+    assert np.all(coupled_distance_sums(IidUniform(), j, [r], _seeds(base, 8)) == 0.0)
 
 
 def test_coupled_block_arguments():
     with pytest.raises(DomainError):
-        coupled_distance_sums(DoublingMap(), 0, 3, _seeds(1, 4))
+        coupled_distance_sums(DoublingMap(), 0, [3], _seeds(1, 4))
     with pytest.raises(DomainError):
-        coupled_distance_sums(DoublingMap(), 1, 0, _seeds(1, 4))
+        coupled_distance_sums(DoublingMap(), 1, [0], _seeds(1, 4))
+    with pytest.raises(DomainError):
+        coupled_distance_sums(DoublingMap(), 1, [2, 0], _seeds(1, 4))
+    with pytest.raises(DomainError):
+        coupled_distance_sums(DoublingMap(), 1, [], _seeds(1, 4))
+    with pytest.raises(DomainError):
+        simulate_coupled_block(DoublingMap(), 1, 0, 1)
     with pytest.raises(DomainError):
         simulate_coupled_block(DoublingMap(), 0, 10, 1)
 
@@ -338,14 +344,15 @@ def test_coupled_block_arguments():
 def test_simulate_coupled_block_matches_batch():
     block = simulate_coupled_block(DoublingMap(), 2, 4, 314)
     assert block.original.size == 4 and block.starred.size == 4
-    sums = coupled_distance_sums(DoublingMap(), 2, 4, np.array([314], dtype=np.uint64))
-    assert block.distance_sum == pytest.approx(float(sums[0]), abs=1e-15)
+    sums = coupled_distance_sums(DoublingMap(), 2, [4], np.array([314], dtype=np.uint64))
+    assert block.distance_sum == pytest.approx(float(sums[0, 0]), abs=1e-15)
 
 
 def test_coupled_block_sums_marginals_agree():
     # the starred restart is stationary too, so block sums from both runs
     # should be indistinguishable in distribution
-    pairs = list(_coupled_pairs(DoublingMap(), 5, 10, _seeds(2718, 10_000)))
+    # the pairs run from i = j+1; the block i = r+j .. 2r+j-1 is the last r
+    pairs = list(_coupled_pairs(DoublingMap(), 5, 10, _seeds(2718, 10_000)))[9:]
     so, ss = (sum(p[side] for p in pairs) for side in (0, 1))
     assert stats.ks_2samp(so, ss).pvalue > 1e-3
     assert np.all(np.abs(so - ss) <= 10 * 2.0**-9)

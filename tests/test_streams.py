@@ -10,8 +10,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakdev.coefficients import GeometricWeights, PolynomialWeights
+from weakdev.estimation import estimate_coupling_delta
 from weakdev.processes import (
     BernoulliShiftGeometric,
     DoublingMap,
@@ -19,6 +21,7 @@ from weakdev.processes import (
     InfiniteMemoryChain,
     LipschitzKernelChain,
     ObservableF,
+    _coupled_pairs,
     coupled_distance_sums,
     observable_for,
     observable_sums,
@@ -26,7 +29,7 @@ from weakdev.processes import (
     simulate_coupled_block,
     stationary_init_batch,
 )
-from weakdev.rng import replication_seeds
+from weakdev.rng import derive_seed, replication_seeds
 
 MODELS = {
     "iid-uniform": IidUniform(),
@@ -65,7 +68,7 @@ def _streams(model) -> dict[str, str]:
         "simulate": _digest(simulate(model, N, 77)),
     }
     for j, r in BLOCKS:
-        out[f"distance.{j}.{r}"] = _digest(coupled_distance_sums(model, j, r, SEEDS))
+        out[f"distance.{j}.{r}"] = _digest(coupled_distance_sums(model, j, [r], SEEDS)[:, 0])
         block = simulate_coupled_block(model, j, r, 99)
         out[f"block.{j}.{r}"] = _digest(np.concatenate([block.original, block.starred]))
     return out
@@ -176,3 +179,35 @@ GOLDEN = {
 @pytest.mark.parametrize("name", list(MODELS))
 def test_streams_match_golden_digests(name):
     assert _streams(MODELS[name]) == GOLDEN[name]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(list(MODELS)),
+    st.lists(st.integers(1, 12), min_size=1, max_size=4).map(lambda rs: rs + rs[:1]),
+    st.lists(st.integers(1, 30), min_size=1, max_size=2),
+    st.integers(1, 6),
+    st.integers(0, 2**63 - 1),
+)
+def test_coupling_estimates_read_one_run_per_split(name, rs, js, reps, seed):
+    # every r of one split j reads its block sum from the run on lane
+    # derive_seed(seed, j); each column equals the run for that r alone and
+    # a time-ordered sum over the block's pairs
+    model = MODELS[name]
+    ests = estimate_coupling_delta(model, rs, js, reps, seed)
+    assert [(e.r, e.j) for e in ests] == [(r, j) for r in rs for j in js]
+    for j in js:
+        seeds = replication_seeds(derive_seed(seed, j), 0, reps)
+        shared = coupled_distance_sums(model, j, rs, seeds)
+        assert shared.shape == (reps, len(rs))
+        dist = [np.abs(xo - xs) for xo, xs in _coupled_pairs(model, j, max(rs), seeds)]
+        for col, r in zip(shared.T, rs):
+            assert np.array_equal(col, coupled_distance_sums(model, j, [r], seeds)[:, 0])
+            ref = np.zeros(reps)
+            for d in dist[r - 1:2 * r - 1]:  # i = r+j .. 2r+j-1
+                ref += d
+            assert np.array_equal(col, ref)
+    for e in ests:
+        seeds = replication_seeds(derive_seed(seed, e.j), 0, reps)
+        alone = coupled_distance_sums(model, e.j, [e.r], seeds)
+        assert e.max_sum == float(np.max(alone)) and e.witness == e.max_sum / e.r
