@@ -23,6 +23,7 @@ from .processes import (
     ObservableF,
     ProcessModel,
     coupled_distance_sums,
+    observable_prefix_sums,
     observable_sums,
     stationary_init_batch,
 )
@@ -31,6 +32,9 @@ from .rng import derive_seed, replication_seeds
 DEFAULT_ALPHA = 0.01
 
 _CHUNK = 16384
+
+# variance runs read derive_seed(seed, 1), the lane of sigma_1^2, for every k
+_LANE_SIGMA = 1
 
 
 @dataclass(frozen=True)
@@ -155,19 +159,27 @@ def estimate_sigma_profile(
 ) -> list[SigmaEstimate]:
     """sigma_k^2 = Var(block sum)/k from reps independent length-k replicas.
 
-    Each k gets its own seed lane keyed by the value of k, so estimates do
-    not depend on which other block lengths were requested alongside.
+    One run per replication out to max(k_list) serves every k: the block sum
+    at k is that run's running sum at time k, read on the seed lane
+    derive_seed(seed, 1) whatever the grid. So an estimate does not depend on
+    which other block lengths were requested alongside, and estimates at
+    different k share their replications.
     """
     if reps < 2:
         raise DomainError(f"need reps >= 2, got {reps}")
+    ks = [int(k) for k in k_list]
+    if not ks:
+        return []
+    block_sums = _per_rep_values(
+        lambda s: observable_prefix_sums(model, f, ks, s),
+        reps,
+        derive_seed(seed, _LANE_SIGMA),
+        threads,
+        len(ks),
+    )
     out = []
-    for k in k_list:
-        k = int(k)
-        if k < 1:
-            raise DomainError(f"need k >= 1, got {k}")
-        sums = _per_rep_values(
-            lambda s, k=k: observable_sums(model, f, k, s), reps, derive_seed(seed, k), threads
-        )
+    for c, k in enumerate(ks):
+        sums = block_sums[:, c].copy()  # contiguous, so reduced as a lone k's sums would be
         s2 = float(np.var(sums, ddof=1))
         centered = sums - sums.mean()
         m4 = float(np.mean(centered**4))

@@ -6,11 +6,14 @@ Carlo otherwise), select block sizes, evaluate thresholds, and compare each
 bound against the empirical tail of S(f) with an exact binomial interval.
 
 Seed layout (all derived from config.base_seed, so reports are functions of
-the config document alone): lane 1 feeds tail simulations (child i for the
-i-th x-grid entry), lane 2 feeds variance estimation, lane 3 feeds
-observable centering. Whenever the configured theorem is a blockwise bound,
-each x also gets a plain iid-formula row on the same simulated sample,
-tagged iid_eq1_ref; it is a reference curve, not a claimed bound.
+the config document alone): lane 1 feeds the tail simulation (its child 0
+draws the one sample of S(f) that every x-grid entry reads), lane 2 feeds
+variance estimation (one run serves every block length k a row needs),
+lane 3 feeds observable centering. A row therefore does not depend on which
+other x were requested, while rows at different x share their sample.
+Whenever the configured theorem is a blockwise bound, each x also gets a
+plain iid-formula row on the same simulated sample, tagged iid_eq1_ref; it
+is a reference curve, not a claimed bound.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ _LANE_TAILS = 1
 _LANE_VARIANCE = 2
 _LANE_CENTERING = 3
 
+# the largest array length numpy can index: an upper bound, not a budget
+_MAX_SIZE = int(np.iinfo(np.intp).max)
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -92,6 +98,9 @@ class ExperimentConfig:
             raise ConfigError(f"need n >= 1, got {self.n}", field="n")
         if self.reps < 1:
             raise ConfigError(f"need reps >= 1, got {self.reps}", field="reps")
+        for name in ("n", "reps"):
+            if getattr(self, name) > _MAX_SIZE:
+                raise ConfigError(f"{name} must be at most {_MAX_SIZE}", field=name)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"need 0 < alpha < 1, got {self.alpha}", field="alpha")
         if any(not 0.0 < x < math.inf for x in self.x_grid):
@@ -274,18 +283,24 @@ def mc_variance_profile(
     """Estimated variance profile on a dyadic block grid, step-filled.
 
     sigma_k^2 is estimated at k in {1, 2, 4, ..., n}; intermediate k reuse
-    the estimate at the nearest grid point below. Grid estimation keeps MC
-    cost at O(n log n) trajectory steps instead of O(n^2).
+    the estimate at the nearest grid point below. One run out to n serves
+    the whole grid.
     """
-    ks = sorted({min(1 << p, n) for p in range(n.bit_length() + 1)} | {1, n})
-    ks = [k for k in ks if 1 <= k <= n]
-    ests = estimate_sigma_profile(model, f, ks, reps, seed, threads)
-    by_k = {e.k: e.sigma_sq_hat for e in ests}
+    ests = estimate_sigma_profile(model, f, _dyadic_grid(n), reps, seed, threads)
+    return _step_filled({e.k: e.sigma_sq_hat for e in ests}, n)
+
+
+def _dyadic_grid(n: int) -> list[int]:
+    """1, 2, 4, ... below n, then n."""
+    return [1 << p for p in range((n - 1).bit_length())] + [n]
+
+
+def _step_filled(by_k: dict[int, float], n: int) -> VarianceProfile:
+    """sigma_k^2 for k = 1..n, each k taking the estimate at the largest grid k below it."""
     filled = np.empty(n)
     current = by_k[1]
     for k in range(1, n + 1):
-        if k in by_k:
-            current = by_k[k]
+        current = by_k.get(k, current)
         filled[k - 1] = current
     return variance_profile(filled, source="estimated")
 
@@ -321,43 +336,46 @@ def run_verification(config: ExperimentConfig, threads: int | None = 1) -> list[
         config.omega,
         seed=derive_seed(config.base_seed, _LANE_CENTERING),
     )
-    tail_lane = derive_seed(config.base_seed, _LANE_TAILS)
-    var_lane = derive_seed(config.base_seed, _LANE_VARIANCE)
-
+    if not config.x_grid:
+        return []
     analytic = analytic_sigma_profile(model, f, n)
     source = "analytic" if analytic is not None else "estimated"
     needs_profile = config.theorem in ("thm1", "thm2", "hoeffding")
     profile = dependence_profile_for(model, n) if needs_profile else None
+    selections = (
+        {x: select_k_star_prime(profile, n, x) for x in config.x_grid}
+        if config.theorem == "thm2" else {}
+    )
 
-    # sigma at a single k, from the closed form or a per-k MC lane
-    mc_cache: dict[int, float] = {}
-
-    def sigma_at(k: int) -> float:
-        if analytic is not None:
-            return analytic.sigma_at(k)
-        if k not in mc_cache:
-            est = estimate_sigma_profile(model, f, [k], config.reps, var_lane, threads)[0]
-            mc_cache[k] = est.sigma_sq_hat
-        return mc_cache[k]
+    # every sigma_k^2 a row reads: one estimate for all k, or the closed form
+    if analytic is None:
+        ks = {1} | {s.k for s in selections.values() if s.found}
+        if config.theorem == "thm1":
+            ks.update(_dyadic_grid(n))
+        var_lane = derive_seed(config.base_seed, _LANE_VARIANCE)
+        ests = estimate_sigma_profile(model, f, sorted(ks), config.reps, var_lane, threads)
+        estimated = {e.k: e.sigma_sq_hat for e in ests}
+        sigma_at = estimated.__getitem__
+    else:
+        sigma_at = analytic.sigma_at
 
     thm1_selection = None
     thm1_sigma_bar = None
     if config.theorem == "thm1":
-        if analytic is not None:
-            varprof = analytic
-        else:
-            varprof = mc_variance_profile(model, f, n, config.reps, var_lane, threads)
-            # k = 1 is on the grid, estimated on the lane sigma_at(1) would use
-            mc_cache[1] = varprof.sigma_at(1)
+        varprof = analytic if analytic is not None else _step_filled(estimated, n)
         thm1_selection = select_k_star(profile, varprof)
         if thm1_selection.found:
             thm1_sigma_bar = varprof.envelope_at(thm1_selection.k)
     phis = hoeffding_phi(profile, n) if config.theorem == "hoeffding" else None
 
+    # one sample of S(f) serves every x
+    tail_lane = derive_seed(config.base_seed, _LANE_TAILS)
+    sums = per_rep_sums(model, f, n, config.reps, derive_seed(tail_lane, 0), threads)
+    s1 = sigma_at(1)
+
     rows: list[ReportRow] = []
-    for i, x in enumerate(config.x_grid):
+    for x in config.x_grid:
         bound = math.exp(-x)
-        sums = per_rep_sums(model, f, n, config.reps, derive_seed(tail_lane, i), threads)
 
         def tail_row(theorem: str, threshold: float, k: int | None, var: float | None,
                      var_source: str) -> ReportRow:
@@ -377,14 +395,13 @@ def run_verification(config: ExperimentConfig, threads: int | None = 1) -> list[
             )
 
         if config.theorem == "iid_eq1":
-            s1 = sigma_at(1)
             rows.append(
                 tail_row("iid_eq1", iid_bernstein_threshold(n, s1, x), None, s1, source)
             )
             continue
 
         if config.theorem == "thm1":
-            if thm1_selection is not None and thm1_selection.found:
+            if thm1_selection.found:
                 k = thm1_selection.k
                 rows.append(
                     tail_row("thm1", thm1_threshold(n, thm1_sigma_bar, k, x), k,
@@ -393,7 +410,7 @@ def run_verification(config: ExperimentConfig, threads: int | None = 1) -> list[
             else:
                 rows.append(_skipped_row("thm1", x, bound))
         elif config.theorem == "thm2":
-            selection = select_k_star_prime(profile, n, x)
+            selection = selections[x]
             if selection.found:
                 k = selection.k
                 s = sigma_at(k)
@@ -403,7 +420,6 @@ def run_verification(config: ExperimentConfig, threads: int | None = 1) -> list[
         else:
             rows.append(tail_row("hoeffding", hoeffding_threshold(n, phis, x), None, None, ""))
 
-        s1 = sigma_at(1)
         rows.append(
             tail_row("iid_eq1_ref", iid_bernstein_threshold(n, s1, x), None, s1, source)
         )

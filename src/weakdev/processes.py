@@ -211,6 +211,15 @@ class InfiniteMemoryChain(ProcessModel):
             )
         if self.truncation is not None and self.truncation < 1:
             raise DomainError(f"need truncation >= 1, got {self.truncation}")
+        if self.truncation is None:
+            # resolve the default now, so a config without one fails when built
+            try:
+                self.window
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"no default truncation for these weights ({exc}); "
+                    "set truncation explicitly", field="truncation"
+                ) from exc
 
     @cached_property
     def window(self) -> int:
@@ -295,12 +304,31 @@ def simulate(model: ProcessModel, n: int, seed: int) -> np.ndarray:
     return simulate_batch(model, n, np.array([seed], dtype=np.uint64))[0]
 
 
+def observable_prefix_sums(model: ProcessModel, f: "ObservableF", ks, seeds: np.ndarray) -> np.ndarray:
+    """sum_{t<=k} f(X_t), one row per seed and one column per k in ks.
+
+    One run out to max(ks) serves every k: the running sum is read off as
+    the run passes each k, so every column is summed in time order and
+    equals the run for that k alone bit for bit, and no path is stored.
+    """
+    ks = [int(k) for k in ks]
+    if not ks or min(ks) < 1:
+        raise DomainError(f"need sum lengths k >= 1, got {ks}")
+    ends = sorted(set(ks))
+    out = np.empty((len(ends), len(seeds)))
+    acc = np.zeros(len(seeds))
+    c = 0
+    for t, x in enumerate(_states(model, ends[-1], seeds), start=1):
+        acc += f.values(x)
+        if t == ends[c]:
+            out[c] = acc
+            c += 1
+    return out[[ends.index(k) for k in ks]].T
+
+
 def observable_sums(model: ProcessModel, f: "ObservableF", n: int, seeds: np.ndarray) -> np.ndarray:
     """S(f) = sum_{t<=n} f(X_t) per replication, streamed without storing paths."""
-    acc = np.zeros(len(seeds))
-    for x in _states(model, n, seeds):
-        acc += f.values(x)
-    return acc
+    return observable_prefix_sums(model, f, [n], seeds)[:, 0]
 
 
 # ---------------------------------------------------------------------------

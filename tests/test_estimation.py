@@ -32,7 +32,9 @@ from weakdev.processes import (
     ObservableF,
     doubling_sigma_sq,
     observable_for,
+    observable_sums,
 )
+from weakdev.rng import derive_seed, replication_seeds
 
 _IID = IidUniform()
 _DBL = DoublingMap()
@@ -162,10 +164,13 @@ def test_sigma_std_error_scales_with_reps():
     assert 1.6 < ratio < 2.4  # ~2 by the 1/sqrt(reps) law
 
 
-def test_sigma_seed_keyed_by_block_length():
+def test_sigma_estimate_independent_of_other_block_lengths():
     alone = estimate_sigma_profile(_DBL, _identity(_DBL), [5], reps=3000, seed=40)[0]
     grouped = estimate_sigma_profile(_DBL, _identity(_DBL), [1, 5, 16], reps=3000, seed=40)[1]
     assert alone == grouped
+    # every k reads its block sums from the one run on lane derive_seed(seed, 1)
+    sums = observable_sums(_DBL, _identity(_DBL), 5, replication_seeds(derive_seed(40, 1), 0, 3000))
+    assert alone.sigma_sq_hat == float(np.var(sums, ddof=1)) / 5
 
 
 def test_sigma_validation():
@@ -259,8 +264,8 @@ def test_tail_worker_invariance():
 
 
 def test_sigma_worker_invariance():
-    one = estimate_sigma_profile(_IID, _identity(_IID), [2], reps=_SPAN, seed=51, threads=1)
-    four = estimate_sigma_profile(_IID, _identity(_IID), [2], reps=_SPAN, seed=51, threads=4)
+    one = estimate_sigma_profile(_IID, _identity(_IID), [2, 5, 1], reps=_SPAN, seed=51, threads=1)
+    four = estimate_sigma_profile(_IID, _identity(_IID), [2, 5, 1], reps=_SPAN, seed=51, threads=4)
     assert one == four
 
 

@@ -6,7 +6,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from weakdev.bounds import (
@@ -26,7 +26,7 @@ from weakdev.coefficients import (
     validate_profile,
     write_profile_csv,
 )
-from weakdev.errors import ConfigError, DomainError
+from weakdev.errors import ConfigError, DomainError, ValidationError
 import weakdev.harness as harness
 from weakdev.harness import (
     REPORT_CSV_HEADER,
@@ -199,6 +199,20 @@ def test_parse_config_rejects_non_integer_parameters(case, value):
     assert ei.value.field == field
 
 
+@pytest.mark.parametrize("field", ["n", "reps"])
+@pytest.mark.parametrize("value", [2**63, 10**30, 10**400])
+def test_parse_config_refuses_sizes_numpy_cannot_index(field, value):
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_doc(**{field: value}))
+    assert ei.value.field == field
+
+
+def test_parse_config_accepts_sizes_up_to_intp_max():
+    big = int(np.iinfo(np.intp).max)
+    cfg = parse_config(_doc(n=big, reps=big, x_grid=[]))
+    assert cfg.n == cfg.reps == big
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -243,14 +257,21 @@ def _section(draw, tag: str, name: str):
             )
         else:
             doc[f.name] = kwargs[f.name] = draw(_FIELD_VALUES[f.name])
-    return doc, cls(**kwargs)
+    try:
+        return doc, cls(**kwargs)
+    except ValidationError as exc:
+        # weights too slow to truncate by default are refused when built
+        assume(exc.field != "truncation")
+        raise
 
 
 def _config_for(tag: str, section: dict) -> tuple[dict, str]:
     """A full config holding `section`, and the path prefix of its keys."""
     if tag == "variant":
         return _doc(model=section), "model."
-    return _doc(model={"variant": "infinite-memory", "weights": section}), "model.weights."
+    # an explicit truncation, since not every drawn family has a default one
+    model = {"variant": "infinite-memory", "weights": section, "truncation": 8}
+    return _doc(model=model), "model.weights."
 
 
 def _built(cfg, tag: str):
@@ -329,6 +350,20 @@ def test_build_model_variants():
         }
     )
     assert isinstance(m, InfiniteMemoryChain) and m.window == 6
+
+
+def test_build_model_refuses_a_missing_default_truncation(tmp_path):
+    model = {"variant": "infinite-memory", "weights": {"family": "polynomial", "c": 0.5, "power": 2.0}}
+    with pytest.raises(ValidationError) as ei:
+        build_model(model)
+    assert ei.value.field == "truncation"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_doc(model=model, out=str(tmp_path / "r.csv"))))
+    res = CliRunner().invoke(main, ["verify", "--config", str(cfg), "--threads", "1"])
+    assert res.exit_code == 1 and "truncation" in res.output
+    assert not (tmp_path / "r.csv").exists()
+    # an explicit truncation still builds
+    assert build_model(dict(model, truncation=12)).window == 12
 
 
 def test_build_model_errors():
@@ -565,6 +600,56 @@ def test_thm1_estimates_each_block_length_once(monkeypatch):
     want = real(cfg.model, f, [1], cfg.reps, derive_seed(cfg.base_seed, harness._LANE_VARIANCE))
     refs = [r.variance_used for r in rows if r.theorem == "iid_eq1_ref"]
     assert refs == [want[0].sigma_sq_hat] * 2
+
+
+_GEOMETRIC_MEMORY = {
+    "variant": "infinite-memory", "weights": {"family": "geometric", "c": 0.5, "ratio": 0.5}
+}
+
+
+@pytest.mark.parametrize(
+    "model, theorem, source",
+    [
+        ("doubling-map", "thm2", "analytic"),
+        ({"variant": "kernel-chain", "kappa": 0.7}, "thm2", "estimated"),
+        (_GEOMETRIC_MEMORY, "thm1", "estimated"),
+    ],
+)
+def test_rows_do_not_depend_on_the_other_x(model, theorem, source):
+    # one tail sample and one variance run serve every x, so each x's rows
+    # are those of a config that asks for that x alone
+    doc = _doc(model=model, theorem=theorem, n=200, reps=400, base_seed=31)
+    rows = run_verification(parse_config(dict(doc, x_grid=[0.5, 1.0, 2.0])))
+    assert {r.variance_source for r in rows} == {source}
+    for x in (0.5, 1.0, 2.0):
+        assert [r for r in rows if r.x == x] == run_verification(parse_config(dict(doc, x_grid=[x])))
+
+
+@pytest.mark.parametrize(
+    "model, theorem, x_grid, sigma_calls",
+    [
+        ("doubling-map", "thm2", [0.5, 1.0, 2.0], 0),
+        ({"variant": "kernel-chain", "kappa": 0.7}, "thm2", [0.5, 1.0, 2.0], 1),
+        ({"variant": "kernel-chain", "kappa": 0.7}, "thm1", [0.5, 1.0, 2.0], 1),
+        ({"variant": "kernel-chain", "kappa": 0.7}, "hoeffding", [0.5, 1.0], 1),
+        ("iid-uniform", "iid_eq1", [0.5, 1.0], 0),
+        (_GEOMETRIC_MEMORY, "iid_eq1", [0.5, 1.0], 1),
+        ({"variant": "kernel-chain", "kappa": 0.7}, "thm2", [], 0),
+    ],
+)
+def test_run_verification_simulates_each_sample_once(monkeypatch, model, theorem, x_grid,
+                                                     sigma_calls):
+    calls = {"per_rep_sums": 0, "estimate_sigma_profile": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(harness, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    cfg = parse_config(_doc(model=model, theorem=theorem, x_grid=x_grid, n=64, reps=50))
+    rows = run_verification(cfg)
+    assert calls == {"per_rep_sums": 1 if x_grid else 0, "estimate_sigma_profile": sigma_calls}
+    assert {r.x for r in rows} == set(x_grid)
 
 
 def test_run_verification_deterministic_and_thread_invariant():

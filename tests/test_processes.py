@@ -1,5 +1,6 @@
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from weakdev.processes import (
     coupled_distance_sums,
     doubling_sigma_sq,
     observable_for,
+    observable_prefix_sums,
     observable_sums,
     simulate,
     simulate_batch,
@@ -118,6 +120,15 @@ def test_infinite_memory_validation():
     m = InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5))
     assert m.window == 39  # tail 2^-p crosses 2^-40 at p = 40
     assert m.burn_in == 39 * 40
+
+
+def test_infinite_memory_default_truncation_resolved_when_built():
+    # polynomial(0.5, 2) leaves a tail above 2^-40 past 1e7 terms: refused at once
+    with pytest.raises(ValidationError) as ei:
+        InfiniteMemoryChain(weights=PolynomialWeights(0.5, 2.0))
+    assert ei.value.field == "truncation" and "truncation" in str(ei.value)
+    m = InfiniteMemoryChain(weights=PolynomialWeights(0.5, 2.0), truncation=12)
+    assert m.window == 12
 
 
 def test_window_and_burn_in_computed_once(monkeypatch):
@@ -427,6 +438,49 @@ def test_observable_sums_match_paths():
     sums = observable_sums(model, f, 40, seeds)
     paths = simulate_batch(model, 40, seeds)
     assert np.allclose(sums, f.values(paths).sum(axis=1), atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(_MODELS),
+    st.sampled_from(["centered-identity", "centered-cosine"]),
+    st.lists(st.integers(1, 40), min_size=1, max_size=5).map(lambda ks: ks + ks[:1]),
+    st.integers(1, 5),
+    st.integers(0, 2**63 - 1),
+)
+def test_observable_prefix_sums_read_one_run(model, kind, ks, reps, seed):
+    # one run out to max(ks) serves every k; each column is that run's
+    # running sum at k, equal bit for bit to the run for k alone and to a
+    # time-ordered sum over the path
+    f = observable_for(model, kind, centering_reps=256)
+    seeds = _seeds(seed, reps)
+    runs = []
+    real = processes._states
+
+    def counting(model, n, seeds):
+        runs.append(n)
+        return real(model, n, seeds)
+
+    with mock.patch.object(processes, "_states", counting):
+        shared = observable_prefix_sums(model, f, ks, seeds)
+    assert runs == [max(ks)]
+    assert shared.shape == (reps, len(ks))
+    values = f.values(simulate_batch(model, max(ks), seeds))
+    for col, k in zip(shared.T, ks):
+        assert np.array_equal(col, observable_sums(model, f, k, seeds))
+        ref = np.zeros(reps)
+        for t in range(k):
+            ref += values[:, t]
+        assert np.array_equal(col, ref)
+
+
+def test_observable_prefix_sums_arguments():
+    f = observable_for(IidUniform(), "centered-identity")
+    for ks in ([], [0], [3, 0]):
+        with pytest.raises(DomainError):
+            observable_prefix_sums(IidUniform(), f, ks, _seeds(1, 4))
+    with pytest.raises(DomainError):
+        observable_sums(IidUniform(), f, 0, _seeds(1, 4))
 
 
 # ---------------------------------------------------------------------------
