@@ -27,11 +27,9 @@ from .bounds import (
 from .coefficients import (
     GeometricWeights,
     PolynomialWeights,
-    ShiftRegularity,
     WeightSequence,
     ZeroWeights,
     bernoulli_shift_linf_profile,
-    bernoulli_shift_phi_profile,
     doubling_map_profile,
     expanding_map_profile,
     infinite_memory_profile,

@@ -12,12 +12,11 @@ integral tail for polynomial decay).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import DependenceProfile
 from .errors import DomainError, ValidationError
@@ -149,44 +148,18 @@ class PolynomialWeights(WeightSequence):
         return partial + self.c * (top - 1.0) ** (1.0 - s) / (s - 1.0)
 
     def _tails(self, m: int) -> np.ndarray:
-        """Raises each index to -power once and sums a sliding window of
+        """Raises each index to -power once and sums every window of
         _PARTIAL_TERMS of them; the integral term stays in Python floats,
         whose ** differs from numpy's in the last bit."""
         c, s, K = self.c, self.power, self._PARTIAL_TERMS
         powers = np.arange(1, m + K, dtype=np.float64) ** -s
+        partial = sliding_window_view(powers, K).sum(axis=1).tolist()
         return np.array(
-            [
-                c * float(powers[p - 1 : p - 1 + K].sum())
-                + c * (p + K - 1.0) ** (1.0 - s) / (s - 1.0)
-                for p in range(1, m + 1)
-            ]
+            [c * w + c * (p + K - 1.0) ** (1.0 - s) / (s - 1.0) for p, w in enumerate(partial, 1)]
         )
 
 
 WEIGHTS = {cls.family: cls for cls in (ZeroWeights, GeometricWeights, PolynomialWeights)}
-
-
-@dataclass(frozen=True)
-class ShiftRegularity:
-    """Regularity data of a Bernoulli shift for the phi-type profile.
-
-    phi[m-1] bounds the mixing coefficient of the innovation sequence at gap
-    m; v[k-1] is the shift's continuity rate at window k; modulus_mean(eta)
-    returns E[w_H(U_0, eta)] clipped to 1, w_H the modulus of continuity.
-    """
-
-    phi: Sequence[float]
-    v: Sequence[float]
-    modulus_mean: Callable[[float], float]
-
-    def __post_init__(self):
-        for name, seq in (("phi", self.phi), ("v", self.v)):
-            arr = np.asarray(seq, dtype=np.float64)
-            if np.any(arr < 0):
-                raise ValidationError(f"{name} must be nonnegative", field=name)
-            if np.any(np.diff(arr) > _MONOTONE_TOL):
-                i = int(np.argmax(np.diff(arr) > _MONOTONE_TOL)) + 2
-                raise ValidationError(f"{name} increases at index {i}", field=f"{name}[{i}]")
 
 
 # ---------------------------------------------------------------------------
@@ -228,49 +201,88 @@ def infinite_memory_profile(weights: WeightSequence, n: int) -> DependenceProfil
     """Chain with infinite memory, contraction total a = sum a_j < 1.
 
     r delta'_r = sum_{j=r}^{2r-1} min_{0 < p <= j} (a^(r/p) + tail_sum(p)).
-    The inner minimum is a prefix minimum over p.  For each r the scan over p
-    runs in chunks of doubling size and stops as soon as a^(r/p) alone
-    reaches the running minimum m: the tails are nonnegative and a^(r/p)
-    rises with p, so no later p lowers m, and all r prefix minima for
-    j = r..2r-1 equal m.  An r costs O(stop point), and the first chunk ends
-    where the previous r stopped; only when the scan reaches p = r - 1
-    without stopping is the full prefix minimum formed.
+    The inner minimum is a prefix minimum over p.  The lags are scanned in
+    blocks of _BLOCK_ROWS rows: each chunk of p fills one rows x chunk array
+    of a^(r/p) + tail_sum(p), and every row keeps its running minimum m.
+    After a chunk, a row leaves the scan if a^(r/p) at p = min(chunk end,
+    r - 1) reaches m: the tails are nonnegative and a^(r/p) rises with p, so
+    no later p lowers m, and all r prefix minima for j = r..2r-1 equal m.
+    A chunk may run past p = r - 1, but those terms exceed a^(r/(r-1)), so
+    they never set the m of a row that leaves.  A row that reaches p = r - 1
+    without leaving forms the full prefix minimum over p <= 2r - 1.  A
+    block's first chunk ends where a row of the previous block last left,
+    the later chunks double in width, and the tail table is computed only as
+    far as the scan reads it.
     """
     n = _check_n(n)
     a = weights.total
     if a >= 1.0:
         raise ValidationError(f"need sum of weights < 1, got {a}", field="weights")
-    p = np.arange(1, 2 * n, dtype=np.float64)
-    tails = weights.tail_sums(2 * n - 1)
     # a = 0: exp(-inf) = 0 gives the zero powers
     log_a = math.log(a) if a > 0.0 else -math.inf
+    tails = _TailTable(weights, 2 * n - 1)
     delta = np.empty(n)
-    stop = 16  # length of the first chunk; afterwards, where the last r stopped
-    for r in range(1, n + 1):
-        rdelta, stop = _double_min_sum(r, log_a, p, tails, stop)
-        delta[r - 1] = rdelta / r
+    first = 16  # end of the first block's first chunk
+    for r0 in range(1, n + 1, _BLOCK_ROWS):
+        rs = np.arange(r0, min(r0 + _BLOCK_ROWS, n + 1))
+        first = _scan_block(rs, log_a, tails, first, delta)
     return _finalize(delta, "linf")
 
+
+# Rows per block of the double-minimum scan: a chunk's array holds
+# _BLOCK_ROWS x (chunk width) floats.
+_BLOCK_ROWS = 64
 
 # The early exit needs a^(r/p) a few ulps above the running minimum, so a
 # non-monotone last bit of np.exp cannot let a later p undercut it.
 _EXIT_SLACK = 1.0 + 8.0 * np.finfo(np.float64).eps
 
 
-def _double_min_sum(r: int, log_a: float, p: np.ndarray, tails: np.ndarray, first: int):
-    """(r delta'_r, stop point) of infinite_memory_profile; the scan over p
-    starts with a chunk of `first` terms."""
-    m = math.inf
-    lo, hi = 0, min(first, r - 1)
-    while lo < hi:
-        powers = np.exp((r / p[lo:hi]) * log_a)
-        m = min(m, (powers + tails[lo:hi]).min())
-        if powers[-1] >= m * _EXIT_SLACK:
-            return float(np.full(r, m).sum()), hi
-        lo, hi = hi, min(2 * hi, r - 1)
-    powers = np.exp((r / p[: 2 * r - 1]) * log_a)
-    best = np.minimum.accumulate(powers + tails[: 2 * r - 1])
-    return float(best[r - 1 : 2 * r - 1].sum()), first
+class _TailTable:
+    """tail_sum(1..m) as far as it is read; it grows at least twofold at a
+    time, up to `cap` entries."""
+
+    def __init__(self, weights: WeightSequence, cap: int):
+        self.weights, self.cap, self.table = weights, cap, np.empty(0)
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        if span.stop > self.table.size:
+            size = min(max(span.stop, 2 * self.table.size), self.cap)
+            self.table = self.weights.tail_sums(size)
+        return self.table[span]
+
+
+def _scan_block(rs: np.ndarray, log_a: float, tails: _TailTable, first: int, delta: np.ndarray) -> int:
+    """Set delta[r - 1] for the lags rs of infinite_memory_profile; the first
+    chunk ends at p = `first`.  Returns the chunk end where a row last left."""
+    m = np.full(rs.size, math.inf)
+    live = np.flatnonzero(rs > 1)  # r = 1 has no p < r to scan
+    full = rs[rs == 1].tolist()
+    lo, hi = 0, first
+    while live.size:
+        r = rs[live]
+        lim = r - 1
+        hi = min(hi, int(lim[-1]))
+        # float rows: an int64 operand would be cast element by element
+        vals = np.divide(r[:, None].astype(np.float64), np.arange(lo + 1, hi + 1, dtype=np.float64))
+        vals *= log_a
+        np.exp(vals, out=vals)
+        vals += tails[lo:hi]
+        m[live] = np.minimum(m[live], vals.min(axis=1))
+        end = np.minimum(lim, hi)
+        leave = np.exp((r / end) * log_a) >= m[live] * _EXIT_SLACK
+        if leave.any():
+            first = hi
+            for rr, mm in zip(r[leave].tolist(), m[live[leave]].tolist()):
+                delta[rr - 1] = float(np.full(rr, mm).sum()) / rr
+        full += r[~leave & (end == lim)].tolist()
+        live = live[~leave & (end < lim)]
+        lo, hi = hi, 2 * hi
+    for r in full:
+        powers = np.exp((r / np.arange(1, 2 * r, dtype=np.float64)) * log_a)
+        best = np.minimum.accumulate(powers + tails[: 2 * r - 1])
+        delta[r - 1] = float(best[r - 1 :].sum()) / r
+    return first
 
 
 def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> DependenceProfile:
@@ -281,27 +293,6 @@ def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> D
     r = np.arange(1, n + 1)
     delta = C * weights.tail_sums(n) / r
     return _finalize(delta, "linf")
-
-
-def bernoulli_shift_phi_profile(reg: ShiftRegularity, n: int) -> DependenceProfile:
-    """Shift over mixing innovations (phi kind).
-
-    delta_r = min_{1 <= k <= r-1} [ 2 phi_{r-k} + min(3 E w_H(U_0, 2 v_k), 1) ],
-    with delta_1 = 1 (the empty minimum clips to the trivial coefficient).
-    """
-    n = _check_n(n)
-    phi = np.asarray(reg.phi, dtype=np.float64)
-    v = np.asarray(reg.v, dtype=np.float64)
-    if phi.size < n - 1 or v.size < n - 1:
-        raise ValidationError(f"phi and v need at least n-1 = {n-1} entries", field="phi")
-    # composite term: E(3 w_H(U_0, 2 v_k)) ^ 1 == min(3 * (E w_H ^ 1), 1)
-    comp = np.array([min(3.0 * reg.modulus_mean(2.0 * float(vk)), 1.0) for vk in v[: n - 1]])
-    delta = np.empty(n)
-    delta[0] = 1.0
-    for r in range(2, n + 1):
-        k = np.arange(1, r)
-        delta[r - 1] = float(np.min(2.0 * phi[r - k - 1] + comp[k - 1]))
-    return _finalize(delta, "phi")
 
 
 def validate_profile(profile: DependenceProfile) -> DependenceProfile:
@@ -322,12 +313,11 @@ def validate_profile(profile: DependenceProfile) -> DependenceProfile:
 
 
 def write_profile_csv(profile: DependenceProfile, path) -> None:
-    """CSV with columns r, delta, kind."""
+    """CSV with columns r, delta, kind; delta is written by repr, so it reads
+    back exactly."""
+    rows = "".join(f"{r},{d!r},{profile.kind}\n" for r, d in enumerate(profile.delta.tolist(), 1))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["r", "delta", "kind"])
-        for r in range(1, profile.n + 1):
-            w.writerow([r, repr(profile.at(r)), profile.kind])
+        fh.write("r,delta,kind\n" + rows)
 
 
 # ---------------------------------------------------------------------------

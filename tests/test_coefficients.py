@@ -1,19 +1,19 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakdev.coefficients import (
+    _BLOCK_ROWS,
     TRUNCATION_TAIL,
     GeometricWeights,
     PolynomialWeights,
-    ShiftRegularity,
     WeightSequence,
     ZeroWeights,
     bernoulli_shift_linf_profile,
-    bernoulli_shift_phi_profile,
     doubling_map_profile,
     expanding_map_profile,
     infinite_memory_profile,
@@ -22,6 +22,7 @@ from weakdev.coefficients import (
     write_profile_csv,
 )
 from weakdev.bounds import DependenceProfile
+from weakdev.harness import build_model, dependence_profile_for
 from weakdev.errors import DomainError, ValidationError
 
 # ---------------------------------------------------------------------------
@@ -224,6 +225,48 @@ def test_infinite_memory_profile_matches_reference_at_n_8000(w):
     assert np.array_equal(infinite_memory_profile(w, 8000).delta, _infinite_memory_reference(w, 8000))
 
 
+# Polynomial weights with power 1.1 and total 0.99: at n = 600 the rows
+# r <= 471 reach p = r - 1 without leaving the scan and take the full branch.
+_SLOW_POLYNOMIAL = PolynomialWeights(0.99 / PolynomialWeights(1.0, 1.1).total, 1.1)
+
+
+@pytest.mark.parametrize(
+    "n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+)
+@pytest.mark.parametrize(
+    "w",
+    [
+        GeometricWeights(0.5, 0.5),
+        GeometricWeights(0.01, 0.9),
+        PolynomialWeights(0.25, 3.0),
+        _SLOW_POLYNOMIAL,
+        ZeroWeights(),
+    ],
+)
+def test_infinite_memory_profile_matches_reference_at_block_edges(w, n):
+    assert np.array_equal(infinite_memory_profile(w, n).delta, _infinite_memory_reference(w, n))
+
+
+@pytest.mark.parametrize(
+    "w", [_SLOW_POLYNOMIAL, PolynomialWeights(0.95 / PolynomialWeights(1.0, 1.1).total, 1.1)]
+)
+def test_infinite_memory_profile_matches_reference_through_the_full_branch(w):
+    assert np.array_equal(infinite_memory_profile(w, 600).delta, _infinite_memory_reference(w, 600))
+
+
+def test_infinite_memory_profile_temporaries_stay_small():
+    # the blocked scan peaked at 0.71 MiB here; one array over every lag and
+    # stop point would take about 45 MiB
+    w = PolynomialWeights(0.25, 3.0)
+    tracemalloc.start()
+    try:
+        infinite_memory_profile(w, 8000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 def test_tail_sums_validation():
     with pytest.raises(DomainError):
         GeometricWeights(0.5, 0.5).tail_sums(0)
@@ -240,47 +283,6 @@ def test_shift_linf_profile():
     assert np.all(z.delta == 0.0)
     with pytest.raises(DomainError):
         bernoulli_shift_linf_profile(-1.0, w, 4)
-
-
-def _example_regularity() -> ShiftRegularity:
-    return ShiftRegularity(
-        phi=[2.0 ** -(m + 1) for m in range(1, 10)],
-        v=[2.0**-k for k in range(1, 10)],
-        modulus_mean=lambda eta: min(eta / 2.0, 1.0),
-    )
-
-
-def test_shift_phi_profile():
-    p = bernoulli_shift_phi_profile(_example_regularity(), 8)
-    assert p.kind == "phi"
-    assert p.at(1) == 1.0
-    assert p.at(4) == 0.875
-    assert p.at(6) == 0.4375
-    # brute-force replay of the split over k
-    reg = _example_regularity()
-    for r in range(2, 9):
-        want = min(
-            2.0 * reg.phi[r - k - 1] + min(3.0 * reg.modulus_mean(2.0 * reg.v[k - 1]), 1.0)
-            for k in range(1, r)
-        )
-        assert p.at(r) == pytest.approx(min(want, 1.0), abs=1e-15)
-    assert np.all(p.delta <= 1.0)
-
-
-def test_shift_phi_degenerate():
-    reg = ShiftRegularity(phi=np.zeros(9), v=np.zeros(9), modulus_mean=lambda eta: 0.0)
-    p = bernoulli_shift_phi_profile(reg, 10)
-    assert p.at(1) == 1.0
-    assert np.all(p.delta[1:] == 0.0)
-
-
-def test_shift_phi_validation():
-    with pytest.raises(ValidationError, match="at least"):
-        bernoulli_shift_phi_profile(_example_regularity(), 20)
-    with pytest.raises(ValidationError):
-        ShiftRegularity(phi=[0.1, 0.5], v=[0.1, 0.1], modulus_mean=lambda e: e)
-    with pytest.raises(ValidationError):
-        ShiftRegularity(phi=[0.1, 0.1], v=[-0.1, -0.2], modulus_mean=lambda e: e)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,6 @@ def test_validate_profile_rejects_increase():
         lambda n: markov_contraction_profile(0.8, n),
         lambda n: infinite_memory_profile(GeometricWeights(0.3, 0.7), n),
         lambda n: bernoulli_shift_linf_profile(2.0, PolynomialWeights(1.0, 2.0), n),
-        lambda n: bernoulli_shift_phi_profile(_example_regularity(), n),
     ],
 )
 def test_generators_produce_valid_profiles(make):
@@ -346,3 +347,41 @@ def test_write_profile_csv_roundtrip(tmp_path):
         assert int(row[0]) == i
         assert float(row[1]) == p.at(i)  # repr round-trips exactly
         assert row[2] == "linf"
+
+
+def _write_profile_csv_reference(profile: DependenceProfile, path) -> None:
+    """The csv.writer loop that write_profile_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["r", "delta", "kind"])
+        for r in range(1, profile.n + 1):
+            w.writerow([r, repr(profile.at(r)), profile.kind])
+
+
+_PROFILE_MODELS = {
+    "iid-uniform": {"variant": "iid-uniform"},
+    "doubling-map": {"variant": "doubling-map"},
+    "kernel-chain": {"variant": "kernel-chain", "kappa": 0.7},
+    "bernoulli-shift": {"variant": "bernoulli-shift", "theta": 0.5},
+    "infinite-memory-geometric": {
+        "variant": "infinite-memory",
+        "weights": {"family": "geometric", "c": 0.5, "ratio": 0.5},
+    },
+    "infinite-memory-polynomial": {
+        "variant": "infinite-memory",
+        "weights": {"family": "polynomial", "c": 0.25, "power": 3.0},
+    },
+}
+
+
+_CSV_PROFILES = {
+    **{label: dependence_profile_for(build_model(doc), 300) for label, doc in _PROFILE_MODELS.items()},
+    "one-subnormal-zero": DependenceProfile(delta=np.array([1.0, 0.5, 5e-324, 0.0]), kind="phi"),
+}
+
+
+@pytest.mark.parametrize("label", _CSV_PROFILES)
+def test_write_profile_csv_bytes_match_csv_writer(tmp_path, label):
+    write_profile_csv(_CSV_PROFILES[label], tmp_path / "got.csv")
+    _write_profile_csv_reference(_CSV_PROFILES[label], tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
