@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import os
 import sys
 
 import click
@@ -92,6 +91,10 @@ def _parse_ints(text: str, what: str) -> list[int]:
     if not vals:
         raise click.BadParameter(f"empty {what}")
     return vals
+
+
+_THREADS = click.option("--threads", type=click.IntRange(min=1), default=None,
+                        help="default: logical processors")
 
 
 def _given(**values) -> dict:
@@ -231,7 +234,7 @@ def simulate_cmd(m, n, seed, out):
 @click.option("--k-grid", required=True, help="comma list of block lengths")
 @click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, default=0)
-@click.option("--threads", type=int, default=None, help="default: logical processors")
+@_THREADS
 @click.option("--out", type=click.Path(), default=None)
 @_friendly_errors
 def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out):
@@ -254,7 +257,7 @@ def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out
 @click.option("--j-grid", required=True, help="comma list of split indices")
 @click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, default=0)
-@click.option("--threads", type=int, default=None)
+@_THREADS
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--block-out", type=click.Path(), default=None,
               help="also export one coupled block (first r, first j) as CSV")
@@ -280,7 +283,7 @@ def estimate_coupling_cmd(m, r_grid, j_grid, reps, seed, threads, out, block_out
 @main.command("verify")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", type=click.Path(), default=None, help="override the config's out path")
-@click.option("--threads", type=int, default=None, help="default: logical processors")
+@_THREADS
 @click.pass_context
 @_friendly_errors
 def verify_cmd(ctx, config_path, out, threads):
@@ -289,8 +292,6 @@ def verify_cmd(ctx, config_path, out, threads):
     out = out or cfg.out
     if out is None:
         raise click.UsageError("no output path: set 'out' in the config or pass --out")
-    if threads is None:
-        threads = os.cpu_count() or 1
     rows = run_verification(cfg, threads)
     emit_report(rows, out)
     for row in rows:

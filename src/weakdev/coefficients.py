@@ -42,7 +42,7 @@ class WeightSequence:
 
     def __post_init__(self):
         if self.c < 0:
-            raise DomainError(f"need c >= 0, got {self.c}")
+            raise DomainError(f"need c >= 0, got {self.c}", field="c")
 
     def term(self, j: int) -> float:
         """a_j."""
@@ -111,7 +111,7 @@ class GeometricWeights(WeightSequence):
     def __post_init__(self):
         super().__post_init__()
         if not 0.0 < self.ratio < 1.0:
-            raise DomainError(f"need 0 < ratio < 1, got {self.ratio}")
+            raise DomainError(f"need 0 < ratio < 1, got {self.ratio}", field="ratio")
 
     def _term(self, j: int) -> float:
         return self.c * self.ratio**j
@@ -134,7 +134,9 @@ class PolynomialWeights(WeightSequence):
     def __post_init__(self):
         super().__post_init__()
         if self.power <= 1.0:
-            raise DomainError(f"need power > 1 for summability, got {self.power}")
+            raise DomainError(
+                f"need power > 1 for summability, got {self.power}", field="power"
+            )
 
     def _term(self, j: int) -> float:
         return self.c * float(j) ** (-self.power)

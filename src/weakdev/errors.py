@@ -2,7 +2,14 @@
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    ``field`` names the offending argument or field when one exists.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ValidationError(ValueError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .coefficients import (
     infinite_memory_profile,
     markov_contraction_profile,
 )
-from .errors import ConfigError, DomainError, NoValidBlockSizeError
+from .errors import ConfigError, DomainError, ValidationError
 from .estimation import (
     DEFAULT_ALPHA,
     estimate_sigma_profile,
@@ -130,7 +130,8 @@ def build_model(doc: dict | str) -> ProcessModel:
 
 
 def _build(registry: dict, doc: dict, tag: str, path: str, noun: str, needs: str):
-    """registry[doc[tag]], each of its dataclass fields parsed from doc by _FIELDS."""
+    """registry[doc[tag]], each of its dataclass fields parsed from doc by _FIELDS;
+    a value the class refuses is a ConfigError on that field's path."""
     name = doc[tag]
     if not isinstance(name, str) or name not in registry:
         raise ConfigError(f"unknown {noun} {tag} {name!r}", field=f"{path}{tag}")
@@ -138,8 +139,13 @@ def _build(registry: dict, doc: dict, tag: str, path: str, noun: str, needs: str
     params = fields(cls)
     required = {p.name for p in params if p.default is MISSING}
     _check_keys(doc, {tag, *(p.name for p in params)}, path, noun, required, needs.format(name))
-    return cls(**{p.name: _FIELDS[p.name](doc[p.name], path + p.name)
-                  for p in params if p.name in doc})
+    values = {p.name: _FIELDS[p.name](doc[p.name], path + p.name)
+              for p in params if p.name in doc}
+    try:
+        return cls(**values)
+    except (DomainError, ValidationError) as exc:
+        field = path + exc.field if exc.field else path.rstrip(".")
+        raise ConfigError(str(exc), field=field) from exc
 
 
 def _check_keys(doc: dict, allowed, path: str, noun: str, required=(), needs: str = "") -> None:
@@ -286,22 +292,9 @@ def mc_variance_profile(
     the estimate at the nearest grid point below. One run out to n serves
     the whole grid.
     """
-    ests = estimate_sigma_profile(model, f, _dyadic_grid(n), reps, seed, threads)
-    return _step_filled({e.k: e.sigma_sq_hat for e in ests}, n)
-
-
-def _dyadic_grid(n: int) -> list[int]:
-    """1, 2, 4, ... below n, then n."""
-    return [1 << p for p in range((n - 1).bit_length())] + [n]
-
-
-def _step_filled(by_k: dict[int, float], n: int) -> VarianceProfile:
-    """sigma_k^2 for k = 1..n, each k taking the estimate at the largest grid k below it."""
-    filled = np.empty(n)
-    current = by_k[1]
-    for k in range(1, n + 1):
-        current = by_k.get(k, current)
-        filled[k - 1] = current
+    grid = [1 << p for p in range((n - 1).bit_length())] + [n]
+    ests = estimate_sigma_profile(model, f, grid, reps, seed, threads)
+    filled = np.repeat([e.sigma_sq_hat for e in ests], np.diff(grid + [n + 1]))
     return variance_profile(filled, source="estimated")
 
 
@@ -328,117 +321,70 @@ REPORT_CSV_HEADER = [f.name for f in fields(ReportRow)]
 
 def run_verification(config: ExperimentConfig, threads: int | None = 1) -> list[ReportRow]:
     """One ReportRow per x (plus an iid reference row for blockwise bounds)."""
-    model = config.model
-    n = config.n
+    model, n, theorem, xs = config.model, config.n, config.theorem, config.x_grid
     f = observable_for(
         model,
         config.observable,
         config.omega,
         seed=derive_seed(config.base_seed, _LANE_CENTERING),
     )
-    if not config.x_grid:
+    if not xs:
         return []
-    analytic = analytic_sigma_profile(model, f, n)
-    source = "analytic" if analytic is not None else "estimated"
-    needs_profile = config.theorem in ("thm1", "thm2", "hoeffding")
-    profile = dependence_profile_for(model, n) if needs_profile else None
-    selections = (
-        {x: select_k_star_prime(profile, n, x) for x in config.x_grid}
-        if config.theorem == "thm2" else {}
-    )
+    varprof = analytic_sigma_profile(model, f, n)
+    source = "analytic" if varprof is not None else "estimated"
+    var_lane = derive_seed(config.base_seed, _LANE_VARIANCE)
+    profile = dependence_profile_for(model, n) if theorem != "iid_eq1" else None
 
-    # every sigma_k^2 a row reads: one estimate for all k, or the closed form
-    if analytic is None:
-        ks = {1} | {s.k for s in selections.values() if s.found}
-        if config.theorem == "thm1":
-            ks.update(_dyadic_grid(n))
-        var_lane = derive_seed(config.base_seed, _LANE_VARIANCE)
-        ests = estimate_sigma_profile(model, f, sorted(ks), config.reps, var_lane, threads)
-        estimated = {e.k: e.sigma_sq_hat for e in ests}
-        sigma_at = estimated.__getitem__
+    # one block size per x (None: no admissible k, so the claim is skipped)
+    if theorem == "thm1":
+        if varprof is None:
+            varprof = mc_variance_profile(model, f, n, config.reps, var_lane, threads)
+        selection = select_k_star(profile, varprof)
+        ks = [selection.k] * len(xs)
+    elif theorem == "thm2":
+        ks = [select_k_star_prime(profile, n, x).k for x in xs]
     else:
-        sigma_at = analytic.sigma_at
-
-    thm1_selection = None
-    thm1_sigma_bar = None
-    if config.theorem == "thm1":
-        varprof = analytic if analytic is not None else _step_filled(estimated, n)
-        thm1_selection = select_k_star(profile, varprof)
-        if thm1_selection.found:
-            thm1_sigma_bar = varprof.envelope_at(thm1_selection.k)
-    phis = hoeffding_phi(profile, n) if config.theorem == "hoeffding" else None
+        ks = [None] * len(xs)
+    # every sigma_k^2 a row reads: a profile, or one estimate over {1} and the selected k
+    if varprof is not None:
+        var_at = varprof.sigma_at
+    else:
+        wanted = sorted({1, *(k for k in ks if k is not None)})
+        ests = estimate_sigma_profile(model, f, wanted, config.reps, var_lane, threads)
+        var_at = {e.k: e.sigma_sq_hat for e in ests}.__getitem__
+    s1 = var_at(1)
+    phis = hoeffding_phi(profile, n) if theorem == "hoeffding" else None
 
     # one sample of S(f) serves every x
     tail_lane = derive_seed(config.base_seed, _LANE_TAILS)
     sums = per_rep_sums(model, f, n, config.reps, derive_seed(tail_lane, 0), threads)
-    s1 = sigma_at(1)
 
-    rows: list[ReportRow] = []
-    for x in config.x_grid:
+    def row(theorem, x, k=None, var=None, threshold=None) -> ReportRow:
+        """The claim's row, checked on the sample; no threshold marks it skipped."""
         bound = math.exp(-x)
+        if threshold is None:
+            return ReportRow(theorem, x, None, None, "", None, bound, None, None, "skipped")
+        est = tail_from_sums(sums, threshold, x=x, alpha=config.alpha)
+        return ReportRow(theorem, x, k, var, "" if var is None else source, threshold, bound,
+                         est.p_hat, est.ci_high, "pass" if est.ci_high <= bound else "fail")
 
-        def tail_row(theorem: str, threshold: float, k: int | None, var: float | None,
-                     var_source: str) -> ReportRow:
-            est = tail_from_sums(sums, threshold, x=x, alpha=config.alpha)
-            verdict = "pass" if est.ci_high <= bound else "fail"
-            return ReportRow(
-                theorem=theorem,
-                x=x,
-                k_selected=k,
-                variance_used=var,
-                variance_source=var_source,
-                threshold=threshold,
-                bound_value=bound,
-                p_hat=est.p_hat,
-                ci_high=est.ci_high,
-                verdict=verdict,
-            )
-
-        if config.theorem == "iid_eq1":
-            rows.append(
-                tail_row("iid_eq1", iid_bernstein_threshold(n, s1, x), None, s1, source)
-            )
+    rows = []
+    for x, k in zip(xs, ks):
+        iid = (None, s1, iid_bernstein_threshold(n, s1, x))
+        if theorem == "iid_eq1":
+            rows.append(row(theorem, x, *iid))
             continue
-
-        if config.theorem == "thm1":
-            if thm1_selection.found:
-                k = thm1_selection.k
-                rows.append(
-                    tail_row("thm1", thm1_threshold(n, thm1_sigma_bar, k, x), k,
-                             thm1_sigma_bar, source)
-                )
-            else:
-                rows.append(_skipped_row("thm1", x, bound))
-        elif config.theorem == "thm2":
-            selection = selections[x]
-            if selection.found:
-                k = selection.k
-                s = sigma_at(k)
-                rows.append(tail_row("thm2", thm2_threshold(n, s, k, x), k, s, source))
-            else:
-                rows.append(_skipped_row("thm2", x, bound))
+        if theorem == "hoeffding":
+            rows.append(row(theorem, x, threshold=hoeffding_threshold(n, phis, x)))
+        elif k is None:
+            rows.append(row(theorem, x))
+        elif theorem == "thm1":
+            var = selection.variance_at_k
+            rows.append(row(theorem, x, k, var, thm1_threshold(n, var, k, x)))
         else:
-            rows.append(tail_row("hoeffding", hoeffding_threshold(n, phis, x), None, None, ""))
-
-        rows.append(
-            tail_row("iid_eq1_ref", iid_bernstein_threshold(n, s1, x), None, s1, source)
-        )
+            rows.append(row(theorem, x, k, var_at(k), thm2_threshold(n, var_at(k), k, x)))
+        rows.append(row("iid_eq1_ref", x, *iid))
     return rows
-
-
-def _skipped_row(theorem: str, x: float, bound: float) -> ReportRow:
-    return ReportRow(
-        theorem=theorem,
-        x=x,
-        k_selected=None,
-        variance_used=None,
-        variance_source="",
-        threshold=None,
-        bound_value=bound,
-        p_hat=None,
-        ci_high=None,
-        verdict="skipped",
-    )
 
 
 def emit_report(rows: list[ReportRow], path) -> None:
@@ -447,23 +393,16 @@ def emit_report(rows: list[ReportRow], path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(REPORT_CSV_HEADER)
-            for row in rows:
-                w.writerow(
-                    [
-                        row.theorem,
-                        repr(float(row.x)),
-                        "" if row.k_selected is None else row.k_selected,
-                        "" if row.variance_used is None else repr(row.variance_used),
-                        row.variance_source,
-                        "" if row.threshold is None else repr(row.threshold),
-                        repr(row.bound_value),
-                        "" if row.p_hat is None else repr(row.p_hat),
-                        "" if row.ci_high is None else repr(row.ci_high),
-                        row.verdict,
-                    ]
-                )
+            w.writerows([_cell(v) for v in astuple(row)] for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
+
+
+def _cell(value):
+    """A report cell: empty for None, the round-trip repr for floats, else the value."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else value
 
 
 # ---------------------------------------------------------------------------

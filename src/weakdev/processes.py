@@ -124,7 +124,7 @@ class LipschitzKernelChain(ProcessModel):
 
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
-            raise DomainError(f"need 0 < kappa < 1, got {self.kappa}")
+            raise DomainError(f"need 0 < kappa < 1, got {self.kappa}", field="kappa")
 
     @property
     def burn_in(self) -> int:
@@ -157,9 +157,10 @@ class BernoulliShiftGeometric(ProcessModel):
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
-            raise DomainError(f"need 0 < theta < 1, got {self.theta}")
+            raise DomainError(f"need 0 < theta < 1, got {self.theta}", field="theta")
         if self.truncation is not None and self.truncation < 1:
-            raise DomainError(f"need truncation >= 1, got {self.truncation}")
+            raise DomainError(f"need truncation >= 1, got {self.truncation}",
+                              field="truncation")
 
     @cached_property
     def window(self) -> int:
@@ -210,7 +211,8 @@ class InfiniteMemoryChain(ProcessModel):
                 f"need sum of weights < 1, got {self.weights.total}", field="weights"
             )
         if self.truncation is not None and self.truncation < 1:
-            raise DomainError(f"need truncation >= 1, got {self.truncation}")
+            raise DomainError(f"need truncation >= 1, got {self.truncation}",
+                              field="truncation")
         if self.truncation is None:
             # resolve the default now, so a config without one fails when built
             try:

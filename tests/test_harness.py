@@ -356,7 +356,7 @@ def test_build_model_refuses_a_missing_default_truncation(tmp_path):
     model = {"variant": "infinite-memory", "weights": {"family": "polynomial", "c": 0.5, "power": 2.0}}
     with pytest.raises(ValidationError) as ei:
         build_model(model)
-    assert ei.value.field == "truncation"
+    assert ei.value.field == "model.truncation"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(_doc(model=model, out=str(tmp_path / "r.csv"))))
     res = CliRunner().invoke(main, ["verify", "--config", str(cfg), "--threads", "1"])
@@ -394,6 +394,31 @@ def test_build_weights_errors():
     assert ei.value.field == "model.weights.power"
     with pytest.raises(ConfigError):
         build_weights({})
+
+
+_GEOMETRIC = {"family": "geometric", "c": 0.5, "ratio": 0.5}
+
+
+@pytest.mark.parametrize(
+    "model, field",
+    [
+        ({"variant": "kernel-chain", "kappa": 1.5}, "model.kappa"),
+        ({"variant": "bernoulli-shift", "theta": 0.0}, "model.theta"),
+        ({"variant": "bernoulli-shift", "theta": 0.5, "truncation": 0}, "model.truncation"),
+        ({"variant": "infinite-memory", "weights": _GEOMETRIC, "truncation": -2},
+         "model.truncation"),
+        ({"variant": "infinite-memory", "weights": dict(_GEOMETRIC, c=-0.1)}, "model.weights.c"),
+        ({"variant": "infinite-memory", "weights": dict(_GEOMETRIC, ratio=1.5)},
+         "model.weights.ratio"),
+        ({"variant": "infinite-memory",
+          "weights": {"family": "polynomial", "c": 0.5, "power": 1.0}}, "model.weights.power"),
+        ({"variant": "infinite-memory", "weights": dict(_GEOMETRIC, c=1.0)}, "model.weights"),
+    ],
+)
+def test_parse_config_names_the_path_of_an_out_of_range_parameter(model, field):
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_doc(model=model))
+    assert ei.value.field == field
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +675,33 @@ def test_run_verification_simulates_each_sample_once(monkeypatch, model, theorem
     rows = run_verification(cfg)
     assert calls == {"per_rep_sums": 1 if x_grid else 0, "estimate_sigma_profile": sigma_calls}
     assert {r.x for r in rows} == set(x_grid)
+
+
+@pytest.mark.parametrize(
+    "model, theorem, calls",
+    [
+        ({"variant": "kernel-chain", "kappa": 0.7}, "thm1", 1),
+        ("doubling-map", "thm1", 0),
+        ({"variant": "kernel-chain", "kappa": 0.7}, "thm2", 0),
+    ],
+)
+def test_thm1_reads_an_estimated_profile_from_mc_variance_profile(monkeypatch, model, theorem,
+                                                                   calls):
+    profiles = []
+
+    def recording(*args, _real=harness.mc_variance_profile):
+        profiles.append(_real(*args))
+        return profiles[-1]
+
+    monkeypatch.setattr(harness, "mc_variance_profile", recording)
+    cfg = parse_config(_doc(model=model, theorem=theorem, x_grid=[0.5, 1.0, 2.0], n=64, reps=50))
+    rows = run_verification(cfg)
+    assert len(profiles) == calls
+    for row in rows:
+        if profiles and row.theorem == "thm1":
+            assert row.variance_used == profiles[0].envelope_at(row.k_selected)
+        elif profiles:
+            assert row.variance_used == profiles[0].sigma_at(1)
 
 
 def test_run_verification_deterministic_and_thread_invariant():
@@ -955,6 +1007,24 @@ def test_cli_verify_fails_on_violated_bound(tmp_path):
     # a missing output path is a usage error instead
     res = runner.invoke(main, ["verify", "--config", str(cfg), "--threads", "1"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--config", "{cfg}"],
+        ["estimate-variance", "--model", "doubling-map", "--k-grid", "1"],
+        ["estimate-coupling", "--model", "doubling-map", "--r-grid", "1", "--j-grid", "1"],
+    ],
+)
+def test_cli_refuses_a_thread_count_below_one(tmp_path, command, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_doc(out=str(tmp_path / "r.csv"))))
+    args = [a.format(cfg=cfg) for a in command]
+    res = CliRunner().invoke(main, [*args, "--threads", value])
+    assert res.exit_code == 2 and "--threads" in res.output
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_cli_verify_rejects_bad_config_cleanly(tmp_path):
