@@ -230,7 +230,7 @@ def simulate_cmd(m, n, seed, out):
 @_model_options
 @click.option("--observable", type=click.Choice(["centered-identity", "centered-cosine"]),
               default="centered-identity")
-@click.option("--omega", type=int, default=1)
+@click.option("--omega", type=click.IntRange(min=1), default=1)
 @click.option("--k-grid", required=True, help="comma list of block lengths")
 @click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, default=0)

@@ -206,6 +206,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if isinstance(obs, dict):
         _check_keys(obs, {"id", "omega"}, "observable.", "observable")
         omega = _integer(obs.get("omega", 1), "observable.omega")
+        if omega < 1:
+            raise ConfigError(f"need omega >= 1, got {omega}", field="observable.omega")
         obs = obs.get("id", "centered-identity")
     if obs not in ("centered-identity", "centered-cosine"):
         raise ConfigError(f"unknown observable {obs!r}", field="observable")

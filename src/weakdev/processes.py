@@ -10,7 +10,11 @@ Coupled blocks realise the almost-sure coupling behind the linf profiles:
 the starred trajectory shares every innovation after the split time j and
 uses fresh innovations (and a fresh initial state) up to j, so the starred
 block is independent of the first j coordinates while keeping the original
-block's distribution.
+block's distribution. One stacked run of 2R lanes steps both trajectories:
+the original on lanes :R, the starred on lanes R:, whose innovations are
+overwritten with the original's after j. The starred streams' own later
+draws are discarded unread, and every step is elementwise over lanes, so
+no coupled sum can depend on them.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .errors import DomainError, ValidationError
 from .rng import VectorXoshiro, derive_child_array, derive_seed, replication_seeds
 
 _U = np.uint64
+_ONE = _U(1)
+_BIT_POSITIONS = tuple(_U(pos) for pos in range(64))
 
 # lanes for deriving child streams from a replication seed
 _LANE_ORIGINAL = 1
@@ -53,7 +59,13 @@ class ProcessModel:
     uniform_marginal = False  # stationary marginal is exactly Uniform[0, 1]
 
     def innovations(self, gen: VectorXoshiro):
-        """Per-step innovation source: one array per call."""
+        """Per-step innovation source: one array per call.
+
+        Each call returns a fresh, writable array that shares no memory with
+        the generator or an earlier call, so a caller may overwrite lanes of
+        it (the coupled run copies the original's innovations into the
+        starred lanes) before passing it to step.
+        """
         return gen.next_uniform
 
     def start(self, gen: VectorXoshiro):
@@ -103,8 +115,8 @@ class DoublingMap(ProcessModel):
         def bits():
             while True:
                 word = gen.next_u64()
-                for pos in range(64):
-                    yield ((word >> _U(pos)) & _U(1)).astype(np.float64)
+                for pos in _BIT_POSITIONS:
+                    yield ((word >> pos) & _ONE).astype(np.float64)
 
         return bits().__next__
 
@@ -354,26 +366,31 @@ class CoupledBlock:
 def _coupled_pairs(model: ProcessModel, j: int, r: int, seeds: np.ndarray):
     """Yield (X_i, X*_i) for i = j+1 .. 2r+j-1, one lane per seed.
 
-    That covers every block i = r'+j .. 2r'+j-1 with r' <= r. The starred
-    run starts afresh on its own child stream and shares the original's
-    innovations from time j+1 on.
+    That covers every block i = r'+j .. 2r'+j-1 with r' <= r. One stacked
+    run of 2R lanes serves the pair: lanes :R are the original on its child
+    stream, lanes R: the starred run, which starts afresh on its own child
+    stream and, from time j+1 on, has its innovations overwritten with the
+    original's. Each lane is an independent stream and every step is
+    elementwise over lanes, so each half equals a run of its own bit for
+    bit; the starred streams keep drawing after the split, but those draws
+    are overwritten before any step reads them.
     """
     if j < 1:
         raise DomainError(f"need split j >= 1, got {j}")
     if r < 1:
         raise DomainError(f"need block length r >= 1, got {r}")
-    gen_o = VectorXoshiro(derive_child_array(seeds, _LANE_ORIGINAL))
-    gen_s = VectorXoshiro(derive_child_array(seeds, _LANE_STARRED))
-    xo, step_o = model.start(gen_o)
-    xs, step_s = model.start(gen_s)
-    innov_o = model.innovations(gen_o)
-    innov_s = model.innovations(gen_s)
-    for t in range(1, 2 * r + j):
-        io = innov_o()
-        xo = step_o(xo, io)
-        xs = step_s(xs, innov_s() if t <= j else io)
-        if t > j:
-            yield xo, xs
+    R = len(seeds)
+    gen = VectorXoshiro(np.concatenate([derive_child_array(seeds, _LANE_ORIGINAL),
+                                        derive_child_array(seeds, _LANE_STARRED)]))
+    x, step = model.start(gen)
+    innov = model.innovations(gen)
+    for _ in range(j):
+        x = step(x, innov())
+    for _ in range(2 * r - 1):
+        u = innov()
+        u[R:] = u[:R]
+        x = step(x, u)
+        yield x[:R], x[R:]
 
 
 def coupled_distance_sums(model: ProcessModel, j: int, rs, seeds: np.ndarray) -> np.ndarray:
@@ -420,7 +437,7 @@ class ObservableF:
         if self.kind not in ("centered-identity", "centered-cosine"):
             raise ValidationError(f"unknown observable kind {self.kind!r}", field="kind")
         if self.kind == "centered-cosine" and self.omega < 1:
-            raise DomainError(f"need omega >= 1, got {self.omega}")
+            raise DomainError(f"need omega >= 1, got {self.omega}", field="omega")
         if self.lipschitz_constant > 1.0 + 1e-12 or self.sup_bound > 0.5 + 1e-12:
             raise ValidationError("observable must satisfy |f| <= 1/2 and Lip(f) <= 1")
 
@@ -450,6 +467,8 @@ def observable_for(
         return ObservableF(kind=kind, mu=model.stationary_mean(), lipschitz_constant=1.0)
     if kind != "centered-cosine":
         raise ValidationError(f"unknown observable kind {kind!r}", field="kind")
+    if omega < 1:
+        raise DomainError(f"need omega >= 1, got {omega}", field="omega")
     if model.uniform_marginal:
         mu = 0.0  # integral of cos(2 pi w u) over [0, 1] vanishes
     else:

@@ -83,26 +83,42 @@ class VectorXoshiro:
             sm = sm + _U(GOLDEN_GAMMA)
             state.append(mix64_array(sm))
         self.s0, self.s1, self.s2, self.s3 = state
+        self._scratch = np.empty_like(sm)
 
     @property
     def n_streams(self) -> int:
         return self.s0.shape[0]
 
     def next_u64(self) -> np.ndarray:
-        out = _rotl(self.s0 + self.s3, 23) + self.s0
-        t = self.s1 << _U(17)
-        self.s2 = self.s2 ^ self.s0
-        self.s3 = self.s3 ^ self.s1
-        self.s1 = self.s1 ^ self.s2
-        self.s0 = self.s0 ^ self.s3
-        self.s2 = self.s2 ^ t
-        self.s3 = _rotl(self.s3, 45)
+        """One u64 per stream, in a fresh array the caller may keep or overwrite.
+
+        The state advances in place; the only temporaries are the returned
+        array and one scratch array owned by the generator.
+        """
+        s0, s1, s2, s3, t = self.s0, self.s1, self.s2, self.s3, self._scratch
+        out = s0 + s3
+        np.left_shift(out, _SH23, out=t)  # out = rotl(s0 + s3, 23) + s0
+        out >>= _SH41
+        out |= t
+        out += s0
+        np.left_shift(s1, _SH17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, _SH45, out=t)  # s3 = rotl(s3, 45)
+        s3 >>= _SH19
+        s3 |= t
         return out
 
     def next_uniform(self) -> np.ndarray:
-        """One double in [0, 1) per stream."""
-        return (self.next_u64() >> _U(11)).astype(np.float64) * 2.0**-53
+        """One double in [0, 1) per stream, in a fresh array."""
+        u = self.next_u64()
+        u >>= _SH11
+        out = u.astype(np.float64)
+        out *= 2.0**-53
+        return out
 
 
-def _rotl(x: np.ndarray, k: int) -> np.ndarray:
-    return (x << _U(k)) | (x >> _U(64 - k))
+_SH11, _SH17, _SH19, _SH23, _SH41, _SH45 = (_U(k) for k in (11, 17, 19, 23, 41, 45))

@@ -127,6 +127,13 @@ def test_parse_config_field_validation():
         parse_config(_doc(x_grid="1,2"))
 
 
+@pytest.mark.parametrize("omega", [0, -1, 0.0, -(2**70)])
+def test_parse_config_refuses_omega_below_one(omega):
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_doc(observable={"id": "centered-cosine", "omega": omega}))
+    assert ei.value.field == "observable.omega"
+
+
 _NOT_INTEGER = st.one_of(
     st.booleans(),
     st.floats().filter(lambda x: not x.is_integer()),
@@ -1024,6 +1031,20 @@ def test_cli_refuses_a_thread_count_below_one(tmp_path, command, value):
     args = [a.format(cfg=cfg) for a in command]
     res = CliRunner().invoke(main, [*args, "--threads", value])
     assert res.exit_code == 2 and "--threads" in res.output
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_cli_refuses_omega_below_one(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_doc(observable={"id": "centered-cosine", "omega": 0},
+                                   out=str(tmp_path / "r.csv"))))
+    res = CliRunner().invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "Error: need omega >= 1, got 0" in res.output and "Traceback" not in res.output
+    res = CliRunner().invoke(main, ["estimate-variance", "--model", "doubling-map",
+                                    "--observable", "centered-cosine", "--omega", "0",
+                                    "--k-grid", "1"])
+    assert res.exit_code == 2 and "--omega" in res.output
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from weakdev import processes
@@ -33,7 +33,7 @@ from weakdev.processes import (
     write_coupled_block_csv,
     write_trajectory_csv,
 )
-from weakdev.rng import VectorXoshiro, replication_seeds
+from weakdev.rng import VectorXoshiro, derive_child_array, replication_seeds
 
 _MODELS = [
     IidUniform(),
@@ -301,6 +301,75 @@ def test_stationary_mean_formulas():
 # coupled blocks
 
 
+def _coupled_pairs_two_generators(model, j, r, seeds):
+    """The coupled pair as two side-by-side runs: the oracle for the stacked run."""
+    gen_o = VectorXoshiro(derive_child_array(seeds, processes._LANE_ORIGINAL))
+    gen_s = VectorXoshiro(derive_child_array(seeds, processes._LANE_STARRED))
+    xo, step_o = model.start(gen_o)
+    xs, step_s = model.start(gen_s)
+    innov_o = model.innovations(gen_o)
+    innov_s = model.innovations(gen_s)
+    for t in range(1, 2 * r + j):
+        io = innov_o()
+        xo = step_o(xo, io)
+        xs = step_s(xs, innov_s() if t <= j else io)
+        if t > j:
+            yield xo, xs
+
+
+def test_model_fixtures_cover_every_registered_class():
+    assert {type(m) for m in _MODELS} == set(MODELS.values())
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=_name)
+@settings(max_examples=15, deadline=None)
+@given(
+    j=st.integers(1, 130),
+    rs=st.lists(st.integers(1, 20), min_size=1, max_size=4).flatmap(
+        lambda rs: st.permutations(rs + rs[:1])),
+    reps=st.integers(1, 5),
+    base=st.integers(0, 2**63 - 1),
+)
+@example(j=63, rs=[1, 2, 1], reps=3, base=1)
+@example(j=64, rs=[20, 3, 20], reps=2, base=2)
+@example(j=128, rs=[1, 1], reps=1, base=3)
+def test_stacked_coupled_run_equals_two_generators(model, j, rs, reps, base):
+    # one stacked 2R-lane run must give every coupled sum and block of the
+    # two side-by-side runs bit for bit; j runs past 128 so the doubling
+    # map's 64-bit innovation words straddle the split on both sides
+    seeds = _seeds(base, reps)
+    got = coupled_distance_sums(model, j, rs, seeds)
+    for col, r in zip(got.T, rs):
+        dist = [np.abs(xo - xs) for xo, xs in _coupled_pairs_two_generators(model, j, r, seeds)]
+        ref = np.zeros(reps)
+        for d in dist[r - 1:]:  # i = r+j .. 2r+j-1
+            ref += d
+        assert np.array_equal(col, ref)
+    r, seed = rs[0], seeds[:1]
+    block = simulate_coupled_block(model, j, r, int(seed[0]))
+    pairs = list(_coupled_pairs_two_generators(model, j, r, seed))[r - 1:]
+    assert np.array_equal(block.original, [xo[0] for xo, _ in pairs])
+    assert np.array_equal(block.starred, [xs[0] for _, xs in pairs])
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=_name)
+def test_innovations_are_fresh_writable_arrays(model):
+    # the stacked coupled run overwrites the starred lanes of each innovation
+    # array, so no array may alias the generator, an earlier draw or a later one
+    gen, twin = VectorXoshiro(_seeds(5, 16)), VectorXoshiro(_seeds(5, 16))
+    innov, twin_innov = model.innovations(gen), model.innovations(twin)
+    prev = None
+    for _ in range(130):  # past two of the doubling map's 64-bit words
+        u = innov()
+        assert u.flags.writeable and u.shape == (16,)
+        owned = [v for v in vars(gen).values() if isinstance(v, np.ndarray)]
+        assert not any(np.shares_memory(u, v) for v in owned)
+        assert prev is None or not np.shares_memory(u, prev)
+        assert np.array_equal(u, twin_innov())
+        u[:] = -1.0
+        prev = u
+
+
 @pytest.mark.parametrize("j", [1, 5])
 def test_doubling_coupling_bound(j):
     # after the restart both paths share innovations, so the distance is
@@ -402,6 +471,11 @@ def test_observable_validation():
         ObservableF(kind="centered-identity", mu=0.0, sup_bound=0.7)
     with pytest.raises(ValidationError):
         observable_for(DoublingMap(), "nope")
+    for model in (DoublingMap(), LipschitzKernelChain(kappa=0.5)):
+        for omega in (0, -2):
+            with pytest.raises(DomainError) as ei:
+                observable_for(model, "centered-cosine", omega)
+            assert ei.value.field == "omega"
 
 
 @pytest.mark.parametrize("model", _MODELS, ids=_name)

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weakdev.rng import (
     GOLDEN_GAMMA,
@@ -82,6 +82,32 @@ def test_vector_xoshiro_matches_scalar_reference():
     for _ in range(50):
         got = gen.next_u64()
         assert [int(v) for v in got] == [next(r) for r in refs]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 2048), U64)
+@example(2048, 0)
+def test_vector_xoshiro_matches_scalar_reference_at_any_lane_count(lanes, base):
+    seeds = replication_seeds(base, 0, lanes)
+    gen = VectorXoshiro(seeds)
+    got = np.stack([gen.next_u64() for _ in range(200)], axis=1)
+    for row, seed in zip(got.tolist(), seeds.tolist()):
+        ref = _scalar_xoshiro(seed)
+        assert row == [next(ref) for _ in range(200)]
+
+
+def test_draws_are_fresh_arrays_the_caller_may_overwrite():
+    seeds = replication_seeds(17, 0, 33)
+    gen, twin = VectorXoshiro(seeds), VectorXoshiro(seeds)
+    prev = None
+    for draw in ["next_u64", "next_uniform"] * 40:
+        got, want = getattr(gen, draw)(), getattr(twin, draw)()
+        assert np.array_equal(got, want) and got.flags.writeable
+        owned = [v for v in vars(gen).values() if isinstance(v, np.ndarray)]
+        assert not any(np.shares_memory(got, v) for v in owned)
+        assert prev is None or not np.shares_memory(got, prev)
+        got[:] = got.dtype.type(1)  # must not reach the state or a later draw
+        prev = got
 
 
 def test_streams_are_independent_of_batch_composition():
