@@ -31,7 +31,6 @@ from .coefficients import (
     ZeroWeights,
     bernoulli_shift_linf_profile,
     doubling_map_profile,
-    expanding_map_profile,
     infinite_memory_profile,
     markov_contraction_profile,
     validate_profile,
@@ -40,12 +39,10 @@ from .coefficients import (
 from .errors import ConfigError, DomainError, NoValidBlockSizeError, ValidationError
 from .estimation import (
     CouplingEstimate,
-    MeanAbsEstimate,
     SigmaEstimate,
     TailEstimate,
     clopper_pearson,
     estimate_coupling_delta,
-    estimate_mean_abs_f,
     estimate_sigma_profile,
 )
 from .harness import (

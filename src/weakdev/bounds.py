@@ -103,11 +103,6 @@ class VarianceProfile:
             raise DomainError(f"block length k={k} outside 1..{self.n}")
         return float(self.sigma_sq[k - 1])
 
-    def envelope_at(self, k: int) -> float:
-        if not 1 <= k <= self.n:
-            raise DomainError(f"block length k={k} outside 1..{self.n}")
-        return float(self.envelope[k - 1])
-
 
 def variance_profile(sigma_sq: np.ndarray, source: str = "analytic") -> VarianceProfile:
     """Build a VarianceProfile, computing the envelope by a backward pass."""
@@ -137,10 +132,6 @@ class BlockSelection:
 
     k: int | None
     variance_at_k: float | None
-
-    @property
-    def found(self) -> bool:
-        return self.k is not None
 
     def require(self) -> tuple[int, float | None]:
         if self.k is None:
@@ -250,16 +241,17 @@ def hoeffding_threshold(n: int, phi, x: float) -> float:
     on the first j coordinates; the j = n summand is 1 by convention (the
     factor n - j vanishes, so phi_n never enters).
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if x < 0:
-        raise DomainError(f"need x >= 0, got {x}")
+    if not n >= 1:
+        raise DomainError(f"need n >= 1, got {n}", field="n")
+    if not x >= 0:
+        raise DomainError(f"need x >= 0, got {x}", field="x")
     w = np.asarray(phi, dtype=np.float64)
     if w.size < n - 1:
         raise ValidationError(f"phi has {w.size} entries, need at least n-1 = {n-1}", field="phi")
     w = w[: n - 1]
-    if np.any((w < 0) | (w > 1)):
-        j = int(np.argmax((w < 0) | (w > 1))) + 1
+    outside = ~((w >= 0) & (w <= 1))  # NaN included
+    if np.any(outside):
+        j = int(np.argmax(outside)) + 1
         raise ValidationError(f"phi[{j}] = {w[j-1]} outside [0, 1]", field=f"phi[{j}]")
     j = np.arange(1, n, dtype=np.float64)
     total = float(np.sum((1.0 + 2.0 * (n - j) * w) ** 2)) + 1.0
@@ -311,16 +303,17 @@ def log_mgf_bound_thm2(t: float, n: int, k: int, sigma_k_sq: float, delta_prime_
 
 
 def _check_threshold_args(n: int, variance: float, x: float, name: str) -> None:
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if variance < 0:
-        raise DomainError(f"need {name} >= 0, got {variance}")
-    if x < 0:
-        raise DomainError(f"need x >= 0, got {x}")
+    # positive forms, so a NaN fails them instead of slipping through
+    if not n >= 1:
+        raise DomainError(f"need n >= 1, got {n}", field="n")
+    if not variance >= 0:
+        raise DomainError(f"need {name} >= 0, got {variance}", field=name)
+    if not x >= 0:
+        raise DomainError(f"need x >= 0, got {x}", field="x")
 
 
 def _check_k(k) -> None:
     if k is None:
         raise NoValidBlockSizeError("block size is the no-selection sentinel; refuse to compute")
     if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"block size must be a positive integer, got {k!r}")
+        raise DomainError(f"block size must be a positive integer, got {k!r}", field="k")

@@ -51,31 +51,37 @@ from .processes import (
 from .rng import derive_seed
 
 
+# the most points a start:stop:step range may expand to
+_MAX_GRID = 10**6
+
+
 def parse_x_grid(text: str) -> list[float]:
     """Comma list or start:stop:step range, inclusive of stop."""
+    if ":" not in text:
+        return _parse_list(text, "x-grid")
     try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError("range form is start:stop:step")
-            start, stop, step = (float(p) for p in parts)
-            if step <= 0.0:
-                raise ValueError("step must be positive")
-            if stop < start:
-                raise ValueError("stop must be at least start")
-            count = int(math.floor((stop - start) / step * (1.0 + 1e-12))) + 1
-            return [start + i * step for i in range(count)]
-        vals = [float(p) for p in text.split(",") if p.strip()]
-        if not vals:
-            raise ValueError("empty grid")
-        return vals
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError("range form is start:stop:step")
+        start, stop, step = (float(p) for p in parts)
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError("range ends must be finite")
+        if not step > 0.0:
+            raise ValueError("step must be positive")
+        if stop < start:
+            raise ValueError("stop must be at least start")
+        span = (stop - start) / step * (1.0 + 1e-12)
+        if span >= _MAX_GRID:
+            raise ValueError(f"range has more than {_MAX_GRID} points")
+        return [start + i * step for i in range(int(math.floor(span)) + 1)]
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, kind=float) -> list:
+    """Comma list of kind(entry); blank entries are skipped."""
     try:
-        vals = [float(p) for p in text.split(",") if p.strip()]
+        vals = [kind(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise click.BadParameter(f"bad {what}: {exc}") from exc
     if not vals:
@@ -83,18 +89,8 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return vals
 
 
-def _parse_ints(text: str, what: str) -> list[int]:
-    try:
-        vals = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise click.BadParameter(f"bad {what}: {exc}") from exc
-    if not vals:
-        raise click.BadParameter(f"empty {what}")
-    return vals
-
-
-_THREADS = click.option("--threads", type=click.IntRange(min=1), default=None,
-                        help="default: logical processors")
+_THREADS = click.option("--threads", type=click.IntRange(min=1), default=1,
+                        help="worker threads for the replications (default: 1)")
 
 
 def _given(**values) -> dict:
@@ -172,19 +168,19 @@ def main():
 @main.command("bounds")
 @click.option("--theorem", required=True, type=click.Choice(list(THEOREMS)))
 @click.option("--n", required=True, type=int)
-@click.option("--x-grid", required=True)
+@click.option("--x-grid", "xs", required=True,
+              callback=lambda _ctx, _param, text: parse_x_grid(text))
 @click.option("--sigma-sq", type=float, default=None, help="variance entering the threshold")
 @click.option("--k", type=int, default=None, help="block size k* or k*'")
 @click.option("--phi", default=None, help="comma list phi_1..phi_{n-1} (hoeffding)")
 @click.option("--out", type=click.Path(), default=None)
 @_friendly_errors
-def bounds_cmd(theorem, n, x_grid, sigma_sq, k, phi, out):
+def bounds_cmd(theorem, n, xs, sigma_sq, k, phi, out):
     """Evaluate a threshold formula over an x-grid (no simulation)."""
-    xs = parse_x_grid(x_grid)
     if theorem == "hoeffding":
         if phi is None:
             raise click.UsageError("hoeffding needs --phi")
-        phis = _parse_floats(phi, "phi")
+        phis = _parse_list(phi, "phi")
         thr = lambda x: hoeffding_threshold(n, phis, x)
     elif theorem == "iid_eq1":
         if sigma_sq is None:
@@ -240,7 +236,7 @@ def simulate_cmd(m, n, seed, out):
 def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out):
     """Estimate sigma_k^2 over a grid of block lengths."""
     f = observable_for(m, observable, omega, seed=derive_seed(seed, 3))
-    ks = _parse_ints(k_grid, "k-grid")
+    ks = _parse_list(k_grid, "k-grid", int)
     ests = estimate_sigma_profile(m, f, ks, reps, seed, threads)
     for e in ests:
         click.echo(f"k={e.k} sigma_sq={e.sigma_sq_hat:.6g} se={e.std_error:.3g} reps={e.reps}")
@@ -264,8 +260,8 @@ def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out
 @_friendly_errors
 def estimate_coupling_cmd(m, r_grid, j_grid, reps, seed, threads, out, block_out):
     """Empirical coupled-block distance maxima over (r, j) grids."""
-    rs = _parse_ints(r_grid, "r-grid")
-    js = _parse_ints(j_grid, "j-grid")
+    rs = _parse_list(r_grid, "r-grid", int)
+    js = _parse_list(j_grid, "j-grid", int)
     ests = estimate_coupling_delta(m, rs, js, reps, seed, threads)
     for e in ests:
         click.echo(
@@ -320,7 +316,7 @@ def verify_cmd(ctx, config_path, out, threads):
 @_friendly_errors
 def asymptotics_cmd(family, c, decay, targets, out):
     """Block-size growth k*(v) and its stabilized ratio across targets."""
-    vs = _parse_floats(targets, "targets")
+    vs = _parse_list(targets, "targets")
     rows = run_blocksize_asymptotics(family, vs, c=c, decay=decay)
     table = [[repr(r.target), r.k_star, repr(r.ratio)] for r in rows]
     _echo_csv(table, ["target", "k_star", "ratio"], out)

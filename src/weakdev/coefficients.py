@@ -175,17 +175,6 @@ def doubling_map_profile(n: int) -> DependenceProfile:
     return _finalize(delta, "linf")
 
 
-def expanding_map_profile(C: float, rho: float, n: int) -> DependenceProfile:
-    """Uniformly expanding map: delta_r = min(C rho^r / r, 1) (phi kind)."""
-    if C < 0:
-        raise DomainError(f"need C >= 0, got {C}")
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"need 0 < rho < 1, got {rho}")
-    r = np.arange(1, _check_n(n) + 1, dtype=np.float64)
-    delta = C * np.power(rho, r) / r
-    return _finalize(delta, "phi")
-
-
 def markov_contraction_profile(kappa: float, n: int) -> DependenceProfile:
     """Contracting Markov kernel: r delta'_r = kappa^r (1 + kappa + ... + kappa^r).
 

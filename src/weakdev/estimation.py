@@ -1,17 +1,17 @@
 """Monte Carlo estimators with exact-binomial uncertainty.
 
-All estimators fan replications out over a thread pool in fixed-size chunks.
-Each replication's stream is derived from (base seed, replication index)
-alone and every chunk writes a disjoint slice of one replication-ordered
-array; reductions then run over that array in a single deterministic pass.
-Results are therefore bit-identical for any worker count.
+All estimators run replications in fixed-size chunks, serially by default
+(threads=1) or over a thread pool of the requested size. Each replication's
+stream is derived from (base seed, replication index) alone and every chunk
+writes a disjoint slice of one replication-ordered array; reductions then
+run over that array in a single deterministic pass. Results are therefore
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,7 +25,7 @@ from .processes import (
     coupled_distance_sums,
     observable_prefix_sums,
     observable_sums,
-    stationary_init_batch,
+    stationary_init_batch,  # not called here; perfbench/layers.py rebinds this name
 )
 from .rng import derive_seed, replication_seeds
 
@@ -72,13 +72,6 @@ class CouplingEstimate:
     reps: int
 
 
-@dataclass(frozen=True)
-class MeanAbsEstimate:
-    value: float
-    std_error: float
-    reps: int
-
-
 def clopper_pearson(hits: int, reps: int, alpha: float = DEFAULT_ALPHA) -> tuple[float, float]:
     """Exact two-sided binomial interval at confidence 1 - alpha."""
     if not 0 <= hits <= reps:
@@ -91,15 +84,13 @@ def clopper_pearson(hits: int, reps: int, alpha: float = DEFAULT_ALPHA) -> tuple
     return lo, hi
 
 
-def _per_rep_values(fn, reps: int, seed: int, threads: int | None, width: int = 0) -> np.ndarray:
+def _per_rep_values(fn, reps: int, seed: int, threads: int, width: int = 0) -> np.ndarray:
     """Assemble fn(seeds of chunk) for replications 0..reps-1, in order.
 
     fn must map a seed array to one float per seed, or to one row of width
     floats per seed when width > 0. Chunks cover disjoint index ranges, so
     scheduling cannot reorder or change anything.
     """
-    if threads is None:
-        threads = os.cpu_count() or 1
     out = np.empty((reps, width) if width else reps)
     spans = [(lo, min(lo + _CHUNK, reps)) for lo in range(0, reps, _CHUNK)]
 
@@ -122,7 +113,7 @@ def per_rep_sums(
     n: int,
     reps: int,
     seed: int,
-    threads: int | None = 1,
+    threads: int = 1,
 ) -> np.ndarray:
     """S(f) = sum_{t<=n} f(X_t) for each replication, in replication order."""
     if reps < 1:
@@ -155,7 +146,7 @@ def estimate_sigma_profile(
     k_list,
     reps: int,
     seed: int,
-    threads: int | None = 1,
+    threads: int = 1,
 ) -> list[SigmaEstimate]:
     """sigma_k^2 = Var(block sum)/k from reps independent length-k replicas.
 
@@ -196,7 +187,7 @@ def estimate_coupling_delta(
     j_list,
     reps: int,
     seed: int,
-    threads: int | None = 1,
+    threads: int = 1,
 ) -> list[CouplingEstimate]:
     """Per-(r, j) maxima of coupled-block distance sums over reps pairs.
 
@@ -225,26 +216,6 @@ def estimate_coupling_delta(
             m = float(maxima[j][c])
             out.append(CouplingEstimate(r=r, j=j, max_sum=m, witness=m / r, reps=reps))
     return out
-
-
-def estimate_mean_abs_f(
-    model: ProcessModel,
-    f: ObservableF,
-    reps: int,
-    seed: int,
-    threads: int | None = 1,
-) -> MeanAbsEstimate:
-    """E|f(X_1)| under the stationary law, with its standard error."""
-    if reps < 2:
-        raise DomainError(f"need reps >= 2, got {reps}")
-    vals = _per_rep_values(
-        lambda s: np.abs(f.values(stationary_init_batch(model, s))), reps, seed, threads
-    )
-    return MeanAbsEstimate(
-        value=float(vals.mean()),
-        std_error=float(vals.std(ddof=1)) / math.sqrt(reps),
-        reps=reps,
-    )
 
 
 # ---------------------------------------------------------------------------

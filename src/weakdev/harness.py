@@ -56,6 +56,7 @@ from .processes import (
     BernoulliShiftGeometric,
     DoublingMap,
     IidUniform,
+    InfiniteMemoryChain,
     LipschitzKernelChain,
     MODELS,
     ProcessModel,
@@ -241,7 +242,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def dependence_profile_for(model: ProcessModel, n: int) -> DependenceProfile:
-    """The linf dependence profile each simulator provably satisfies."""
+    """The linf dependence profile each simulator provably satisfies; any
+    other model is refused."""
     if isinstance(model, IidUniform):
         return DependenceProfile(delta=np.zeros(n), kind="linf")
     if isinstance(model, DoublingMap):
@@ -255,7 +257,9 @@ def dependence_profile_for(model: ProcessModel, n: int) -> DependenceProfile:
         return bernoulli_shift_linf_profile(
             th / (1.0 - th), GeometricWeights((1.0 - th) / th, th), n
         )
-    return infinite_memory_profile(model.weights, n)
+    if isinstance(model, InfiniteMemoryChain):
+        return infinite_memory_profile(model.weights, n)
+    raise ValidationError(f"no dependence profile for model {type(model).__name__}", field="model")
 
 
 def hoeffding_phi(profile: DependenceProfile, n: int) -> np.ndarray:
@@ -286,7 +290,7 @@ def mc_variance_profile(
     n: int,
     reps: int,
     seed: int,
-    threads: int | None = 1,
+    threads: int = 1,
 ) -> VarianceProfile:
     """Estimated variance profile on a dyadic block grid, step-filled.
 
@@ -321,7 +325,7 @@ class ReportRow:
 REPORT_CSV_HEADER = [f.name for f in fields(ReportRow)]
 
 
-def run_verification(config: ExperimentConfig, threads: int | None = 1) -> list[ReportRow]:
+def run_verification(config: ExperimentConfig, threads: int = 1) -> list[ReportRow]:
     """One ReportRow per x (plus an iid reference row for blockwise bounds)."""
     model, n, theorem, xs = config.model, config.n, config.theorem, config.x_grid
     f = observable_for(

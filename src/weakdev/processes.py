@@ -358,10 +358,6 @@ class CoupledBlock:
     original: np.ndarray
     starred: np.ndarray
 
-    @property
-    def distance_sum(self) -> float:
-        return float(np.sum(np.abs(self.original - self.starred)))
-
 
 def _coupled_pairs(model: ProcessModel, j: int, r: int, seeds: np.ndarray):
     """Yield (X_i, X*_i) for i = j+1 .. 2r+j-1, one lane per seed.

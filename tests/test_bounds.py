@@ -151,7 +151,7 @@ def test_select_k_star_examples():
     ones = DependenceProfile(delta=np.ones(n), kind="phi")
     zero_var = variance_profile(np.zeros(n))
     sel = select_k_star(ones, zero_var)
-    assert not sel.found and sel.k is None
+    assert sel.k is None
     with pytest.raises(NoValidBlockSizeError):
         sel.require()
 
@@ -176,7 +176,7 @@ def test_select_k_star_prime_examples():
     assert select_k_star_prime(prof, n, 1.0).require() == (5, None)
 
     stuck = DependenceProfile(delta=np.ones(10), kind="linf")
-    assert not select_k_star_prime(stuck, 10, 0.5).found
+    assert select_k_star_prime(stuck, 10, 0.5).k is None
 
 
 def test_select_k_star_prime_domain():
@@ -276,6 +276,36 @@ def test_hoeffding_threshold_validation():
     with pytest.raises(ValidationError):
         hoeffding_threshold(5, [0.1, 0.1], 1.0)  # needs n-1 = 4 entries
     assert hoeffding_threshold(1, [], 3.0) == pytest.approx(math.sqrt(1.5))
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "thr, args, field",
+    [
+        (iid_bernstein_threshold, (_NAN, 0.1, 1.0), "n"),
+        (iid_bernstein_threshold, (10, _NAN, 1.0), "sigma1_sq"),
+        (iid_bernstein_threshold, (10, 0.1, _NAN), "x"),
+        (thm1_threshold, (_NAN, 0.1, 2, 1.0), "n"),
+        (thm1_threshold, (10, _NAN, 2, 1.0), "envelope_at_k_star"),
+        (thm1_threshold, (10, 0.1, _NAN, 1.0), "k"),
+        (thm1_threshold, (10, 0.1, 2, _NAN), "x"),
+        (thm2_threshold, (_NAN, 0.1, 2, 1.0), "n"),
+        (thm2_threshold, (10, _NAN, 2, 1.0), "sigma_sq_at_kp"),
+        (thm2_threshold, (10, 0.1, _NAN, 1.0), "k"),
+        (thm2_threshold, (10, 0.1, 2, _NAN), "x"),
+        (hoeffding_threshold, (_NAN, [0.1], 1.0), "n"),
+        (hoeffding_threshold, (3, [0.1, _NAN], 1.0), "phi[2]"),
+        (hoeffding_threshold, (3, [0.1, 0.1], _NAN), "x"),
+    ],
+)
+def test_thresholds_refuse_nan_naming_the_argument(thr, args, field):
+    # NaN fails every comparison, so a check written as `x < 0` let it through
+    # and max(0.0, nan) then reported a threshold of 0.0
+    with pytest.raises((DomainError, ValidationError)) as ei:
+        thr(*args)
+    assert ei.value.field == field
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from weakdev.coefficients import (
     ZeroWeights,
     bernoulli_shift_linf_profile,
     doubling_map_profile,
-    expanding_map_profile,
     infinite_memory_profile,
     markov_contraction_profile,
     validate_profile,
@@ -109,24 +108,6 @@ def test_doubling_profile_values():
         else:
             assert p.at(r) == want
         assert r * p.at(r) < 2.0 ** (1 - r)
-
-
-def test_expanding_profile():
-    p = expanding_map_profile(1.0, 0.5, 12)
-    assert p.kind == "phi"
-    for r in range(1, 13):
-        assert p.at(r) == pytest.approx(0.5**r / r, rel=1e-15)
-    assert expanding_map_profile(2.0, 0.8, 10).at(10) == pytest.approx(
-        0.021474836480000013, abs=1e-17
-    )
-    # large C clips at the trivial coefficient
-    assert expanding_map_profile(100.0, 0.9, 5).at(1) == 1.0
-    with pytest.raises(DomainError):
-        expanding_map_profile(1.0, 0.0, 5)
-    with pytest.raises(DomainError):
-        expanding_map_profile(1.0, 1.0, 5)
-    with pytest.raises(DomainError):
-        expanding_map_profile(-1.0, 0.5, 5)
 
 
 def test_markov_profile():
@@ -306,7 +287,6 @@ def test_validate_profile_rejects_increase():
     "make",
     [
         lambda n: doubling_map_profile(n),
-        lambda n: expanding_map_profile(3.0, 0.7, n),
         lambda n: markov_contraction_profile(0.8, n),
         lambda n: infinite_memory_profile(GeometricWeights(0.3, 0.7), n),
         lambda n: bernoulli_shift_linf_profile(2.0, PolynomialWeights(1.0, 2.0), n),

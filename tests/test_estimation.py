@@ -13,12 +13,10 @@ from weakdev.estimation import (
     DEFAULT_ALPHA,
     ESTIMATE_CSV_HEADER,
     CouplingEstimate,
-    MeanAbsEstimate,
     SigmaEstimate,
     clopper_pearson,
     coupling_csv_row,
     estimate_coupling_delta,
-    estimate_mean_abs_f,
     estimate_sigma_profile,
     per_rep_sums,
     sigma_csv_row,
@@ -223,34 +221,6 @@ def test_coupling_seed_keyed_by_j():
 
 
 # ---------------------------------------------------------------------------
-# mean-of-|f| estimator
-
-
-def test_mean_abs_doubling_identity():
-    est = estimate_mean_abs_f(_DBL, _identity(_DBL), reps=50_000, seed=31)
-    # E|U - 1/2| = 1/4 for a uniform marginal
-    assert abs(est.value - 0.25) < 4.0 * est.std_error
-
-
-def test_mean_abs_iid_cosine():
-    f = observable_for(_IID, "centered-cosine")
-    est = estimate_mean_abs_f(_IID, f, reps=50_000, seed=32)
-    # E|cos(2 pi U)| / (4 pi) = (2/pi) / (4 pi) = 1 / (2 pi^2)
-    assert abs(est.value - 0.050660591821168885) < 4.0 * est.std_error
-
-
-def test_mean_abs_degenerate_observable():
-    class _Zero:
-        def values(self, x):
-            return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-    est = estimate_mean_abs_f(_DBL, _Zero(), reps=100, seed=33)
-    assert est.value == 0.0 and est.std_error == 0.0
-    with pytest.raises(DomainError):
-        estimate_mean_abs_f(_DBL, _Zero(), reps=1, seed=33)
-
-
-# ---------------------------------------------------------------------------
 # worker-count invariance
 
 _SPAN = 40_000  # several chunks, so the pool actually schedules
@@ -272,12 +242,6 @@ def test_sigma_worker_invariance():
 def test_coupling_worker_invariance():
     one = estimate_coupling_delta(_DBL, [2, 5, 1], [1, 3], reps=_SPAN, seed=52, threads=1)
     four = estimate_coupling_delta(_DBL, [2, 5, 1], [1, 3], reps=_SPAN, seed=52, threads=4)
-    assert one == four
-
-
-def test_mean_abs_worker_invariance():
-    one = estimate_mean_abs_f(_DBL, _identity(_DBL), reps=_SPAN, seed=53, threads=1)
-    four = estimate_mean_abs_f(_DBL, _identity(_DBL), reps=_SPAN, seed=53, threads=4)
     assert one == four
 
 

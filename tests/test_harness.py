@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from weakdev.coefficients import (
     write_profile_csv,
 )
 from weakdev.errors import ConfigError, DomainError, ValidationError
+import weakdev.estimation as estimation
 import weakdev.harness as harness
 from weakdev.harness import (
     REPORT_CSV_HEADER,
@@ -50,6 +55,7 @@ from weakdev.processes import (
     IidUniform,
     InfiniteMemoryChain,
     LipschitzKernelChain,
+    ProcessModel,
     doubling_sigma_sq,
     observable_for,
 )
@@ -457,6 +463,15 @@ def test_dependence_profiles_by_model():
         validate_profile(p)
 
 
+def test_dependence_profile_for_refuses_a_model_it_has_no_profile_for():
+    class Toy(ProcessModel):
+        name = "toy"
+
+    with pytest.raises(ValidationError, match="Toy") as ei:
+        dependence_profile_for(Toy(), 10)
+    assert ei.value.field == "model"
+
+
 def test_hoeffding_phi_zeros_and_dyadic():
     n = 8
     zeros = dependence_profile_for(IidUniform(), n)
@@ -706,7 +721,7 @@ def test_thm1_reads_an_estimated_profile_from_mc_variance_profile(monkeypatch, m
     assert len(profiles) == calls
     for row in rows:
         if profiles and row.theorem == "thm1":
-            assert row.variance_used == profiles[0].envelope_at(row.k_selected)
+            assert row.variance_used == profiles[0].envelope[row.k_selected - 1]
         elif profiles:
             assert row.variance_used == profiles[0].sigma_at(1)
 
@@ -810,6 +825,60 @@ def test_parse_x_grid_forms():
         parse_x_grid("abc")
     with pytest.raises(click.BadParameter):
         parse_x_grid("")
+
+
+@pytest.mark.parametrize("text", ["0:inf:1", "-inf:0:1", "nan:1:1", "0:nan:1", "0:1:nan"])
+def test_parse_x_grid_refuses_non_finite_ranges(text):
+    import click
+
+    with pytest.raises(click.BadParameter):
+        parse_x_grid(text)
+    res = CliRunner().invoke(main, ["bounds", "--theorem", "iid_eq1", "--n", "10",
+                                    "--sigma-sq", "0.1", "--x-grid", text])
+    assert res.exit_code == 2 and "--x-grid" in res.output
+
+
+def test_parse_x_grid_caps_the_points_of_a_range():
+    import click
+
+    assert len(parse_x_grid("0:999999:1")) == 10**6
+    with pytest.raises(click.BadParameter, match="more than 1000000 points"):
+        parse_x_grid("0:1000000:1")
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cli_refuses_an_x_grid_range_too_long_to_build():
+    # 10^18 points: expanding them would run until memory ran out, so run the
+    # CLI in its own interpreter with a time limit and a 1 GiB address space
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "weakdev.cli", "bounds", "--theorem", "iid_eq1", "--n", "10",
+         "--sigma-sq", "0.1", "--x-grid", "0:1e9:1e-9"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert res.returncode == 2 and "more than 1000000 points" in res.stderr, res.stderr
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--theorem", "iid_eq1", "--sigma-sq", "nan", "--x-grid", "1"], "sigma1_sq"),
+        (["--theorem", "thm2", "--sigma-sq", "nan", "--k", "2", "--x-grid", "1"],
+         "sigma_sq_at_kp"),
+        (["--theorem", "thm1", "--sigma-sq", "0.1", "--k", "2", "--x-grid", "nan"], "need x"),
+        (["--theorem", "hoeffding", "--phi", "nan,0.1", "--x-grid", "1"], "phi[1]"),
+    ],
+)
+def test_cli_bounds_refuses_nan(args, named):
+    res = CliRunner().invoke(main, ["bounds", "--n", "3", *args])
+    assert res.exit_code != 0 and named in res.output and "nan" in res.output
 
 
 def test_cli_bounds_matches_library():
@@ -1032,6 +1101,21 @@ def test_cli_refuses_a_thread_count_below_one(tmp_path, command, value):
     res = CliRunner().invoke(main, [*args, "--threads", value])
     assert res.exit_code == 2 and "--threads" in res.output
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_cli_verify_without_threads_builds_no_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify built a thread pool")
+
+    monkeypatch.setattr(estimation, "ThreadPoolExecutor", no_pool)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_doc(n=8, reps=estimation._CHUNK + 1)))  # two chunks
+    runner = CliRunner()
+    outs = [tmp_path / "default.csv", tmp_path / "one.csv"]
+    for out, extra in zip(outs, ([], ["--threads", "1"])):
+        res = runner.invoke(main, ["verify", "--config", str(cfg), "--out", str(out), *extra])
+        assert res.exit_code == 0, res.output
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_cli_refuses_omega_below_one(tmp_path):

@@ -425,7 +425,7 @@ def test_simulate_coupled_block_matches_batch():
     block = simulate_coupled_block(DoublingMap(), 2, 4, 314)
     assert block.original.size == 4 and block.starred.size == 4
     sums = coupled_distance_sums(DoublingMap(), 2, [4], np.array([314], dtype=np.uint64))
-    assert block.distance_sum == pytest.approx(float(sums[0, 0]), abs=1e-15)
+    assert np.sum(np.abs(block.original - block.starred)) == pytest.approx(float(sums[0, 0]), abs=1e-15)
 
 
 def test_coupled_block_sums_marginals_agree():
