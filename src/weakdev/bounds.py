@@ -31,8 +31,8 @@ VARIANCE_SOURCES = ("analytic", "estimated")
 
 def bennett_h(x: float) -> float:
     """h(x) = (1+x) ln(1+x) - x for x >= 0."""
-    if x < 0:
-        raise DomainError(f"bennett_h needs x >= 0, got {x}")
+    if not x >= 0:
+        raise DomainError(f"bennett_h needs x >= 0, got {x}", field="x")
     if x < 1e-4:
         # series sum_{k>=2} (-1)^k x^k / (k(k-1)); truncation error < x^6/30
         return x * x * (0.5 - x / 6.0 + x * x / 12.0 - x * x * x / 20.0)
@@ -45,15 +45,15 @@ def bernstein_h1(x: float) -> float:
     Algebraically 1 + x - sqrt(1+2x) = x^2 / (1 + x + sqrt(1+2x)); the second
     form avoids the subtraction of nearly equal numbers for small x.
     """
-    if x < 0:
-        raise DomainError(f"bernstein_h1 needs x >= 0, got {x}")
+    if not x >= 0:
+        raise DomainError(f"bernstein_h1 needs x >= 0, got {x}", field="x")
     return x * x / (1.0 + x + math.sqrt(1.0 + 2.0 * x))
 
 
 def h1_inverse(x: float) -> float:
     """Inverse of h1 on [0, inf): h1^{-1}(x) = sqrt(2x) + x."""
-    if x < 0:
-        raise DomainError(f"h1_inverse needs x >= 0, got {x}")
+    if not x >= 0:
+        raise DomainError(f"h1_inverse needs x >= 0, got {x}", field="x")
     return math.sqrt(2.0 * x) + x
 
 
@@ -170,10 +170,10 @@ def select_k_star_prime(delta_prime: DependenceProfile, n: int, x: float) -> Blo
         raise ValidationError(
             f"selector needs a linf profile, got kind={delta_prime.kind!r}", field="kind"
         )
-    if x <= 0:
-        raise DomainError(f"select_k_star_prime needs x > 0, got {x}")
-    if n < 1:
-        raise DomainError(f"select_k_star_prime needs n >= 1, got {n}")
+    if not x > 0:
+        raise DomainError(f"select_k_star_prime needs x > 0, got {x}", field="x")
+    if not n >= 1:
+        raise DomainError(f"select_k_star_prime needs n >= 1, got {n}", field="n")
     if delta_prime.n < n:
         raise ValidationError(
             f"profile covers lags 1..{delta_prime.n}, need 1..{n}", field="n"
@@ -218,15 +218,12 @@ def thm2_bennett_tail(
     limiting point mass: 0 for x strictly above n*delta'_k, 1 at equality.
     """
     _check_k(k)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if sigma_k_sq < 0:
-        raise DomainError(f"need sigma_k_sq >= 0, got {sigma_k_sq}")
-    if delta_prime_k < 0:
-        raise DomainError(f"need delta_prime_k >= 0, got {delta_prime_k}")
+    _require("n", n, 1)
+    _require("sigma_k_sq", sigma_k_sq, 0)
+    _require("delta_prime_k", delta_prime_k, 0)
     shift = n * delta_prime_k
-    if x < shift:
-        raise DomainError(f"need x >= n*delta'_k = {shift}, got x = {x}")
+    if not x >= shift:
+        raise DomainError(f"need x >= n*delta'_k = {shift}, got x = {x}", field="x")
     if sigma_k_sq == 0.0:
         return 1.0 if x == shift else 0.0
     scale = 2.0 * n * sigma_k_sq
@@ -241,10 +238,8 @@ def hoeffding_threshold(n: int, phi, x: float) -> float:
     on the first j coordinates; the j = n summand is 1 by convention (the
     factor n - j vanishes, so phi_n never enters).
     """
-    if not n >= 1:
-        raise DomainError(f"need n >= 1, got {n}", field="n")
-    if not x >= 0:
-        raise DomainError(f"need x >= 0, got {x}", field="x")
+    _require("n", n, 1)
+    _require("x", x, 0)
     w = np.asarray(phi, dtype=np.float64)
     if w.size < n - 1:
         raise ValidationError(f"phi has {w.size} entries, need at least n-1 = {n-1}", field="phi")
@@ -260,10 +255,8 @@ def hoeffding_threshold(n: int, phi, x: float) -> float:
 
 def varest_bound(sigma1_sq: float, mean_abs_f: float, delta: DependenceProfile, k: int) -> float:
     """Variance bound sigma_1^2 + 2 E|f| sum_{r<k} delta_r."""
-    if sigma1_sq < 0:
-        raise DomainError(f"need sigma1_sq >= 0, got {sigma1_sq}")
-    if mean_abs_f < 0:
-        raise DomainError(f"need mean_abs_f >= 0, got {mean_abs_f}")
+    _require("sigma1_sq", sigma1_sq, 0)
+    _require("mean_abs_f", mean_abs_f, 0)
     _check_k(k)
     if k > delta.n:
         raise DomainError(f"k = {k} exceeds profile length n = {delta.n}")
@@ -281,20 +274,21 @@ def log_mgf_bound_thm1(t: float, n: int, k: int, sigma_k_sq: float, delta_k: flo
     whatever k the caller supplies so both sides of that choice can be probed.
     """
     if not 0.0 <= t <= 1.0:
-        raise DomainError(f"need 0 <= t <= 1, got {t}")
+        raise DomainError(f"need 0 <= t <= 1, got {t}", field="t")
     _check_k(k)
-    if n < 1 or sigma_k_sq < 0 or delta_k < 0:
-        raise DomainError("need n >= 1, sigma_k_sq >= 0, delta_k >= 0")
+    _require("n", n, 1)
+    _require("sigma_k_sq", sigma_k_sq, 0)
+    _require("delta_k", delta_k, 0)
     return 4.0 * n * t * t * (2.0 * (math.e - 2.0) * sigma_k_sq + math.e * k * delta_k)
 
 
 def log_mgf_bound_thm2(t: float, n: int, k: int, sigma_k_sq: float, delta_prime_k: float) -> float:
     """Coupling-route bound (2n sigma^2/k^2)(e^{kt} - kt - 1) + n delta'_k t."""
-    if t < 0:
-        raise DomainError(f"need t >= 0, got {t}")
+    _require("t", t, 0)
     _check_k(k)
-    if n < 1 or sigma_k_sq < 0 or delta_prime_k < 0:
-        raise DomainError("need n >= 1, sigma_k_sq >= 0, delta_prime_k >= 0")
+    _require("n", n, 1)
+    _require("sigma_k_sq", sigma_k_sq, 0)
+    _require("delta_prime_k", delta_prime_k, 0)
     kt = k * t
     return (2.0 * n * sigma_k_sq / (k * k)) * (math.expm1(kt) - kt) + n * delta_prime_k * t
 
@@ -302,14 +296,16 @@ def log_mgf_bound_thm2(t: float, n: int, k: int, sigma_k_sq: float, delta_prime_
 # ---------------------------------------------------------------------------
 
 
+def _require(name: str, value, low) -> None:
+    # positive form, so a NaN fails it instead of slipping through
+    if not value >= low:
+        raise DomainError(f"need {name} >= {low}, got {value}", field=name)
+
+
 def _check_threshold_args(n: int, variance: float, x: float, name: str) -> None:
-    # positive forms, so a NaN fails them instead of slipping through
-    if not n >= 1:
-        raise DomainError(f"need n >= 1, got {n}", field="n")
-    if not variance >= 0:
-        raise DomainError(f"need {name} >= 0, got {variance}", field=name)
-    if not x >= 0:
-        raise DomainError(f"need x >= 0, got {x}", field="x")
+    _require("n", n, 1)
+    _require(name, variance, 0)
+    _require("x", x, 0)
 
 
 def _check_k(k) -> None:

@@ -22,7 +22,7 @@ from .bounds import (
     thm2_threshold,
 )
 from .coefficients import WEIGHTS, write_profile_csv
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .estimation import (
     coupling_csv_row,
     estimate_coupling_delta,
@@ -317,7 +317,10 @@ def verify_cmd(ctx, config_path, out, threads):
 def asymptotics_cmd(family, c, decay, targets, out):
     """Block-size growth k*(v) and its stabilized ratio across targets."""
     vs = _parse_list(targets, "targets")
-    rows = run_blocksize_asymptotics(family, vs, c=c, decay=decay)
+    try:
+        rows = run_blocksize_asymptotics(family, vs, c=c, decay=decay)
+    except DomainError as exc:
+        raise click.BadParameter(str(exc), param_hint=f"--{exc.field}") from exc
     table = [[repr(r.target), r.k_star, repr(r.ratio)] for r in rows]
     _echo_csv(table, ["target", "k_star", "ratio"], out)
     click.echo(f"ratio spread (max/min): {ratio_spread(rows):.4f}", err=(out is None))

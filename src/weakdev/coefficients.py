@@ -192,18 +192,21 @@ def infinite_memory_profile(weights: WeightSequence, n: int) -> DependenceProfil
     """Chain with infinite memory, contraction total a = sum a_j < 1.
 
     r delta'_r = sum_{j=r}^{2r-1} min_{0 < p <= j} (a^(r/p) + tail_sum(p)).
-    The inner minimum is a prefix minimum over p.  The lags are scanned in
+    The inner minimum is a prefix minimum over p, so the r summands are
+    nonincreasing in j, and delta'_r is evaluated as their minimum (the
+    j = 2r - 1 one) plus their mean excess over it.  The lags are scanned in
     blocks of _BLOCK_ROWS rows: each chunk of p fills one rows x chunk array
     of a^(r/p) + tail_sum(p), and every row keeps its running minimum m.
     After a chunk, a row leaves the scan if a^(r/p) at p = min(chunk end,
     r - 1) reaches m: the tails are nonnegative and a^(r/p) rises with p, so
-    no later p lowers m, and all r prefix minima for j = r..2r-1 equal m.
-    A chunk may run past p = r - 1, but those terms exceed a^(r/(r-1)), so
-    they never set the m of a row that leaves.  A row that reaches p = r - 1
-    without leaving forms the full prefix minimum over p <= 2r - 1.  A
-    block's first chunk ends where a row of the previous block last left,
-    the later chunks double in width, and the tail table is computed only as
-    far as the scan reads it.
+    no later p lowers m, all r prefix minima for j = r..2r-1 equal m, the
+    excess is zero and delta'_r = m exactly.  A chunk may run past
+    p = r - 1, but those terms exceed a^(r/(r-1)), so they never set the m
+    of a row that leaves.  A row that reaches p = r - 1 without leaving
+    forms the full prefix minimum over p <= 2r - 1.  A block's first chunk
+    ends where a row of the previous block last left, the later chunks
+    double in width, and the tail table is computed only as far as the scan
+    reads it.
     """
     n = _check_n(n)
     a = weights.total
@@ -245,7 +248,10 @@ class _TailTable:
 
 def _scan_block(rs: np.ndarray, log_a: float, tails: _TailTable, first: int, delta: np.ndarray) -> int:
     """Set delta[r - 1] for the lags rs of infinite_memory_profile; the first
-    chunk ends at p = `first`.  Returns the chunk end where a row last left."""
+    chunk ends at p = `first`.  Returns the chunk end where a row last left.
+
+    Every row is the minimum of its window of prefix minima plus the window's
+    mean excess; a leaving row's window is constant, so its delta is m."""
     m = np.full(rs.size, math.inf)
     live = np.flatnonzero(rs > 1)  # r = 1 has no p < r to scan
     full = rs[rs == 1].tolist()
@@ -264,15 +270,14 @@ def _scan_block(rs: np.ndarray, log_a: float, tails: _TailTable, first: int, del
         leave = np.exp((r / end) * log_a) >= m[live] * _EXIT_SLACK
         if leave.any():
             first = hi
-            for rr, mm in zip(r[leave].tolist(), m[live[leave]].tolist()):
-                delta[rr - 1] = float(np.full(rr, mm).sum()) / rr
+            delta[r[leave] - 1] = m[live[leave]]
         full += r[~leave & (end == lim)].tolist()
         live = live[~leave & (end < lim)]
         lo, hi = hi, 2 * hi
     for r in full:
         powers = np.exp((r / np.arange(1, 2 * r, dtype=np.float64)) * log_a)
         best = np.minimum.accumulate(powers + tails[: 2 * r - 1])
-        delta[r - 1] = float(best[r - 1 :].sum()) / r
+        delta[r - 1] = best[-1] + float((best[r - 1 :] - best[-1]).sum()) / r
     return first
 
 

@@ -432,25 +432,27 @@ def run_blocksize_asymptotics(
     normalization that should stabilize: k*/ln(1/v) for geometric profiles
     k delta_k = c decay^k, and k*/v^{1/(1-decay)} for polynomial profiles
     delta_k = c k^{-decay} (decay > 1)."""
+    # positive forms with finite caps: a NaN or infinite target, c or decay
+    # would scan towards _SCAN_CAP or end in math.log(0.0)
     targets = [float(v) for v in targets]
-    if any(v <= 0.0 for v in targets):
-        raise DomainError("targets must be positive")
+    if not all(0.0 < v < math.inf for v in targets):
+        raise DomainError(f"targets must be positive and finite, got {targets}", field="targets")
     if any(b >= a for a, b in zip(targets, targets[1:])):
-        raise DomainError("targets must be strictly decreasing")
+        raise DomainError("targets must be strictly decreasing", field="targets")
     if family == "geometric":
         if not 0.0 < decay < 1.0:
-            raise DomainError(f"need 0 < decay < 1, got {decay}")
+            raise DomainError(f"need 0 < decay < 1, got {decay}", field="decay")
         kdelta = lambda ks: c * decay**ks
         norm = lambda v: math.log(1.0 / v)
     elif family == "polynomial":
-        if decay <= 1.0:
-            raise DomainError(f"need decay > 1, got {decay}")
+        if not 1.0 < decay < math.inf:
+            raise DomainError(f"need finite decay > 1, got {decay}", field="decay")
         kdelta = lambda ks: c * ks ** (1.0 - decay)
         norm = lambda v: v ** (1.0 / (1.0 - decay))
     else:
-        raise DomainError(f"unknown profile family {family!r}")
-    if c <= 0.0:
-        raise DomainError(f"need c > 0, got {c}")
+        raise DomainError(f"unknown profile family {family!r}", field="family")
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"need finite c > 0, got {c}", field="c")
 
     rows = []
     for v in targets:
@@ -470,7 +472,7 @@ def _scan_first_k(kdelta, v: float) -> int:
             return lo + int(ok[0])
         lo = hi
         chunk *= 2
-    raise DomainError(f"no block size up to {_SCAN_CAP} meets target {v}")
+    raise DomainError(f"no block size up to {_SCAN_CAP} meets target {v}", field="targets")
 
 
 def ratio_spread(rows: list[AsymptoticsRow]) -> float:

@@ -308,6 +308,78 @@ def test_thresholds_refuse_nan_naming_the_argument(thr, args, field):
     assert ei.value.field == field
 
 
+# The other argument checks take the same positive form: each NaN argument
+# is refused by name, where a `< 0` check would let select_k_star_prime
+# return k=None for a NaN x, thm2_bennett_tail return 1.0, and varest_bound
+# and the log-MGF bounds return nan.
+
+_LINF = DependenceProfile(delta=np.array([0.5, 0.1, 0.01]), kind="linf")
+
+
+def _refuses_nan(fn, args, field):
+    with pytest.raises(DomainError) as ei:
+        fn(*args)
+    assert ei.value.field == field
+
+
+@pytest.mark.parametrize(
+    "args, field", [((_LINF, 3, _NAN), "x"), ((_LINF, _NAN, 1.0), "n")]
+)
+def test_select_k_star_prime_refuses_nan(args, field):
+    _refuses_nan(select_k_star_prime, args, field)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((_NAN, 2, 0.1, 0.01, 5.0), "n"),
+        ((100, 2, _NAN, 0.01, 5.0), "sigma_k_sq"),
+        ((100, 2, 0.1, _NAN, 5.0), "delta_prime_k"),
+        ((100, 2, 0.1, 0.01, _NAN), "x"),
+    ],
+)
+def test_thm2_bennett_tail_refuses_nan(args, field):
+    _refuses_nan(thm2_bennett_tail, args, field)
+
+
+@pytest.mark.parametrize(
+    "args, field", [((_NAN, 0.1, _LINF, 2), "sigma1_sq"), ((0.1, _NAN, _LINF, 2), "mean_abs_f")]
+)
+def test_varest_bound_refuses_nan(args, field):
+    _refuses_nan(varest_bound, args, field)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((_NAN, 10, 2, 0.1, 0.01), "t"),
+        ((0.5, _NAN, 2, 0.1, 0.01), "n"),
+        ((0.5, 10, 2, _NAN, 0.01), "sigma_k_sq"),
+        ((0.5, 10, 2, 0.1, _NAN), "delta_k"),
+    ],
+)
+def test_log_mgf_bound_thm1_refuses_nan(args, field):
+    _refuses_nan(log_mgf_bound_thm1, args, field)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((_NAN, 10, 2, 0.1, 0.01), "t"),
+        ((0.5, _NAN, 2, 0.1, 0.01), "n"),
+        ((0.5, 10, 2, _NAN, 0.01), "sigma_k_sq"),
+        ((0.5, 10, 2, 0.1, _NAN), "delta_prime_k"),
+    ],
+)
+def test_log_mgf_bound_thm2_refuses_nan(args, field):
+    _refuses_nan(log_mgf_bound_thm2, args, field)
+
+
+@pytest.mark.parametrize("fn", [bennett_h, bernstein_h1, h1_inverse])
+def test_rate_functions_refuse_nan(fn):
+    _refuses_nan(fn, (_NAN,), "x")
+
+
 # ---------------------------------------------------------------------------
 # Bennett-form tail
 

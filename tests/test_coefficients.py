@@ -1,9 +1,12 @@
 import csv
+import functools
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from weakdev.coefficients import (
@@ -20,7 +23,8 @@ from weakdev.coefficients import (
     validate_profile,
     write_profile_csv,
 )
-from weakdev.bounds import DependenceProfile
+from weakdev.bounds import DependenceProfile, select_k_star, select_k_star_prime, variance_profile
+from weakdev.cli import main
 from weakdev.harness import build_model, dependence_profile_for
 from weakdev.errors import DomainError, ValidationError
 
@@ -159,19 +163,40 @@ def _tail_table_reference(w: WeightSequence, m: int) -> np.ndarray:
     return np.array([w.tail_sum(p) for p in range(1, m + 1)])
 
 
-def _infinite_memory_reference(w: WeightSequence, n: int) -> np.ndarray:
+def _prefix_minima(w: WeightSequence, n: int):
+    """Yield r and best[j - 1] = min_{p <= j} (a^(r/p) + tail_sum(p)) for
+    j = 1..2r-1, for every r = 1..n; the window j = r..2r-1 is best[r - 1:]."""
     a = w.total
     p = np.arange(1, 2 * n, dtype=np.float64)
     tails = _tail_table_reference(w, 2 * n - 1)
-    delta = np.empty(n)
     for r in range(1, n + 1):
         if a == 0.0:
             powers = np.zeros(2 * r - 1)
         else:
             powers = np.exp((r / p[: 2 * r - 1]) * math.log(a))
-        best = np.minimum.accumulate(powers + tails[: 2 * r - 1])
-        delta[r - 1] = float(np.sum(best[r - 1 : 2 * r - 1])) / r
-    return validate_profile(DependenceProfile(delta=delta, kind="linf")).delta
+        yield r, np.minimum.accumulate(powers + tails[: 2 * r - 1])
+
+
+def _clipped(delta) -> np.ndarray:
+    return validate_profile(DependenceProfile(delta=np.array(delta), kind="linf")).delta
+
+
+def _infinite_memory_reference(w: WeightSequence, n: int) -> np.ndarray:
+    """Each window's minimum plus its mean excess, the formula the scan uses."""
+    return _clipped(
+        [best[-1] + float(np.sum(best[r - 1 :] - best[-1])) / r for r, best in _prefix_minima(w, n)]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _infinite_memory_sum_reference(w: WeightSequence, n: int) -> np.ndarray:
+    """The sum of each window over r, the formula of the earlier scan."""
+    return _clipped([float(np.sum(best[r - 1 : 2 * r - 1])) / r for r, best in _prefix_minima(w, n)])
+
+
+def _within_ulps(got: np.ndarray, want: np.ndarray, ulps: int) -> bool:
+    """|got - want| <= ulps * eps * want, eps = 2^-52 being the ulp of 1.0."""
+    return bool(np.all(np.abs(got - want) <= ulps * np.finfo(np.float64).eps * want))
 
 
 @st.composite
@@ -233,6 +258,53 @@ def test_infinite_memory_profile_matches_reference_at_block_edges(w, n):
 )
 def test_infinite_memory_profile_matches_reference_through_the_full_branch(w):
     assert np.array_equal(infinite_memory_profile(w, 600).delta, _infinite_memory_reference(w, 600))
+
+
+# The scan evaluates every lag as the minimum of its window of prefix minima
+# plus the window's mean excess; the earlier scan summed the window over r.
+# Where the window is constant the new value is exact and the old one carries
+# the rounding of numpy's pairwise sum of r equal copies: 8 accumulators of up
+# to 16 sequential adds, up to 7 more adds and the division, about 8 eps to
+# first order for r <= 128.  A search over 12 M (r, m) pairs with r <= 600
+# found at most 4.7 eps (r = 127), so the property over drawn weights allows
+# 8; the two gated models, measured at 3.2 eps, are held to 4.
+
+_N8000_WEIGHTS = [GeometricWeights(0.5, 0.5), PolynomialWeights(0.25, 3.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(contracting_weights(), st.integers(min_value=1, max_value=600))
+def test_infinite_memory_profile_near_the_sum_reference(w, n):
+    assert _within_ulps(infinite_memory_profile(w, n).delta, _infinite_memory_sum_reference(w, n), 8)
+
+
+@pytest.mark.parametrize("w", _N8000_WEIGHTS)
+def test_infinite_memory_profile_within_4_ulp_of_the_sum_reference_at_n_8000(w):
+    got = infinite_memory_profile(w, 8000).delta
+    assert _within_ulps(got, _infinite_memory_sum_reference(w, 8000), 4)
+
+
+@pytest.mark.parametrize(
+    "w, n",
+    [(w, 8000) for w in _N8000_WEIGHTS] + [(GeometricWeights(0.01, 0.9), 1000), (_SLOW_POLYNOMIAL, 600)],
+)
+def test_block_selections_match_the_sum_reference(w, n):
+    got = infinite_memory_profile(w, n)
+    old = DependenceProfile(delta=_infinite_memory_sum_reference(w, n), kind="linf")
+    xs = np.geomspace(1e-3, 1e4, 400)
+    picks = [select_k_star_prime(got, n, x) for x in xs]
+    assert picks == [select_k_star_prime(old, n, x) for x in xs]
+    assert len({p.k for p in picks}) > 10
+    variances = [variance_profile(np.full(n, v)) for v in np.geomspace(1e-9, 0.25, 60)]
+    assert [select_k_star(got, v) for v in variances] == [select_k_star(old, v) for v in variances]
+
+
+@pytest.mark.parametrize("w, n", [(w, 8000) for w in _N8000_WEIGHTS] + [(_SLOW_POLYNOMIAL, 600)])
+def test_constant_windows_give_their_minimum_bit_for_bit(w, n):
+    got = infinite_memory_profile(w, n).delta
+    constant = [(r, min(best[-1], 1.0)) for r, best in _prefix_minima(w, n) if best[r - 1] == best[-1]]
+    assert len(constant) > n // 2
+    assert all(got[r - 1] == low for r, low in constant)
 
 
 def test_infinite_memory_profile_temporaries_stay_small():
@@ -365,3 +437,23 @@ def test_write_profile_csv_bytes_match_csv_writer(tmp_path, label):
     write_profile_csv(_CSV_PROFILES[label], tmp_path / "got.csv")
     _write_profile_csv_reference(_CSV_PROFILES[label], tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# First 16 hex digits of the sha256 of `weakdev profile ... --n 300`'s CSV for
+# the closed-form models, whose profiles no scan touches; regenerate only when
+# a profile change is intended and argued for.
+PROFILE_CSV_GOLDEN = {
+    "iid-uniform": "88c0500b6b5a4aee",
+    "doubling-map": "63bea555728d41d5",
+    "kernel-chain": "05b43c97b0f74ae4",
+    "bernoulli-shift": "ab2e3bae0c323299",
+}
+
+
+@pytest.mark.parametrize("label", PROFILE_CSV_GOLDEN)
+def test_profile_csv_matches_golden_digest(tmp_path, label):
+    flags = [f"--{k}={v}" for k, v in _PROFILE_MODELS[label].items() if k != "variant"]
+    out = tmp_path / "profile.csv"
+    res = CliRunner().invoke(main, ["profile", "--model", label, *flags, "--n", "300", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == PROFILE_CSV_GOLDEN[label]

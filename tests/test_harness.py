@@ -809,6 +809,46 @@ def test_asymptotics_validation():
         run_blocksize_asymptotics("geometric", [1e-2], c=0.0)
 
 
+# Unrefused, a NaN target or c scans towards _SCAN_CAP = 2^30 in chunks of up
+# to 4 GiB, and an infinite target ends in math.log(0.0).  The cap is lowered
+# so that a regression fails fast instead of scanning; the scan's own refusal
+# names no finiteness, so the message check tells the two apart.
+_NON_FINITE_ASYMPTOTICS = [
+    (("geometric", [math.nan]), {}, "targets"),
+    (("geometric", [math.inf]), {}, "targets"),
+    (("geometric", [1e-2, math.nan]), {}, "targets"),
+    (("geometric", [1e-2]), {"c": math.nan}, "c"),
+    (("geometric", [1e-2]), {"c": math.inf}, "c"),
+    (("geometric", [1e-2]), {"decay": math.nan}, "decay"),
+    (("polynomial", [1e-2]), {"decay": math.nan}, "decay"),
+    (("polynomial", [1e-2]), {"decay": math.inf}, "decay"),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, field", _NON_FINITE_ASYMPTOTICS)
+def test_asymptotics_refuses_non_finite_input(monkeypatch, args, kwargs, field):
+    monkeypatch.setattr(harness, "_SCAN_CAP", 1 << 12)
+    with pytest.raises(DomainError, match="finite|< 1") as ei:
+        run_blocksize_asymptotics(*args, **kwargs)
+    assert ei.value.field == field
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--targets", "nan"], "--targets"),
+        (["--targets", "inf"], "--targets"),
+        (["--targets", "1e-2", "--c", "nan"], "--c"),
+        (["--targets", "1e-2", "--c", "inf"], "--c"),
+    ],
+)
+def test_cli_asymptotics_refuses_non_finite_input(monkeypatch, flags, named):
+    monkeypatch.setattr(harness, "_SCAN_CAP", 1 << 12)
+    res = CliRunner().invoke(main, ["asymptotics", "--family", "geometric", "--decay", "0.5", *flags])
+    assert res.exit_code == 2 and named in res.output and "finite" in res.output
+    assert "Traceback" not in res.output
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
