@@ -8,7 +8,8 @@ directory). The iid-formula rows in each report are reference curves only.
 import argparse
 import pathlib
 
-from weakdev.harness import emit_report, parse_config, run_verification
+from weakdev.cli import emit_report
+from weakdev.harness import parse_config, run_verification
 
 
 def main() -> None:

@@ -34,7 +34,6 @@ from .coefficients import (
     infinite_memory_profile,
     markov_contraction_profile,
     validate_profile,
-    write_profile_csv,
 )
 from .errors import ConfigError, DomainError, NoValidBlockSizeError, ValidationError
 from .estimation import (
@@ -51,7 +50,6 @@ from .harness import (
     ReportRow,
     build_model,
     dependence_profile_for,
-    emit_report,
     load_config,
     parse_config,
     run_blocksize_asymptotics,

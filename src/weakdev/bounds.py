@@ -111,9 +111,11 @@ def variance_profile(sigma_sq: np.ndarray, source: str = "analytic") -> Variance
     arr = np.asarray(sigma_sq, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("sigma_sq must be a non-empty 1-d array", field="sigma_sq")
-    if np.any(arr < 0):
-        k = int(np.argmax(arr < 0)) + 1
-        raise ValidationError(f"sigma_sq[{k}] < 0", field=f"sigma_sq[{k}]")
+    # positive form: a NaN would spread through the envelope to every smaller k
+    bad = ~(arr >= 0)
+    if np.any(bad):
+        k = int(np.argmax(bad)) + 1
+        raise ValidationError(f"sigma_sq[{k}] = {arr[k-1]} is not >= 0", field=f"sigma_sq[{k}]")
     caps = np.arange(1, arr.size + 1, dtype=np.float64) / 4.0
     over = arr > caps * (1.0 + 1e-9)
     if np.any(over):

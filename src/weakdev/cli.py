@@ -4,50 +4,46 @@ Subcommands mirror the library layers: pure formula evaluation (bounds),
 profile emission, simulation, MC estimation, end-to-end verification, and
 block-size asymptotics. All flags are long-form; x-grids accept either a
 comma list (0.5,1,2) or an inclusive range (start:stop:step).
+
+This is the one module that writes files: the library returns values, and
+every CSV table goes through write_csv (write_profile_csv writes the same
+dialect in one pass). A path that cannot be written is an OSError naming it,
+which a command reports as a one-line error with exit code 1.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
+import os
 import sys
+from dataclasses import astuple, fields
 
 import click
 
 from .bounds import (
+    DependenceProfile,
     hoeffding_threshold,
     iid_bernstein_threshold,
     thm1_threshold,
     thm2_threshold,
 )
-from .coefficients import WEIGHTS, write_profile_csv
+from .coefficients import WEIGHTS
 from .errors import DomainError, ValidationError
-from .estimation import (
-    coupling_csv_row,
-    estimate_coupling_delta,
-    estimate_sigma_profile,
-    sigma_csv_row,
-    write_estimates_csv,
-)
+from .estimation import estimate_coupling_delta, estimate_sigma_profile
 from .harness import (
     THEOREMS,
+    ReportRow,
     build_model,
     dependence_profile_for,
-    emit_report,
     load_config,
     ratio_spread,
     run_blocksize_asymptotics,
     run_verification,
 )
-from .processes import (
-    MODELS,
-    observable_for,
-    simulate,
-    simulate_coupled_block,
-    write_coupled_block_csv,
-    write_trajectory_csv,
-)
+from .processes import MODELS, observable_for, simulate, simulate_coupled_block
 from .rng import derive_seed
 
 
@@ -134,7 +130,8 @@ def _model_options(cmd):
 
 
 def _friendly_errors(fn):
-    """Surface library rejections as clean CLI errors, not tracebacks."""
+    """Surface library rejections and unwritable outputs as clean CLI errors,
+    not tracebacks."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -142,22 +139,59 @@ def _friendly_errors(fn):
             return fn(*args, **kwargs)
         except click.ClickException:
             raise
-        except (ValidationError, ValueError) as exc:
+        except (ValidationError, ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapper
 
 
-def _echo_csv(rows: list[list], header: list[str], out: str | None) -> None:
+# ---------------------------------------------------------------------------
+# CSV output: a header row, "\n" line ends, minimal quoting, floats by their
+# round-trip repr and an empty cell for None; rows carry raw values
+
+
+@contextlib.contextmanager
+def _opened(out):
+    """out opened for writing, or stdout when out is None; a failure to open
+    or write names the path."""
     if out is None:
-        w = csv.writer(sys.stdout, lineterminator="\n")
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"cannot write {out}: {exc}") from exc
+
+
+def write_csv(header: list[str], rows, out) -> None:
+    """One CSV table to the path out, or to stdout when out is None."""
+    with _opened(out) as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
-    else:
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+
+
+_REPORT_HEADER = [f.name for f in fields(ReportRow)]
+_ESTIMATE_HEADER = ["model", "f", "k_or_n", "statistic", "estimate", "se_or_ci_low", "ci_high",
+                    "reps", "seed"]
+
+
+def emit_report(rows: list[ReportRow], out) -> None:
+    """A verification report: one line per ReportRow, its fields in order."""
+    write_csv(_REPORT_HEADER, map(astuple, rows), out)
+
+
+def write_estimates_csv(rows: list[list], out) -> None:
+    write_csv(_ESTIMATE_HEADER, rows, out)
+
+
+def write_profile_csv(profile: DependenceProfile, out) -> None:
+    """Columns r, delta, kind, in one pass; the bytes csv.writer would give
+    (delta by repr, so it reads back exactly)."""
+    rows = "".join(f"{r},{d!r},{profile.kind}\n" for r, d in enumerate(profile.delta.tolist(), 1))
+    with _opened(out) as fh:
+        fh.write("r,delta,kind\n" + rows)
 
 
 @click.group()
@@ -193,8 +227,8 @@ def bounds_cmd(theorem, n, xs, sigma_sq, k, phi, out):
             thr = lambda x: thm1_threshold(n, sigma_sq, k, x)
         else:
             thr = lambda x: thm2_threshold(n, sigma_sq, k, x)
-    rows = [[theorem, repr(x), repr(thr(x)), repr(math.exp(-x))] for x in xs]
-    _echo_csv(rows, ["theorem", "x", "threshold", "bound_value"], out)
+    rows = [[theorem, x, thr(x), math.exp(-x)] for x in xs]
+    write_csv(["theorem", "x", "threshold", "bound_value"], rows, out)
 
 
 @main.command("profile")
@@ -217,8 +251,7 @@ def profile_cmd(m, n, out):
 @_friendly_errors
 def simulate_cmd(m, n, seed, out):
     """Simulate one trajectory and write it as CSV (t, x)."""
-    traj = simulate(m, n, seed)
-    write_trajectory_csv(traj, out)
+    write_csv(["t", "x"], enumerate(simulate(m, n, seed).tolist(), 1), out)
     click.echo(f"{m.name}: wrote {n} steps to {out}")
 
 
@@ -241,9 +274,8 @@ def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out
     for e in ests:
         click.echo(f"k={e.k} sigma_sq={e.sigma_sq_hat:.6g} se={e.std_error:.3g} reps={e.reps}")
     if out is not None:
-        write_estimates_csv(
-            [sigma_csv_row(m.name, observable, e, seed) for e in ests], out
-        )
+        write_estimates_csv([[m.name, observable, e.k, "sigma_sq", e.sigma_sq_hat, e.std_error,
+                              None, e.reps, seed] for e in ests], out)
         click.echo(f"wrote {out}")
 
 
@@ -268,11 +300,15 @@ def estimate_coupling_cmd(m, r_grid, j_grid, reps, seed, threads, out, block_out
             f"r={e.r} j={e.j} max_sum={e.max_sum:.6g} witness={e.witness:.6g} reps={e.reps}"
         )
     if out is not None:
-        write_estimates_csv([coupling_csv_row(m.name, e, seed) for e in ests], out)
+        write_estimates_csv([[m.name, None, f"r={e.r},j={e.j}", "coupling_max_sum", e.max_sum,
+                              e.witness, None, e.reps, seed] for e in ests], out)
         click.echo(f"wrote {out}")
     if block_out is not None:
         block = simulate_coupled_block(m, js[0], rs[0], seed)
-        write_coupled_block_csv(block, block_out)
+        pairs = zip(block.original.tolist(), block.starred.tolist())
+        write_csv(["i", "x", "x_star", "dist"],
+                  ([block.r + block.j + off, xo, xs, abs(xo - xs)]
+                   for off, (xo, xs) in enumerate(pairs)), block_out)
         click.echo(f"wrote coupled block r={rs[0]} j={js[0]} to {block_out}")
 
 
@@ -288,6 +324,8 @@ def verify_cmd(ctx, config_path, out, threads):
     out = out or cfg.out
     if out is None:
         raise click.UsageError("no output path: set 'out' in the config or pass --out")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise click.BadParameter(f"the directory of {out} does not exist", param_hint="out")
     rows = run_verification(cfg, threads)
     emit_report(rows, out)
     for row in rows:
@@ -321,8 +359,7 @@ def asymptotics_cmd(family, c, decay, targets, out):
         rows = run_blocksize_asymptotics(family, vs, c=c, decay=decay)
     except DomainError as exc:
         raise click.BadParameter(str(exc), param_hint=f"--{exc.field}") from exc
-    table = [[repr(r.target), r.k_star, repr(r.ratio)] for r in rows]
-    _echo_csv(table, ["target", "k_star", "ratio"], out)
+    write_csv(["target", "k_star", "ratio"], map(astuple, rows), out)
     click.echo(f"ratio spread (max/min): {ratio_spread(rows):.4f}", err=(out is None))
 
 

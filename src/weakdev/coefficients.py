@@ -292,11 +292,17 @@ def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> D
 
 
 def validate_profile(profile: DependenceProfile) -> DependenceProfile:
-    """Clip delta into [0, 1], then insist it is non-increasing.
+    """Refuse a NaN or negative delta, clip delta into [0, 1], then insist it
+    is non-increasing.
 
     The first offending lag is reported on failure; the tolerance absorbs
     round-off only (1e-12).
     """
+    # positive form: NaN clips to NaN and passes the monotonicity test
+    bad = ~(profile.delta >= 0)
+    if np.any(bad):
+        r = int(np.argmax(bad)) + 1
+        raise ValidationError(f"delta[{r}] = {profile.delta[r-1]} is not >= 0", field=f"delta[{r}]")
     clipped = np.clip(profile.delta, 0.0, 1.0)
     rises = np.diff(clipped) > _MONOTONE_TOL
     if np.any(rises):
@@ -306,14 +312,6 @@ def validate_profile(profile: DependenceProfile) -> DependenceProfile:
             field=f"delta[{r}]",
         )
     return DependenceProfile(delta=clipped, kind=profile.kind)
-
-
-def write_profile_csv(profile: DependenceProfile, path) -> None:
-    """CSV with columns r, delta, kind; delta is written by repr, so it reads
-    back exactly."""
-    rows = "".join(f"{r},{d!r},{profile.kind}\n" for r, d in enumerate(profile.delta.tolist(), 1))
-    with open(path, "w", newline="") as fh:
-        fh.write("r,delta,kind\n" + rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -216,54 +215,3 @@ def estimate_coupling_delta(
             m = float(maxima[j][c])
             out.append(CouplingEstimate(r=r, j=j, max_sum=m, witness=m / r, reps=reps))
     return out
-
-
-# ---------------------------------------------------------------------------
-# CSV rows
-
-ESTIMATE_CSV_HEADER = [
-    "model",
-    "f",
-    "k_or_n",
-    "statistic",
-    "estimate",
-    "se_or_ci_low",
-    "ci_high",
-    "reps",
-    "seed",
-]
-
-
-def sigma_csv_row(model_label: str, f_label: str, est: SigmaEstimate, seed: int) -> list:
-    return [
-        model_label,
-        f_label,
-        est.k,
-        "sigma_sq",
-        repr(est.sigma_sq_hat),
-        repr(est.std_error),
-        "",
-        est.reps,
-        seed,
-    ]
-
-
-def coupling_csv_row(model_label: str, est: CouplingEstimate, seed: int) -> list:
-    return [
-        model_label,
-        "",
-        f"r={est.r},j={est.j}",
-        "coupling_max_sum",
-        repr(est.max_sum),
-        repr(est.witness),
-        "",
-        est.reps,
-        seed,
-    ]
-
-
-def write_estimates_csv(rows: list[list], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(ESTIMATE_CSV_HEADER)
-        w.writerows(rows)

@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, verification runs, CSV reports.
+"""Experiment orchestration: configs, verification runs, report rows.
 
 A verification run ties the layers together: build the model's dependence
 profile, obtain a variance profile (closed form where one exists, Monte
@@ -13,15 +13,15 @@ lane 3 feeds observable centering. A row therefore does not depend on which
 other x were requested, while rows at different x share their sample.
 Whenever the configured theorem is a blockwise bound, each x also gets a
 plain iid-formula row on the same simulated sample, tagged iid_eq1_ref; it
-is a reference curve, not a claimed bound.
+is a reference curve, not a claimed bound. The harness returns rows and
+writes no file: `cli` writes every report.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import MISSING, astuple, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -322,9 +322,6 @@ class ReportRow:
     verdict: str
 
 
-REPORT_CSV_HEADER = [f.name for f in fields(ReportRow)]
-
-
 def run_verification(config: ExperimentConfig, threads: int = 1) -> list[ReportRow]:
     """One ReportRow per x (plus an iid reference row for blockwise bounds)."""
     model, n, theorem, xs = config.model, config.n, config.theorem, config.x_grid
@@ -393,24 +390,6 @@ def run_verification(config: ExperimentConfig, threads: int = 1) -> list[ReportR
     return rows
 
 
-def emit_report(rows: list[ReportRow], path) -> None:
-    """Deterministic CSV: fixed header, round-trip float formatting."""
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(REPORT_CSV_HEADER)
-            w.writerows([_cell(v) for v in astuple(row)] for row in rows)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-
-
-def _cell(value):
-    """A report cell: empty for None, the round-trip repr for floats, else the value."""
-    if value is None:
-        return ""
-    return repr(float(value)) if isinstance(value, float) else value
-
-
 # ---------------------------------------------------------------------------
 # block-size asymptotics
 
@@ -423,6 +402,10 @@ class AsymptoticsRow:
 
 
 _SCAN_CAP = 1 << 30
+# chunks stop doubling here, so a scan out to _SCAN_CAP holds about 32 MiB per array
+_SCAN_CHUNK = 1 << 22
+# relative slack on the closed-form k*, so a k* at the cap is still scanned
+_CAP_SLACK = 1e-9
 
 
 def run_blocksize_asymptotics(
@@ -444,16 +427,28 @@ def run_blocksize_asymptotics(
             raise DomainError(f"need 0 < decay < 1, got {decay}", field="decay")
         kdelta = lambda ks: c * decay**ks
         norm = lambda v: math.log(1.0 / v)
+        # k* = ln(c/v) / ln(1/decay), in logs so that c/v cannot overflow
+        log_k = lambda v: math.log((math.log(c) - math.log(v)) / -math.log(decay))
     elif family == "polynomial":
         if not 1.0 < decay < math.inf:
             raise DomainError(f"need finite decay > 1, got {decay}", field="decay")
         kdelta = lambda ks: c * ks ** (1.0 - decay)
         norm = lambda v: v ** (1.0 / (1.0 - decay))
+        # k* = (c/v)^(1/(decay-1)), in logs
+        log_k = lambda v: (math.log(c) - math.log(v)) / (decay - 1.0)
     else:
         raise DomainError(f"unknown profile family {family!r}", field="family")
     if not 0.0 < c < math.inf:
         raise DomainError(f"need finite c > 0, got {c}", field="c")
 
+    # the smallest target needs the largest k*; refuse it before any scan
+    v = targets[-1]
+    if c > v and log_k(v) > math.log(_SCAN_CAP * (1.0 + _CAP_SLACK)):
+        raise DomainError(
+            f"target {v} needs a block size of about 10^{log_k(v) / math.log(10.0):.1f}, "
+            f"above the scan cap {_SCAN_CAP}",
+            field="targets",
+        )
     rows = []
     for v in targets:
         k = _scan_first_k(kdelta, v)
@@ -471,7 +466,7 @@ def _scan_first_k(kdelta, v: float) -> int:
         if ok.size:
             return lo + int(ok[0])
         lo = hi
-        chunk *= 2
+        chunk = min(2 * chunk, _SCAN_CHUNK)
     raise DomainError(f"no block size up to {_SCAN_CAP} meets target {v}", field="targets")
 
 

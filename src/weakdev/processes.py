@@ -19,7 +19,6 @@ no coupled sum can depend on them.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -502,26 +501,3 @@ def analytic_sigma_profile(model: ProcessModel, f: ObservableF, n: int) -> Varia
         return None
     sigma_sq = model.analytic_sigma_sq(np.arange(1, n + 1))
     return None if sigma_sq is None else variance_profile(sigma_sq, source="analytic")
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def write_trajectory_csv(trajectory: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "x"])
-        for t, x in enumerate(np.asarray(trajectory), start=1):
-            w.writerow([t, repr(float(x))])
-
-
-def write_coupled_block_csv(block: CoupledBlock, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["i", "x", "x_star", "dist"])
-        for off in range(block.r):
-            i = block.r + block.j + off
-            xo = float(block.original[off])
-            xs = float(block.starred[off])
-            w.writerow([i, repr(xo), repr(xs), repr(abs(xo - xs))])

@@ -113,6 +113,17 @@ def test_variance_profile_validation():
         variance_profile([0.1], source="guessed")
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_variance_profile_refuses_nan(k):
+    # a NaN fails every comparison; let through, the backward envelope spreads
+    # it to every smaller k and select_k_star finds no admissible block size
+    sigma_sq = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    sigma_sq[k - 1] = math.nan
+    with pytest.raises(ValidationError, match=rf"sigma_sq\[{k}\] = nan") as ei:
+        variance_profile(sigma_sq)
+    assert ei.value.field == f"sigma_sq[{k}]"
+
+
 @given(
     st.lists(st.floats(min_value=0.0, max_value=0.25, allow_nan=False), min_size=1, max_size=40)
 )

@@ -8,12 +8,15 @@ shows up as a digest mismatch. Regenerate only when an output change is
 intended and argued for.
 """
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import weakdev.cli as cli
 from weakdev.cli import main
 
 DOUBLING = ["--model", "doubling-map"]
@@ -29,6 +32,9 @@ COMMANDS = {
     "bounds.out": (
         ["bounds", "--theorem", "hoeffding", "--n", "5", "--x-grid", "0.25,1,7",
          "--phi", "0.5,0.25,0.125,0.0625", "--out", "{out}"], "--out"),
+    "profile": (
+        ["profile", "--model", "infinite-memory", "--weight-family", "polynomial",
+         "--weight-c", "0.25", "--weight-power", "3", "--n", "300", "--out", "{out}"], "--out"),
     "simulate": (
         ["simulate", "--model", "bernoulli-shift", "--theta", "0.3", "--n", "40",
          "--seed", "9", "--out", "{out}"], "--out"),
@@ -55,6 +61,7 @@ COMMANDS = {
 GOLDEN = {
     "bounds.stdout": "1cbb48683d24dc61",
     "bounds.out": "dac072df486a3468",
+    "profile": "111027cdfd06266a",
     "simulate": "0abd7a0b9d9306b7",
     "estimate-variance": "b9e2d637cffd0d4c",
     "estimate-coupling.doubling.out": "72f5cceecb501346",
@@ -106,3 +113,73 @@ def test_verify_report_matches_golden_digest(tmp_path, theorem):
     res = CliRunner().invoke(main, ["verify", "--config", str(config)])
     assert res.exit_code == VERIFY_GOLDEN[theorem][0], res.output
     assert _digest(report.read_bytes()) == VERIFY_GOLDEN[theorem][1]
+
+
+def _verify_config(tmp_path, **extra) -> Path:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "doubling-map", "n": 16, "x_grid": [1.0],
+                                  "theorem": "thm2", "reps": 50, "base_seed": 3, **extra}))
+    return config
+
+
+@pytest.mark.parametrize("label", [label for label, (_args, flag) in COMMANDS.items() if flag])
+def test_unwritable_output_is_a_one_line_error(tmp_path, label):
+    args, _flag = COMMANDS[label]
+    out = tmp_path / "missing" / "out.csv"
+    res = CliRunner().invoke(main, [a.replace("{out}", str(out)) for a in args])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert f"Error: cannot write {out}: " in res.output and "Traceback" not in res.output
+
+
+def test_verify_refuses_an_out_in_a_missing_directory_before_it_simulates(tmp_path, monkeypatch):
+    def no_run(*_args):
+        raise AssertionError("simulated a run whose report cannot be written")
+
+    monkeypatch.setattr(cli, "run_verification", no_run)
+    out = str(tmp_path / "missing" / "report.csv")
+    for extra, flags in (({"out": out}, []), ({}, ["--out", out])):
+        config = _verify_config(tmp_path, **extra)
+        res = CliRunner().invoke(main, ["verify", "--config", str(config), *flags])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for out" in res.output and "Traceback" not in res.output
+
+
+def test_verify_reports_an_unwritable_out_as_a_one_line_error(tmp_path):
+    # the directory exists, so the run goes ahead; writing a directory fails
+    res = CliRunner().invoke(main, ["verify", "--config", str(_verify_config(tmp_path)),
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert f"Error: cannot write {tmp_path}: " in res.output and "Traceback" not in res.output
+
+
+# ---------------------------------------------------------------------------
+# layering: the library computes, cli writes every file
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "weakdev"
+
+
+def _writes_files(tree: ast.AST) -> list[str]:
+    """Lines that import csv or call open() with a write, append or create mode."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            found.append(f"{node.lineno}: import csv")
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.append(f"{node.lineno}: from csv import")
+        elif isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open"
+        ):
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in modes):
+                found.append(f"{node.lineno}: open for writing")
+    return found
+
+
+def test_only_cli_writes_files():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    writers = {p.name: _writes_files(ast.parse(p.read_text())) for p in modules}
+    assert writers.pop("cli.py"), "cli.py writes every CSV"
+    assert {name: lines for name, lines in writers.items() if lines} == {}

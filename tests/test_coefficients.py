@@ -21,10 +21,9 @@ from weakdev.coefficients import (
     infinite_memory_profile,
     markov_contraction_profile,
     validate_profile,
-    write_profile_csv,
 )
 from weakdev.bounds import DependenceProfile, select_k_star, select_k_star_prime, variance_profile
-from weakdev.cli import main
+from weakdev.cli import main, write_profile_csv
 from weakdev.harness import build_model, dependence_profile_for
 from weakdev.errors import DomainError, ValidationError
 
@@ -355,6 +354,18 @@ def test_validate_profile_rejects_increase():
     assert ei.value.field == "delta[2]"
 
 
+@pytest.mark.parametrize("bad", [math.nan, -0.25])
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_validate_profile_refuses_nan_and_negative_delta(r, bad):
+    # NaN clips to NaN and passes the monotonicity test, so it is refused
+    # before clipping, as is a negative delta, which no generator makes
+    delta = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
+    delta[r - 1] = bad
+    with pytest.raises(ValidationError, match=rf"delta\[{r}\] = {bad}") as ei:
+        validate_profile(DependenceProfile(delta=delta, kind="linf"))
+    assert ei.value.field == f"delta[{r}]"
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -430,6 +441,13 @@ _CSV_PROFILES = {
     **{label: dependence_profile_for(build_model(doc), 300) for label, doc in _PROFILE_MODELS.items()},
     "one-subnormal-zero": DependenceProfile(delta=np.array([1.0, 0.5, 5e-324, 0.0]), kind="phi"),
 }
+
+
+@pytest.mark.parametrize("n", [1, 64, 2000])
+@pytest.mark.parametrize("label", _PROFILE_MODELS)
+def test_every_model_profile_still_validates(label, n):
+    p = dependence_profile_for(build_model(_PROFILE_MODELS[label]), n)
+    assert np.array_equal(validate_profile(p).delta, p.delta)
 
 
 @pytest.mark.parametrize("label", _CSV_PROFILES)

@@ -3,25 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from weakdev.bounds import iid_bernstein_threshold, varest_bound
+from weakdev.cli import main
 from weakdev.coefficients import doubling_map_profile
 from weakdev.errors import DomainError
 from weakdev.estimation import (
     DEFAULT_ALPHA,
-    ESTIMATE_CSV_HEADER,
-    CouplingEstimate,
-    SigmaEstimate,
     clopper_pearson,
-    coupling_csv_row,
     estimate_coupling_delta,
     estimate_sigma_profile,
     per_rep_sums,
-    sigma_csv_row,
     tail_from_sums,
-    write_estimates_csv,
 )
 from weakdev.processes import (
     DoublingMap,
@@ -268,21 +264,32 @@ def test_varest_dominates_analytic_doubling_variance_small_k():
 
 
 # ---------------------------------------------------------------------------
-# CSV rows
+# estimate CSVs, through the commands that write them
+
+_ESTIMATE_HEADER = ["model", "f", "k_or_n", "statistic", "estimate", "se_or_ci_low", "ci_high",
+                    "reps", "seed"]
 
 
 def test_estimates_csv_roundtrip(tmp_path):
-    sig = SigmaEstimate(k=5, sigma_sq_hat=0.1854, std_error=0.002, reps=100)
-    coup = CouplingEstimate(r=3, j=1, max_sum=0.2, witness=0.2 / 3, reps=100)
-    rows = [
-        sigma_csv_row("doubling-map", "centered-identity", sig, seed=7),
-        coupling_csv_row("doubling-map", coup, seed=7),
-    ]
-    path = tmp_path / "est.csv"
-    write_estimates_csv(rows, path)
-    with open(path, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert got[0] == ESTIMATE_CSV_HEADER
-    assert got[1][3] == "sigma_sq" and float(got[1][4]) == 0.1854
-    assert got[2][2] == "r=3,j=1" and float(got[2][5]) == pytest.approx(0.2 / 3)
-    assert all(len(r) == len(ESTIMATE_CSV_HEADER) for r in got)
+    var_out, coup_out = tmp_path / "var.csv", tmp_path / "coup.csv"
+    common = ["--model", "doubling-map", "--reps", "100", "--seed", "7"]
+    for args in (["estimate-variance", *common, "--k-grid", "5", "--out", str(var_out)],
+                 ["estimate-coupling", *common, "--r-grid", "3", "--j-grid", "1",
+                  "--out", str(coup_out)]):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0, res.output
+    (sig,) = estimate_sigma_profile(_DBL, _identity(_DBL), [5], reps=100, seed=7)
+    (coup,) = estimate_coupling_delta(_DBL, [3], [1], reps=100, seed=7)
+    # a cell holding the delimiter is quoted, and the row still reads back
+    assert ',"r=3,j=1",' in coup_out.read_text()
+    got = []
+    for path in (var_out, coup_out):
+        with open(path, newline="") as fh:
+            got.append(list(csv.reader(fh)))
+    assert got[0][0] == got[1][0] == _ESTIMATE_HEADER
+    assert got[0][1:] == [["doubling-map", "centered-identity", "5", "sigma_sq",
+                           repr(sig.sigma_sq_hat), repr(sig.std_error), "", "100", "7"]]
+    assert got[1][1:] == [["doubling-map", "", "r=3,j=1", "coupling_max_sum",
+                           repr(coup.max_sum), repr(coup.witness), "", "100", "7"]]
+    # floats are written by their round-trip repr, so they read back exactly
+    assert float(got[0][1][4]) == sig.sigma_sq_hat and float(got[1][1][5]) == coup.witness

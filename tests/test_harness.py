@@ -19,7 +19,7 @@ from weakdev.bounds import (
     thm1_threshold,
     thm2_threshold,
 )
-from weakdev.cli import main, parse_x_grid
+from weakdev.cli import emit_report, main, parse_x_grid, write_profile_csv
 from weakdev.coefficients import (
     WEIGHTS,
     GeometricWeights,
@@ -28,18 +28,15 @@ from weakdev.coefficients import (
     infinite_memory_profile,
     markov_contraction_profile,
     validate_profile,
-    write_profile_csv,
 )
 from weakdev.errors import ConfigError, DomainError, ValidationError
 import weakdev.estimation as estimation
 import weakdev.harness as harness
 from weakdev.harness import (
-    REPORT_CSV_HEADER,
     ExperimentConfig,
     build_model,
     build_weights,
     dependence_profile_for,
-    emit_report,
     hoeffding_phi,
     load_config,
     mc_variance_profile,
@@ -60,6 +57,9 @@ from weakdev.processes import (
     observable_for,
 )
 from weakdev.rng import derive_seed
+
+REPORT_HEADER = ["theorem", "x", "k_selected", "variance_used", "variance_source", "threshold",
+                 "bound_value", "p_hat", "ci_high", "verdict"]
 
 _BASE_DOC = {
     "model": "doubling-map",
@@ -747,7 +747,7 @@ def test_emit_report_roundtrip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     with open(p1, newline="") as fh:
         got = list(csv.reader(fh))
-    assert got[0] == REPORT_CSV_HEADER
+    assert got[0] == REPORT_HEADER
     assert len(got) == len(rows) + 1
     assert float(got[1][1]) == rows[0].x
     assert float(got[1][5]) == rows[0].threshold
@@ -756,12 +756,12 @@ def test_emit_report_roundtrip(tmp_path):
 def test_emit_report_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_report([], path)
-    assert path.read_text() == ",".join(REPORT_CSV_HEADER) + "\n"
+    assert path.read_text() == ",".join(REPORT_HEADER) + "\n"
 
 
 def test_emit_report_wraps_oserror(tmp_path):
     bad = tmp_path / "missing-dir" / "x.csv"
-    with pytest.raises(OSError, match="cannot write report to"):
+    with pytest.raises(OSError, match="cannot write"):
         emit_report([], bad)
 
 
@@ -847,6 +847,50 @@ def test_cli_asymptotics_refuses_non_finite_input(monkeypatch, flags, named):
     res = CliRunner().invoke(main, ["asymptotics", "--family", "geometric", "--decay", "0.5", *flags])
     assert res.exit_code == 2 and named in res.output and "finite" in res.output
     assert "Traceback" not in res.output
+
+
+def _no_scan(*_args):
+    raise AssertionError("scanned for a block size that the closed form puts above the cap")
+
+
+# Unrefused, each of these doubles its scan chunk up to 2^29 floats (4 GiB)
+# before the scan gives up at _SCAN_CAP; the scan is patched out, so a
+# regression fails without allocating.
+@pytest.mark.parametrize(
+    "family, target, c, decay",
+    [
+        ("polynomial", 1e-3, 1.0, 1.0001),  # k* = 10^30000
+        ("geometric", 1e-3, 1.0, 1.0 - 1e-12),  # k* = 6.9e12
+    ],
+)
+def test_asymptotics_refuses_a_block_size_above_the_scan_cap(monkeypatch, family, target, c,
+                                                             decay):
+    monkeypatch.setattr(harness, "_scan_first_k", _no_scan)
+    with pytest.raises(DomainError, match="scan cap") as ei:
+        run_blocksize_asymptotics(family, [1.0, target], c=c, decay=decay)
+    assert ei.value.field == "targets"
+    res = CliRunner().invoke(main, ["asymptotics", "--family", family, "--decay", repr(decay),
+                                    "--c", repr(c), "--targets", repr(target)])
+    assert res.exit_code == 2 and "--targets" in res.output and "scan cap" in res.output
+
+
+@pytest.mark.parametrize(
+    "family, decay, at_cap, k_at_cap, above_cap",
+    [
+        # k delta_k = 1/k, so k* = 1/v exactly
+        ("polynomial", 2.0, 2.0**-12, 1 << 12, 1.0 / 4097),
+        # k* = ln(1/v) / ln(1/decay)
+        ("geometric", 0.999, 0.999**4090, 4090, 0.999**4200),
+    ],
+)
+def test_asymptotics_scans_up_to_the_cap_and_refuses_beyond_it(monkeypatch, family, decay, at_cap,
+                                                               k_at_cap, above_cap):
+    monkeypatch.setattr(harness, "_SCAN_CAP", 1 << 12)
+    (row,) = run_blocksize_asymptotics(family, [at_cap], decay=decay)
+    assert abs(row.k_star - k_at_cap) <= (0 if family == "polynomial" else 1)
+    monkeypatch.setattr(harness, "_scan_first_k", _no_scan)
+    with pytest.raises(DomainError, match="scan cap"):
+        run_blocksize_asymptotics(family, [above_cap], decay=decay)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,7 +1140,7 @@ def test_cli_verify_pass_and_reference_exclusion(tmp_path):
     assert report.exists()
     with open(report, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == REPORT_CSV_HEADER and len(rows) == 7
+    assert rows[0] == REPORT_HEADER and len(rows) == 7
 
 
 def test_cli_verify_fails_on_violated_bound(tmp_path):

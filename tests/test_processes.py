@@ -4,10 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from weakdev import processes
+from weakdev.cli import main
 from weakdev.coefficients import GeometricWeights, PolynomialWeights, WeightSequence
 from weakdev.errors import DomainError, ValidationError
 from weakdev.processes import (
@@ -30,8 +32,6 @@ from weakdev.processes import (
     simulate_batch,
     simulate_coupled_block,
     stationary_init_batch,
-    write_coupled_block_csv,
-    write_trajectory_csv,
 )
 from weakdev.rng import VectorXoshiro, derive_child_array, replication_seeds
 
@@ -596,26 +596,30 @@ def test_analytic_sigma_profile_cases():
 
 
 # ---------------------------------------------------------------------------
-# CSV export
+# CSV export, through the commands that write it
+
+
+def _cli_rows(tmp_path, args: list[str]) -> list[list[str]]:
+    path = tmp_path / "out.csv"
+    res = CliRunner().invoke(main, [a.replace("{out}", str(path)) for a in args])
+    assert res.exit_code == 0, res.output
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def test_write_trajectory_csv(tmp_path):
-    traj = simulate(DoublingMap(), 10, 3)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _cli_rows(tmp_path, ["simulate", "--model", "doubling-map", "--n", "10",
+                                "--seed", "3", "--out", "{out}"])
     assert rows[0] == ["t", "x"]
     assert [int(r[0]) for r in rows[1:]] == list(range(1, 11))
-    assert np.array_equal(np.array([float(r[1]) for r in rows[1:]]), traj)
+    assert np.array_equal(np.array([float(r[1]) for r in rows[1:]]), simulate(DoublingMap(), 10, 3))
 
 
 def test_write_coupled_block_csv(tmp_path):
+    rows = _cli_rows(tmp_path, ["estimate-coupling", "--model", "doubling-map", "--r-grid", "4",
+                                "--j-grid", "3", "--reps", "2", "--seed", "55",
+                                "--block-out", "{out}"])
     block = simulate_coupled_block(DoublingMap(), 3, 4, 55)
-    path = tmp_path / "block.csv"
-    write_coupled_block_csv(block, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
     assert rows[0] == ["i", "x", "x_star", "dist"]
     assert [int(r[0]) for r in rows[1:]] == [7, 8, 9, 10]
     for off, row in enumerate(rows[1:]):
