@@ -160,21 +160,41 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "weakdev"
 
 
 def _writes_files(tree: ast.AST) -> list[str]:
-    """Lines that import csv or call open() with a write, append or create mode."""
+    """Lines that import csv, open a file with a write, append or create mode
+    (open(path, mode) or path.open(mode)), or call write_text/write_bytes."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
             found.append(f"{node.lineno}: import csv")
         elif isinstance(node, ast.ImportFrom) and node.module == "csv":
             found.append(f"{node.lineno}: from csv import")
-        elif isinstance(node, ast.Call) and (
-            getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open"
-        ):
-            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
-            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
-                   for m in modes):
-                found.append(f"{node.lineno}: open for writing")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("write_text", "write_bytes"):
+                found.append(f"{node.lineno}: {name}")
+            elif name == "open":
+                at = 1 if isinstance(node.func, ast.Name) else 0
+                modes = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+                if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                       for m in modes):
+                    found.append(f"{node.lineno}: open for writing")
     return found
+
+
+def test_writes_files_finds_each_way_of_writing():
+    code = """
+import csv
+from csv import writer
+open(p)
+open(p, "r")
+open(p, "w", newline="")
+open(p, mode="a")
+path.open()
+path.open("wb")
+path.write_text(s)
+"""
+    lines = sorted(int(found.split(":")[0]) for found in _writes_files(ast.parse(code)))
+    assert lines == [2, 3, 6, 7, 9, 10]
 
 
 def test_only_cli_writes_files():

@@ -853,9 +853,9 @@ def _no_scan(*_args):
     raise AssertionError("scanned for a block size that the closed form puts above the cap")
 
 
-# Unrefused, each of these doubles its scan chunk up to 2^29 floats (4 GiB)
-# before the scan gives up at _SCAN_CAP; the scan is patched out, so a
-# regression fails without allocating.
+# Unrefused, each of these scans every block size up to _SCAN_CAP = 2^30
+# before it gives up; the scan is patched out, so a regression fails at once
+# and allocates nothing.
 @pytest.mark.parametrize(
     "family, target, c, decay",
     [
