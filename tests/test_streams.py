@@ -60,6 +60,9 @@ def _streams(model) -> dict[str, str]:
     out = {
         "sums.identity": _digest(observable_sums(model, identity, N, SEEDS)),
         "sums.cosine": _digest(observable_sums(model, cosine, N, SEEDS)),
+        "sums.stationary": _digest(
+            observable_sums(model, observable_for(model, "centered-identity"), N, SEEDS)
+        ),
         "mu.identity": _digest(observable_for(model, "centered-identity").mu),
         "mu.cosine": _digest(
             observable_for(model, "centered-cosine", 3, centering_reps=64, seed=5).mu
@@ -78,6 +81,7 @@ GOLDEN = {
     "iid-uniform": {
         "sums.identity": "ae122f6f4429793a",
         "sums.cosine": "2c86d2a9d1e37ed4",
+        "sums.stationary": "5909ef9811c3be57",
         "mu.identity": "4cfa5b42ca669328",
         "mu.cosine": "af5570f5a1810b7a",
         "init": "723149b0c6d54e73",
@@ -92,6 +96,7 @@ GOLDEN = {
     "doubling-map": {
         "sums.identity": "f4ab02e70679f41f",
         "sums.cosine": "724c4f549d010581",
+        "sums.stationary": "2b9647f9286fb558",
         "mu.identity": "4cfa5b42ca669328",
         "mu.cosine": "af5570f5a1810b7a",
         "init": "870b28f2d65fee18",
@@ -106,6 +111,7 @@ GOLDEN = {
     "kernel-chain": {
         "sums.identity": "b4173bdbeed1c113",
         "sums.cosine": "fa0698a6f237d054",
+        "sums.stationary": "b7522b92ce9f8bdc",
         "mu.identity": "4cfa5b42ca669328",
         "mu.cosine": "003d7d162703ffda",
         "init": "352c921cb96cc4d2",
@@ -120,6 +126,7 @@ GOLDEN = {
     "bernoulli-shift": {
         "sums.identity": "3ca298d0eec10b4e",
         "sums.cosine": "66327e08a5097e4a",
+        "sums.stationary": "5205b73d436090f5",
         "mu.identity": "cd2a0afdea9d1f17",
         "mu.cosine": "250781ebc3f4f29d",
         "init": "3d5d62a3a41fccc5",
@@ -134,6 +141,7 @@ GOLDEN = {
     "bernoulli-shift-truncated": {
         "sums.identity": "38cd5007b5c87859",
         "sums.cosine": "8940cfd608960983",
+        "sums.stationary": "322071503d33e0a0",
         "mu.identity": "8d3e5187b5e722fa",
         "mu.cosine": "bfdc5a9444f80489",
         "init": "0ad94f7d820b0ab1",
@@ -148,6 +156,7 @@ GOLDEN = {
     "infinite-memory-geometric": {
         "sums.identity": "0ecb083d9724a7ee",
         "sums.cosine": "452c6e114eeec947",
+        "sums.stationary": "f6f4fbe98759ea62",
         "mu.identity": "77597a9b7a9c5340",
         "mu.cosine": "f934870c5c4d24f0",
         "init": "52b509193538c018",
@@ -162,6 +171,7 @@ GOLDEN = {
     "infinite-memory-polynomial": {
         "sums.identity": "497c97e564e886f7",
         "sums.cosine": "1f64070e90a6f94c",
+        "sums.stationary": "8f17802725a540a7",
         "mu.identity": "d4b1f90287a107bb",
         "mu.cosine": "fcaffa95ccb0688c",
         "init": "0dd017ffcf2aaec2",
