@@ -82,6 +82,14 @@ class ProcessModel:
         """Closed-form sigma_k^2 of the centered identity at ks, if known."""
         return None
 
+    def exact_prefix_sums(self, f: "ObservableF", ends: list[int],
+                          seeds: np.ndarray) -> np.ndarray | None:
+        """sum_{t<=k} f(X_t) without stepping, one row per k in the sorted,
+        distinct ends and one column per seed, where the sum is a closed form
+        in the run's draws; None sends observable_prefix_sums to the per-step
+        run. Each row must depend on its own k alone."""
+        return None
+
 
 @dataclass(frozen=True)
 class IidUniform(ProcessModel):
@@ -124,6 +132,42 @@ class DoublingMap(ProcessModel):
 
     def analytic_sigma_sq(self, ks):
         return doubling_sigma_sq(ks)
+
+    def exact_prefix_sums(self, f, ends, seeds):
+        """The centered identity (mu = 1/2, where no clip binds), summed in
+        closed form.
+
+        X_t - X_{t-1}/2 = b_t/2 telescopes to sum_{t<=k} X_t = N_k + X_0 - X_k,
+        with N_k the number of ones among b_1..b_k, so S_k = (N_k - k/2) +
+        (X_0 - X_k). X_k = 0.b_k b_{k-1}...b_1 followed by the bits of u0,
+        whose leading 64 bits are the window of the word stream u0, w_1, w_2,
+        ... that ends at bit k. The draws are the per-step run's: u0, then
+        one word per 64 steps.
+        """
+        if f.kind != "centered-identity" or f.mu != 0.5:
+            return None
+        gen = VectorXoshiro(seeds)
+        words = [gen.next_u64() for _ in range(-(-ends[-1] // 64) + 1)]  # words[0] = u0
+        x0 = words[0].astype(np.float64)
+        x0 *= 2.0**-64
+        out = np.empty((len(ends), len(seeds)))
+        ones = np.zeros(len(seeds), dtype=np.int64)  # the ones in the full words 1..q
+        full = 0
+        win = np.empty_like(x0, dtype=_U)
+        for row, k in zip(out, ends):
+            q, p = divmod(k, 64)
+            for w in words[full + 1:q + 1]:
+                ones += np.bitwise_count(w)
+            full = q
+            centered = ones - 0.5 * k  # N_k - k/2, exact
+            if p:  # bits k..k+63 of the stream: the top of w_q, the bottom of w_{q+1}
+                np.right_shift(words[q], _U(p), out=win)
+                win |= words[q + 1] << _U(64 - p)
+                centered += np.bitwise_count(words[q + 1] & _U((1 << p) - 1))
+            np.multiply(win if p else words[q], 2.0**-64, out=row)  # X_k
+            np.subtract(x0, row, out=row)
+            row += centered
+        return out
 
 
 @dataclass(frozen=True)
@@ -328,6 +372,9 @@ def observable_prefix_sums(model: ProcessModel, f: "ObservableF", ks, seeds: np.
     if not ks or min(ks) < 1:
         raise DomainError(f"need sum lengths k >= 1, got {ks}")
     ends = sorted(set(ks))
+    out = model.exact_prefix_sums(f, ends, seeds)
+    if out is not None:
+        return out[[ends.index(k) for k in ks]].T
     out = np.empty((len(ends), len(seeds)))
     acc = np.zeros(len(seeds))
     c = 0

@@ -1,5 +1,6 @@
 import csv
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -518,14 +519,17 @@ def test_observable_sums_match_paths():
 @given(
     st.sampled_from(_MODELS),
     st.sampled_from(["centered-identity", "centered-cosine"]),
-    st.lists(st.integers(1, 40), min_size=1, max_size=5).map(lambda ks: ks + ks[:1]),
+    st.lists(st.integers(1, 150), min_size=1, max_size=5).map(lambda ks: ks + ks[:1]),
     st.integers(1, 5),
     st.integers(0, 2**63 - 1),
 )
+@example(DoublingMap(), "centered-identity", [128, 1, 63, 64, 65, 129, 1], 3, 5)
 def test_observable_prefix_sums_read_one_run(model, kind, ks, reps, seed):
-    # one run out to max(ks) serves every k; each column is that run's
-    # running sum at k, equal bit for bit to the run for k alone and to a
-    # time-ordered sum over the path
+    # every column equals the run for that k alone bit for bit. The per-step
+    # path reads one run out to max(ks): each column is its running sum at k,
+    # a time-ordered sum over the path. The doubling map's centered identity
+    # is summed in closed form without a run, within 1e-12 of that sum.
+    closed = isinstance(model, DoublingMap) and kind == "centered-identity"
     f = observable_for(model, kind, centering_reps=256)
     seeds = _seeds(seed, reps)
     runs = []
@@ -537,7 +541,7 @@ def test_observable_prefix_sums_read_one_run(model, kind, ks, reps, seed):
 
     with mock.patch.object(processes, "_states", counting):
         shared = observable_prefix_sums(model, f, ks, seeds)
-    assert runs == [max(ks)]
+    assert runs == ([] if closed else [max(ks)])
     assert shared.shape == (reps, len(ks))
     values = f.values(simulate_batch(model, max(ks), seeds))
     for col, k in zip(shared.T, ks):
@@ -545,7 +549,58 @@ def test_observable_prefix_sums_read_one_run(model, kind, ks, reps, seed):
         ref = np.zeros(reps)
         for t in range(k):
             ref += values[:, t]
-        assert np.array_equal(col, ref)
+        if closed:
+            assert np.max(np.abs(col - ref)) <= 1e-12
+        else:
+            assert np.array_equal(col, ref)
+
+
+def test_doubling_identity_sums_match_exact_rational_sums():
+    # the closed form against S_k summed exactly over the same draws: X_0 =
+    # fl(u0) 2^-64 as start makes it and X_t = (X_{t-1} + b_t) / 2, with b_t
+    # bit t-1 of the word stream w_1, w_2, ... In units of 2^-(64+K) every
+    # X_t with t <= K is an even integer, so integer arithmetic is exact.
+    model = DoublingMap()
+    f = observable_for(model, "centered-identity")
+    ks = [1, 2, 63, 64, 65, 127, 128, 129, 1000]
+    K, reps = max(ks), 200
+    seeds = _seeds(2026, reps)
+    closed = observable_prefix_sums(model, f, ks, seeds)
+    stepped = np.cumsum(f.values(simulate_batch(model, K, seeds)), axis=1)[:, [k - 1 for k in ks]]
+    gen = VectorXoshiro(seeds)
+    u0 = gen.next_u64()
+    words = [gen.next_u64() for _ in range(-(-K // 64))]
+    scale = 2 ** (64 + K)
+    closed_err, stepped_err = [], []
+    for lane in range(reps):
+        bits = sum(int(w[lane]) << (64 * q) for q, w in enumerate(words))
+        x = int(float(u0[lane])) << K
+        total, c = 0, 0
+        for t in range(1, K + 1):
+            x = (x + ((bits >> (t - 1)) & 1) * scale) >> 1
+            total += x - scale // 2
+            if t == ks[c]:
+                exact = Fraction(total, scale)
+                closed_err.append(abs(Fraction(closed[lane, c]) - exact))
+                stepped_err.append(abs(Fraction(stepped[lane, c]) - exact))
+                c += 1
+    assert max(closed_err) <= 1e-14
+    assert max(closed_err) <= max(stepped_err)
+
+
+def test_closed_form_sums_only_the_centered_identity():
+    # an off-centre identity or the cosine takes the per-step path
+    model, seeds = DoublingMap(), _seeds(8, 3)
+    off = ObservableF(kind="centered-identity", mu=0.375)
+    cosine = observable_for(model, "centered-cosine")
+    for f in (off, cosine):
+        assert model.exact_prefix_sums(f, [5, 70], seeds) is None
+    assert model.exact_prefix_sums(observable_for(model, "centered-identity"), [5, 70],
+                                   seeds).shape == (2, 3)
+    for other in _MODELS:
+        if not isinstance(other, DoublingMap):
+            assert other.exact_prefix_sums(observable_for(other, "centered-identity"), [5],
+                                           seeds) is None
 
 
 def test_observable_prefix_sums_arguments():

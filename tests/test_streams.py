@@ -96,7 +96,7 @@ GOLDEN = {
     "doubling-map": {
         "sums.identity": "f4ab02e70679f41f",
         "sums.cosine": "724c4f549d010581",
-        "sums.stationary": "2b9647f9286fb558",
+        "sums.stationary": "a6ce81a4bd3c913e",
         "mu.identity": "4cfa5b42ca669328",
         "mu.cosine": "af5570f5a1810b7a",
         "init": "870b28f2d65fee18",
