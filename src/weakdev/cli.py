@@ -7,8 +7,10 @@ comma list (0.5,1,2) or an inclusive range (start:stop:step).
 
 This is the one module that writes files: the library returns values, and
 every CSV table goes through write_csv (write_profile_csv writes the same
-dialect in one pass). A path that cannot be written is an OSError naming it,
-which a command reports as a one-line error with exit code 1.
+dialect in one pass). An output path in a missing directory is a usage error
+naming its option (exit code 2), raised before any computation; a path that
+still cannot be written is an OSError naming it, which a command reports as
+a one-line error with exit code 1.
 """
 
 from __future__ import annotations
@@ -87,6 +89,20 @@ def _parse_list(text: str, what: str, kind=float) -> list:
 
 _THREADS = click.option("--threads", type=click.IntRange(min=1), default=1,
                         help="worker threads for the replications (default: 1)")
+
+
+def _out_dir_exists(out, hint=None):
+    """out, refused as a usage error naming hint (exit 2) when its directory
+    is missing, so a command fails before it computes what it cannot write."""
+    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise click.BadParameter(f"the directory of {out} does not exist", param_hint=hint)
+    return out
+
+
+def _out_option(*decls, **kwargs):
+    """An output-path option, checked by _out_dir_exists as it is parsed."""
+    return click.option(*decls, type=click.Path(),
+                        callback=lambda _ctx, _param, out: _out_dir_exists(out), **kwargs)
 
 
 def _given(**values) -> dict:
@@ -207,7 +223,7 @@ def main():
 @click.option("--sigma-sq", type=float, default=None, help="variance entering the threshold")
 @click.option("--k", type=int, default=None, help="block size k* or k*'")
 @click.option("--phi", default=None, help="comma list phi_1..phi_{n-1} (hoeffding)")
-@click.option("--out", type=click.Path(), default=None)
+@_out_option("--out", default=None)
 @_friendly_errors
 def bounds_cmd(theorem, n, xs, sigma_sq, k, phi, out):
     """Evaluate a threshold formula over an x-grid (no simulation)."""
@@ -234,7 +250,7 @@ def bounds_cmd(theorem, n, xs, sigma_sq, k, phi, out):
 @main.command("profile")
 @_model_options
 @click.option("--n", required=True, type=int)
-@click.option("--out", required=True, type=click.Path())
+@_out_option("--out", required=True)
 @_friendly_errors
 def profile_cmd(m, n, out):
     """Emit the dependence profile a model satisfies, as CSV (r, delta, kind)."""
@@ -247,7 +263,7 @@ def profile_cmd(m, n, out):
 @_model_options
 @click.option("--n", required=True, type=int)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", required=True, type=click.Path())
+@_out_option("--out", required=True)
 @_friendly_errors
 def simulate_cmd(m, n, seed, out):
     """Simulate one trajectory and write it as CSV (t, x)."""
@@ -264,7 +280,7 @@ def simulate_cmd(m, n, seed, out):
 @click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, default=0)
 @_THREADS
-@click.option("--out", type=click.Path(), default=None)
+@_out_option("--out", default=None)
 @_friendly_errors
 def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out):
     """Estimate sigma_k^2 over a grid of block lengths."""
@@ -286,8 +302,8 @@ def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out
 @click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, default=0)
 @_THREADS
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--block-out", type=click.Path(), default=None,
+@_out_option("--out", default=None)
+@_out_option("--block-out", default=None,
               help="also export one coupled block (first r, first j) as CSV")
 @_friendly_errors
 def estimate_coupling_cmd(m, r_grid, j_grid, reps, seed, threads, out, block_out):
@@ -324,8 +340,7 @@ def verify_cmd(ctx, config_path, out, threads):
     out = out or cfg.out
     if out is None:
         raise click.UsageError("no output path: set 'out' in the config or pass --out")
-    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
-        raise click.BadParameter(f"the directory of {out} does not exist", param_hint="out")
+    _out_dir_exists(out, "out")
     rows = run_verification(cfg, threads)
     emit_report(rows, out)
     for row in rows:
@@ -350,7 +365,7 @@ def verify_cmd(ctx, config_path, out, threads):
 @click.option("--decay", type=float, required=True,
               help="geometric ratio in (0,1), or polynomial exponent > 1")
 @click.option("--targets", required=True, help="comma list of decreasing positive targets v")
-@click.option("--out", type=click.Path(), default=None)
+@_out_option("--out", default=None)
 @_friendly_errors
 def asymptotics_cmd(family, c, decay, targets, out):
     """Block-size growth k*(v) and its stabilized ratio across targets."""
