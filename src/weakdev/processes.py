@@ -6,6 +6,13 @@ Initial states are drawn from the stationary law where it is exact (iid,
 doubling map) and by documented burn-in or windowing elsewhere; truncation
 and burn-in depths are chosen so the neglected mass is at most 2^-40.
 
+Observable sums take one of two paths. Where a model has a closed form for
+sum_{t<=k} f(X_t) in its draws (exact_prefix_sums: today the doubling map's
+centered identity, a popcount plus one 64-bit window per k), the sum is
+computed from the same draws without stepping, nearer the exact rational
+sum than a float recurrence gets. Every other (model, f) pair steps the
+run and sums f(X_t) in time order.
+
 Coupled blocks realise the almost-sure coupling behind the linf profiles:
 the starred trajectory shares every innovation after the split time j and
 uses fresh innovations (and a fresh initial state) up to j, so the starred
@@ -147,24 +154,26 @@ class DoublingMap(ProcessModel):
         if f.kind != "centered-identity" or f.mu != 0.5:
             return None
         gen = VectorXoshiro(seeds)
-        words = [gen.next_u64() for _ in range(-(-ends[-1] // 64) + 1)]  # words[0] = u0
-        x0 = words[0].astype(np.float64)
+        lo = gen.next_u64()  # w_q, the word that holds bit k; w_0 = u0
+        x0 = lo.astype(np.float64)
         x0 *= 2.0**-64
+        hi = gen.next_u64()  # w_{q+1}, drawn only while a later end reaches it
+        ones = np.zeros(len(seeds), dtype=np.int64)  # the ones in w_1..w_q
+        win = np.empty_like(lo)
         out = np.empty((len(ends), len(seeds)))
-        ones = np.zeros(len(seeds), dtype=np.int64)  # the ones in the full words 1..q
-        full = 0
-        win = np.empty_like(x0, dtype=_U)
+        q = 0
         for row, k in zip(out, ends):
-            q, p = divmod(k, 64)
-            for w in words[full + 1:q + 1]:
-                ones += np.bitwise_count(w)
-            full = q
+            while q < k // 64:
+                ones += np.bitwise_count(hi)
+                lo, q = hi, q + 1
+                hi = gen.next_u64() if ends[-1] > 64 * q else None
+            p = k - 64 * q
             centered = ones - 0.5 * k  # N_k - k/2, exact
             if p:  # bits k..k+63 of the stream: the top of w_q, the bottom of w_{q+1}
-                np.right_shift(words[q], _U(p), out=win)
-                win |= words[q + 1] << _U(64 - p)
-                centered += np.bitwise_count(words[q + 1] & _U((1 << p) - 1))
-            np.multiply(win if p else words[q], 2.0**-64, out=row)  # X_k
+                np.right_shift(lo, _U(p), out=win)
+                win |= hi << _U(64 - p)
+                centered += np.bitwise_count(hi & _U((1 << p) - 1))
+            np.multiply(win if p else lo, 2.0**-64, out=row)  # X_k
             np.subtract(x0, row, out=row)
             row += centered
         return out
@@ -364,9 +373,11 @@ def simulate(model: ProcessModel, n: int, seed: int) -> np.ndarray:
 def observable_prefix_sums(model: ProcessModel, f: "ObservableF", ks, seeds: np.ndarray) -> np.ndarray:
     """sum_{t<=k} f(X_t), one row per seed and one column per k in ks.
 
-    One run out to max(ks) serves every k: the running sum is read off as
-    the run passes each k, so every column is summed in time order and
-    equals the run for that k alone bit for bit, and no path is stored.
+    Every column equals the call for that k alone bit for bit. Where
+    model.exact_prefix_sums has a closed form for f, each column is that
+    form at its own k, with no run stepped. Otherwise one run out to max(ks)
+    serves every k: the running sum is read off as the run passes each k,
+    so every column is summed in time order, and no path is stored.
     """
     ks = [int(k) for k in ks]
     if not ks or min(ks) < 1:

@@ -524,6 +524,7 @@ def test_observable_sums_match_paths():
     st.integers(0, 2**63 - 1),
 )
 @example(DoublingMap(), "centered-identity", [128, 1, 63, 64, 65, 129, 1], 3, 5)
+@example(DoublingMap(), "centered-identity", [64, 128, 1, 64], 2, 9)
 def test_observable_prefix_sums_read_one_run(model, kind, ks, reps, seed):
     # every column equals the run for that k alone bit for bit. The per-step
     # path reads one run out to max(ks): each column is its running sum at k,
@@ -586,6 +587,28 @@ def test_doubling_identity_sums_match_exact_rational_sums():
                 c += 1
     assert max(closed_err) <= 1e-14
     assert max(closed_err) <= max(stepped_err)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 1000])
+def test_closed_form_draws_what_the_per_step_run_draws(n):
+    # u0, then one word per 64 steps, however many ends share the call
+    model, seeds = DoublingMap(), _seeds(6, 2)
+    draws = []
+    real = VectorXoshiro.next_u64
+
+    def counting(gen):
+        out = real(gen)
+        draws.append(out.copy())
+        return out
+
+    with mock.patch.object(VectorXoshiro, "next_u64", counting):
+        observable_prefix_sums(model, observable_for(model, "centered-identity"),
+                               [1, n, 64, n], seeds)
+        closed, draws[:] = draws[:], []
+        observable_sums(model, ObservableF(kind="centered-identity", mu=0.375), max(n, 64),
+                        seeds)
+    assert len(closed) == len(draws) == 1 + -(-max(n, 64) // 64)
+    assert all(np.array_equal(c, d) for c, d in zip(closed, draws))
 
 
 def test_closed_form_sums_only_the_centered_identity():
