@@ -559,8 +559,8 @@ def test_observable_prefix_sums_read_one_run(model, kind, ks, reps, seed):
 def test_doubling_identity_sums_match_exact_rational_sums():
     # the closed form against S_k summed exactly over the same draws: X_0 =
     # fl(u0) 2^-64 as start makes it and X_t = (X_{t-1} + b_t) / 2, with b_t
-    # bit t-1 of the word stream w_1, w_2, ... In units of 2^-(64+K) every
-    # X_t with t <= K is an even integer, so integer arithmetic is exact.
+    # bit t-1 of the word stream w_1, w_2, ... In units of 2^-(64+K), X_t is
+    # a multiple of 2^(K-t), so every halving up to t = K is exact.
     model = DoublingMap()
     f = observable_for(model, "centered-identity")
     ks = [1, 2, 63, 64, 65, 127, 128, 129, 1000]
