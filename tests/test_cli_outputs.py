@@ -129,32 +129,24 @@ COMPUTE = ("hoeffding_threshold", "thm2_threshold", "dependence_profile_for", "s
 
 
 @pytest.mark.parametrize("label", [label for label, (_args, flag) in COMMANDS.items() if flag])
-def test_unwritable_output_is_a_one_line_error(tmp_path, label):
-    # a missing directory is refused as a usage error naming the option; a
-    # path that is a directory fails only when it is written
+def test_unwritable_output_is_a_one_line_error(tmp_path, monkeypatch, label):
+    # a missing directory is refused as a usage error naming the option,
+    # before any computation; a path that is a directory fails when written
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("computed an output that cannot be written")
+
     args, flag = COMMANDS[label]
     missing = tmp_path / "missing" / "out.csv"
-    res = CliRunner().invoke(main, [a.replace("{out}", str(missing)) for a in args])
+    with monkeypatch.context() as patched:
+        for name in COMPUTE:
+            patched.setattr(cli, name, no_run)
+        res = CliRunner().invoke(main, [a.replace("{out}", str(missing)) for a in args])
     assert res.exit_code == 2, res.output
     assert f"Invalid value for '{flag}': the directory of {missing} does not exist" in res.output
     res = CliRunner().invoke(main, [a.replace("{out}", str(tmp_path)) for a in args])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit), res.exception
     assert f"Error: cannot write {tmp_path}: " in res.output and "Traceback" not in res.output
-
-
-@pytest.mark.parametrize("label", [label for label, (_args, flag) in COMMANDS.items() if flag])
-def test_output_in_a_missing_directory_is_refused_before_computing(tmp_path, monkeypatch, label):
-    def no_run(*_args, **_kwargs):
-        raise AssertionError("computed an output that cannot be written")
-
-    for name in COMPUTE:
-        monkeypatch.setattr(cli, name, no_run)
-    args, flag = COMMANDS[label]
-    missing = tmp_path / "missing" / "out.csv"
-    res = CliRunner().invoke(main, [a.replace("{out}", str(missing)) for a in args])
-    assert res.exit_code == 2, res.output
-    assert f"Invalid value for '{flag}'" in res.output and "Traceback" not in res.output
 
 
 def test_verify_refuses_an_out_in_a_missing_directory_before_it_simulates(tmp_path, monkeypatch):

@@ -611,21 +611,6 @@ def test_closed_form_draws_what_the_per_step_run_draws(n):
     assert all(np.array_equal(c, d) for c, d in zip(closed, draws))
 
 
-def test_closed_form_sums_only_the_centered_identity():
-    # an off-centre identity or the cosine takes the per-step path
-    model, seeds = DoublingMap(), _seeds(8, 3)
-    off = ObservableF(kind="centered-identity", mu=0.375)
-    cosine = observable_for(model, "centered-cosine")
-    for f in (off, cosine):
-        assert model.exact_prefix_sums(f, [5, 70], seeds) is None
-    assert model.exact_prefix_sums(observable_for(model, "centered-identity"), [5, 70],
-                                   seeds).shape == (2, 3)
-    for other in _MODELS:
-        if not isinstance(other, DoublingMap):
-            assert other.exact_prefix_sums(observable_for(other, "centered-identity"), [5],
-                                           seeds) is None
-
-
 def test_observable_prefix_sums_arguments():
     f = observable_for(IidUniform(), "centered-identity")
     for ks in ([], [0], [3, 0]):
