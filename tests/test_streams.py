@@ -3,7 +3,8 @@
 Each entry is the first 16 hex digits of the sha256 of a little-endian
 float64 array (or of one float), so any change to a model's seeding,
 innovation order, recursion or coupling shows up as a digest mismatch.
-Regenerate only when a stream change is intended and argued for.
+Regenerate only when a stream change is intended and argued for: running
+this file as a script prints the current table to paste over GOLDEN.
 """
 
 import hashlib
@@ -221,3 +222,13 @@ def test_coupling_estimates_read_one_run_per_split(name, rs, js, reps, seed):
         seeds = replication_seeds(derive_seed(seed, e.j), 0, reps)
         alone = coupled_distance_sums(model, e.j, [e.r], seeds)
         assert e.max_sum == float(np.max(alone)) and e.witness == e.max_sum / e.r
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for name, model in MODELS.items():
+        print(f'    "{name}": {{')
+        for key, value in _streams(model).items():
+            print(f'        "{key}": "{value}",')
+        print("    },")
+    print("}")
