@@ -89,6 +89,8 @@ def _parse_list(text: str, what: str, kind=float) -> list:
 
 _THREADS = click.option("--threads", type=click.IntRange(min=1), default=1,
                         help="worker threads for the replications (default: 1)")
+_SEED = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
+                     help="base seed, 0 to 2^64-1 (default: 0)")
 
 
 def _out_dir_exists(out, hint=None):
@@ -262,7 +264,7 @@ def profile_cmd(m, n, out):
 @main.command("simulate")
 @_model_options
 @click.option("--n", required=True, type=int)
-@click.option("--seed", type=int, default=0)
+@_SEED
 @_out_option("--out", required=True)
 @_friendly_errors
 def simulate_cmd(m, n, seed, out):
@@ -278,7 +280,7 @@ def simulate_cmd(m, n, seed, out):
 @click.option("--omega", type=click.IntRange(min=1), default=1)
 @click.option("--k-grid", required=True, help="comma list of block lengths")
 @click.option("--reps", type=int, default=10000)
-@click.option("--seed", type=int, default=0)
+@_SEED
 @_THREADS
 @_out_option("--out", default=None)
 @_friendly_errors
@@ -300,7 +302,7 @@ def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out
 @click.option("--r-grid", required=True, help="comma list of block half-lengths")
 @click.option("--j-grid", required=True, help="comma list of split indices")
 @click.option("--reps", type=int, default=10000)
-@click.option("--seed", type=int, default=0)
+@_SEED
 @_THREADS
 @_out_option("--out", default=None)
 @_out_option("--block-out", default=None,

@@ -1187,6 +1187,28 @@ def test_cli_refuses_a_thread_count_below_one(tmp_path, command, value):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "-5", str(2**64)])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--model", "doubling-map", "--n", "4", "--out", "{out}"],
+        ["estimate-variance", "--model", "doubling-map", "--k-grid", "1", "--reps", "4",
+         "--out", "{out}"],
+        ["estimate-coupling", "--model", "doubling-map", "--r-grid", "1", "--j-grid", "1",
+         "--reps", "4", "--block-out", "{out}"],
+    ],
+)
+def test_cli_refuses_a_seed_outside_64_bits(tmp_path, command, value):
+    out = tmp_path / "out.csv"
+    args = [a.format(out=out) for a in command]
+    res = CliRunner().invoke(main, [*args, "--seed", value])
+    assert res.exit_code == 2 and "Invalid value for '--seed'" in res.output, res.output
+    assert "Traceback" not in res.output and not out.exists()
+    res = CliRunner().invoke(main, [*args, "--seed", str(2**64 - 1)])
+    assert res.exit_code == 0, res.output
+    assert out.exists()
+
+
 def test_cli_verify_without_threads_builds_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("verify built a thread pool")
