@@ -78,7 +78,8 @@ class WeightSequence:
         while self.tail_sum(m + 1) > tol:
             m *= 2
             if m > 10**7:
-                raise ValidationError(f"no truncation below tol={tol} within 1e7 terms")
+                raise ValidationError(f"no truncation below tol={tol} within 1e7 terms; "
+                                      "set truncation explicitly", field="truncation")
         lo, hi = max(1, m // 2), m
         while lo < hi:
             mid = (lo + hi) // 2

@@ -2,9 +2,10 @@
 
 Every model is driven by the package RNG (one xoshiro256++ stream per
 replication), so a (model, n, seed) triple fixes the trajectory bit for bit.
-Initial states are drawn from the stationary law where it is exact (iid,
-doubling map) and by documented burn-in or windowing elsewhere; truncation
-and burn-in depths are chosen so the neglected mass is at most 2^-40.
+Each model is a linear recursion declared by its coefficients and run by
+one engine, which starts from rest and draws burn_in presample innovations:
+enough that the psi tail, a bound on the start's distance from the
+stationary state, is at most 2^-40. The doubling map alone starts exactly.
 
 Observable sums take one of two paths. Where a model has a closed form for
 sum_{t<=k} f(X_t) in its draws (exact_prefix_sums: today the doubling map's
@@ -29,8 +30,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import count, islice
+from operator import mul
 
 import numpy as np
 
@@ -47,6 +50,9 @@ _BIT_POSITIONS = tuple(_U(pos) for pos in range(64))
 _LANE_ORIGINAL = 1
 _LANE_STARRED = 2
 
+# multiply-adds the psi derivation may spend before it refuses a model
+_PSI_BUDGET = 10**6
+
 
 # ---------------------------------------------------------------------------
 # models
@@ -55,14 +61,19 @@ _LANE_STARRED = 2
 class ProcessModel:
     """A seeded process on [0, 1]; subclasses are frozen config dataclasses.
 
-    start(gen) draws the time-0 state on gen's parallel streams and returns
-    it with step(x, innov), which maps the state at t-1 and the innovation
-    at t to the state at t. Any further state (a window, a history) lives in
-    step's closure, so the model itself stays an immutable, hashable value.
+    A model declares b0, ar = (a_1..a_p), ma = ((l, b_l), ...) and its
+    innovations xi_t in [0, 1] of mean 1/2, for the recursion
+    X_t = clip(b0 xi_t + sum_j a_j X_{t-j} + sum_l b_l xi_{t-l}, 0, 1).
+    start(gen) returns the time-0 state with step(x, innov), which maps the
+    state at t-1 and the innovation at t to the state at t; the history
+    lives in step's closure, so the model stays an immutable, hashable value.
     """
 
     name: str  # CLI and config variant
     uniform_marginal = False  # stationary marginal is exactly Uniform[0, 1]
+    b0 = 1.0
+    ar: tuple[float, ...] = ()
+    ma: tuple[tuple[int, float], ...] = ()
 
     def innovations(self, gen: VectorXoshiro):
         """Per-step innovation source: one array per call.
@@ -74,16 +85,82 @@ class ProcessModel:
         """
         return gen.next_uniform
 
+    def psi(self):
+        """Yield (psi_i, Psi_i) for i = 0, 1, ..., where X_t = sum_i psi_i xi_{t-i}
+        when no clip binds and Psi_i = sum_{l >= i} psi_l.
+
+        psi = B(z) / A(z) by power-series division: psi_i = b_i + sum_j a_j
+        psi_{i-j}. The tails follow Psi_i = sum_{l >= i} b_l + sum_j a_j
+        Psi_{max(i-j, 0)} from Psi_0 = B(1) / A(1), so no tail is a difference
+        of sums near 1. Past _PSI_BUDGET multiply-adds the model is refused,
+        since its burn-in would cost as much per lane.
+        """
+        a, ma = self.ar, self.ma
+        psis = deque([0.0] * len(a), maxlen=len(a))  # psis[j] = psi_{i-1-j}
+        tails = deque([2.0 * self.stationary_mean()] * len(a), maxlen=len(a))  # Psi_0 at i <= 0
+        for i in count():
+            if (i + 1) * (len(a) + 1) > _PSI_BUDGET:
+                raise ValidationError(f"{self.name}: psi needs over {_PSI_BUDGET} multiply-adds "
+                                      "to reach its burn-in", field="truncation")
+            b0 = self.b0 if i == 0 else 0.0
+            psi_i = b0 + sum(c for lag, c in ma if lag == i) + sum(map(mul, a, psis))
+            tail_i = b0 + sum(c for lag, c in ma if lag >= i) + sum(map(mul, a, tails))
+            psis.appendleft(psi_i)
+            tails.appendleft(tail_i)
+            yield psi_i, tail_i
+
+    @cached_property
+    def burn_in(self) -> int:
+        """Presample innovations the start draws: the fewest I, at least the
+        recursion's longest lag, with Psi_I <= TRUNCATION_TAIL. From rest,
+        Psi_I bounds |X_0 - X_0^stationary|."""
+        reach = max([len(self.ar), *(lag for lag, _ in self.ma)])
+        return next(i for i, (_, tail) in enumerate(self.psi())
+                    if i >= reach and tail <= TRUNCATION_TAIL)
+
     def start(self, gen: VectorXoshiro):
-        raise NotImplementedError
+        """From rest (zero history), then burn_in innovations through step.
+
+        A clip bound is applied only where it can bind: 0 when a coefficient
+        is negative, 1 when the positive ones' float sum in step order exceeds
+        1. Otherwise, by monotone rounding, X_t stays in [0, 1] unclipped.
+        """
+        rest = np.zeros(gen.n_streams)
+        xs = deque([rest] * len(self.ar), maxlen=len(self.ar))  # xs[j] = X_{t-1-j}
+        width = max((lag for lag, _ in self.ma), default=0)
+        us = deque([rest] * width, maxlen=width)  # us[l] = xi_{t-1-l}
+        b0 = self.b0
+        taps = [(a, xs, j) for j, a in enumerate(self.ar) if a != 0.0]
+        taps += [(c, us, lag - 1) for lag, c in self.ma]
+        coefs = [b0, *(c for c, _, _ in taps)]
+        floor, cap = min(coefs) < 0.0, sum(max(c, 0.0) for c in coefs) > 1.0
+
+        def step(_x, u):
+            x = b0 * u
+            for c, hist, j in taps:
+                x += c * hist[j]
+            if floor:
+                np.maximum(x, 0.0, out=x)
+            if cap:
+                np.minimum(x, 1.0, out=x)
+            xs.appendleft(x)
+            us.appendleft(u)
+            return x
+
+        x, innov = rest, self.innovations(gen)
+        for _ in range(self.burn_in):
+            x = step(x, innov())
+        return x, step
 
     def stationary_mean(self) -> float:
-        """E X_t under the (truncated) stationary law."""
-        return 0.5
+        """E X_t = B(1) / (2 A(1)): the innovations' mean 1/2 times sum_i psi_i."""
+        return 0.5 * (self.b0 + sum(c for _, c in self.ma)) / (1.0 - sum(self.ar))
 
     def describe(self) -> dict:
-        """Run-report metadata: parameters plus truncation error bounds."""
-        return {"model": self.name}
+        """Run-report metadata: the fields, the burn-in and its psi tail, which
+        bounds the start's distance from the stationary state."""
+        return {"model": self.name, **asdict(self), "burn_in": self.burn_in,
+                "truncation_tail": next(islice(self.psi(), self.burn_in, None))[1]}
 
     def analytic_sigma_sq(self, ks: np.ndarray) -> np.ndarray | None:
         """Closed-form sigma_k^2 of the centered identity at ks, if known."""
@@ -105,9 +182,6 @@ class IidUniform(ProcessModel):
     name = "iid-uniform"
     uniform_marginal = True
 
-    def start(self, gen):
-        return gen.next_uniform(), lambda x, u: u
-
     def analytic_sigma_sq(self, ks):
         return np.full(ks.size, 1.0 / 12.0)
 
@@ -122,6 +196,9 @@ class DoublingMap(ProcessModel):
 
     name = "doubling-map"
     uniform_marginal = True
+    b0 = 0.5
+    ar = (0.5,)
+    burn_in = 64  # start reads 64 presample bits in one draw
 
     def innovations(self, gen):
         """Fair bits, 64 per u64 draw, low bit first within each draw."""
@@ -185,39 +262,25 @@ class LipschitzKernelChain(ProcessModel):
 
     kappa: float
     name = "kernel-chain"
+    b0 = property(lambda self: 1.0 - self.kappa)
+    ar = property(lambda self: (self.kappa,))
 
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
             raise DomainError(f"need 0 < kappa < 1, got {self.kappa}", field="kappa")
 
-    @property
-    def burn_in(self) -> int:
-        """Steps until the start bias contracts below 2^-52."""
-        return math.ceil(52.0 * math.log(2.0) / math.log(1.0 / self.kappa))
-
-    def start(self, gen):
-        k, c = self.kappa, 1.0 - self.kappa
-
-        def step(x, u):
-            return k * x + c * u
-
-        x = np.full(gen.n_streams, 0.5)
-        for _ in range(self.burn_in):
-            x = step(x, gen.next_uniform())
-        return x, step
-
-    def describe(self):
-        return {"model": self.name, "kappa": self.kappa, "burn_in": self.burn_in,
-                "init_bias": self.kappa**self.burn_in}
-
 
 @dataclass(frozen=True)
 class BernoulliShiftGeometric(ProcessModel):
-    """X_t = (1 - theta) sum_{i < M} theta^i U_{t-i}, truncated at M terms."""
+    """X_t = (1 - theta) sum_{i < M} theta^i U_{t-i}, truncated at M terms:
+    X_t = theta X_{t-1} + (1 - theta) U_t - (1 - theta) theta^M U_{t-M}."""
 
     theta: float
     truncation: int | None = None
     name = "bernoulli-shift"
+    b0 = property(lambda self: 1.0 - self.theta)
+    ar = property(lambda self: (self.theta,))
+    ma = property(lambda self: ((self.window, -(1.0 - self.theta) * self.theta**self.window),))
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
@@ -233,30 +296,6 @@ class BernoulliShiftGeometric(ProcessModel):
             return self.truncation
         return math.ceil(40.0 * math.log(2.0) / math.log(1.0 / self.theta))
 
-    def start(self, gen):
-        M, th = self.window, self.theta
-        # window drawn in chronological order: U_{1-M}, ..., U_0
-        win = deque(gen.next_uniform() for _ in range(M))
-        weights = (1.0 - th) * th ** np.arange(M, dtype=np.float64)
-        x = np.zeros(gen.n_streams)
-        for i, u in enumerate(reversed(win)):  # U_{-i} carries theta^i
-            x = x + weights[i] * u
-        drop = (1.0 - th) * th**M
-
-        def step(x, u):
-            oldest = win.popleft()
-            win.append(u)
-            return np.clip(th * x + (1.0 - th) * u - drop * oldest, 0.0, 1.0)
-
-        return x, step
-
-    def stationary_mean(self):
-        return 0.5 * (1.0 - self.theta**self.window)
-
-    def describe(self):
-        return {"model": self.name, "theta": self.theta, "window": self.window,
-                "truncation_tail": self.theta**self.window}
-
 
 @dataclass(frozen=True)
 class InfiniteMemoryChain(ProcessModel):
@@ -268,6 +307,8 @@ class InfiniteMemoryChain(ProcessModel):
     weights: WeightSequence
     truncation: int | None = None
     name = "infinite-memory"
+    b0 = property(lambda self: 1.0 - self.weights.total)
+    ar = cached_property(lambda self: tuple(map(self.weights.term, range(1, self.window + 1))))
 
     def __post_init__(self):
         if self.weights.total >= 1.0:
@@ -278,58 +319,13 @@ class InfiniteMemoryChain(ProcessModel):
             raise DomainError(f"need truncation >= 1, got {self.truncation}",
                               field="truncation")
         if self.truncation is None:
-            # resolve the default now, so a config without one fails when built
-            try:
-                self.window
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"no default truncation for these weights ({exc}); "
-                    "set truncation explicitly", field="truncation"
-                ) from exc
+            self.window  # resolve the default now, so a config without one fails when built
 
     @cached_property
     def window(self) -> int:
         if self.truncation is not None:
             return self.truncation
         return self.weights.suggest_truncation(TRUNCATION_TAIL)
-
-    @cached_property
-    def burn_in(self) -> int:
-        """Window multiples until the start bias contracts below 2^-40."""
-        a = self.weights.total
-        if a == 0.0:
-            return self.window
-        return self.window * max(1, math.ceil(40.0 * math.log(2.0) / math.log(1.0 / a)))
-
-    def start(self, gen):
-        J = self.window
-        hist = deque(np.full(gen.n_streams, 0.5) for _ in range(J))  # hist[0] = X_{t-1}
-        a = [self.weights.term(i) for i in range(1, J + 1)]
-        c0 = 1.0 - self.weights.total
-
-        def step(_x, u):
-            x = c0 * u
-            for a_j, h in zip(a, hist):
-                if a_j != 0.0:
-                    x = x + a_j * h
-            hist.pop()
-            hist.appendleft(x)
-            return np.minimum(x, 1.0)
-
-        x = hist[0]
-        for _ in range(self.burn_in):
-            x = step(x, gen.next_uniform())
-        return x, step
-
-    def stationary_mean(self):
-        a_J = self.weights.total - self.weights.tail_sum(self.window + 1)
-        return 0.5 * (1.0 - self.weights.total) / (1.0 - a_J)
-
-    def describe(self):
-        a = self.weights.total
-        return {"model": self.name, "window": self.window, "burn_in": self.burn_in,
-                "truncation_tail": self.weights.tail_sum(self.window + 1),
-                "init_bias": a ** (self.burn_in / self.window) if a > 0 else 0.0}
 
 
 MODELS = {

@@ -1,6 +1,8 @@
 import csv
+import json
 import math
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,12 @@ from scipy import stats
 
 from weakdev import processes
 from weakdev.cli import main
-from weakdev.coefficients import GeometricWeights, PolynomialWeights, WeightSequence
+from weakdev.coefficients import (
+    TRUNCATION_TAIL,
+    GeometricWeights,
+    PolynomialWeights,
+    WeightSequence,
+)
 from weakdev.errors import DomainError, ValidationError
 from weakdev.processes import (
     BernoulliShiftGeometric,
@@ -22,6 +29,7 @@ from weakdev.processes import (
     LipschitzKernelChain,
     ObservableF,
     MODELS,
+    ProcessModel,
     _coupled_pairs,
     analytic_sigma_profile,
     coupled_distance_sums,
@@ -89,6 +97,52 @@ def kernel_chain_path(kappa: float, x0: float, uniforms) -> np.ndarray:
     return out
 
 
+def bernoulli_shift_path(theta: float, window: int, uniforms) -> np.ndarray:
+    """X_t = theta X_{t-1} + (1 - theta) U_t - (1 - theta) theta^M U_{t-M},
+    from rest (zero state and zero window), over a window of explicit draws."""
+    drop = (1.0 - theta) * theta**window
+    win = [0.0] * window  # U_{t-M}, ..., U_{t-1}
+    out = np.empty(len(uniforms))
+    x = 0.0
+    for t, u in enumerate(uniforms):
+        x = min(max(theta * x + (1.0 - theta) * u - drop * win[0], 0.0), 1.0)
+        win = win[1:] + [u]
+        out[t] = x
+    return out
+
+
+def infinite_memory_path(weights: WeightSequence, truncation: int, uniforms) -> np.ndarray:
+    """X_t = c0 xi_t + sum_{j <= J} a_j X_{t-j}, c0 = 1 - sum_j a_j, from rest."""
+    a = [weights.term(j) for j in range(1, truncation + 1)]
+    c0 = 1.0 - weights.total
+    hist = [0.0] * truncation  # X_{t-1}, ..., X_{t-J}
+    out = np.empty(len(uniforms))
+    for t, u in enumerate(uniforms):
+        x = c0 * u
+        for a_j, h in zip(a, hist):
+            x += a_j * h
+        x = min(x, 1.0)
+        hist = [x] + hist[:-1]
+        out[t] = x
+    return out
+
+
+def exact_psi(model, length: int) -> tuple[list[Fraction], list[Fraction]]:
+    """psi_0..psi_{length-1} of the model's float coefficients and their tails
+    Psi_i = sum_{l >= i} psi_l, in exact rationals."""
+    a = [Fraction(c) for c in model.ar]
+    b = {0: Fraction(model.b0)}
+    for lag, c in model.ma:
+        b[lag] = b.get(lag, 0) + Fraction(c)
+    tail = sum(b.values()) / (1 - sum(a))
+    psi, tails = [], []
+    for i in range(length):
+        psi.append(b.get(i, 0) + sum(a[j - 1] * psi[i - j] for j in range(1, min(i, len(a)) + 1)))
+        tails.append(tail)
+        tail -= psi[-1]
+    return psi, tails
+
+
 # ---------------------------------------------------------------------------
 # model parameter validation
 
@@ -98,7 +152,7 @@ def test_kernel_chain_validation():
         LipschitzKernelChain(kappa=0.0)
     with pytest.raises(DomainError):
         LipschitzKernelChain(kappa=1.0)
-    assert LipschitzKernelChain(kappa=0.5).burn_in == 52
+    assert LipschitzKernelChain(kappa=0.5).burn_in == 40  # 0.5^40 = 2^-40
 
 
 def test_shift_validation():
@@ -120,7 +174,7 @@ def test_infinite_memory_validation():
         InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5), truncation=0)
     m = InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5))
     assert m.window == 39  # tail 2^-p crosses 2^-40 at p = 40
-    assert m.burn_in == 39 * 40
+    assert m.burn_in == 95
 
 
 def test_infinite_memory_default_truncation_resolved_when_built():
@@ -133,20 +187,26 @@ def test_infinite_memory_default_truncation_resolved_when_built():
 
 
 def test_window_and_burn_in_computed_once(monkeypatch):
-    real = WeightSequence.suggest_truncation
+    real_psi, real_term = ProcessModel.psi, WeightSequence.term
     calls = []
 
-    def counting(self, tol):
-        calls.append(tol)
-        return real(self, tol)
+    def counting_psi(self):
+        calls.append("psi")
+        return real_psi(self)
 
-    monkeypatch.setattr(WeightSequence, "suggest_truncation", counting)
+    def counting_term(self, j):
+        calls.append("term")
+        return real_term(self, j)
+
+    monkeypatch.setattr(ProcessModel, "psi", counting_psi)
+    monkeypatch.setattr(WeightSequence, "term", counting_term)
     w = PolynomialWeights(0.25, 3.0)
-    m = InfiniteMemoryChain(weights=w)
-    assert m.burn_in == m.burn_in and m.window == m.window
-    assert len(calls) == 1
+    m = InfiniteMemoryChain(weights=w, truncation=12)
+    assert m.burn_in == m.burn_in and m.window == m.window and m.ar == m.ar
+    assert calls.count("psi") == 1 and calls.count("term") == 12
     # the cached values leave equality and hashing to the fields
-    assert m == InfiniteMemoryChain(weights=w) and hash(m) == hash(InfiniteMemoryChain(weights=w))
+    twin = InfiniteMemoryChain(weights=w, truncation=12)
+    assert m == twin and hash(m) == hash(twin)
     s = BernoulliShiftGeometric(theta=0.5)
     assert s.window == 40 and s == BernoulliShiftGeometric(theta=0.5)
     assert hash(s) == hash(BernoulliShiftGeometric(theta=0.5))
@@ -156,16 +216,22 @@ def test_model_names_and_describe():
     names = ["iid-uniform", "doubling-map", "kernel-chain", "bernoulli-shift", "infinite-memory"]
     assert [m.name for m in _MODELS] == names
     assert list(MODELS) == names and [MODELS[m.name] for m in _MODELS] == [type(m) for m in _MODELS]
+    # the fields, then the burn-in and its psi tail: 0.9^263 > 2^-40 >= 0.9^264
     d = LipschitzKernelChain(kappa=0.9).describe()
-    assert d["model"] == "kernel-chain" and d["kappa"] == 0.9
-    assert d["init_bias"] == pytest.approx(0.9 ** d["burn_in"])
+    assert d == {"model": "kernel-chain", "kappa": 0.9, "burn_in": 264,
+                 "truncation_tail": pytest.approx(0.9**264, rel=1e-13)}
+    # a truncated shift starts exactly once its window is drawn: the tail is 0
     d = BernoulliShiftGeometric(theta=0.3).describe()
-    assert set(d) == {"model", "theta", "window", "truncation_tail"}
-    assert d["truncation_tail"] <= 2.0**-40
-    m = InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5), truncation=10)
-    d = m.describe()
-    assert set(d) == {"model", "window", "burn_in", "truncation_tail", "init_bias"}
-    assert IidUniform().describe() == {"model": "iid-uniform"}
+    assert d == {"model": "bernoulli-shift", "theta": 0.3, "truncation": None, "burn_in": 24,
+                 "truncation_tail": pytest.approx(0.0, abs=1e-20)}
+    d = InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5), truncation=10).describe()
+    assert d == {"model": "infinite-memory", "weights": {"c": 0.5, "ratio": 0.5},
+                 "truncation": 10, "burn_in": 94,
+                 "truncation_tail": pytest.approx(6.954864994400253e-13, rel=1e-13)}
+    assert IidUniform().describe() == {"model": "iid-uniform", "burn_in": 1,
+                                       "truncation_tail": 0.0}
+    assert DoublingMap().describe() == {"model": "doubling-map", "burn_in": 64,
+                                        "truncation_tail": 2.0**-64}
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +295,12 @@ def test_doubling_simulate_replay():
 
 
 def test_kernel_chain_replay():
+    # from rest: burn_in draws, then the path, all through one recursion
     kappa, seed, n = 0.5, 9876, 10
     model = LipschitzKernelChain(kappa=kappa)
     gen = VectorXoshiro(np.array([seed], dtype=np.uint64))
     us = np.array([gen.next_uniform()[0] for _ in range(model.burn_in + n)])
-    burn = kernel_chain_path(kappa, 0.5, us[: model.burn_in])
-    want = kernel_chain_path(kappa, burn[-1], us[model.burn_in :])
+    want = kernel_chain_path(kappa, 0.0, us)[model.burn_in:]
     assert np.array_equal(want, simulate(model, n, seed))
 
 
@@ -242,6 +308,98 @@ def test_kernel_chain_path_recursion():
     out = kernel_chain_path(0.25, 0.8, [0.0, 1.0])
     assert out[0] == 0.25 * 0.8
     assert out[1] == 0.25 * out[0] + 0.75
+
+
+_LINEAR = [
+    (LipschitzKernelChain(kappa=0.7), lambda us: kernel_chain_path(0.7, 0.0, us)),
+    (BernoulliShiftGeometric(theta=0.5), lambda us: bernoulli_shift_path(0.5, 40, us)),
+    (BernoulliShiftGeometric(theta=0.4, truncation=9), lambda us: bernoulli_shift_path(0.4, 9, us)),
+    (InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5)),
+     lambda us: infinite_memory_path(GeometricWeights(0.5, 0.5), 39, us)),
+    (InfiniteMemoryChain(weights=PolynomialWeights(0.25, 3.0), truncation=12),
+     lambda us: infinite_memory_path(PolynomialWeights(0.25, 3.0), 12, us)),
+]
+
+
+@pytest.mark.parametrize("model, path", _LINEAR, ids=lambda v: getattr(v, "name", ""))
+def test_engine_agrees_with_each_models_own_recursion_and_psi(model, path):
+    # fed the draws of simulate, the models' former recursions (from rest)
+    # and the direct sum X_t = sum_{i < burn_in + t} psi_i xi_{t-i} give the
+    # engine's path within 1e-12
+    n, seeds = 60, _seeds(31, 4)
+    I = model.burn_in
+    gen = VectorXoshiro(seeds)
+    draws = np.stack([gen.next_uniform() for _ in range(I + n)], axis=1)
+    got = simulate_batch(model, n, seeds)
+    init = stationary_init_batch(model, seeds)
+    psi = np.array([p for p, _ in islice(model.psi(), I + n)])
+    for lane, us in enumerate(draws):
+        ref = path(us)
+        assert np.max(np.abs(ref[I:] - got[lane])) <= 1e-12
+        assert abs(ref[I - 1] - init[lane]) <= 1e-12
+        direct = [psi[:I + t] @ us[I + t - 1::-1] for t in range(1, n + 1)]
+        assert np.max(np.abs(direct - got[lane])) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [m for m, _ in _LINEAR], ids=_name)
+def test_burn_in_is_the_fewest_draws_meeting_the_tail_rule(model):
+    # burn_in is the smallest I, at least the longest lag, whose exact psi
+    # tail is at most 2^-40; psi() and its tails match the exact rationals
+    I = model.burn_in
+    reach = max([len(model.ar), *(lag for lag, _ in model.ma)])
+    psi, tails = exact_psi(model, I + 1)
+    assert I >= reach and tails[I] <= TRUNCATION_TAIL
+    assert I == reach or tails[I - 1] > TRUNCATION_TAIL
+    got = list(islice(model.psi(), I + 1))
+    assert max(abs(p - float(e)) for (p, _), e in zip(got, psi)) <= 1e-15
+    assert max(abs(t - float(e)) for (_, t), e in zip(got, tails)) <= 1e-15
+    assert model.describe()["truncation_tail"] == got[I][1]
+
+
+def test_burn_in_values():
+    assert LipschitzKernelChain(kappa=0.7).burn_in == 78  # 0.7^77 > 2^-40 >= 0.7^78
+    for shift in (BernoulliShiftGeometric(theta=0.5), BernoulliShiftGeometric(theta=0.3),
+                  BernoulliShiftGeometric(theta=0.4, truncation=9)):
+        assert shift.burn_in == shift.window  # M: the start draws the whole window
+    # closed forms: (1 - kappa) kappa^i, and (1 - theta) theta^i below M
+    psi = [p for p, _ in islice(LipschitzKernelChain(kappa=0.7).psi(), 30)]
+    assert psi == pytest.approx([0.3 * 0.7**i for i in range(30)], rel=1e-13)
+    psi = [p for p, _ in islice(BernoulliShiftGeometric(theta=0.4, truncation=9).psi(), 12)]
+    assert psi == pytest.approx([0.6 * 0.4**i for i in range(9)] + [0.0] * 3, rel=1e-13, abs=1e-17)
+    assert [p for p, _ in islice(DoublingMap().psi(), 5)] == [2.0 ** -(i + 1) for i in range(5)]
+
+
+def test_unaffordable_burn_in_is_refused_up_front(tmp_path):
+    # the default polynomial(0.25, 3) truncation leaves 370,728 AR taps: the
+    # model builds and profiles, but any simulation is refused, not attempted
+    m = InfiniteMemoryChain(weights=PolynomialWeights(0.25, 3.0))
+    assert m.window == 370_728
+    with pytest.raises(ValidationError) as ei:
+        m.burn_in
+    assert ei.value.field == "truncation"
+    with pytest.raises(ValidationError):
+        simulate(m, 10, 1)
+    with pytest.raises(ValidationError) as ei:
+        LipschitzKernelChain(kappa=1.0 - 1e-9).burn_in
+    assert "kernel-chain" in str(ei.value)
+    flags = ["--model", "infinite-memory", "--weight-family", "polynomial", "--weight-c", "0.25",
+             "--weight-power", "3"]
+    out = tmp_path / "out.csv"
+    res = CliRunner().invoke(main, ["profile", *flags, "--n", "20", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, ["simulate", *flags, "--n", "20", "--out", str(out)])
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    assert res.output.startswith("Error: infinite-memory: psi needs over")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"variant": "infinite-memory",
+                  "weights": {"family": "polynomial", "c": 0.25, "power": 3.0}},
+        "n": 20, "x_grid": [1.0], "theorem": "thm2", "reps": 10, "base_seed": 1,
+        "out": str(tmp_path / "report.csv")}))
+    res = CliRunner().invoke(main, ["verify", "--config", str(config)])
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    assert res.output.startswith("Error: infinite-memory: psi needs over")
+    assert len(res.output.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
