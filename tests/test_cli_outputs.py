@@ -65,11 +65,11 @@ GOLDEN = {
     "bounds.out": "dac072df486a3468",
     "profile": "111027cdfd06266a",
     "simulate": "0abd7a0b9d9306b7",
-    "estimate-variance": "b9e2d637cffd0d4c",
+    "estimate-variance": "3a1fa10b6e6cc8f0",
     "estimate-coupling.doubling.out": "72f5cceecb501346",
     "estimate-coupling.doubling.block-out": "bf678080e7528690",
-    "estimate-coupling.geometric.out": "c584690b1a07111a",
-    "estimate-coupling.geometric.block-out": "c9ffc59deeae93d7",
+    "estimate-coupling.geometric.out": "aad977ad80ec6280",
+    "estimate-coupling.geometric.block-out": "7a50a1ef5f2a62b7",
     "asymptotics.stdout": "78d47efdbe9428c5",
     "asymptotics.out": "b3184a4a70288f2d",
 }
@@ -95,10 +95,10 @@ def test_command_output_matches_golden_digest(tmp_path, label):
 # theorem -> (exit code, report digest); x = 6 fails at every theorem, since
 # 300 replications cannot certify a tail probability below e^-6
 VERIFY_GOLDEN = {
-    "iid_eq1": (1, "e793503cb4c5aecb"),
-    "thm1": (1, "36c1578adc0d9919"),
-    "thm2": (1, "c3dbf9765165009e"),
-    "hoeffding": (1, "ec97058dff355bf3"),
+    "iid_eq1": (1, "bdaeec06c031316c"),
+    "thm1": (1, "e100ca33bd3969a3"),
+    "thm2": (1, "eb9e380018eb0669"),
+    "hoeffding": (1, "59820284f8961c10"),
 }
 
 

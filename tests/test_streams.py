@@ -110,44 +110,44 @@ GOLDEN = {
         "block.50.7": "34b487a743b5649c",
     },
     "kernel-chain": {
-        "sums.identity": "b4173bdbeed1c113",
-        "sums.cosine": "fa0698a6f237d054",
-        "sums.stationary": "b7522b92ce9f8bdc",
+        "sums.identity": "4090dd509c336c9a",
+        "sums.cosine": "379037ac519de1ef",
+        "sums.stationary": "3723231c3fa5ac6e",
         "mu.identity": "4cfa5b42ca669328",
-        "mu.cosine": "003d7d162703ffda",
-        "init": "352c921cb96cc4d2",
-        "simulate": "4600806f4bd20e82",
-        "distance.1.1": "2428352527121812",
-        "block.1.1": "3178174e83a6ac26",
-        "distance.3.4": "eda4b1b12e91a245",
-        "block.3.4": "96c364ba5e687fc1",
-        "distance.50.7": "0365639ff9e42168",
-        "block.50.7": "a4e95a0781a17771",
+        "mu.cosine": "9cf08b1121bb101b",
+        "init": "aa960fdc24ad9d00",
+        "simulate": "4e0b901208a1726a",
+        "distance.1.1": "dff74ec3dc8ca42e",
+        "block.1.1": "7b96fa83a98ac8ce",
+        "distance.3.4": "5bba7b25c7bf9825",
+        "block.3.4": "bf3ed294bf5536ce",
+        "distance.50.7": "c82c64a24a830e79",
+        "block.50.7": "3291fd2e9623ebaf",
     },
     "bernoulli-shift": {
-        "sums.identity": "3ca298d0eec10b4e",
+        "sums.identity": "2874956f2fdcafa5",
         "sums.cosine": "66327e08a5097e4a",
         "sums.stationary": "5205b73d436090f5",
         "mu.identity": "cd2a0afdea9d1f17",
-        "mu.cosine": "250781ebc3f4f29d",
-        "init": "3d5d62a3a41fccc5",
-        "simulate": "63fb797fbd2cca7f",
-        "distance.1.1": "d13bc7c8a99383fc",
+        "mu.cosine": "b959e7a151d82229",
+        "init": "ce950ca2a919857f",
+        "simulate": "f36c00eb30132179",
+        "distance.1.1": "8aae78f773e19fbe",
         "block.1.1": "4b72663598e9a754",
-        "distance.3.4": "279e4ddc0322b9f4",
+        "distance.3.4": "bde7436be2e491dd",
         "block.3.4": "6f971b4f11ce5e6a",
         "distance.50.7": "0c92ec641c435dcb",
         "block.50.7": "58b8764ed51b02ac",
     },
     "bernoulli-shift-truncated": {
         "sums.identity": "38cd5007b5c87859",
-        "sums.cosine": "8940cfd608960983",
-        "sums.stationary": "322071503d33e0a0",
+        "sums.cosine": "818b35e043c58032",
+        "sums.stationary": "51bd74f3073c2e18",
         "mu.identity": "8d3e5187b5e722fa",
-        "mu.cosine": "bfdc5a9444f80489",
-        "init": "0ad94f7d820b0ab1",
-        "simulate": "2ede69e98d8dd1f4",
-        "distance.1.1": "90168561bbae2f4b",
+        "mu.cosine": "eb0a22dbb230802b",
+        "init": "9df667ee73da3268",
+        "simulate": "4fb374644da02837",
+        "distance.1.1": "259f912050cb2f6a",
         "block.1.1": "be99bca75f6b83e1",
         "distance.3.4": "28b5b13eca1a538a",
         "block.3.4": "aa9e757cb1288de6",
@@ -155,34 +155,34 @@ GOLDEN = {
         "block.50.7": "395b7745bd4a1be0",
     },
     "infinite-memory-geometric": {
-        "sums.identity": "0ecb083d9724a7ee",
-        "sums.cosine": "452c6e114eeec947",
-        "sums.stationary": "f6f4fbe98759ea62",
+        "sums.identity": "3f05a7c3c07b68bc",
+        "sums.cosine": "b3c4793cebf2d2b1",
+        "sums.stationary": "d9fa5e83b7e5fd85",
         "mu.identity": "77597a9b7a9c5340",
-        "mu.cosine": "f934870c5c4d24f0",
-        "init": "52b509193538c018",
-        "simulate": "39630a08aee6ca16",
-        "distance.1.1": "671a6c27d630c84a",
-        "block.1.1": "defd605dcd4ab646",
-        "distance.3.4": "ca9b2b2e8f36fb0d",
-        "block.3.4": "56f77c50c0eaab21",
-        "distance.50.7": "bedb26b748f7b2a1",
-        "block.50.7": "b29431af9fab0d15",
+        "mu.cosine": "afede40aac1eb89d",
+        "init": "e2c59c6cfb1e34de",
+        "simulate": "f24a6782a6f15925",
+        "distance.1.1": "167577148f240b5e",
+        "block.1.1": "a1753ba5340b1855",
+        "distance.3.4": "b731bdfdf61a1dda",
+        "block.3.4": "d213567bc7387d11",
+        "distance.50.7": "a57c19d449eac44b",
+        "block.50.7": "21707dea6da19da3",
     },
     "infinite-memory-polynomial": {
-        "sums.identity": "497c97e564e886f7",
-        "sums.cosine": "1f64070e90a6f94c",
-        "sums.stationary": "8f17802725a540a7",
-        "mu.identity": "d4b1f90287a107bb",
-        "mu.cosine": "fcaffa95ccb0688c",
-        "init": "0dd017ffcf2aaec2",
-        "simulate": "05d2485ec6b1a17e",
-        "distance.1.1": "38bd00ea77c61439",
-        "block.1.1": "df6af642c85a35ca",
-        "distance.3.4": "93b85715a144d8be",
-        "block.3.4": "7f0a01998135075f",
-        "distance.50.7": "184284c2cf779296",
-        "block.50.7": "c8396c67b8628c1f",
+        "sums.identity": "5746d0a364862935",
+        "sums.cosine": "c1e1ca4a12604101",
+        "sums.stationary": "fcc8656063dd5fe5",
+        "mu.identity": "2f663e6a7f3c11c6",
+        "mu.cosine": "bceb8642216d415f",
+        "init": "13e1ea87bc493ea3",
+        "simulate": "448eb2c1af3cc7b7",
+        "distance.1.1": "56cf5c69866d399a",
+        "block.1.1": "fba8e18c9390e4e4",
+        "distance.3.4": "55a1afbc485ae5f7",
+        "block.3.4": "9472c114c0ab2f01",
+        "distance.50.7": "4164a987d3b361d9",
+        "block.50.7": "6976cb2128d62630",
     },
 }
 
