@@ -310,18 +310,23 @@ def test_kernel_chain_path_recursion():
     assert out[1] == 0.25 * out[0] + 0.75
 
 
-_LINEAR = [
-    (LipschitzKernelChain(kappa=0.7), lambda us: kernel_chain_path(0.7, 0.0, us)),
-    (BernoulliShiftGeometric(theta=0.5), lambda us: bernoulli_shift_path(0.5, 40, us)),
-    (BernoulliShiftGeometric(theta=0.4, truncation=9), lambda us: bernoulli_shift_path(0.4, 9, us)),
-    (InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5)),
-     lambda us: infinite_memory_path(GeometricWeights(0.5, 0.5), 39, us)),
-    (InfiniteMemoryChain(weights=PolynomialWeights(0.25, 3.0), truncation=12),
-     lambda us: infinite_memory_path(PolynomialWeights(0.25, 3.0), 12, us)),
-]
+# each linear model with its former recursion, from rest, as an oracle
+_LINEAR = {
+    "kernel-chain": (LipschitzKernelChain(kappa=0.7), lambda us: kernel_chain_path(0.7, 0.0, us)),
+    "bernoulli-shift": (BernoulliShiftGeometric(theta=0.5),
+                        lambda us: bernoulli_shift_path(0.5, 40, us)),
+    "bernoulli-shift-truncated": (BernoulliShiftGeometric(theta=0.4, truncation=9),
+                                  lambda us: bernoulli_shift_path(0.4, 9, us)),
+    "infinite-memory-geometric": (InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5)),
+                                  lambda us: infinite_memory_path(GeometricWeights(0.5, 0.5),
+                                                                  39, us)),
+    "infinite-memory-polynomial": (
+        InfiniteMemoryChain(weights=PolynomialWeights(0.25, 3.0), truncation=12),
+        lambda us: infinite_memory_path(PolynomialWeights(0.25, 3.0), 12, us)),
+}
 
 
-@pytest.mark.parametrize("model, path", _LINEAR, ids=lambda v: getattr(v, "name", ""))
+@pytest.mark.parametrize("model, path", _LINEAR.values(), ids=_LINEAR)
 def test_engine_agrees_with_each_models_own_recursion_and_psi(model, path):
     # fed the draws of simulate, the models' former recursions (from rest)
     # and the direct sum X_t = sum_{i < burn_in + t} psi_i xi_{t-i} give the
@@ -341,7 +346,7 @@ def test_engine_agrees_with_each_models_own_recursion_and_psi(model, path):
         assert np.max(np.abs(direct - got[lane])) <= 1e-12
 
 
-@pytest.mark.parametrize("model", [m for m, _ in _LINEAR], ids=_name)
+@pytest.mark.parametrize("model", [m for m, _ in _LINEAR.values()], ids=_LINEAR)
 def test_burn_in_is_the_fewest_draws_meeting_the_tail_rule(model):
     # burn_in is the smallest I, at least the longest lag, whose exact psi
     # tail is at most 2^-40; psi() and its tails match the exact rationals
