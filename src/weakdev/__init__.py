@@ -64,7 +64,6 @@ from .processes import (
     LipschitzKernelChain,
     ObservableF,
     analytic_sigma_profile,
-    doubling_sigma_sq,
     observable_for,
     simulate,
     simulate_coupled_block,

@@ -46,7 +46,6 @@ from .harness import (
     run_verification,
 )
 from .processes import MODELS, observable_for, simulate, simulate_coupled_block
-from .rng import derive_seed
 
 
 # the most points a start:stop:step range may expand to
@@ -286,7 +285,7 @@ def simulate_cmd(m, n, seed, out):
 @_friendly_errors
 def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out):
     """Estimate sigma_k^2 over a grid of block lengths."""
-    f = observable_for(m, observable, omega, seed=derive_seed(seed, 3))
+    f = observable_for(m, observable, omega)
     ks = _parse_list(k_grid, "k-grid", int)
     ests = estimate_sigma_profile(m, f, ks, reps, seed, threads)
     for e in ests:

@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import DomainError
 from .processes import (
@@ -77,7 +76,9 @@ def clopper_pearson(hits: int, reps: int, alpha: float = DEFAULT_ALPHA) -> tuple
         raise DomainError(f"need 0 <= hits <= reps, got {hits}/{reps}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"need 0 < alpha < 1, got {alpha}")
-    # beta quantiles; scipy.special spares importing scipy.stats
+    # beta quantiles; scipy.special spares importing scipy.stats, and importing
+    # it only here keeps scipy out of every command's start-up
+    from scipy.special import betaincinv
     lo = 0.0 if hits == 0 else float(betaincinv(hits, reps - hits + 1, alpha / 2.0))
     hi = 1.0 if hits == reps else float(betaincinv(hits + 1, reps - hits, 1.0 - alpha / 2.0))
     return lo, hi

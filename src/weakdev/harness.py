@@ -1,16 +1,15 @@
 """Experiment orchestration: configs, verification runs, report rows.
 
 A verification run ties the layers together: build the model's dependence
-profile, obtain a variance profile (closed form where one exists, Monte
-Carlo otherwise), select block sizes, evaluate thresholds, and compare each
-bound against the empirical tail of S(f) with an exact binomial interval.
+profile and its exact variance profile (from psi and the innovation law),
+select block sizes, evaluate thresholds, and compare each bound against the
+empirical tail of S(f) with an exact binomial interval.
 
-Seed layout (all derived from config.base_seed, so reports are functions of
-the config document alone): lane 1 feeds the tail simulation (its child 0
-draws the one sample of S(f) that every x-grid entry reads), lane 2 feeds
-variance estimation (one run serves every block length k a row needs),
-lane 3 feeds observable centering. A row therefore does not depend on which
-other x were requested, while rows at different x share their sample.
+Seed layout (derived from config.base_seed, so reports are functions of the
+config document alone): lane 1 feeds the tail simulation, and its child 0
+draws the one sample of S(f) that every x-grid entry reads. Nothing else is
+simulated. A row therefore does not depend on which other x were requested,
+while rows at different x share their sample.
 Whenever the configured theorem is a blockwise bound, each x also gets a
 plain iid-formula row on the same simulated sample, tagged iid_eq1_ref; it
 is a reference curve, not a claimed bound. The harness returns rows and
@@ -68,8 +67,6 @@ from .rng import derive_seed
 THEOREMS = ("iid_eq1", "thm1", "thm2", "hoeffding")
 
 _LANE_TAILS = 1
-_LANE_VARIANCE = 2
-_LANE_CENTERING = 3
 
 # the largest array length numpy can index: an upper bound, not a budget
 _MAX_SIZE = int(np.iinfo(np.intp).max)
@@ -284,14 +281,8 @@ def hoeffding_phi(profile: DependenceProfile, n: int) -> np.ndarray:
     return np.minimum(1.0, totals[np.frexp(L)[1] - 1] / L)
 
 
-def mc_variance_profile(
-    model: ProcessModel,
-    f,
-    n: int,
-    reps: int,
-    seed: int,
-    threads: int = 1,
-) -> VarianceProfile:
+def mc_variance_profile(model: ProcessModel, f, n: int, reps: int, seed: int,
+                        threads: int = 1) -> VarianceProfile:
     """Estimated variance profile on a dyadic block grid, step-filled.
 
     sigma_k^2 is estimated at k in {1, 2, 4, ..., n}; intermediate k reuse
@@ -325,37 +316,21 @@ class ReportRow:
 def run_verification(config: ExperimentConfig, threads: int = 1) -> list[ReportRow]:
     """One ReportRow per x (plus an iid reference row for blockwise bounds)."""
     model, n, theorem, xs = config.model, config.n, config.theorem, config.x_grid
-    f = observable_for(
-        model,
-        config.observable,
-        config.omega,
-        seed=derive_seed(config.base_seed, _LANE_CENTERING),
-    )
+    f = observable_for(model, config.observable, config.omega)
     if not xs:
         return []
     varprof = analytic_sigma_profile(model, f, n)
-    source = "analytic" if varprof is not None else "estimated"
-    var_lane = derive_seed(config.base_seed, _LANE_VARIANCE)
     profile = dependence_profile_for(model, n) if theorem != "iid_eq1" else None
 
     # one block size per x (None: no admissible k, so the claim is skipped)
     if theorem == "thm1":
-        if varprof is None:
-            varprof = mc_variance_profile(model, f, n, config.reps, var_lane, threads)
         selection = select_k_star(profile, varprof)
         ks = [selection.k] * len(xs)
     elif theorem == "thm2":
         ks = [select_k_star_prime(profile, n, x).k for x in xs]
     else:
         ks = [None] * len(xs)
-    # every sigma_k^2 a row reads: a profile, or one estimate over {1} and the selected k
-    if varprof is not None:
-        var_at = varprof.sigma_at
-    else:
-        wanted = sorted({1, *(k for k in ks if k is not None)})
-        ests = estimate_sigma_profile(model, f, wanted, config.reps, var_lane, threads)
-        var_at = {e.k: e.sigma_sq_hat for e in ests}.__getitem__
-    s1 = var_at(1)
+    s1 = varprof.sigma_at(1)
     phis = hoeffding_phi(profile, n) if theorem == "hoeffding" else None
 
     # one sample of S(f) serves every x
@@ -368,8 +343,9 @@ def run_verification(config: ExperimentConfig, threads: int = 1) -> list[ReportR
         if threshold is None:
             return ReportRow(theorem, x, None, None, "", None, bound, None, None, "skipped")
         est = tail_from_sums(sums, threshold, x=x, alpha=config.alpha)
-        return ReportRow(theorem, x, k, var, "" if var is None else source, threshold, bound,
-                         est.p_hat, est.ci_high, "pass" if est.ci_high <= bound else "fail")
+        source = "" if var is None else varprof.source
+        return ReportRow(theorem, x, k, var, source, threshold, bound, est.p_hat, est.ci_high,
+                         "pass" if est.ci_high <= bound else "fail")
 
     rows = []
     for x, k in zip(xs, ks):
@@ -385,7 +361,8 @@ def run_verification(config: ExperimentConfig, threads: int = 1) -> list[ReportR
             var = selection.variance_at_k
             rows.append(row(theorem, x, k, var, thm1_threshold(n, var, k, x)))
         else:
-            rows.append(row(theorem, x, k, var_at(k), thm2_threshold(n, var_at(k), k, x)))
+            var = varprof.sigma_at(k)
+            rows.append(row(theorem, x, k, var, thm2_threshold(n, var, k, x)))
         rows.append(row("iid_eq1_ref", x, *iid))
     return rows
 

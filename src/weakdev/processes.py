@@ -1,11 +1,12 @@
-"""Example processes on [0, 1], their simulators, and coupled block pairs.
+"""Example processes on [0, 1]: simulators, coupled block pairs, exact moments.
 
 Every model is driven by the package RNG (one xoshiro256++ stream per
 replication), so a (model, n, seed) triple fixes the trajectory bit for bit.
-Each model is a linear recursion declared by its coefficients and run by
-one engine, which starts from rest and draws burn_in presample innovations:
-enough that the psi tail, a bound on the start's distance from the
-stationary state, is at most 2^-40. The doubling map alone starts exactly.
+Each model is a linear recursion declared by its coefficients and its
+innovation law, run by one engine, which starts from rest and draws burn_in
+presample innovations: enough that the psi tail, a bound on the start's
+distance from the stationary state, is at most 2^-40. The doubling map
+alone starts exactly. psi and the law give every moment exactly (second_order).
 
 Observable sums take one of two paths. Where a model has a closed form for
 sum_{t<=k} f(X_t) in its draws (exact_prefix_sums: today the doubling map's
@@ -30,9 +31,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import count, islice, takewhile
 from operator import mul
 
 import numpy as np
@@ -40,7 +42,7 @@ import numpy as np
 from .bounds import VarianceProfile, variance_profile
 from .coefficients import TRUNCATION_TAIL, WeightSequence
 from .errors import DomainError, ValidationError
-from .rng import VectorXoshiro, derive_child_array, derive_seed, replication_seeds
+from .rng import VectorXoshiro, derive_child_array
 
 _U = np.uint64
 _ONE = _U(1)
@@ -53,16 +55,61 @@ _LANE_STARRED = 2
 # multiply-adds the psi derivation may spend before it refuses a model
 _PSI_BUDGET = 10**6
 
+# second_order cuts psi at the first L with Psi_L below this
+_CUT_TAIL = 2.0**-60
+
 
 # ---------------------------------------------------------------------------
 # models
 
 
+@dataclass(frozen=True)
+class InnovationLaw:
+    """The law of a model's iid innovations xi_t in [0, 1]. Each call of the
+    source draw(gen) returns a fresh, writable array of one draw per lane, which
+    the coupled run overwrites in part; phi(s) = E exp(2 pi i s xi), s in cycles."""
+
+    mean: float
+    variance: float
+    draw: Callable[[VectorXoshiro], Callable[[], np.ndarray]]
+    phi: Callable[[np.ndarray], np.ndarray]
+
+
+def _half_turns(s: np.ndarray) -> np.ndarray:
+    """exp(i pi s), with s reduced exactly by its nearest multiple of 1/2, so
+    that every multiple of 1/2 gives exact zeros and ones."""
+    q = np.rint(2.0 * s)
+    turn = np.array([1.0, 1.0j, -1.0, -1.0j])[np.mod(q, 4.0).astype(np.intp)]
+    return turn * np.exp(1j * math.pi * (s - 0.5 * q))
+
+
+def _uniform_phi(s: np.ndarray) -> np.ndarray:
+    """(e^{2 pi i s} - 1) / (2 pi i s) = exp(i pi s) sin(pi s) / (pi s)."""
+    h = _half_turns(s)
+    return h * np.divide(h.imag, math.pi * s, out=np.ones_like(s), where=s != 0.0)
+
+
+def _bit_phi(s: np.ndarray) -> np.ndarray:
+    """(1 + e^{2 pi i s}) / 2 = exp(i pi s) cos(pi s)."""
+    h = _half_turns(s)
+    return h * h.real
+
+
+def _bits(gen: VectorXoshiro):
+    """Fair bits, 64 per u64 draw, low bit first within each draw."""
+    words = (gen.next_u64() for _ in count())  # each drawn when its first bit is read
+    return (((w >> p) & _ONE).astype(np.float64) for w in words for p in _BIT_POSITIONS).__next__
+
+
+UNIFORM = InnovationLaw(0.5, 1.0 / 12.0, lambda gen: gen.next_uniform, _uniform_phi)
+BIT = InnovationLaw(0.5, 0.25, _bits, _bit_phi)
+
+
 class ProcessModel:
     """A seeded process on [0, 1]; subclasses are frozen config dataclasses.
 
-    A model declares b0, ar = (a_1..a_p), ma = ((l, b_l), ...) and its
-    innovations xi_t in [0, 1] of mean 1/2, for the recursion
+    A model declares b0, ar = (a_1..a_p), ma = ((l, b_l), ...) and the law of
+    its innovations xi_t in [0, 1] (UNIFORM or BIT), for the recursion
     X_t = clip(b0 xi_t + sum_j a_j X_{t-j} + sum_l b_l xi_{t-l}, 0, 1).
     start(gen) returns the time-0 state with step(x, innov), which maps the
     state at t-1 and the innovation at t to the state at t; the history
@@ -70,20 +117,10 @@ class ProcessModel:
     """
 
     name: str  # CLI and config variant
-    uniform_marginal = False  # stationary marginal is exactly Uniform[0, 1]
+    law = UNIFORM
     b0 = 1.0
     ar: tuple[float, ...] = ()
     ma: tuple[tuple[int, float], ...] = ()
-
-    def innovations(self, gen: VectorXoshiro):
-        """Per-step innovation source: one array per call.
-
-        Each call returns a fresh, writable array that shares no memory with
-        the generator or an earlier call, so a caller may overwrite lanes of
-        it (the coupled run copies the original's innovations into the
-        starred lanes) before passing it to step.
-        """
-        return gen.next_uniform
 
     def psi(self):
         """Yield (psi_i, Psi_i) for i = 0, 1, ..., where X_t = sum_i psi_i xi_{t-i}
@@ -97,7 +134,8 @@ class ProcessModel:
         """
         a, ma = self.ar, self.ma
         psis = deque([0.0] * len(a), maxlen=len(a))  # psis[j] = psi_{i-1-j}
-        tails = deque([2.0 * self.stationary_mean()] * len(a), maxlen=len(a))  # Psi_0 at i <= 0
+        # Psi_0 = sum_i psi_i = E X / E xi at i <= 0
+        tails = deque([self.stationary_mean() / self.law.mean] * len(a), maxlen=len(a))
         for i in count():
             if (i + 1) * (len(a) + 1) > _PSI_BUDGET:
                 raise ValidationError(f"{self.name}: psi needs over {_PSI_BUDGET} multiply-adds "
@@ -147,24 +185,20 @@ class ProcessModel:
             us.appendleft(u)
             return x
 
-        x, innov = rest, self.innovations(gen)
+        x, innov = rest, self.law.draw(gen)
         for _ in range(self.burn_in):
             x = step(x, innov())
         return x, step
 
     def stationary_mean(self) -> float:
-        """E X_t = B(1) / (2 A(1)): the innovations' mean 1/2 times sum_i psi_i."""
-        return 0.5 * (self.b0 + sum(c for _, c in self.ma)) / (1.0 - sum(self.ar))
+        """E X_t = E xi sum_i psi_i = E xi B(1) / A(1)."""
+        return self.law.mean * ((self.b0 + sum(c for _, c in self.ma)) / (1.0 - sum(self.ar)))
 
     def describe(self) -> dict:
         """Run-report metadata: the fields, the burn-in and its psi tail, which
         bounds the start's distance from the stationary state."""
         return {"model": self.name, **asdict(self), "burn_in": self.burn_in,
                 "truncation_tail": next(islice(self.psi(), self.burn_in, None))[1]}
-
-    def analytic_sigma_sq(self, ks: np.ndarray) -> np.ndarray | None:
-        """Closed-form sigma_k^2 of the centered identity at ks, if known."""
-        return None
 
     def exact_prefix_sums(self, f: "ObservableF", ends: list[int],
                           seeds: np.ndarray) -> np.ndarray | None:
@@ -180,10 +214,6 @@ class IidUniform(ProcessModel):
     """Independent Uniform[0, 1] draws."""
 
     name = "iid-uniform"
-    uniform_marginal = True
-
-    def analytic_sigma_sq(self, ks):
-        return np.full(ks.size, 1.0 / 12.0)
 
 
 @dataclass(frozen=True)
@@ -195,27 +225,13 @@ class DoublingMap(ProcessModel):
     """
 
     name = "doubling-map"
-    uniform_marginal = True
+    law = BIT
     b0 = 0.5
     ar = (0.5,)
     burn_in = 64  # start reads 64 presample bits in one draw
 
-    def innovations(self, gen):
-        """Fair bits, 64 per u64 draw, low bit first within each draw."""
-
-        def bits():
-            while True:
-                word = gen.next_u64()
-                for pos in _BIT_POSITIONS:
-                    yield ((word >> pos) & _ONE).astype(np.float64)
-
-        return bits().__next__
-
     def start(self, gen):
         return gen.next_u64().astype(np.float64) * 2.0**-64, lambda x, b: 0.5 * (x + b)
-
-    def analytic_sigma_sq(self, ks):
-        return doubling_sigma_sq(ks)
 
     def exact_prefix_sums(self, f, ends, seeds):
         """The centered identity (mu = 1/2, where no clip binds), summed in
@@ -345,7 +361,7 @@ def _states(model: ProcessModel, n: int, seeds: np.ndarray):
         raise DomainError(f"need n >= 1, got {n}")
     gen = VectorXoshiro(seeds)
     x, step = model.start(gen)
-    innov = model.innovations(gen)
+    innov = model.law.draw(gen)
     for _ in range(n):
         x = step(x, innov())
         yield x
@@ -432,7 +448,7 @@ def _coupled_pairs(model: ProcessModel, j: int, r: int, seeds: np.ndarray):
     gen = VectorXoshiro(np.concatenate([derive_child_array(seeds, _LANE_ORIGINAL),
                                         derive_child_array(seeds, _LANE_STARRED)]))
     x, step = model.start(gen)
-    innov = model.innovations(gen)
+    innov = model.law.draw(gen)
     for _ in range(j):
         x = step(x, innov())
     for _ in range(2 * r - 1):
@@ -498,60 +514,65 @@ class ObservableF:
         return np.cos(w * x) / (2.0 * w) - self.mu
 
 
-def observable_for(
-    model: ProcessModel,
-    kind: str,
-    omega: int = 1,
-    *,
-    centering_reps: int = 200_000,
-    seed: int = 0,
-) -> ObservableF:
-    """Observable centered under the model's stationary law.
-
-    The centering constant is analytic whenever the stationary marginal is
-    known (all models for the identity; uniform-marginal models for the
-    cosine) and is otherwise estimated from centering_reps stationary draws.
-    """
+def observable_for(model: ProcessModel, kind: str, omega: int = 1) -> ObservableF:
+    """Observable centered under the model's stationary law: the identity by
+    stationary_mean(), the cosine by the exact mu of second_order."""
     if kind == "centered-identity":
         return ObservableF(kind=kind, mu=model.stationary_mean(), lipschitz_constant=1.0)
     if kind != "centered-cosine":
         raise ValidationError(f"unknown observable kind {kind!r}", field="kind")
     if omega < 1:
         raise DomainError(f"need omega >= 1, got {omega}", field="omega")
-    if model.uniform_marginal:
-        mu = 0.0  # integral of cos(2 pi w u) over [0, 1] vanishes
-    else:
-        draws = stationary_init_batch(
-            model, replication_seeds(derive_seed(seed, 97), 0, centering_reps)
-        )
-        w = 2.0 * math.pi * omega
-        mu = float(np.mean(np.cos(w * draws) / (2.0 * w)))
-    amp = 1.0 / (4.0 * math.pi * omega)
-    return ObservableF(
-        kind=kind, mu=mu, omega=omega, lipschitz_constant=0.5, sup_bound=amp + abs(mu)
-    )
+    mu, amp = second_order(model, kind, omega, 1)[0], 1.0 / (4.0 * math.pi * omega)
+    return ObservableF(kind, mu, omega, lipschitz_constant=0.5, sup_bound=amp + abs(mu))
 
 
 # ---------------------------------------------------------------------------
-# analytic variance oracles
+# exact second-order theory
 
 
-def doubling_sigma_sq(k) -> np.ndarray | float:
-    """Exact per-term variance of the centered doubling map.
+def second_order(model: ProcessModel, kind: str, omega: int, n: int) -> tuple[float, np.ndarray]:
+    """mu = E g(X_0) and sigma_1^2..sigma_n^2 of f = g - mu, exactly from psi and
+    the innovation law: g(x) = x, or cos(w x) / (2 w) with w = 2 pi omega.
 
-    Cov(X_0, X_r) = 2^-r / 12 gives
-    sigma_k^2 = (1/12) (1 + (2/k)(k - 2 + 2^{1-k})).
+    The joint law of (X_0, X_r) is a product over the iid innovations, of
+    characteristic function phi: E e^{i(u X_0 + v X_r)} =
+    prod_{i<r} phi(v psi_i) prod_{m>=0} phi(u psi_m + v psi_{m+r}). The
+    identity has mu = stationary_mean() and Cov_r = Var xi sum_i psi_i psi_{i+r};
+    the cosine mu = Re prod_i phi(w psi_i) / (2 w) and Cov_r =
+    Re(E e^{iw(X_0 + X_r)} + E e^{iw(X_0 - X_r)}) / (8 w^2) - mu^2. Then
+    sigma_k^2 = Cov_0 + 2 sum_{r<k} (1 - r/k) Cov_r, by two cumulative sums.
+
+    psi is cut at the first L with Psi_L < _CUT_TAIL (Cov_r = 0 for r >= L).
+    As psi_i >= 0 and xi lies in [0, 1], the cut moves X_t by at most Psi_L,
+    and each g is 1-Lipschitz with a range of length <= 1, so the error is at
+    most Psi_L in mu and in each Cov_r, and k Psi_L in sigma_k^2 (below 1e-15
+    at k = 1000). psi() refuses a cut over _PSI_BUDGET multiply-adds.
     """
-    karr = np.asarray(k, dtype=np.float64)
-    if np.any(karr < 1):
-        raise DomainError("need k >= 1")
-    val = (1.0 + (2.0 / karr) * (karr - 2.0 + np.power(2.0, 1.0 - karr))) / 12.0
-    return val if isinstance(k, np.ndarray) else float(val)
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    psi = np.array([p for p, _ in takewhile(lambda pt: pt[1] >= _CUT_TAIL, model.psi())])
+    lags = min(n, psi.size)
+    if kind == "centered-identity":
+        mu = model.stationary_mean()
+        cov = model.law.variance * np.correlate(np.append(psi, np.zeros(lags - 1)), psi, "valid")
+    else:
+        phi, s, w = model.law.phi, omega * psi, 2.0 * math.pi * omega  # s: w psi in cycles
+        mu = np.prod(phi(s)).real / (2.0 * w) + 0.0  # + 0.0 turns -0.0 into 0.0
+        joint = 0.0  # E e^{iw(X_0 + X_r)} + E e^{iw(X_0 - X_r)}, one lag r at a time
+        for v in (1.0, -1.0):  # so that phi's memory stays O(L)
+            lead = np.cumprod(np.append(1.0, phi(v * s[:lags - 1])))  # prod_{i<r} phi(v s_i)
+            joint = joint + lead * [np.prod(phi(s + v * np.append(s[r:], np.zeros(r))))
+                                    for r in range(lags)]
+        cov = joint.real / (8.0 * w * w) - mu * mu
+    ks = np.arange(1, n + 1)
+    last = np.minimum(ks - 1, lags - 1)  # the largest lag below k with Cov_r kept
+    # sums of Cov_r and of r Cov_r over 1 <= r <= last
+    c1, c2 = np.cumsum(cov) - cov[0], np.cumsum(np.arange(lags) * cov)
+    return float(mu), cov[0] + 2.0 * (c1[last] - c2[last] / ks)
 
 
-def analytic_sigma_profile(model: ProcessModel, f: ObservableF, n: int) -> VarianceProfile | None:
-    """Closed-form variance profile where one exists, else None."""
-    if f.kind != "centered-identity":
-        return None
-    sigma_sq = model.analytic_sigma_sq(np.arange(1, n + 1))
-    return None if sigma_sq is None else variance_profile(sigma_sq, source="analytic")
+def analytic_sigma_profile(model: ProcessModel, f: ObservableF, n: int) -> VarianceProfile:
+    """The exact sigma_1^2..sigma_n^2 of f as observable_for builds it (f.mu does
+    not enter: no clip binds, and a variance is shift-invariant)."""
+    return variance_profile(second_order(model, f.kind, f.omega, n)[1], source="analytic")

@@ -29,13 +29,9 @@ from weakdev.cli import main
 from weakdev.coefficients import doubling_map_profile
 from weakdev.estimation import estimate_coupling_delta, estimate_sigma_profile
 from weakdev.harness import parse_config, run_verification
-from weakdev.processes import (
-    DoublingMap,
-    IidUniform,
-    analytic_sigma_profile,
-    doubling_sigma_sq,
-    observable_for,
-)
+from weakdev.processes import DoublingMap, IidUniform, analytic_sigma_profile, observable_for
+
+from test_processes import doubling_sigma_sq
 
 _SEED = 20260815
 

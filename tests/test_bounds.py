@@ -25,7 +25,8 @@ from weakdev.bounds import (
 )
 from weakdev.coefficients import doubling_map_profile
 from weakdev.errors import DomainError, NoValidBlockSizeError, ValidationError
-from weakdev.processes import doubling_sigma_sq
+
+from test_processes import doubling_sigma_sq
 
 
 def _h_decimal(x: float) -> float:

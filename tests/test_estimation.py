@@ -24,11 +24,12 @@ from weakdev.processes import (
     IidUniform,
     LipschitzKernelChain,
     ObservableF,
-    doubling_sigma_sq,
     observable_for,
     observable_sums,
 )
 from weakdev.rng import derive_seed, replication_seeds
+
+from test_processes import doubling_sigma_sq
 
 _IID = IidUniform()
 _DBL = DoublingMap()

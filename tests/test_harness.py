@@ -33,6 +33,7 @@ from weakdev.errors import ConfigError, DomainError, ValidationError
 import weakdev.estimation as estimation
 import weakdev.harness as harness
 from weakdev.harness import (
+    THEOREMS,
     ExperimentConfig,
     build_model,
     build_weights,
@@ -53,10 +54,11 @@ from weakdev.processes import (
     InfiniteMemoryChain,
     LipschitzKernelChain,
     ProcessModel,
-    doubling_sigma_sq,
+    analytic_sigma_profile,
     observable_for,
 )
-from weakdev.rng import derive_seed
+
+from test_processes import doubling_sigma_sq
 
 REPORT_HEADER = ["theorem", "x", "k_selected", "variance_used", "variance_source", "threshold",
                  "bound_value", "p_hat", "ci_high", "verdict"]
@@ -623,30 +625,7 @@ def test_run_verification_skips_when_no_block_size():
     assert rows[0].threshold is None and rows[0].p_hat is None and rows[0].ci_high is None
     assert rows[0].k_selected is None and rows[0].variance_used is None
     assert rows[1].theorem == "iid_eq1_ref"
-    assert rows[1].variance_source == "estimated"
-
-
-def test_thm1_estimates_each_block_length_once(monkeypatch):
-    real = harness.estimate_sigma_profile
-    ks = []
-
-    def counting(model, f, k_list, *args):
-        ks.extend(int(k) for k in k_list)
-        return real(model, f, k_list, *args)
-
-    monkeypatch.setattr(harness, "estimate_sigma_profile", counting)
-    cfg = parse_config(
-        _doc(model={"variant": "kernel-chain", "kappa": 0.5}, n=16, x_grid=[1.0, 2.0],
-             theorem="thm1", reps=50)
-    )
-    rows = run_verification(cfg)
-    assert sorted(ks) == [1, 2, 4, 8, 16]
-    # the reference rows carry what a lone k = 1 estimate on the variance lane gives
-    f = observable_for(cfg.model, cfg.observable, cfg.omega,
-                       seed=derive_seed(cfg.base_seed, harness._LANE_CENTERING))
-    want = real(cfg.model, f, [1], cfg.reps, derive_seed(cfg.base_seed, harness._LANE_VARIANCE))
-    refs = [r.variance_used for r in rows if r.theorem == "iid_eq1_ref"]
-    assert refs == [want[0].sigma_sq_hat] * 2
+    assert rows[1].variance_source == "analytic"
 
 
 _GEOMETRIC_MEMORY = {
@@ -658,12 +637,12 @@ _GEOMETRIC_MEMORY = {
     "model, theorem, source",
     [
         ("doubling-map", "thm2", "analytic"),
-        ({"variant": "kernel-chain", "kappa": 0.7}, "thm2", "estimated"),
-        (_GEOMETRIC_MEMORY, "thm1", "estimated"),
+        ({"variant": "kernel-chain", "kappa": 0.7}, "thm2", "analytic"),
+        (_GEOMETRIC_MEMORY, "thm1", "analytic"),
     ],
 )
 def test_rows_do_not_depend_on_the_other_x(model, theorem, source):
-    # one tail sample and one variance run serve every x, so each x's rows
+    # one tail sample and one variance profile serve every x, so each x's rows
     # are those of a config that asks for that x alone
     doc = _doc(model=model, theorem=theorem, n=200, reps=400, base_seed=31)
     rows = run_verification(parse_config(dict(doc, x_grid=[0.5, 1.0, 2.0])))
@@ -676,11 +655,11 @@ def test_rows_do_not_depend_on_the_other_x(model, theorem, source):
     "model, theorem, x_grid, sigma_calls",
     [
         ("doubling-map", "thm2", [0.5, 1.0, 2.0], 0),
-        ({"variant": "kernel-chain", "kappa": 0.7}, "thm2", [0.5, 1.0, 2.0], 1),
-        ({"variant": "kernel-chain", "kappa": 0.7}, "thm1", [0.5, 1.0, 2.0], 1),
-        ({"variant": "kernel-chain", "kappa": 0.7}, "hoeffding", [0.5, 1.0], 1),
+        ({"variant": "kernel-chain", "kappa": 0.7}, "thm2", [0.5, 1.0, 2.0], 0),
+        ({"variant": "kernel-chain", "kappa": 0.7}, "thm1", [0.5, 1.0, 2.0], 0),
+        ({"variant": "kernel-chain", "kappa": 0.7}, "hoeffding", [0.5, 1.0], 0),
         ("iid-uniform", "iid_eq1", [0.5, 1.0], 0),
-        (_GEOMETRIC_MEMORY, "iid_eq1", [0.5, 1.0], 1),
+        (_GEOMETRIC_MEMORY, "iid_eq1", [0.5, 1.0], 0),
         ({"variant": "kernel-chain", "kappa": 0.7}, "thm2", [], 0),
     ],
 )
@@ -699,31 +678,33 @@ def test_run_verification_simulates_each_sample_once(monkeypatch, model, theorem
     assert {r.x for r in rows} == set(x_grid)
 
 
-@pytest.mark.parametrize(
-    "model, theorem, calls",
-    [
-        ({"variant": "kernel-chain", "kappa": 0.7}, "thm1", 1),
-        ("doubling-map", "thm1", 0),
-        ({"variant": "kernel-chain", "kappa": 0.7}, "thm2", 0),
-    ],
-)
-def test_thm1_reads_an_estimated_profile_from_mc_variance_profile(monkeypatch, model, theorem,
-                                                                   calls):
-    profiles = []
+@pytest.mark.parametrize("theorem", THEOREMS)
+@pytest.mark.parametrize("observable", ["centered-identity", {"id": "centered-cosine", "omega": 3}],
+                         ids=["identity", "cosine"])
+@pytest.mark.parametrize("model", ["iid-uniform", "doubling-map",
+                                   {"variant": "kernel-chain", "kappa": 0.7},
+                                   {"variant": "bernoulli-shift", "theta": 0.5}, _GEOMETRIC_MEMORY],
+                         ids=["iid", "doubling", "kernel", "shift", "memory"])
+def test_run_verification_estimates_no_variance(monkeypatch, model, observable, theorem):
+    # every row's variance is read off the exact profile; nothing is estimated
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("verify estimated a variance")
 
-    def recording(*args, _real=harness.mc_variance_profile):
-        profiles.append(_real(*args))
-        return profiles[-1]
-
-    monkeypatch.setattr(harness, "mc_variance_profile", recording)
-    cfg = parse_config(_doc(model=model, theorem=theorem, x_grid=[0.5, 1.0, 2.0], n=64, reps=50))
-    rows = run_verification(cfg)
-    assert len(profiles) == calls
-    for row in rows:
-        if profiles and row.theorem == "thm1":
-            assert row.variance_used == profiles[0].envelope[row.k_selected - 1]
-        elif profiles:
-            assert row.variance_used == profiles[0].sigma_at(1)
+    monkeypatch.setattr(harness, "estimate_sigma_profile", no_run)
+    monkeypatch.setattr(harness, "mc_variance_profile", no_run)
+    cfg = parse_config(_doc(model=model, observable=observable, theorem=theorem,
+                            x_grid=[0.5, 1.0, 2.0], n=64, reps=50))
+    prof = analytic_sigma_profile(cfg.model, observable_for(cfg.model, cfg.observable, cfg.omega),
+                                  cfg.n)
+    rows = [r for r in run_verification(cfg) if r.variance_used is not None]
+    assert rows and {r.variance_source for r in rows} == {"analytic"}
+    for r in rows:
+        if r.theorem == "thm1":
+            assert r.variance_used == prof.envelope[r.k_selected - 1]
+        elif r.theorem == "thm2":
+            assert r.variance_used == prof.sigma_at(r.k_selected)
+        else:
+            assert r.variance_used == prof.sigma_at(1)
 
 
 def test_run_verification_deterministic_and_thread_invariant():
@@ -936,18 +917,33 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_cli_refuses_an_x_grid_range_too_long_to_build():
-    # 10^18 points: expanding them would run until memory ran out, so run the
-    # CLI in its own interpreter with a time limit and a 1 GiB address space
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_refuses_an_x_grid_range_too_long_to_build():
+    # 10^18 points: expanding them would run until memory ran out, so run the
+    # CLI in its own interpreter with a time limit and a 1 GiB address space
     res = subprocess.run(
         [sys.executable, "-m", "weakdev.cli", "bounds", "--theorem", "iid_eq1", "--n", "10",
          "--sigma-sq", "0.1", "--x-grid", "0:1e9:1e-9"],
-        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_cap_address_space,
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+        preexec_fn=_cap_address_space,
     )
     assert res.returncode == 2 and "more than 1000000 points" in res.stderr, res.stderr
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # clopper_pearson imports scipy.special when first called, so a command
+    # that computes no interval starts without scipy
+    code = "import sys, weakdev.cli; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_src_env(), timeout=60)
+    assert res.returncode == 0 and res.stdout == "[]\n", res.stderr
 
 
 @pytest.mark.parametrize(

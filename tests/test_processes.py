@@ -1,3 +1,4 @@
+import cmath
 import csv
 import json
 import math
@@ -20,6 +21,7 @@ from weakdev.coefficients import (
     WeightSequence,
 )
 from weakdev.errors import DomainError, ValidationError
+from weakdev.estimation import estimate_sigma_profile
 from weakdev.processes import (
     BernoulliShiftGeometric,
     CoupledBlock,
@@ -33,10 +35,10 @@ from weakdev.processes import (
     _coupled_pairs,
     analytic_sigma_profile,
     coupled_distance_sums,
-    doubling_sigma_sq,
     observable_for,
     observable_prefix_sums,
     observable_sums,
+    second_order,
     simulate,
     simulate_batch,
     simulate_coupled_block,
@@ -85,6 +87,19 @@ def doubling_path(x0: float, bits) -> np.ndarray:
         x = 0.5 * (x + b)
         out[t] = x
     return out
+
+
+def doubling_sigma_sq(k) -> np.ndarray | float:
+    """Exact per-term variance of the centered doubling map.
+
+    Cov(X_0, X_r) = 2^-r / 12 gives
+    sigma_k^2 = (1/12) (1 + (2/k)(k - 2 + 2^{1-k})).
+    """
+    karr = np.asarray(k, dtype=np.float64)
+    if np.any(karr < 1):
+        raise DomainError("need k >= 1")
+    val = (1.0 + (2.0 / karr) * (karr - 2.0 + np.power(2.0, 1.0 - karr))) / 12.0
+    return val if isinstance(k, np.ndarray) else float(val)
 
 
 def kernel_chain_path(kappa: float, x0: float, uniforms) -> np.ndarray:
@@ -471,8 +486,8 @@ def _coupled_pairs_two_generators(model, j, r, seeds):
     gen_s = VectorXoshiro(derive_child_array(seeds, processes._LANE_STARRED))
     xo, step_o = model.start(gen_o)
     xs, step_s = model.start(gen_s)
-    innov_o = model.innovations(gen_o)
-    innov_s = model.innovations(gen_s)
+    innov_o = model.law.draw(gen_o)
+    innov_s = model.law.draw(gen_s)
     for t in range(1, 2 * r + j):
         io = innov_o()
         xo = step_o(xo, io)
@@ -521,7 +536,7 @@ def test_innovations_are_fresh_writable_arrays(model):
     # the stacked coupled run overwrites the starred lanes of each innovation
     # array, so no array may alias the generator, an earlier draw or a later one
     gen, twin = VectorXoshiro(_seeds(5, 16)), VectorXoshiro(_seeds(5, 16))
-    innov, twin_innov = model.innovations(gen), model.innovations(twin)
+    innov, twin_innov = model.law.draw(gen), model.law.draw(twin)
     prev = None
     for _ in range(130):  # past two of the doubling map's 64-bit words
         u = innov()
@@ -658,15 +673,20 @@ def test_observable_for_cosine_uniform_marginal():
 
 
 def test_observable_for_cosine_estimated_centering():
+    # the exact mu = Re prod_i phi(w psi_i) / (2 w), against the same product
+    # in complex arithmetic with no cycle reduction, over psi to 200 terms
     model = LipschitzKernelChain(kappa=0.5)
-    f1 = observable_for(model, "centered-cosine", seed=11)
-    f2 = observable_for(model, "centered-cosine", seed=11)
-    assert f1.mu == f2.mu  # deterministic given the seed
+    f = observable_for(model, "centered-cosine")
+    w = 2.0 * math.pi
+    prod = 1.0
+    for p in exact_psi(model, 200)[0]:
+        t = w * float(p)
+        prod *= (cmath.exp(1j * t) - 1.0) / (1j * t)
+    assert f.mu == pytest.approx(prod.real / (2.0 * w), rel=1e-12)
+    assert f.mu != 0.0
     draws = stationary_init_batch(model, _seeds(404, 200_000))
-    vals = f1.values(draws)
-    se_eval = np.std(vals, ddof=1) / math.sqrt(vals.size)
-    se_centering = np.std(vals, ddof=1) / math.sqrt(200_000)
-    assert abs(np.mean(vals)) < 4.0 * math.hypot(se_eval, se_centering)
+    vals = f.values(draws)
+    assert abs(np.mean(vals)) < 4.0 * np.std(vals, ddof=1) / math.sqrt(vals.size)
 
 
 def test_observable_sums_match_paths():
@@ -694,7 +714,7 @@ def test_observable_prefix_sums_read_one_run(model, kind, ks, reps, seed):
     # a time-ordered sum over the path. The doubling map's centered identity
     # is summed in closed form without a run, within 1e-12 of that sum.
     closed = isinstance(model, DoublingMap) and kind == "centered-identity"
-    f = observable_for(model, kind, centering_reps=256)
+    f = observable_for(model, kind)
     seeds = _seeds(seed, reps)
     runs = []
     real = processes._states
@@ -809,16 +829,59 @@ def test_doubling_sigma_sq_monotone_to_quarter():
 def test_analytic_sigma_profile_cases():
     ident = observable_for(DoublingMap(), "centered-identity")
     prof = analytic_sigma_profile(DoublingMap(), ident, 12)
-    assert prof is not None and prof.source == "analytic"
+    assert prof.source == "analytic"
     assert prof.sigma_at(5) == pytest.approx(doubling_sigma_sq(5), abs=1e-16)
 
     flat = analytic_sigma_profile(IidUniform(), observable_for(IidUniform(), "centered-identity"), 6)
-    assert flat is not None and np.all(flat.sigma_sq == 1.0 / 12.0)
+    assert np.all(flat.sigma_sq == 1.0 / 12.0)
 
-    cos = observable_for(DoublingMap(), "centered-cosine")
-    assert analytic_sigma_profile(DoublingMap(), cos, 6) is None
-    km = LipschitzKernelChain(kappa=0.5)
-    assert analytic_sigma_profile(km, observable_for(km, "centered-identity"), 6) is None
+    # the doubling map's cosine covariances vanish, so sigma_k^2 = Var f = 1/(8 w^2)
+    cos = analytic_sigma_profile(DoublingMap(), observable_for(DoublingMap(), "centered-cosine"), 6)
+    assert np.all(cos.sigma_sq == cos.sigma_sq[0])
+    assert cos.sigma_sq[0] == pytest.approx(1.0 / (32.0 * math.pi**2), rel=1e-15)
+
+    # AR(1): Cov_r = g0 kappa^r with g0 = (1 - kappa) / (12 (1 + kappa)), so
+    # sigma_k^2 = g0 [(1 + kappa)/(1 - kappa) - 2 kappa (1 - kappa^k) / (k (1 - kappa)^2)]
+    kappa = 0.5
+    km = LipschitzKernelChain(kappa=kappa)
+    prof = analytic_sigma_profile(km, observable_for(km, "centered-identity"), 60)
+    ks = np.arange(1, 61)
+    g0 = (1.0 - kappa) / (12.0 * (1.0 + kappa))
+    closed = g0 * ((1.0 + kappa) / (1.0 - kappa)
+                   - 2.0 * kappa * (1.0 - kappa**ks) / (ks * (1.0 - kappa) ** 2))
+    assert np.allclose(prof.sigma_sq, closed, rtol=1e-12, atol=0.0)
+
+
+# fixed before the run: |exact - estimate| <= 4.5 standard errors
+_Z_BOUND = 4.5
+
+
+@pytest.mark.parametrize("kind, omega", [("centered-identity", 1), ("centered-cosine", 1),
+                                         ("centered-cosine", 3)])
+@pytest.mark.parametrize("model", _MODELS, ids=_name)
+def test_second_order_is_exact(model, kind, omega):
+    # mu and sigma_k^2 from psi and the innovation law, against Monte Carlo at
+    # fixed seeds, and against brute force where an exact oracle exists
+    f = observable_for(model, kind, omega)
+    mu, sigma_sq = second_order(model, kind, omega, 1000)
+    assert mu == f.mu
+    g = f.values(stationary_init_batch(model, _seeds(606, 1 << 16))) + f.mu
+    assert abs(np.mean(g) - mu) <= _Z_BOUND * np.std(g, ddof=1) / math.sqrt(g.size)
+    for est in estimate_sigma_profile(model, f, [1, 10, 100], reps=4096, seed=707):
+        assert abs(sigma_sq[est.k - 1] - est.sigma_sq_hat) <= _Z_BOUND * est.std_error
+    if kind == "centered-identity":
+        # sigma_k^2 = (1/k) sum_{s,t<k} Cov_{|s-t|}, Cov_r = Var xi sum_i psi_i psi_{i+r}
+        psi = [float(p) for p in exact_psi(model, 300)[0]]
+        cov = [model.law.variance * math.fsum(a * b for a, b in zip(psi, psi[r:]))
+               for r in range(100)]
+        for k in (1, 10, 100):
+            brute = math.fsum(cov[abs(s - t)] for s in range(k) for t in range(k)) / k
+            assert sigma_sq[k - 1] == pytest.approx(brute, rel=1e-12)
+    if isinstance(model, DoublingMap) and kind == "centered-identity":
+        ks = np.arange(1.0, 1001.0)
+        assert np.allclose(sigma_sq, doubling_sigma_sq(ks), rtol=1e-12, atol=0.0)
+    elif isinstance(model, DoublingMap):
+        assert np.all(sigma_sq == sigma_sq[0])  # every Cov_r, r >= 1, is exactly 0
 
 
 # ---------------------------------------------------------------------------
