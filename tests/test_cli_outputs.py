@@ -65,7 +65,7 @@ GOLDEN = {
     "bounds.out": "dac072df486a3468",
     "profile": "111027cdfd06266a",
     "simulate": "0abd7a0b9d9306b7",
-    "estimate-variance": "3a1fa10b6e6cc8f0",
+    "estimate-variance": "e31316da0cb77766",
     "estimate-coupling.doubling.out": "72f5cceecb501346",
     "estimate-coupling.doubling.block-out": "bf678080e7528690",
     "estimate-coupling.geometric.out": "aad977ad80ec6280",
@@ -95,10 +95,10 @@ def test_command_output_matches_golden_digest(tmp_path, label):
 # theorem -> (exit code, report digest); x = 6 fails at every theorem, since
 # 300 replications cannot certify a tail probability below e^-6
 VERIFY_GOLDEN = {
-    "iid_eq1": (1, "bdaeec06c031316c"),
-    "thm1": (1, "e100ca33bd3969a3"),
-    "thm2": (1, "eb9e380018eb0669"),
-    "hoeffding": (1, "59820284f8961c10"),
+    "iid_eq1": (1, "af2ab7e7dc3afbf1"),
+    "thm1": (1, "1f5c49bbd0296432"),
+    "thm2": (1, "4d198aaaf8efbf21"),
+    "hoeffding": (1, "2ce180e936b68c0a"),
 }
 
 

@@ -112,7 +112,7 @@ GOLDEN = {
         "sums.cosine": "379037ac519de1ef",
         "sums.stationary": "3723231c3fa5ac6e",
         "mu.identity": "4cfa5b42ca669328",
-        "mu.cosine": "9cf08b1121bb101b",
+        "mu.cosine": "fd003641510a3ae1",
         "init": "aa960fdc24ad9d00",
         "simulate": "4e0b901208a1726a",
         "distance.1.1": "dff74ec3dc8ca42e",
@@ -127,7 +127,7 @@ GOLDEN = {
         "sums.cosine": "66327e08a5097e4a",
         "sums.stationary": "5205b73d436090f5",
         "mu.identity": "cd2a0afdea9d1f17",
-        "mu.cosine": "b959e7a151d82229",
+        "mu.cosine": "48eaf9183c7af9b5",
         "init": "ce950ca2a919857f",
         "simulate": "f36c00eb30132179",
         "distance.1.1": "8aae78f773e19fbe",
@@ -142,7 +142,7 @@ GOLDEN = {
         "sums.cosine": "818b35e043c58032",
         "sums.stationary": "51bd74f3073c2e18",
         "mu.identity": "8d3e5187b5e722fa",
-        "mu.cosine": "eb0a22dbb230802b",
+        "mu.cosine": "c225801ae2bb1245",
         "init": "9df667ee73da3268",
         "simulate": "4fb374644da02837",
         "distance.1.1": "259f912050cb2f6a",
@@ -157,7 +157,7 @@ GOLDEN = {
         "sums.cosine": "b3c4793cebf2d2b1",
         "sums.stationary": "d9fa5e83b7e5fd85",
         "mu.identity": "77597a9b7a9c5340",
-        "mu.cosine": "afede40aac1eb89d",
+        "mu.cosine": "3e5071e87234bc6f",
         "init": "e2c59c6cfb1e34de",
         "simulate": "f24a6782a6f15925",
         "distance.1.1": "167577148f240b5e",
@@ -172,7 +172,7 @@ GOLDEN = {
         "sums.cosine": "c1e1ca4a12604101",
         "sums.stationary": "fcc8656063dd5fe5",
         "mu.identity": "2f663e6a7f3c11c6",
-        "mu.cosine": "bceb8642216d415f",
+        "mu.cosine": "970ca23a35afd5af",
         "init": "13e1ea87bc493ea3",
         "simulate": "448eb2c1af3cc7b7",
         "distance.1.1": "56cf5c69866d399a",
