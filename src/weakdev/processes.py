@@ -523,7 +523,8 @@ def observable_for(model: ProcessModel, kind: str, omega: int = 1) -> Observable
         raise ValidationError(f"unknown observable kind {kind!r}", field="kind")
     if omega < 1:
         raise DomainError(f"need omega >= 1, got {omega}", field="omega")
-    mu, amp = second_order(model, kind, omega, 1)[0], 1.0 / (4.0 * math.pi * omega)
+    mu = second_order(model, kind, omega, 1)[0]
+    amp = 1.0 / (4.0 * math.pi * omega)
     return ObservableF(kind, mu, omega, lipschitz_constant=0.5, sup_bound=amp + abs(mu))
 
 
@@ -559,8 +560,8 @@ def second_order(model: ProcessModel, kind: str, omega: int, n: int) -> tuple[fl
     else:
         phi, s, w = model.law.phi, omega * psi, 2.0 * math.pi * omega  # s: w psi in cycles
         mu = np.prod(phi(s)).real / (2.0 * w) + 0.0  # + 0.0 turns -0.0 into 0.0
-        joint = 0.0  # E e^{iw(X_0 + X_r)} + E e^{iw(X_0 - X_r)}, one lag r at a time
-        for v in (1.0, -1.0):  # so that phi's memory stays O(L)
+        joint = 0.0  # E e^{iw(X_0 + X_r)} + E e^{iw(X_0 - X_r)}
+        for v in (1.0, -1.0):  # one phi call per lag r keeps its memory O(L)
             lead = np.cumprod(np.append(1.0, phi(v * s[:lags - 1])))  # prod_{i<r} phi(v s_i)
             joint = joint + lead * [np.prod(phi(s + v * np.append(s[r:], np.zeros(r))))
                                     for r in range(lags)]
