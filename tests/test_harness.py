@@ -628,6 +628,27 @@ def test_run_verification_skips_when_no_block_size():
     assert rows[1].variance_source == "analytic"
 
 
+def test_thm1_computes_one_exact_profile_out_to_n(monkeypatch):
+    real = harness.analytic_sigma_profile
+    profiles = []
+
+    def recording(model, f, n):
+        profiles.append((n, real(model, f, n)))
+        return profiles[-1][1]
+
+    monkeypatch.setattr(harness, "analytic_sigma_profile", recording)
+    cfg = parse_config(
+        _doc(model={"variant": "kernel-chain", "kappa": 0.5}, n=16, x_grid=[1.0, 2.0],
+             theorem="thm1", reps=50)
+    )
+    rows = run_verification(cfg)
+    assert [n for n, _ in profiles] == [16]
+    # the reference rows carry that profile's k = 1 variance
+    prof = profiles[0][1]
+    refs = [r.variance_used for r in rows if r.theorem == "iid_eq1_ref"]
+    assert refs == [prof.sigma_at(1)] * 2
+
+
 _GEOMETRIC_MEMORY = {
     "variant": "infinite-memory", "weights": {"family": "geometric", "c": 0.5, "ratio": 0.5}
 }
