@@ -187,6 +187,24 @@ def select_k_star_prime(delta_prime: DependenceProfile, n: int, x: float) -> Blo
     return BlockSelection(k=int(hits[0]) + 1, variance_at_k=None)
 
 
+def smallest_k_meeting(g, target: float, cap: int) -> int | None:
+    """Smallest k in 1..cap with g(k) <= target, for g nonincreasing in k; None
+    when g(cap) > target.  Doubles k to bracket it, then bisects (Bentley & Yao
+    1976), so about 2 log2 k calls of g and no array sized by k."""
+    lo = hi = 1
+    while g(hi) > target:
+        if hi >= cap:
+            return None
+        lo, hi = hi, min(2 * hi, cap)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if g(mid) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 # ---------------------------------------------------------------------------
 # thresholds and tail bounds
 

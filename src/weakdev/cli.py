@@ -45,7 +45,7 @@ from .harness import (
     run_blocksize_asymptotics,
     run_verification,
 )
-from .processes import MODELS, observable_for, simulate, simulate_coupled_block
+from .processes import MODELS, OBSERVABLES, observable_for, simulate, simulate_coupled_block
 
 
 # the most points a start:stop:step range may expand to
@@ -274,8 +274,7 @@ def simulate_cmd(m, n, seed, out):
 
 @main.command("estimate-variance")
 @_model_options
-@click.option("--observable", type=click.Choice(["centered-identity", "centered-cosine"]),
-              default="centered-identity")
+@click.option("--observable", type=click.Choice(OBSERVABLES), default="centered-identity")
 @click.option("--omega", type=click.IntRange(min=1), default=1)
 @click.option("--k-grid", required=True, help="comma list of block lengths")
 @click.option("--reps", type=int, default=10000)

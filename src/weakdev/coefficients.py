@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bounds import DependenceProfile
+from .bounds import DependenceProfile, smallest_k_meeting
 from .errors import DomainError, ValidationError
 
 _MONOTONE_TOL = 1e-12
@@ -74,20 +74,11 @@ class WeightSequence:
         """Smallest M >= 1 with tail_sum(M + 1) <= tol."""
         if tol <= 0:
             raise DomainError(f"need tol > 0, got {tol}")
-        m = 1
-        while self.tail_sum(m + 1) > tol:
-            m *= 2
-            if m > 10**7:
-                raise ValidationError(f"no truncation below tol={tol} within 1e7 terms; "
-                                      "set truncation explicitly", field="truncation")
-        lo, hi = max(1, m // 2), m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.tail_sum(mid + 1) <= tol:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        m = smallest_k_meeting(lambda k: self.tail_sum(k + 1), tol, 10**7)
+        if m is None:
+            raise ValidationError(f"no truncation below tol={tol} within 1e7 terms; "
+                                  "set truncation explicitly", field="truncation")
+        return m
 
 
 @dataclass(frozen=True)

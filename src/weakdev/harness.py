@@ -30,6 +30,7 @@ from .bounds import (
     iid_bernstein_threshold,
     select_k_star,
     select_k_star_prime,
+    smallest_k_meeting,
     thm1_threshold,
     thm2_threshold,
     variance_profile,
@@ -58,6 +59,7 @@ from .processes import (
     InfiniteMemoryChain,
     LipschitzKernelChain,
     MODELS,
+    OBSERVABLES,
     ProcessModel,
     analytic_sigma_profile,
     observable_for,
@@ -207,7 +209,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if omega < 1:
             raise ConfigError(f"need omega >= 1, got {omega}", field="observable.omega")
         obs = obs.get("id", "centered-identity")
-    if obs not in ("centered-identity", "centered-cosine"):
+    if obs not in OBSERVABLES:
         raise ConfigError(f"unknown observable {obs!r}", field="observable")
     x_grid = doc["x_grid"]
     if not isinstance(x_grid, (list, tuple)):
@@ -378,22 +380,18 @@ class AsymptoticsRow:
     ratio: float
 
 
-_SCAN_CAP = 1 << 30
-# chunks stop doubling here, so a scan out to _SCAN_CAP holds about 32 MiB per array
-_SCAN_CHUNK = 1 << 22
-# relative slack on the closed-form k*, so a k* at the cap is still scanned
-_CAP_SLACK = 1e-9
+_K_CAP = 1 << 30
 
 
 def run_blocksize_asymptotics(
     family: str, targets, c: float = 1.0, decay: float = 0.5
 ) -> list[AsymptoticsRow]:
-    """k*(v) = min{k : k delta_k <= v} by exhaustive scan, with the
-    normalization that should stabilize: k*/ln(1/v) for geometric profiles
-    k delta_k = c decay^k, and k*/v^{1/(1-decay)} for polynomial profiles
-    delta_k = c k^{-decay} (decay > 1)."""
+    """k*(v) = min{k : k delta_k <= v}, found by smallest_k_meeting up to _K_CAP,
+    with the normalization that should stabilize: k*/ln(1/v) for geometric
+    profiles k delta_k = c decay^k, and k*/v^{1/(1-decay)} for polynomial
+    profiles delta_k = c k^{-decay} (decay > 1)."""
     # positive forms with finite caps: a NaN or infinite target, c or decay
-    # would scan towards _SCAN_CAP or end in math.log(0.0)
+    # would pass every comparison as k* = 1 or end in math.log(0.0)
     targets = [float(v) for v in targets]
     if not all(0.0 < v < math.inf for v in targets):
         raise DomainError(f"targets must be positive and finite, got {targets}", field="targets")
@@ -404,47 +402,24 @@ def run_blocksize_asymptotics(
             raise DomainError(f"need 0 < decay < 1, got {decay}", field="decay")
         kdelta = lambda ks: c * decay**ks
         norm = lambda v: math.log(1.0 / v)
-        # k* = ln(c/v) / ln(1/decay), in logs so that c/v cannot overflow
-        log_k = lambda v: math.log((math.log(c) - math.log(v)) / -math.log(decay))
     elif family == "polynomial":
         if not 1.0 < decay < math.inf:
             raise DomainError(f"need finite decay > 1, got {decay}", field="decay")
         kdelta = lambda ks: c * ks ** (1.0 - decay)
         norm = lambda v: v ** (1.0 / (1.0 - decay))
-        # k* = (c/v)^(1/(decay-1)), in logs
-        log_k = lambda v: (math.log(c) - math.log(v)) / (decay - 1.0)
     else:
         raise DomainError(f"unknown profile family {family!r}", field="family")
     if not 0.0 < c < math.inf:
         raise DomainError(f"need finite c > 0, got {c}", field="c")
 
-    # the smallest target needs the largest k*; refuse it before any scan
-    v = targets[-1]
-    if c > v and log_k(v) > math.log(_SCAN_CAP * (1.0 + _CAP_SLACK)):
-        raise DomainError(
-            f"target {v} needs a block size of about 10^{log_k(v) / math.log(10.0):.1f}, "
-            f"above the scan cap {_SCAN_CAP}",
-            field="targets",
-        )
-    rows = []
-    for v in targets:
-        k = _scan_first_k(kdelta, v)
-        rows.append(AsymptoticsRow(target=v, k_star=k, ratio=k / norm(v)))
-    return rows
-
-
-def _scan_first_k(kdelta, v: float) -> int:
-    lo = 1
-    chunk = 1 << 16
-    while lo <= _SCAN_CAP:
-        hi = min(lo + chunk, _SCAN_CAP + 1)
-        ks = np.arange(lo, hi, dtype=np.float64)
-        ok = np.nonzero(kdelta(ks) <= v)[0]
-        if ok.size:
-            return lo + int(ok[0])
-        lo = hi
-        chunk = min(2 * chunk, _SCAN_CHUNK)
-    raise DomainError(f"no block size up to {_SCAN_CAP} meets target {v}", field="targets")
+    # numpy's power on a float64 array: Python's ** can differ in the last bit
+    g = lambda k: kdelta(np.array([k], dtype=np.float64))[0]
+    ks = [smallest_k_meeting(g, v, _K_CAP) for v in targets]
+    # the smallest target needs the largest k*; refuse it before any row
+    if ks[-1] is None:
+        raise DomainError(f"no block size up to {_K_CAP} meets target {targets[-1]}",
+                          field="targets")
+    return [AsymptoticsRow(target=v, k_star=k, ratio=k / norm(v)) for v, k in zip(targets, ks)]
 
 
 def ratio_spread(rows: list[AsymptoticsRow]) -> float:

@@ -488,23 +488,30 @@ def simulate_coupled_block(model: ProcessModel, j: int, r: int, seed: int) -> Co
 # observables
 
 
+OBSERVABLES = ("centered-identity", "centered-cosine")
+
+
 @dataclass(frozen=True)
 class ObservableF:
-    """Centered observable with |f| <= 1/2 and Lipschitz constant <= 1."""
+    """Centered observable with |f| <= 1/2 and Lipschitz constant <= 1: the
+    identity clipped to [-1/2, 1/2] about mu, or cos(w x) / (2 w) - mu with
+    w = 2 pi omega, of Lipschitz constant 1/2 and |f| <= 1/(4 pi omega) + |mu|."""
 
     kind: str
     mu: float
     omega: int = 1
-    lipschitz_constant: float = 1.0
-    sup_bound: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("centered-identity", "centered-cosine"):
+        if self.kind not in OBSERVABLES:
             raise ValidationError(f"unknown observable kind {self.kind!r}", field="kind")
-        if self.kind == "centered-cosine" and self.omega < 1:
+        if self.kind == "centered-identity":
+            return
+        if self.omega < 1:
             raise DomainError(f"need omega >= 1, got {self.omega}", field="omega")
-        if self.lipschitz_constant > 1.0 + 1e-12 or self.sup_bound > 0.5 + 1e-12:
-            raise ValidationError("observable must satisfy |f| <= 1/2 and Lip(f) <= 1")
+        # positive form, so a NaN mu fails it too
+        if not 1.0 / (4.0 * math.pi * self.omega) + abs(self.mu) <= 0.5:
+            raise ValidationError(f"cosine observable needs 1/(4 pi omega) + |mu| <= 1/2, "
+                                  f"got omega={self.omega}, mu={self.mu}", field="mu")
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -517,15 +524,13 @@ class ObservableF:
 def observable_for(model: ProcessModel, kind: str, omega: int = 1) -> ObservableF:
     """Observable centered under the model's stationary law: the identity by
     stationary_mean(), the cosine by the exact mu of second_order."""
-    if kind == "centered-identity":
-        return ObservableF(kind=kind, mu=model.stationary_mean(), lipschitz_constant=1.0)
-    if kind != "centered-cosine":
+    if kind not in OBSERVABLES:
         raise ValidationError(f"unknown observable kind {kind!r}", field="kind")
+    if kind == "centered-identity":
+        return ObservableF(kind, model.stationary_mean())
     if omega < 1:
         raise DomainError(f"need omega >= 1, got {omega}", field="omega")
-    mu = second_order(model, kind, omega, 1)[0]
-    amp = 1.0 / (4.0 * math.pi * omega)
-    return ObservableF(kind, mu, omega, lipschitz_constant=0.5, sup_bound=amp + abs(mu))
+    return ObservableF(kind, second_order(model, kind, omega, 1)[0], omega)
 
 
 # ---------------------------------------------------------------------------

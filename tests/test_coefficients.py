@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weakdev.coefficients import (
     _BLOCK_ROWS,
@@ -91,6 +91,70 @@ def test_suggest_truncation_boundary():
     assert w.suggest_truncation(tol=0.3) == 2
     with pytest.raises(DomainError):
         w.suggest_truncation(tol=0.0)
+
+
+def test_suggest_truncation_reaches_its_1e7_limit():
+    # the tail first meets 2^-40 at M = 9,010,899, past the 2^23 = 8,388,608
+    # that doubling alone reaches below 1e7
+    w = GeometricWeights(1.5e-6, 1.0 - 3e-6)
+    m = w.suggest_truncation()
+    assert m == 9_010_899
+    assert w.tail_sum(m + 1) <= TRUNCATION_TAIL < w.tail_sum(m)
+
+
+def _doubling_then_bisecting(w: WeightSequence, tol: float) -> int:
+    """suggest_truncation as a loop of its own before the shared search, kept as
+    an oracle: it doubles M up to 2^23 and bisects in [M/2, M]."""
+    m = 1
+    while w.tail_sum(m + 1) > tol:
+        m *= 2
+        if m > 10**7:
+            raise ValidationError(f"no truncation below tol={tol} within 1e7 terms; "
+                                  "set truncation explicitly", field="truncation")
+    lo, hi = max(1, m // 2), m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if w.tail_sum(mid + 1) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _counting_tail_sums(w: WeightSequence) -> list[int]:
+    """Log each p that w.tail_sum is called at (an instance attribute shadows
+    the method on the frozen dataclass)."""
+    calls = []
+    tail_sum = w.tail_sum
+    object.__setattr__(w, "tail_sum", lambda p: calls.append(p) or tail_sum(p))
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["zero", "geometric", "polynomial"]),
+    c=st.floats(1e-3, 10.0),
+    shape=st.floats(0.01, 0.99),
+    tol_exp=st.integers(1, 40),
+)
+def test_suggest_truncation_matches_the_old_loop(family, c, shape, tol_exp):
+    def weights():
+        if family == "zero":
+            return ZeroWeights()
+        if family == "geometric":
+            return GeometricWeights(c, shape)
+        return PolynomialWeights(c, 1.0 + 5.0 * shape)
+
+    tol = 2.0**-tol_exp
+    old, new = weights(), weights()
+    old_calls, new_calls = _counting_tail_sums(old), _counting_tail_sums(new)
+    try:
+        expected = _doubling_then_bisecting(old, tol)
+    except ValidationError:
+        expected = None
+    assume(expected is not None)  # past the old loop's 2^23 reach
+    assert new.suggest_truncation(tol) == expected
+    assert new_calls == old_calls
 
 
 # ---------------------------------------------------------------------------

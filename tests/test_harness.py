@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from weakdev.bounds import (
     DependenceProfile,
     iid_bernstein_threshold,
+    smallest_k_meeting,
     thm1_threshold,
     thm2_threshold,
 )
@@ -811,10 +812,9 @@ def test_asymptotics_validation():
         run_blocksize_asymptotics("geometric", [1e-2], c=0.0)
 
 
-# Unrefused, a NaN target or c scans towards _SCAN_CAP = 2^30 in chunks of up
-# to 4 GiB, and an infinite target ends in math.log(0.0).  The cap is lowered
-# so that a regression fails fast instead of scanning; the scan's own refusal
-# names no finiteness, so the message check tells the two apart.
+# Unrefused, a NaN target or c passes every comparison as k* = 1, and an
+# infinite target ends in math.log(0.0); the message check tells the boundary
+# refusal apart from those.
 _NON_FINITE_ASYMPTOTICS = [
     (("geometric", [math.nan]), {}, "targets"),
     (("geometric", [math.inf]), {}, "targets"),
@@ -828,8 +828,7 @@ _NON_FINITE_ASYMPTOTICS = [
 
 
 @pytest.mark.parametrize("args, kwargs, field", _NON_FINITE_ASYMPTOTICS)
-def test_asymptotics_refuses_non_finite_input(monkeypatch, args, kwargs, field):
-    monkeypatch.setattr(harness, "_SCAN_CAP", 1 << 12)
+def test_asymptotics_refuses_non_finite_input(args, kwargs, field):
     with pytest.raises(DomainError, match="finite|< 1") as ei:
         run_blocksize_asymptotics(*args, **kwargs)
     assert ei.value.field == field
@@ -844,20 +843,33 @@ def test_asymptotics_refuses_non_finite_input(monkeypatch, args, kwargs, field):
         (["--targets", "1e-2", "--c", "inf"], "--c"),
     ],
 )
-def test_cli_asymptotics_refuses_non_finite_input(monkeypatch, flags, named):
-    monkeypatch.setattr(harness, "_SCAN_CAP", 1 << 12)
+def test_cli_asymptotics_refuses_non_finite_input(flags, named):
     res = CliRunner().invoke(main, ["asymptotics", "--family", "geometric", "--decay", "0.5", *flags])
     assert res.exit_code == 2 and named in res.output and "finite" in res.output
     assert "Traceback" not in res.output
 
 
-def _no_scan(*_args):
-    raise AssertionError("scanned for a block size that the closed form puts above the cap")
+def _count_evaluations(monkeypatch) -> list[list[int]]:
+    """Route the harness's search through a wrapper that logs, per search, each
+    k at which k delta_k is evaluated."""
+    searches = []
+
+    def search(g, target, cap):
+        ks = []
+        searches.append(ks)
+        return smallest_k_meeting(lambda k: ks.append(k) or g(k), target, cap)
+
+    monkeypatch.setattr(harness, "smallest_k_meeting", search)
+    return searches
 
 
-# Unrefused, each of these scans every block size up to _SCAN_CAP = 2^30
-# before it gives up; the scan is patched out, so a regression fails at once
-# and allocates nothing.
+def _assert_refused_by_search(searches, cap):
+    # a regression to a scan evaluates nothing through the search, or ~cap times
+    assert 1 <= len(searches[-1]) <= 2 * math.log2(cap) + 2
+
+
+# k* = 10^30000 and 6.9e12: a scan would visit every block size up to the cap
+# of 2^30 before it refused; the search doubles past the cap in 31 evaluations.
 @pytest.mark.parametrize(
     "family, target, c, decay",
     [
@@ -867,13 +879,15 @@ def _no_scan(*_args):
 )
 def test_asymptotics_refuses_a_block_size_above_the_scan_cap(monkeypatch, family, target, c,
                                                              decay):
-    monkeypatch.setattr(harness, "_scan_first_k", _no_scan)
-    with pytest.raises(DomainError, match="scan cap") as ei:
+    searches = _count_evaluations(monkeypatch)
+    with pytest.raises(DomainError, match="no block size up to 1073741824 meets target") as ei:
         run_blocksize_asymptotics(family, [1.0, target], c=c, decay=decay)
     assert ei.value.field == "targets"
+    _assert_refused_by_search(searches, harness._K_CAP)
     res = CliRunner().invoke(main, ["asymptotics", "--family", family, "--decay", repr(decay),
                                     "--c", repr(c), "--targets", repr(target)])
-    assert res.exit_code == 2 and "--targets" in res.output and "scan cap" in res.output
+    assert res.exit_code == 2 and "--targets" in res.output
+    assert "no block size up to 1073741824 meets target" in res.output
 
 
 @pytest.mark.parametrize(
@@ -887,12 +901,79 @@ def test_asymptotics_refuses_a_block_size_above_the_scan_cap(monkeypatch, family
 )
 def test_asymptotics_scans_up_to_the_cap_and_refuses_beyond_it(monkeypatch, family, decay, at_cap,
                                                                k_at_cap, above_cap):
-    monkeypatch.setattr(harness, "_SCAN_CAP", 1 << 12)
+    monkeypatch.setattr(harness, "_K_CAP", 1 << 12)
     (row,) = run_blocksize_asymptotics(family, [at_cap], decay=decay)
     assert abs(row.k_star - k_at_cap) <= (0 if family == "polynomial" else 1)
-    monkeypatch.setattr(harness, "_scan_first_k", _no_scan)
-    with pytest.raises(DomainError, match="scan cap"):
+    searches = _count_evaluations(monkeypatch)
+    with pytest.raises(DomainError, match="no block size up to 4096 meets target"):
         run_blocksize_asymptotics(family, [above_cap], decay=decay)
+    _assert_refused_by_search(searches, 1 << 12)
+
+
+# The exhaustive scan that found k* before the doubling-and-bisection search,
+# kept verbatim as an oracle: every k from 1 upward, in numpy chunks.
+_SCAN_CAP = 1 << 30
+_SCAN_CHUNK = 1 << 22
+
+
+def _scan_first_k(kdelta, v: float) -> int:
+    lo = 1
+    chunk = 1 << 16
+    while lo <= _SCAN_CAP:
+        hi = min(lo + chunk, _SCAN_CAP + 1)
+        ks = np.arange(lo, hi, dtype=np.float64)
+        ok = np.nonzero(kdelta(ks) <= v)[0]
+        if ok.size:
+            return lo + int(ok[0])
+        lo = hi
+        chunk = min(2 * chunk, _SCAN_CHUNK)
+    raise DomainError(f"no block size up to {_SCAN_CAP} meets target {v}", field="targets")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    profile=st.one_of(
+        st.tuples(st.just("geometric"), st.floats(1e-3, 1.0 - 1e-6)),
+        # nearer 1, v^(1/(1-decay)) overflows: see the xfail below
+        st.tuples(st.just("polynomial"), st.floats(1.05, 9.0)),
+    ),
+    c=st.floats(1e-3, 1e3),
+    k0=st.integers(1, 1 << 20),
+    slack=st.one_of(st.just(1.0), st.floats(1.0, 2.0)),
+)
+# a flat tail: k delta_k = k^(-1e-9) is equal in float64 over long runs of k
+@example(profile=("polynomial", 1.0 + 1e-9), c=1.0, k0=1 << 20, slack=1.0)
+def test_asymptotics_k_star_matches_the_exhaustive_scan(profile, c, k0, slack):
+    family, decay = profile
+    if family == "geometric":
+        kdelta = lambda ks: c * decay**ks
+        k0 = min(k0, max(1, int(700.0 / -math.log(decay))))  # keep k0 delta_k0 > 0
+    else:
+        kdelta = lambda ks: c * ks ** (1.0 - decay)
+    # the target is k0 delta_k0 times a slack >= 1, so the scan stops by k0 <= 2^20
+    v = float(kdelta(np.array([k0], dtype=np.float64))[0]) * slack
+    assume(family == "polynomial" or v != 1.0)  # ln(1/v) = 0: see the xfail below
+    (row,) = run_blocksize_asymptotics(family, [v], c=c, decay=decay)
+    assert row.k_star == _scan_first_k(kdelta, v)
+
+
+# The normalized ratio divides by ln(1/v) = 0 at a geometric target of 1, and
+# v^(1/(1-decay)) overflows for a polynomial decay near 1 at a k* within the
+# cap; both escape as arithmetic errors (a traceback from the CLI) instead of a
+# refusal or a row.
+@pytest.mark.xfail(strict=True, raises=(ZeroDivisionError, OverflowError),
+                   reason="the asymptotics ratio has no guard against a zero or overflowing norm")
+@pytest.mark.parametrize(
+    "family, target, c, decay",
+    [("geometric", 1.0, 2.0, 0.5), ("polynomial", 0.5, 0.5, 1.000001)],
+)
+def test_asymptotics_ratio_is_a_row_or_a_refusal(family, target, c, decay):
+    try:
+        (row,) = run_blocksize_asymptotics(family, [target], c=c, decay=decay)
+    except DomainError as exc:
+        assert exc.field == "targets"
+    else:
+        assert math.isfinite(row.ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -630,9 +630,7 @@ def test_centered_identity_values():
 
 
 def test_centered_cosine_values():
-    f = ObservableF(
-        kind="centered-cosine", mu=0.0, omega=2, lipschitz_constant=0.5, sup_bound=1.0 / (8 * math.pi)
-    )
+    f = ObservableF(kind="centered-cosine", mu=0.0, omega=2)
     w = 4.0 * math.pi
     x = np.linspace(0, 1, 101)
     assert np.allclose(f.values(x), np.cos(w * x) / (2.0 * w))
@@ -644,10 +642,10 @@ def test_observable_validation():
         ObservableF(kind="weird", mu=0.0)
     with pytest.raises(DomainError):
         ObservableF(kind="centered-cosine", mu=0.0, omega=0)
-    with pytest.raises(ValidationError):
-        ObservableF(kind="centered-identity", mu=0.0, lipschitz_constant=1.5)
-    with pytest.raises(ValidationError):
-        ObservableF(kind="centered-identity", mu=0.0, sup_bound=0.7)
+    # |f| reaches 1/(4 pi) + 10 > 1/2
+    with pytest.raises(ValidationError, match="1/2") as ei:
+        ObservableF(kind="centered-cosine", mu=10.0)
+    assert ei.value.field == "mu"
     with pytest.raises(ValidationError):
         observable_for(DoublingMap(), "nope")
     for model in (DoublingMap(), LipschitzKernelChain(kappa=0.5)):

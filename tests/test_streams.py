@@ -55,9 +55,7 @@ def _digest(values) -> str:
 
 def _streams(model) -> dict[str, str]:
     identity = ObservableF(kind="centered-identity", mu=0.375)
-    cosine = ObservableF(
-        kind="centered-cosine", mu=0.01, omega=2, lipschitz_constant=0.5, sup_bound=0.05
-    )
+    cosine = ObservableF(kind="centered-cosine", mu=0.01, omega=2)
     out = {
         "sums.identity": _digest(observable_sums(model, identity, N, SEEDS)),
         "sums.cosine": _digest(observable_sums(model, cosine, N, SEEDS)),
