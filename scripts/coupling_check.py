@@ -1,6 +1,8 @@
 """Empirical coupling certificates against the stated dependence profiles.
 
-Per block length r, over every split point j tested:
+Every model starts stationary, so a coupled pair's law does not depend on
+its split j, and each pair is split at its start; each j tested keys an
+independent batch of seeds. Per block length r, over the pairs of every j:
 
 * certificate: the largest observed coupled-block distance sum must stay
   below the pathwise contraction cap (no tolerance; a violation is a bug);
@@ -25,7 +27,7 @@ def sweep(name, model, profile, pathwise_cap, r_max, j_list, reps, seed) -> None
     # one coupled run per split j serves every r; rows are pairs over all j
     sums = np.concatenate(
         [
-            coupled_distance_sums(model, j, rs, replication_seeds(derive_seed(seed, j), 0, reps))
+            coupled_distance_sums(model, rs, replication_seeds(derive_seed(seed, j), 0, reps))
             for j in j_list
         ]
     )

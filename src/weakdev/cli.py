@@ -106,6 +106,14 @@ def _out_option(*decls, **kwargs):
                         callback=lambda _ctx, _param, out: _out_dir_exists(out), **kwargs)
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current sys.stdout (sys.stderr when err). Left to pick
+    the stream itself, click caches a wrapper per stream whose value keeps the
+    stream alive, so every in-process call under a redirected stdout would
+    retain that buffer and its text."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
@@ -257,7 +265,7 @@ def profile_cmd(m, n, out):
     """Emit the dependence profile a model satisfies, as CSV (r, delta, kind)."""
     prof = dependence_profile_for(m, n)
     write_profile_csv(prof, out)
-    click.echo(f"{m.name}: wrote {prof.n} lags ({prof.kind}) to {out}")
+    _echo(f"{m.name}: wrote {prof.n} lags ({prof.kind}) to {out}")
 
 
 @main.command("simulate")
@@ -269,7 +277,7 @@ def profile_cmd(m, n, out):
 def simulate_cmd(m, n, seed, out):
     """Simulate one trajectory and write it as CSV (t, x)."""
     write_csv(["t", "x"], enumerate(simulate(m, n, seed).tolist(), 1), out)
-    click.echo(f"{m.name}: wrote {n} steps to {out}")
+    _echo(f"{m.name}: wrote {n} steps to {out}")
 
 
 @main.command("estimate-variance")
@@ -288,11 +296,11 @@ def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out
     ks = _parse_list(k_grid, "k-grid", int)
     ests = estimate_sigma_profile(m, f, ks, reps, seed, threads)
     for e in ests:
-        click.echo(f"k={e.k} sigma_sq={e.sigma_sq_hat:.6g} se={e.std_error:.3g} reps={e.reps}")
+        _echo(f"k={e.k} sigma_sq={e.sigma_sq_hat:.6g} se={e.std_error:.3g} reps={e.reps}")
     if out is not None:
         write_estimates_csv([[m.name, observable, e.k, "sigma_sq", e.sigma_sq_hat, e.std_error,
                               None, e.reps, seed] for e in ests], out)
-        click.echo(f"wrote {out}")
+        _echo(f"wrote {out}")
 
 
 @main.command("estimate-coupling")
@@ -312,20 +320,20 @@ def estimate_coupling_cmd(m, r_grid, j_grid, reps, seed, threads, out, block_out
     js = _parse_list(j_grid, "j-grid", int)
     ests = estimate_coupling_delta(m, rs, js, reps, seed, threads)
     for e in ests:
-        click.echo(
+        _echo(
             f"r={e.r} j={e.j} max_sum={e.max_sum:.6g} witness={e.witness:.6g} reps={e.reps}"
         )
     if out is not None:
         write_estimates_csv([[m.name, None, f"r={e.r},j={e.j}", "coupling_max_sum", e.max_sum,
                               e.witness, None, e.reps, seed] for e in ests], out)
-        click.echo(f"wrote {out}")
+        _echo(f"wrote {out}")
     if block_out is not None:
-        block = simulate_coupled_block(m, js[0], rs[0], seed)
+        block = simulate_coupled_block(m, rs[0], seed)
         pairs = zip(block.original.tolist(), block.starred.tolist())
         write_csv(["i", "x", "x_star", "dist"],
-                  ([block.r + block.j + off, xo, xs, abs(xo - xs)]
+                  ([block.r + js[0] + off, xo, xs, abs(xo - xs)]
                    for off, (xo, xs) in enumerate(pairs)), block_out)
-        click.echo(f"wrote coupled block r={rs[0]} j={js[0]} to {block_out}")
+        _echo(f"wrote coupled block r={rs[0]} j={js[0]} to {block_out}")
 
 
 @main.command("verify")
@@ -346,14 +354,14 @@ def verify_cmd(ctx, config_path, out, threads):
     for row in rows:
         note = " (reference curve, not a claimed bound)" if row.theorem == "iid_eq1_ref" else ""
         if row.verdict == "skipped":
-            click.echo(f"{row.theorem} x={row.x:g}: skipped (no admissible block size)")
+            _echo(f"{row.theorem} x={row.x:g}: skipped (no admissible block size)")
         else:
-            click.echo(
+            _echo(
                 f"{row.theorem} x={row.x:g}: threshold={row.threshold:.6g} "
                 f"p_hat={row.p_hat:.3g} ci_high={row.ci_high:.3g} "
                 f"bound={row.bound_value:.6g} {row.verdict}{note}"
             )
-    click.echo(f"wrote {out}")
+    _echo(f"wrote {out}")
     # reference rows are informational; only claimed bounds decide the exit code
     if any(row.verdict == "fail" and row.theorem != "iid_eq1_ref" for row in rows):
         ctx.exit(1)
@@ -375,7 +383,7 @@ def asymptotics_cmd(family, c, decay, targets, out):
     except DomainError as exc:
         raise click.BadParameter(str(exc), param_hint=f"--{exc.field}") from exc
     write_csv(["target", "k_star", "ratio"], map(astuple, rows), out)
-    click.echo(f"ratio spread (max/min): {ratio_spread(rows):.4f}", err=(out is None))
+    _echo(f"ratio spread (max/min): {ratio_spread(rows):.4f}", err=(out is None))
 
 
 if __name__ == "__main__":

@@ -192,17 +192,23 @@ def estimate_coupling_delta(
     """Per-(r, j) maxima of coupled-block distance sums over reps pairs.
 
     The max over replications of distance_sum / r witnesses delta'_r from
-    below; profiles must dominate it. Seeds are keyed by the value of j:
-    every r of one j reads its block from the same coupled run, so each
-    estimate is still a maximum over reps independent pairs and does not
-    depend on which other r or j were requested alongside.
+    below; profiles must dominate it. Every model starts stationary, so a
+    pair split at j has the same law for every j and processes splits each
+    pair at its start; j keys the seeds alone, derive_seed(seed, j), so rows
+    at different j are independent replicates. Every r of one j reads its
+    block from the same coupled run, so each estimate is still a maximum
+    over reps independent pairs and does not depend on which other r or j
+    were requested alongside.
     """
     if reps < 1:
         raise DomainError(f"need reps >= 1, got {reps}")
     rs, js = [int(r) for r in r_list], [int(j) for j in j_list]
+    for j in js:
+        if j < 1:
+            raise DomainError(f"need split j >= 1, got {j}")
     maxima = {
         j: _per_rep_values(
-            lambda s, j=j: coupled_distance_sums(model, j, rs, s),
+            lambda s: coupled_distance_sums(model, rs, s),
             reps,
             derive_seed(seed, j),
             threads,

@@ -401,12 +401,12 @@ def run_blocksize_asymptotics(
         if not 0.0 < decay < 1.0:
             raise DomainError(f"need 0 < decay < 1, got {decay}", field="decay")
         kdelta = lambda ks: c * decay**ks
-        norm = lambda v: math.log(1.0 / v)
+        norm, norm_text = lambda v: math.log(1.0 / v), "ln(1/v)"
     elif family == "polynomial":
         if not 1.0 < decay < math.inf:
             raise DomainError(f"need finite decay > 1, got {decay}", field="decay")
         kdelta = lambda ks: c * ks ** (1.0 - decay)
-        norm = lambda v: v ** (1.0 / (1.0 - decay))
+        norm, norm_text = lambda v: v ** (1.0 / (1.0 - decay)), "v^(1/(1-decay))"
     else:
         raise DomainError(f"unknown profile family {family!r}", field="family")
     if not 0.0 < c < math.inf:
@@ -419,7 +419,18 @@ def run_blocksize_asymptotics(
     if ks[-1] is None:
         raise DomainError(f"no block size up to {_K_CAP} meets target {targets[-1]}",
                           field="targets")
-    return [AsymptoticsRow(target=v, k_star=k, ratio=k / norm(v)) for v, k in zip(targets, ks)]
+    rows = []
+    for v, k in zip(targets, ks):
+        # ln(1/v) is 0 at v = 1 and negative above; v^(1/(1-decay)) can overflow
+        try:
+            ratio = k / norm(v)
+        except (OverflowError, ZeroDivisionError):
+            ratio = math.nan
+        if not 0.0 < ratio < math.inf:
+            raise DomainError(f"target {v} gives no finite, positive ratio k*/{norm_text} "
+                              f"(k* = {k}, decay = {decay})", field="targets")
+        rows.append(AsymptoticsRow(target=v, k_star=k, ratio=ratio))
+    return rows
 
 
 def ratio_spread(rows: list[AsymptoticsRow]) -> float:

@@ -15,15 +15,18 @@ computed from the same draws without stepping, nearer the exact rational
 sum than a float recurrence gets. Every other (model, f) pair steps the
 run and sums f(X_t) in time order.
 
-Coupled blocks realise the almost-sure coupling behind the linf profiles:
-the starred trajectory shares every innovation after the split time j and
-uses fresh innovations (and a fresh initial state) up to j, so the starred
-block is independent of the first j coordinates while keeping the original
-block's distribution. One stacked run of 2R lanes steps both trajectories:
-the original on lanes :R, the starred on lanes R:, whose innovations are
-overwritten with the original's after j. The starred streams' own later
-draws are discarded unread, and every step is elementwise over lanes, so
-no coupled sum can depend on them.
+Coupled blocks realise the almost-sure coupling behind the linf profiles.
+Every model starts stationary (the doubling map exactly, the others within
+the psi tail at burn_in), so the law of a pair split at time j does not
+depend on j, and a pair is split at its start: the original and the starred
+trajectory start on their own child streams, and from the first step on the
+starred one shares every innovation of the original. So the starred block is
+independent of the original's time-0 state and everything before it, while
+keeping the original block's distribution. One stacked run of 2R lanes steps
+both trajectories: the original on lanes :R, the starred on lanes R:, whose
+innovations are overwritten with the original's. The starred streams' own
+later draws are discarded unread, and every step is elementwise over lanes,
+so no coupled sum can depend on them.
 """
 
 from __future__ import annotations
@@ -420,28 +423,25 @@ def observable_sums(model: ProcessModel, f: "ObservableF", n: int, seeds: np.nda
 
 @dataclass(frozen=True, eq=False)
 class CoupledBlock:
-    """Original and starred values over block i = r+j .. 2r+j-1."""
+    """Original and starred values over block i = r .. 2r-1 after the split."""
 
-    j: int
     r: int
     original: np.ndarray
     starred: np.ndarray
 
 
-def _coupled_pairs(model: ProcessModel, j: int, r: int, seeds: np.ndarray):
-    """Yield (X_i, X*_i) for i = j+1 .. 2r+j-1, one lane per seed.
+def _coupled_pairs(model: ProcessModel, r: int, seeds: np.ndarray):
+    """Yield (X_i, X*_i) for i = 1 .. 2r-1 after the split, one lane per seed.
 
-    That covers every block i = r'+j .. 2r'+j-1 with r' <= r. One stacked
-    run of 2R lanes serves the pair: lanes :R are the original on its child
-    stream, lanes R: the starred run, which starts afresh on its own child
-    stream and, from time j+1 on, has its innovations overwritten with the
-    original's. Each lane is an independent stream and every step is
-    elementwise over lanes, so each half equals a run of its own bit for
-    bit; the starred streams keep drawing after the split, but those draws
-    are overwritten before any step reads them.
+    That covers every block i = r' .. 2r'-1 with r' <= r. One stacked run of
+    2R lanes serves the pair: lanes :R are the original on its child stream,
+    lanes R: the starred run, which starts on its own child stream and, from
+    the first step on, has its innovations overwritten with the original's.
+    Each lane is an independent stream and every step is elementwise over
+    lanes, so each half equals a run of its own bit for bit; the starred
+    streams keep drawing, but those draws are overwritten before any step
+    reads them.
     """
-    if j < 1:
-        raise DomainError(f"need split j >= 1, got {j}")
     if r < 1:
         raise DomainError(f"need block length r >= 1, got {r}")
     R = len(seeds)
@@ -449,8 +449,6 @@ def _coupled_pairs(model: ProcessModel, j: int, r: int, seeds: np.ndarray):
                                         derive_child_array(seeds, _LANE_STARRED)]))
     x, step = model.start(gen)
     innov = model.law.draw(gen)
-    for _ in range(j):
-        x = step(x, innov())
     for _ in range(2 * r - 1):
         u = innov()
         u[R:] = u[:R]
@@ -458,10 +456,11 @@ def _coupled_pairs(model: ProcessModel, j: int, r: int, seeds: np.ndarray):
         yield x[:R], x[R:]
 
 
-def coupled_distance_sums(model: ProcessModel, j: int, rs, seeds: np.ndarray) -> np.ndarray:
-    """sum_{i=r+j}^{2r+j-1} |X_i - X*_i|, one row per seed and one column per r in rs.
+def coupled_distance_sums(model: ProcessModel, rs, seeds: np.ndarray) -> np.ndarray:
+    """sum_{i=r}^{2r-1} |X_i - X*_i| after the split, one row per seed and one
+    column per r in rs.
 
-    One coupled run out to 2 max(rs) + j - 1 serves every r. Each column is
+    One coupled run out to 2 max(rs) - 1 serves every r. Each column is
     summed in time order as the run steps, so it equals the single-r sum bit
     for bit, and no path is stored.
     """
@@ -470,18 +469,18 @@ def coupled_distance_sums(model: ProcessModel, j: int, rs, seeds: np.ndarray) ->
         raise DomainError(f"need block lengths r >= 1, got {rs}")
     ends = sorted(set(rs))
     acc = np.zeros((len(ends), len(seeds)))
-    for m, (xo, xs) in enumerate(_coupled_pairs(model, j, ends[-1], seeds), start=1):
-        # i = j + m lies in block r exactly when (m + 1) / 2 <= r <= m
-        acc[bisect_left(ends, (m + 2) // 2):bisect_right(ends, m)] += np.abs(xo - xs)
+    for i, (xo, xs) in enumerate(_coupled_pairs(model, ends[-1], seeds), start=1):
+        # i lies in block r exactly when (i + 1) / 2 <= r <= i
+        acc[bisect_left(ends, (i + 2) // 2):bisect_right(ends, i)] += np.abs(xo - xs)
     return acc[[ends.index(r) for r in rs]].T
 
 
-def simulate_coupled_block(model: ProcessModel, j: int, r: int, seed: int) -> CoupledBlock:
+def simulate_coupled_block(model: ProcessModel, r: int, seed: int) -> CoupledBlock:
     """One coupled block pair for one seed."""
     pairs = np.array(
-        [(xo[0], xs[0]) for xo, xs in _coupled_pairs(model, j, r, np.array([seed], dtype=_U))]
+        [(xo[0], xs[0]) for xo, xs in _coupled_pairs(model, r, np.array([seed], dtype=_U))]
     )
-    return CoupledBlock(j=j, r=r, original=pairs[r - 1:, 0], starred=pairs[r - 1:, 1])
+    return CoupledBlock(r=r, original=pairs[r - 1:, 0], starred=pairs[r - 1:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,13 @@ tables to paste over GOLDEN and VERIFY_GOLDEN.
 """
 
 import ast
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -124,6 +128,30 @@ def _verify_digest(workdir: Path, theorem: str) -> tuple[int, str]:
 @pytest.mark.parametrize("theorem", VERIFY_GOLDEN)
 def test_verify_report_matches_golden_digest(tmp_path, theorem):
     assert _verify_digest(tmp_path, theorem) == VERIFY_GOLDEN[theorem]
+
+
+def test_in_process_calls_retain_no_stdout(tmp_path):
+    # click.echo left to pick its own stream caches a wrapper per stdout object
+    # that keeps the object alive, so each call under a redirected stdout
+    # would retain its buffer and text (about 0.5 KiB a call here)
+    args = ["profile", "--model", "doubling-map", "--n", "8", "--out", str(tmp_path / "p.csv")]
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(args, prog_name="weakdev", standalone_mode=False)
+
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            call()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 32 * 1024
 
 
 def _verify_config(tmp_path, **extra) -> Path:

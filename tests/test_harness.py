@@ -934,7 +934,7 @@ def _scan_first_k(kdelta, v: float) -> int:
 @given(
     profile=st.one_of(
         st.tuples(st.just("geometric"), st.floats(1e-3, 1.0 - 1e-6)),
-        # nearer 1, v^(1/(1-decay)) overflows: see the xfail below
+        # nearer 1, v^(1/(1-decay)) overflows: see the refusal below
         st.tuples(st.just("polynomial"), st.floats(1.05, 9.0)),
     ),
     c=st.floats(1e-3, 1e3),
@@ -952,17 +952,15 @@ def test_asymptotics_k_star_matches_the_exhaustive_scan(profile, c, k0, slack):
         kdelta = lambda ks: c * ks ** (1.0 - decay)
     # the target is k0 delta_k0 times a slack >= 1, so the scan stops by k0 <= 2^20
     v = float(kdelta(np.array([k0], dtype=np.float64))[0]) * slack
-    assume(family == "polynomial" or v != 1.0)  # ln(1/v) = 0: see the xfail below
+    assume(family == "polynomial" or v < 1.0)  # ln(1/v) <= 0: see the refusal below
     (row,) = run_blocksize_asymptotics(family, [v], c=c, decay=decay)
     assert row.k_star == _scan_first_k(kdelta, v)
 
 
-# The normalized ratio divides by ln(1/v) = 0 at a geometric target of 1, and
-# v^(1/(1-decay)) overflows for a polynomial decay near 1 at a k* within the
-# cap; both escape as arithmetic errors (a traceback from the CLI) instead of a
-# refusal or a row.
-@pytest.mark.xfail(strict=True, raises=(ZeroDivisionError, OverflowError),
-                   reason="the asymptotics ratio has no guard against a zero or overflowing norm")
+# The normalized ratio would divide by ln(1/v) = 0 at a geometric target of 1,
+# and v^(1/(1-decay)) overflows for a polynomial decay near 1 at a k* within
+# the cap; each must be a row with a finite ratio or a refusal on targets, not
+# an arithmetic error (a traceback from the CLI).
 @pytest.mark.parametrize(
     "family, target, c, decay",
     [("geometric", 1.0, 2.0, 0.5), ("polynomial", 0.5, 0.5, 1.000001)],
@@ -974,6 +972,20 @@ def test_asymptotics_ratio_is_a_row_or_a_refusal(family, target, c, decay):
         assert exc.field == "targets"
     else:
         assert math.isfinite(row.ratio)
+
+
+@pytest.mark.parametrize(
+    "family, target, c, decay",
+    [("geometric", 1.0, 2.0, 0.5), ("geometric", 2.0, 2.0, 0.5),
+     ("polynomial", 0.5, 0.5, 1.000001), ("polynomial", 1e300, 0.5, 1.05)],
+)
+def test_cli_asymptotics_refuses_a_ratio_it_cannot_normalize(family, target, c, decay):
+    # ln(1/v) is 0 at v = 1 and negative above it (a negative ratio was
+    # printed), and v^(1/(1-decay)) overflows or underflows to 0
+    res = CliRunner().invoke(main, ["asymptotics", "--family", family, "--c", repr(c),
+                                    "--decay", repr(decay), "--targets", repr(target)])
+    assert res.exit_code == 2 and "Invalid value for --targets" in res.output, res.output
+    assert "no finite, positive ratio" in res.output and "Traceback" not in res.output
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from weakdev.coefficients import (
     WeightSequence,
 )
 from weakdev.errors import DomainError, ValidationError
-from weakdev.estimation import estimate_sigma_profile
+from weakdev.estimation import estimate_coupling_delta, estimate_sigma_profile
 from weakdev.processes import (
     BernoulliShiftGeometric,
     CoupledBlock,
@@ -480,19 +480,23 @@ def test_stationary_mean_formulas():
 # coupled blocks
 
 
-def _coupled_pairs_two_generators(model, j, r, seeds):
-    """The coupled pair as two side-by-side runs: the oracle for the stacked run."""
+def _coupled_pairs_two_generators(model, r, seeds, presplit=0):
+    """The coupled pair as two side-by-side runs, yielding (X_i, X*_i) for
+    i = 1 .. 2r-1 after the split: the oracle for the stacked run, which
+    splits at the start (presplit = 0). presplit = j > 0 first steps each run
+    j times on its own innovations, the split-after-j construction that the
+    split at the start must match in law."""
     gen_o = VectorXoshiro(derive_child_array(seeds, processes._LANE_ORIGINAL))
     gen_s = VectorXoshiro(derive_child_array(seeds, processes._LANE_STARRED))
     xo, step_o = model.start(gen_o)
     xs, step_s = model.start(gen_s)
     innov_o = model.law.draw(gen_o)
     innov_s = model.law.draw(gen_s)
-    for t in range(1, 2 * r + j):
+    for t in range(1, 2 * r + presplit):
         io = innov_o()
         xo = step_o(xo, io)
-        xs = step_s(xs, innov_s() if t <= j else io)
-        if t > j:
+        xs = step_s(xs, innov_s() if t <= presplit else io)
+        if t > presplit:
             yield xo, xs
 
 
@@ -503,32 +507,44 @@ def test_model_fixtures_cover_every_registered_class():
 @pytest.mark.parametrize("model", _MODELS, ids=_name)
 @settings(max_examples=15, deadline=None)
 @given(
-    j=st.integers(1, 130),
-    rs=st.lists(st.integers(1, 20), min_size=1, max_size=4).flatmap(
+    rs=st.lists(st.integers(1, 70), min_size=1, max_size=4).flatmap(
         lambda rs: st.permutations(rs + rs[:1])),
     reps=st.integers(1, 5),
     base=st.integers(0, 2**63 - 1),
 )
-@example(j=63, rs=[1, 2, 1], reps=3, base=1)
-@example(j=64, rs=[20, 3, 20], reps=2, base=2)
-@example(j=128, rs=[1, 1], reps=1, base=3)
-def test_stacked_coupled_run_equals_two_generators(model, j, rs, reps, base):
+@example(rs=[1, 2, 1], reps=3, base=1)
+@example(rs=[33, 3, 33], reps=2, base=2)
+@example(rs=[70, 1, 70], reps=1, base=3)
+def test_stacked_coupled_run_equals_two_generators(model, rs, reps, base):
     # one stacked 2R-lane run must give every coupled sum and block of the
-    # two side-by-side runs bit for bit; j runs past 128 so the doubling
-    # map's 64-bit innovation words straddle the split on both sides
+    # two side-by-side runs bit for bit; r runs to 70, so the 2r - 1 steps
+    # after the split cross the doubling map's 64-bit innovation words
     seeds = _seeds(base, reps)
-    got = coupled_distance_sums(model, j, rs, seeds)
+    got = coupled_distance_sums(model, rs, seeds)
     for col, r in zip(got.T, rs):
-        dist = [np.abs(xo - xs) for xo, xs in _coupled_pairs_two_generators(model, j, r, seeds)]
+        dist = [np.abs(xo - xs) for xo, xs in _coupled_pairs_two_generators(model, r, seeds)]
         ref = np.zeros(reps)
-        for d in dist[r - 1:]:  # i = r+j .. 2r+j-1
+        for d in dist[r - 1:]:  # i = r .. 2r-1
             ref += d
         assert np.array_equal(col, ref)
     r, seed = rs[0], seeds[:1]
-    block = simulate_coupled_block(model, j, r, int(seed[0]))
-    pairs = list(_coupled_pairs_two_generators(model, j, r, seed))[r - 1:]
+    block = simulate_coupled_block(model, r, int(seed[0]))
+    pairs = list(_coupled_pairs_two_generators(model, r, seed))[r - 1:]
     assert np.array_equal(block.original, [xo[0] for xo, _ in pairs])
     assert np.array_equal(block.starred, [xs[0] for _, xs in pairs])
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=_name)
+def test_split_at_the_start_matches_the_split_after_j_in_law(model):
+    # every model starts stationary, so a pair split after j = 100 steps on
+    # its own innovations has the law of one split at its start; compare
+    # the block r = 4 of each, over independent seeds
+    r, j, reps = 4, 100, 4000
+    after = list(_coupled_pairs_two_generators(model, r, _seeds(4100, reps), presplit=j))
+    start = list(_coupled_pairs(model, r, _seeds(4200, reps)))
+    for side in (lambda xo, xs: np.abs(xo - xs), lambda xo, xs: xs):
+        sums = [sum(side(xo, xs) for xo, xs in pairs[r - 1:]) for pairs in (after, start)]
+        assert stats.ks_2samp(*sums).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("model", _MODELS, ids=_name)
@@ -549,19 +565,19 @@ def test_innovations_are_fresh_writable_arrays(model):
         prev = u
 
 
-@pytest.mark.parametrize("j", [1, 5])
-def test_doubling_coupling_bound(j):
-    # after the restart both paths share innovations, so the distance is
-    # exactly |X_j - X*_j| 2^-(i-j); the block sum stays below 2^(1-r)
+@pytest.mark.parametrize("base", [1, 5])
+def test_doubling_coupling_bound(base):
+    # both paths share innovations from the split on, so the distance is
+    # exactly |X_0 - X*_0| 2^-i; the block sum stays below 2^(1-r)
     rs = np.arange(1, 9)
-    sums = coupled_distance_sums(DoublingMap(), j, rs, _seeds(7000 + j, 2000))
+    sums = coupled_distance_sums(DoublingMap(), rs, _seeds(7000 + base, 2000))
     assert np.all(sums <= 2.0 ** (1 - rs))
 
 
 def test_kernel_coupling_bound():
-    kappa, j = 0.6, 3
+    kappa = 0.6
     model = LipschitzKernelChain(kappa=kappa)
-    sums = coupled_distance_sums(model, j, [2, 5], _seeds(911, 1000))
+    sums = coupled_distance_sums(model, [2, 5], _seeds(911, 1000))
     for r, col in zip((2, 5), sums.T):
         cap = sum(kappa**m for m in range(r, 2 * r))
         assert np.all(col <= cap * (1.0 + 1e-12))
@@ -570,48 +586,53 @@ def test_kernel_coupling_bound():
 @pytest.mark.parametrize("model", _MODELS, ids=_name)
 def test_share_presplit_collapses_distance(model, monkeypatch):
     # drawing the starred run from the original's own child stream shares the
-    # start and the pre-split innovations too; then the two runs must agree at
-    # every time, so each start() owns its window and history state
+    # start too; then the two runs must agree at every time, so each start()
+    # owns its window and history state
     monkeypatch.setattr(processes, "_LANE_STARRED", processes._LANE_ORIGINAL)
-    sums = coupled_distance_sums(model, 4, [3, 1, 5], _seeds(64, 100))
+    sums = coupled_distance_sums(model, [3, 1, 5], _seeds(64, 100))
     assert np.all(sums == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 60), st.integers(1, 30), st.integers(0, 2**63 - 1))
-def test_iid_coupled_paths_share_post_split_innovations(j, r, base):
-    # X_t = U_t for iid draws, so X*_t = X_t at every t > j exactly when the
-    # starred run reuses the original's innovations after the split
-    assert np.all(coupled_distance_sums(IidUniform(), j, [r], _seeds(base, 8)) == 0.0)
+@given(st.integers(1, 30), st.integers(0, 2**63 - 1))
+def test_iid_coupled_paths_share_post_split_innovations(r, base):
+    # X_t = U_t for iid draws, so X*_t = X_t at every t after the split
+    # exactly when the starred run reuses the original's innovations
+    assert np.all(coupled_distance_sums(IidUniform(), [r], _seeds(base, 8)) == 0.0)
 
 
-def test_coupled_block_arguments():
+def test_coupled_block_arguments(tmp_path):
     with pytest.raises(DomainError):
-        coupled_distance_sums(DoublingMap(), 0, [3], _seeds(1, 4))
+        coupled_distance_sums(DoublingMap(), [0], _seeds(1, 4))
     with pytest.raises(DomainError):
-        coupled_distance_sums(DoublingMap(), 1, [0], _seeds(1, 4))
+        coupled_distance_sums(DoublingMap(), [2, 0], _seeds(1, 4))
     with pytest.raises(DomainError):
-        coupled_distance_sums(DoublingMap(), 1, [2, 0], _seeds(1, 4))
+        coupled_distance_sums(DoublingMap(), [], _seeds(1, 4))
     with pytest.raises(DomainError):
-        coupled_distance_sums(DoublingMap(), 1, [], _seeds(1, 4))
-    with pytest.raises(DomainError):
-        simulate_coupled_block(DoublingMap(), 1, 0, 1)
-    with pytest.raises(DomainError):
-        simulate_coupled_block(DoublingMap(), 0, 10, 1)
+        simulate_coupled_block(DoublingMap(), 0, 1)
+    # the split j keys the estimator's seeds alone, and it refuses j < 1
+    for js, bad in (([0], 0), ([2, -1], -1), ([3, 0, -2], 0)):
+        with pytest.raises(DomainError, match=f"need split j >= 1, got {bad}$"):
+            estimate_coupling_delta(DoublingMap(), [3], js, reps=4, seed=1)
+    out = tmp_path / "coup.csv"
+    res = CliRunner().invoke(main, ["estimate-coupling", "--model", "doubling-map", "--r-grid",
+                                    "1", "--j-grid", "2,0", "--reps", "3", "--out", str(out)])
+    assert res.exit_code == 1 and res.output == "Error: need split j >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_simulate_coupled_block_matches_batch():
-    block = simulate_coupled_block(DoublingMap(), 2, 4, 314)
+    block = simulate_coupled_block(DoublingMap(), 4, 314)
     assert block.original.size == 4 and block.starred.size == 4
-    sums = coupled_distance_sums(DoublingMap(), 2, [4], np.array([314], dtype=np.uint64))
+    sums = coupled_distance_sums(DoublingMap(), [4], np.array([314], dtype=np.uint64))
     assert np.sum(np.abs(block.original - block.starred)) == pytest.approx(float(sums[0, 0]), abs=1e-15)
 
 
 def test_coupled_block_sums_marginals_agree():
-    # the starred restart is stationary too, so block sums from both runs
+    # the starred start is stationary too, so block sums from both runs
     # should be indistinguishable in distribution
-    # the pairs run from i = j+1; the block i = r+j .. 2r+j-1 is the last r
-    pairs = list(_coupled_pairs(DoublingMap(), 5, 10, _seeds(2718, 10_000)))[9:]
+    # the pairs run from i = 1; the block i = r .. 2r-1 is the last r
+    pairs = list(_coupled_pairs(DoublingMap(), 10, _seeds(2718, 10_000)))[9:]
     so, ss = (sum(p[side] for p in pairs) for side in (0, 1))
     assert stats.ks_2samp(so, ss).pvalue > 1e-3
     assert np.all(np.abs(so - ss) <= 10 * 2.0**-9)
@@ -906,7 +927,7 @@ def test_write_coupled_block_csv(tmp_path):
     rows = _cli_rows(tmp_path, ["estimate-coupling", "--model", "doubling-map", "--r-grid", "4",
                                 "--j-grid", "3", "--reps", "2", "--seed", "55",
                                 "--block-out", "{out}"])
-    block = simulate_coupled_block(DoublingMap(), 3, 4, 55)
+    block = simulate_coupled_block(DoublingMap(), 4, 55)
     assert rows[0] == ["i", "x", "x_star", "dist"]
     assert [int(r[0]) for r in rows[1:]] == [7, 8, 9, 10]
     for off, row in enumerate(rows[1:]):

@@ -43,7 +43,7 @@ MODELS = {
         weights=PolynomialWeights(0.25, 3.0), truncation=12
     ),
 }
-BLOCKS = ((1, 1), (3, 4), (50, 7))
+BLOCKS = (1, 4, 7)
 N = 70
 SEEDS = replication_seeds(20261018, 0, 5)
 
@@ -67,10 +67,10 @@ def _streams(model) -> dict[str, str]:
         "init": _digest(stationary_init_batch(model, SEEDS)),
         "simulate": _digest(simulate(model, N, 77)),
     }
-    for j, r in BLOCKS:
-        out[f"distance.{j}.{r}"] = _digest(coupled_distance_sums(model, j, [r], SEEDS)[:, 0])
-        block = simulate_coupled_block(model, j, r, 99)
-        out[f"block.{j}.{r}"] = _digest(np.concatenate([block.original, block.starred]))
+    for r in BLOCKS:
+        out[f"distance.{r}"] = _digest(coupled_distance_sums(model, [r], SEEDS)[:, 0])
+        block = simulate_coupled_block(model, r, 99)
+        out[f"block.{r}"] = _digest(np.concatenate([block.original, block.starred]))
     return out
 
 
@@ -205,18 +205,18 @@ def test_coupling_estimates_read_one_run_per_split(name, rs, js, reps, seed):
     assert [(e.r, e.j) for e in ests] == [(r, j) for r in rs for j in js]
     for j in js:
         seeds = replication_seeds(derive_seed(seed, j), 0, reps)
-        shared = coupled_distance_sums(model, j, rs, seeds)
+        shared = coupled_distance_sums(model, rs, seeds)
         assert shared.shape == (reps, len(rs))
-        dist = [np.abs(xo - xs) for xo, xs in _coupled_pairs(model, j, max(rs), seeds)]
+        dist = [np.abs(xo - xs) for xo, xs in _coupled_pairs(model, max(rs), seeds)]
         for col, r in zip(shared.T, rs):
-            assert np.array_equal(col, coupled_distance_sums(model, j, [r], seeds)[:, 0])
+            assert np.array_equal(col, coupled_distance_sums(model, [r], seeds)[:, 0])
             ref = np.zeros(reps)
-            for d in dist[r - 1:2 * r - 1]:  # i = r+j .. 2r+j-1
+            for d in dist[r - 1:2 * r - 1]:  # i = r .. 2r-1
                 ref += d
             assert np.array_equal(col, ref)
     for e in ests:
         seeds = replication_seeds(derive_seed(seed, e.j), 0, reps)
-        alone = coupled_distance_sums(model, e.j, [e.r], seeds)
+        alone = coupled_distance_sums(model, [e.r], seeds)
         assert e.max_sum == float(np.max(alone)) and e.witness == e.max_sum / e.r
 
 
