@@ -70,10 +70,10 @@ GOLDEN = {
     "profile": "111027cdfd06266a",
     "simulate": "0abd7a0b9d9306b7",
     "estimate-variance": "e31316da0cb77766",
-    "estimate-coupling.doubling.out": "72f5cceecb501346",
-    "estimate-coupling.doubling.block-out": "bf678080e7528690",
-    "estimate-coupling.geometric.out": "aad977ad80ec6280",
-    "estimate-coupling.geometric.block-out": "7a50a1ef5f2a62b7",
+    "estimate-coupling.doubling.out": "aba558c4389554de",
+    "estimate-coupling.doubling.block-out": "87768ab6101e840b",
+    "estimate-coupling.geometric.out": "9c9cea1b77026397",
+    "estimate-coupling.geometric.block-out": "7812e958a91070c3",
     "asymptotics.stdout": "78d47efdbe9428c5",
     "asymptotics.out": "b3184a4a70288f2d",
 }

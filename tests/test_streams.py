@@ -83,12 +83,12 @@ GOLDEN = {
         "mu.cosine": "af5570f5a1810b7a",
         "init": "723149b0c6d54e73",
         "simulate": "685b89b81f1faccd",
-        "distance.1.1": "2c34ce1df23b838c",
-        "block.1.1": "ef465813a4cec29d",
-        "distance.3.4": "2c34ce1df23b838c",
-        "block.3.4": "467cc233886789d4",
-        "distance.50.7": "2c34ce1df23b838c",
-        "block.50.7": "702452f6777a4ac2",
+        "distance.1": "2c34ce1df23b838c",
+        "block.1": "9f86672f278d4f08",
+        "distance.4": "2c34ce1df23b838c",
+        "block.4": "d4b476b87ae3eaed",
+        "distance.7": "2c34ce1df23b838c",
+        "block.7": "86770985daf552a3",
     },
     "doubling-map": {
         "sums.identity": "f4ab02e70679f41f",
@@ -98,12 +98,12 @@ GOLDEN = {
         "mu.cosine": "af5570f5a1810b7a",
         "init": "870b28f2d65fee18",
         "simulate": "c2595eaa87dd54c1",
-        "distance.1.1": "4591c6ea87f92122",
-        "block.1.1": "4909f88757737c66",
-        "distance.3.4": "b6c3732d3014817d",
-        "block.3.4": "9c00cf41435b77bd",
-        "distance.50.7": "c5ba6ec8717bd876",
-        "block.50.7": "34b487a743b5649c",
+        "distance.1": "af58dcce6b9b97d3",
+        "block.1": "dda690f3cbcbcf19",
+        "distance.4": "d5127f1db326d730",
+        "block.4": "79ba79e5969ae1b3",
+        "distance.7": "8bf8133107368330",
+        "block.7": "ab46db29690d7639",
     },
     "kernel-chain": {
         "sums.identity": "4090dd509c336c9a",
@@ -113,12 +113,12 @@ GOLDEN = {
         "mu.cosine": "fd003641510a3ae1",
         "init": "aa960fdc24ad9d00",
         "simulate": "4e0b901208a1726a",
-        "distance.1.1": "dff74ec3dc8ca42e",
-        "block.1.1": "7b96fa83a98ac8ce",
-        "distance.3.4": "5bba7b25c7bf9825",
-        "block.3.4": "bf3ed294bf5536ce",
-        "distance.50.7": "c82c64a24a830e79",
-        "block.50.7": "3291fd2e9623ebaf",
+        "distance.1": "cd73c6d237d10eb0",
+        "block.1": "918563a3df6c50cc",
+        "distance.4": "6357b5365cda64eb",
+        "block.4": "76e65a0dda9653a1",
+        "distance.7": "3d856f6bbf8a491e",
+        "block.7": "c0b8141c446e925f",
     },
     "bernoulli-shift": {
         "sums.identity": "2874956f2fdcafa5",
@@ -128,12 +128,12 @@ GOLDEN = {
         "mu.cosine": "48eaf9183c7af9b5",
         "init": "ce950ca2a919857f",
         "simulate": "f36c00eb30132179",
-        "distance.1.1": "8aae78f773e19fbe",
-        "block.1.1": "4b72663598e9a754",
-        "distance.3.4": "bde7436be2e491dd",
-        "block.3.4": "6f971b4f11ce5e6a",
-        "distance.50.7": "0c92ec641c435dcb",
-        "block.50.7": "58b8764ed51b02ac",
+        "distance.1": "c9c1495b5bda594b",
+        "block.1": "9064fd6ecf9f8577",
+        "distance.4": "5413e5ed5bd5b0ad",
+        "block.4": "b5fcc08b2aaf4212",
+        "distance.7": "1dce9d7001cc08cf",
+        "block.7": "96d3f3b43c6e0187",
     },
     "bernoulli-shift-truncated": {
         "sums.identity": "38cd5007b5c87859",
@@ -143,12 +143,12 @@ GOLDEN = {
         "mu.cosine": "c225801ae2bb1245",
         "init": "9df667ee73da3268",
         "simulate": "4fb374644da02837",
-        "distance.1.1": "259f912050cb2f6a",
-        "block.1.1": "be99bca75f6b83e1",
-        "distance.3.4": "28b5b13eca1a538a",
-        "block.3.4": "aa9e757cb1288de6",
-        "distance.50.7": "0da43c98b545b93c",
-        "block.50.7": "395b7745bd4a1be0",
+        "distance.1": "c3846a3695c2e2f6",
+        "block.1": "85c574fb5b8ee15b",
+        "distance.4": "3d7095d4d56a1f51",
+        "block.4": "6e716bdd288a57f5",
+        "distance.7": "7846611235f84365",
+        "block.7": "253fb9d4b915b613",
     },
     "infinite-memory-geometric": {
         "sums.identity": "3f05a7c3c07b68bc",
@@ -158,12 +158,12 @@ GOLDEN = {
         "mu.cosine": "3e5071e87234bc6f",
         "init": "e2c59c6cfb1e34de",
         "simulate": "f24a6782a6f15925",
-        "distance.1.1": "167577148f240b5e",
-        "block.1.1": "a1753ba5340b1855",
-        "distance.3.4": "b731bdfdf61a1dda",
-        "block.3.4": "d213567bc7387d11",
-        "distance.50.7": "a57c19d449eac44b",
-        "block.50.7": "21707dea6da19da3",
+        "distance.1": "6cc642345af71808",
+        "block.1": "6b21f43d5d155092",
+        "distance.4": "528388ae4c73aba1",
+        "block.4": "c95a015f1db1efa4",
+        "distance.7": "ff228f2e78fca202",
+        "block.7": "dec662e0afa7b6b2",
     },
     "infinite-memory-polynomial": {
         "sums.identity": "5746d0a364862935",
@@ -173,12 +173,12 @@ GOLDEN = {
         "mu.cosine": "970ca23a35afd5af",
         "init": "13e1ea87bc493ea3",
         "simulate": "448eb2c1af3cc7b7",
-        "distance.1.1": "56cf5c69866d399a",
-        "block.1.1": "fba8e18c9390e4e4",
-        "distance.3.4": "55a1afbc485ae5f7",
-        "block.3.4": "9472c114c0ab2f01",
-        "distance.50.7": "4164a987d3b361d9",
-        "block.50.7": "6976cb2128d62630",
+        "distance.1": "262502859066597f",
+        "block.1": "ff4560328d111e63",
+        "distance.4": "0932b7b07a8558e8",
+        "block.4": "35132c2136bd8920",
+        "distance.7": "72f48e24dd05fa81",
+        "block.7": "a2eb3d43f8b7c3b8",
     },
 }
 
