@@ -306,7 +306,8 @@ def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out
 @main.command("estimate-coupling")
 @_model_options
 @click.option("--r-grid", required=True, help="comma list of block half-lengths")
-@click.option("--j-grid", required=True, help="comma list of split indices")
+@click.option("--j-grid", required=True,
+              help="comma list of split indices j >= 1; each keys its own pairs' seeds")
 @click.option("--reps", type=int, default=10000)
 @_SEED
 @_THREADS

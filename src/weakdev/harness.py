@@ -401,12 +401,12 @@ def run_blocksize_asymptotics(
         if not 0.0 < decay < 1.0:
             raise DomainError(f"need 0 < decay < 1, got {decay}", field="decay")
         kdelta = lambda ks: c * decay**ks
-        norm, norm_text = lambda v: math.log(1.0 / v), "ln(1/v)"
+        norm = lambda v: math.log(1.0 / v)
     elif family == "polynomial":
         if not 1.0 < decay < math.inf:
             raise DomainError(f"need finite decay > 1, got {decay}", field="decay")
         kdelta = lambda ks: c * ks ** (1.0 - decay)
-        norm, norm_text = lambda v: v ** (1.0 / (1.0 - decay)), "v^(1/(1-decay))"
+        norm = lambda v: v ** (1.0 / (1.0 - decay))
     else:
         raise DomainError(f"unknown profile family {family!r}", field="family")
     if not 0.0 < c < math.inf:
@@ -427,7 +427,7 @@ def run_blocksize_asymptotics(
         except (OverflowError, ZeroDivisionError):
             ratio = math.nan
         if not 0.0 < ratio < math.inf:
-            raise DomainError(f"target {v} gives no finite, positive ratio k*/{norm_text} "
+            raise DomainError(f"target {v} gives no finite, positive {family} ratio "
                               f"(k* = {k}, decay = {decay})", field="targets")
         rows.append(AsymptoticsRow(target=v, k_star=k, ratio=ratio))
     return rows

@@ -985,7 +985,7 @@ def test_cli_asymptotics_refuses_a_ratio_it_cannot_normalize(family, target, c, 
     res = CliRunner().invoke(main, ["asymptotics", "--family", family, "--c", repr(c),
                                     "--decay", repr(decay), "--targets", repr(target)])
     assert res.exit_code == 2 and "Invalid value for --targets" in res.output, res.output
-    assert "no finite, positive ratio" in res.output and "Traceback" not in res.output
+    assert "gives no finite, positive" in res.output and "Traceback" not in res.output
 
 
 # ---------------------------------------------------------------------------
