@@ -2,7 +2,10 @@
 
 Every model starts stationary, so a coupled pair's law does not depend on
 its split j, and each pair is split at its start; each j tested keys an
-independent batch of seeds. Per block length r, over the pairs of every j:
+independent batch of seeds. One coupled run steps the seeds of every j side
+by side: each lane is its own stream and every step is elementwise, so each
+pair's sums are bit for bit those of a run over its own j's seeds. Per block
+length r, over the pairs of every j:
 
 * certificate: the largest observed coupled-block distance sum must stay
   below the pathwise contraction cap (no tolerance; a violation is a bug);
@@ -24,13 +27,9 @@ from weakdev.rng import derive_seed, replication_seeds
 def sweep(name, model, profile, pathwise_cap, r_max, j_list, reps, seed) -> None:
     print(f"# {name}")
     rs = range(1, r_max + 1)
-    # one coupled run per split j serves every r; rows are pairs over all j
-    sums = np.concatenate(
-        [
-            coupled_distance_sums(model, rs, replication_seeds(derive_seed(seed, j), 0, reps))
-            for j in j_list
-        ]
-    )
+    # one coupled run over every j's seeds serves every r; rows are pairs over all j
+    seeds = np.concatenate([replication_seeds(derive_seed(seed, j), 0, reps) for j in j_list])
+    sums = coupled_distance_sums(model, rs, seeds)
     for r, col in zip(rs, sums.T):
         cap = pathwise_cap(r)
         mean = float(col.mean())

@@ -1,11 +1,13 @@
 """Monte Carlo estimators with exact-binomial uncertainty.
 
-All estimators run replications in fixed-size chunks, serially by default
-(threads=1) or over a thread pool of the requested size. Each replication's
-stream is derived from (base seed, replication index) alone and every chunk
-writes a disjoint slice of one replication-ordered array; reductions then
-run over that array in a single deterministic pass. Results are therefore
-bit-identical for any worker count.
+All estimators run replications in chunks of at most _CHUNK through one
+mapper (_map_chunks), serially by default (threads=1) or over a thread pool
+of the requested size. Each replication's stream is derived from (base
+seed, replication index) alone. Tail and variance chunks write disjoint
+slices of one replication-ordered array, reduced afterwards in a single
+deterministic pass; coupling chunks reduce to maxima, which do not depend on
+how rows are grouped. Results are therefore bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -84,26 +86,33 @@ def clopper_pearson(hits: int, reps: int, alpha: float = DEFAULT_ALPHA) -> tuple
     return lo, hi
 
 
+def _map_chunks(fn, total: int, threads: int) -> list:
+    """[fn(lo, hi) for each chunk lo..hi-1 of 0..total-1], in chunk order.
+
+    Chunks hold at most _CHUNK indices and cover disjoint ranges; threads > 1
+    runs them over a pool of that size. Whatever fn computes depends on its
+    own range alone, so scheduling cannot reorder or change anything.
+    """
+    spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+    if threads <= 1 or len(spans) == 1:
+        return [fn(lo, hi) for lo, hi in spans]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, *zip(*spans)))
+
+
 def _per_rep_values(fn, reps: int, seed: int, threads: int, width: int = 0) -> np.ndarray:
     """Assemble fn(seeds of chunk) for replications 0..reps-1, in order.
 
     fn must map a seed array to one float per seed, or to one row of width
-    floats per seed when width > 0. Chunks cover disjoint index ranges, so
-    scheduling cannot reorder or change anything.
+    floats per seed when width > 0. Each chunk of _map_chunks writes its own
+    slice of one replication-ordered array.
     """
     out = np.empty((reps, width) if width else reps)
-    spans = [(lo, min(lo + _CHUNK, reps)) for lo in range(0, reps, _CHUNK)]
 
-    def fill(span):
-        lo, hi = span
+    def fill(lo, hi):
         out[lo:hi] = fn(replication_seeds(seed, lo, hi))
 
-    if threads <= 1 or len(spans) == 1:
-        for span in spans:
-            fill(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, spans))
+    _map_chunks(fill, reps, threads)
     return out
 
 
@@ -194,31 +203,45 @@ def estimate_coupling_delta(
     The max over replications of distance_sum / r witnesses delta'_r from
     below; profiles must dominate it. Every model starts stationary, so a
     pair split at j has the same law for every j and processes splits each
-    pair at its start; j keys the seeds alone, derive_seed(seed, j), so rows
-    at different j are independent replicates. Every r of one j reads its
-    block from the same coupled run, so each estimate is still a maximum
-    over reps independent pairs and does not depend on which other r or j
-    were requested alongside.
+    pair at its start; j keys the seeds alone, replication i of j reading
+    replication_seeds(derive_seed(seed, j), i, i + 1), so rows at different j
+    are independent replicates. The pairs of every distinct j are laid end to
+    end and cut into chunks of at most _CHUNK, one coupled run per chunk,
+    whose rows fold into per-j running maxima; so memory does not grow with
+    reps. Each lane is its own stream, every step is elementwise and a
+    maximum does not depend on how rows are grouped, so each estimate is
+    still a maximum over reps independent pairs, bit for bit the one its j
+    alone gives, whichever other r or j were requested alongside.
     """
     if reps < 1:
         raise DomainError(f"need reps >= 1, got {reps}")
     rs, js = [int(r) for r in r_list], [int(j) for j in j_list]
+    if not js:
+        raise DomainError("need split j >= 1, got no j", field="j_list")
     for j in js:
         if j < 1:
-            raise DomainError(f"need split j >= 1, got {j}")
-    maxima = {
-        j: _per_rep_values(
-            lambda s: coupled_distance_sums(model, rs, s),
-            reps,
-            derive_seed(seed, j),
-            threads,
-            len(rs),
-        ).max(axis=0)
-        for j in dict.fromkeys(js)
-    }
+            raise DomainError(f"need split j >= 1, got {j}", field="j_list")
+    if not rs or min(rs) < 1:
+        raise DomainError(f"need block lengths r >= 1, got {rs}", field="r_list")
+    keys = list(dict.fromkeys(js))  # a repeated j reads the same pairs
+
+    def chunk_maxima(lo, hi):
+        # flat index q * reps + i is replication i of keys[q]
+        qs = range(lo // reps, (hi - 1) // reps + 1)
+        starts = [max(lo, q * reps) for q in qs]
+        seeds = np.concatenate([
+            replication_seeds(derive_seed(seed, keys[q]), a - q * reps, b - q * reps)
+            for q, a, b in zip(qs, starts, starts[1:] + [hi])
+        ])
+        sums = coupled_distance_sums(model, rs, seeds)
+        return slice(qs[0], qs[-1] + 1), np.maximum.reduceat(sums, np.subtract(starts, lo), axis=0)
+
+    maxima = np.full((len(keys), len(rs)), -np.inf)
+    for part, part_max in _map_chunks(chunk_maxima, len(keys) * reps, threads):
+        np.maximum(maxima[part], part_max, out=maxima[part])
     out = []
     for c, r in enumerate(rs):
         for j in js:
-            m = float(maxima[j][c])
+            m = float(maxima[keys.index(j), c])
             out.append(CouplingEstimate(r=r, j=j, max_sum=m, witness=m / r, reps=reps))
     return out

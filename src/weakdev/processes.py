@@ -23,10 +23,10 @@ trajectory start on their own child streams, and from the first step on the
 starred one shares every innovation of the original. So the starred block is
 independent of the original's time-0 state and everything before it, while
 keeping the original block's distribution. One stacked run of 2R lanes steps
-both trajectories: the original on lanes :R, the starred on lanes R:, whose
-innovations are overwritten with the original's. The starred streams' own
-later draws are discarded unread, and every step is elementwise over lanes,
-so no coupled sum can depend on them.
+both trajectories: the original on lanes :R, the starred on lanes R:. Both
+start on all 2R streams; after that only the original's R streams draw, and
+each step feeds their innovations to both halves. Every step is elementwise
+over lanes, so each half equals a run of its own bit for bit.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ _CUT_TAIL = 2.0**-60
 @dataclass(frozen=True)
 class InnovationLaw:
     """The law of a model's iid innovations xi_t in [0, 1]. Each call of the
-    source draw(gen) returns a fresh, writable array of one draw per lane, which
-    the coupled run overwrites in part; phi(s) = E exp(2 pi i s xi), s in cycles."""
+    source draw(gen) returns a fresh, writable array of one draw per lane;
+    phi(s) = E exp(2 pi i s xi), s in cycles."""
 
     mean: float
     variance: float
@@ -435,12 +435,13 @@ def _coupled_pairs(model: ProcessModel, r: int, seeds: np.ndarray):
 
     That covers every block i = r' .. 2r'-1 with r' <= r. One stacked run of
     2R lanes serves the pair: lanes :R are the original on its child stream,
-    lanes R: the starred run, which starts on its own child stream and, from
-    the first step on, has its innovations overwritten with the original's.
-    Each lane is an independent stream and every step is elementwise over
-    lanes, so each half equals a run of its own bit for bit; the starred
-    streams keep drawing, but those draws are overwritten before any step
-    reads them.
+    lanes R: the starred run, which starts on its own child stream. From the
+    first step on, only the original's R streams draw, through a view of the
+    generator's head that shares its state, and each step feeds those
+    innovations to both halves. Each lane is an independent stream and every
+    step is elementwise over lanes, so each half equals a run of its own bit
+    for bit, and the starred streams, idle after the start, are read by no
+    step.
     """
     if r < 1:
         raise DomainError(f"need block length r >= 1, got {r}")
@@ -448,11 +449,10 @@ def _coupled_pairs(model: ProcessModel, r: int, seeds: np.ndarray):
     gen = VectorXoshiro(np.concatenate([derive_child_array(seeds, _LANE_ORIGINAL),
                                         derive_child_array(seeds, _LANE_STARRED)]))
     x, step = model.start(gen)
-    innov = model.law.draw(gen)
+    innov = model.law.draw(gen.head(R))
     for _ in range(2 * r - 1):
         u = innov()
-        u[R:] = u[:R]
-        x = step(x, u)
+        x = step(x, np.concatenate((u, u)))
         yield x[:R], x[R:]
 
 

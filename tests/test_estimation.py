@@ -1,5 +1,8 @@
+import ast
 import csv
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +14,10 @@ from weakdev.bounds import iid_bernstein_threshold, varest_bound
 from weakdev.cli import main
 from weakdev.coefficients import doubling_map_profile
 from weakdev.errors import DomainError
+import weakdev.estimation as estimation
 from weakdev.estimation import (
     DEFAULT_ALPHA,
+    CouplingEstimate,
     clopper_pearson,
     estimate_coupling_delta,
     estimate_sigma_profile,
@@ -20,10 +25,12 @@ from weakdev.estimation import (
     tail_from_sums,
 )
 from weakdev.processes import (
+    BernoulliShiftGeometric,
     DoublingMap,
     IidUniform,
     LipschitzKernelChain,
     ObservableF,
+    coupled_distance_sums,
     observable_for,
     observable_sums,
 )
@@ -33,6 +40,8 @@ from test_processes import doubling_sigma_sq
 
 _IID = IidUniform()
 _DBL = DoublingMap()
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "weakdev"
 
 
 def _identity(model) -> ObservableF:
@@ -240,6 +249,96 @@ def test_coupling_worker_invariance():
     one = estimate_coupling_delta(_DBL, [2, 5, 1], [1, 3], reps=_SPAN, seed=52, threads=1)
     four = estimate_coupling_delta(_DBL, [2, 5, 1], [1, 3], reps=_SPAN, seed=52, threads=4)
     assert one == four
+
+
+# ---------------------------------------------------------------------------
+# coupling chunks: the pairs of every j laid end to end, cut every _CHUNK
+
+_CHUNKED_MODELS = [_DBL, LipschitzKernelChain(kappa=0.7), BernoulliShiftGeometric(theta=0.5)]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("model", _CHUNKED_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("chunk, reps", [(7, 25), (1000, 700)])
+def test_coupling_chunks_match_one_run_per_j(monkeypatch, chunk, reps, model, threads):
+    # chunk 7 packs several j into one chunk; at 1000, one j spans two chunks
+    monkeypatch.setattr(estimation, "_CHUNK", chunk)
+    rs, js = [3, 1, 6], [3, 1, 3, 40]
+    got = estimate_coupling_delta(model, rs, js, reps=reps, seed=60, threads=threads)
+    oracle = {j: coupled_distance_sums(model, rs, replication_seeds(derive_seed(60, j), 0, reps))
+              .max(axis=0) for j in js}
+    want = [CouplingEstimate(r=r, j=j, max_sum=float(oracle[j][c]),
+                             witness=float(oracle[j][c]) / r, reps=reps)
+            for c, r in enumerate(rs) for j in js]
+    assert got == want
+
+
+def test_coupling_memory_does_not_grow_with_reps(monkeypatch):
+    monkeypatch.setattr(estimation, "_CHUNK", 1024)
+    model = LipschitzKernelChain(kappa=0.7)
+
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            estimate_coupling_delta(model, range(1, 9), [1, 5], reps=reps, seed=61)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, many = peak(1024), peak(32 * 1024)
+    assert many < 1.5 * one, (one, many)
+
+
+def test_coupling_refuses_an_empty_or_sub_1_grid_up_front():
+    for rs, js, field, msg in (
+        ([0], [], "j_list", "need split j >= 1, got no j"),
+        ([3], [2, 0], "j_list", "need split j >= 1, got 0"),
+        ([], [1], "r_list", r"need block lengths r >= 1, got \[\]"),
+        ([2, 0], [1], "r_list", r"need block lengths r >= 1, got \[2, 0\]"),
+    ):
+        with pytest.raises(DomainError, match=f"^{msg}$") as exc:
+            estimate_coupling_delta(_DBL, rs, js, reps=4, seed=1)
+        assert exc.value.field == field
+
+
+def _pool_calls(tree: ast.AST) -> list[str]:
+    """The innermost enclosing function of each ThreadPoolExecutor(...) call."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = getattr(child, "name", "<lambda>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, inner)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name == "ThreadPoolExecutor":
+                    found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_pool_calls_finds_each_way_of_making_a_pool():
+    code = """
+ThreadPoolExecutor(2)
+def f():
+    with futures.ThreadPoolExecutor(max_workers=2) as pool:
+        pass
+    def g():
+        return lambda: ThreadPoolExecutor()
+ThreadPoolExecutorish(1)
+"""
+    assert _pool_calls(ast.parse(code)) == ["<module>", "f", "<lambda>"]
+
+
+def test_one_function_makes_every_thread_pool():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    pools = [(p.name, where) for p in modules for where in _pool_calls(ast.parse(p.read_text()))]
+    assert pools == [("estimation.py", "_map_chunks")]
 
 
 # ---------------------------------------------------------------------------
