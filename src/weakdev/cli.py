@@ -3,7 +3,8 @@
 Subcommands mirror the library layers: pure formula evaluation (bounds),
 profile emission, simulation, MC estimation, end-to-end verification, and
 block-size asymptotics. All flags are long-form; x-grids accept either a
-comma list (0.5,1,2) or an inclusive range (start:stop:step).
+comma list (0.5,1,2) or an inclusive range (start:stop:step). The model flags
+are worked out from the dataclass fields of MODELS and WEIGHTS.
 
 This is the one module that writes files: the library returns values, and
 every CSV table goes through write_csv (write_profile_csv writes the same
@@ -118,14 +119,30 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
+# the click type of a field's flag, by the field's declared type
+_FLAG_TYPES = {"float": float, "int | None": int}
+
+
+def _declared(registry: dict) -> dict:
+    """Field name -> (declared type, the registry names that declare it)."""
+    out = {}
+    for name, cls in registry.items():
+        for f in fields(cls):
+            out.setdefault(f.name, (f.type, []))[1].append(name)
+    return out
+
+
 def _model_options(cmd):
-    """Add the model flags; the command receives the built model as m."""
+    """Add --model and a --<field> flag per model field, the weights set by
+    --weight-family and --weight-<field>; the command receives the model as m."""
+    model_fields, weight_fields = _declared(MODELS), _declared(WEIGHTS)
+    weighted = model_fields.pop("weights")[1]
 
     @functools.wraps(cmd)
-    def with_model(model, kappa, theta, weight_family, weight_c, weight_ratio, weight_power,
-                   truncation, **kwargs):
-        doc = _given(variant=model, kappa=kappa, theta=theta, truncation=truncation)
-        weights = _given(family=weight_family, c=weight_c, ratio=weight_ratio, power=weight_power)
+    def with_model(model, weight_family, **kwargs):
+        doc = _given(variant=model, **{k: kwargs.pop(k) for k in model_fields})
+        weights = _given(family=weight_family,
+                         **{k: kwargs.pop(f"weight_{k}") for k in weight_fields})
         if weights:  # build_model refuses them on a model without weights
             doc["weights"] = weights
         try:
@@ -134,20 +151,16 @@ def _model_options(cmd):
             raise click.UsageError(str(exc)) from exc
         return cmd(m=m, **kwargs)
 
+    def field_flag(flag, declared, owners):
+        return click.option(flag, type=_FLAG_TYPES[declared], default=None,
+                            help=f"field of {', '.join(owners)}")
+
     opts = [
         click.option("--model", required=True, type=click.Choice(list(MODELS))),
-        click.option("--kappa", type=float, default=None, help="kernel-chain contraction"),
-        click.option("--theta", type=float, default=None, help="bernoulli-shift decay"),
-        click.option(
-            "--weight-family",
-            type=click.Choice(list(WEIGHTS)),
-            default=None,
-            help="infinite-memory weight family",
-        ),
-        click.option("--weight-c", type=float, default=None),
-        click.option("--weight-ratio", type=float, default=None),
-        click.option("--weight-power", type=float, default=None),
-        click.option("--truncation", type=int, default=None),
+        *(field_flag(f"--{k}", *v) for k, v in model_fields.items()),
+        click.option("--weight-family", type=click.Choice(list(WEIGHTS)), default=None,
+                     help=f"weight family of {', '.join(weighted)}"),
+        *(field_flag(f"--weight-{k}", *v) for k, v in weight_fields.items()),
     ]
     for opt in reversed(opts):
         with_model = opt(with_model)

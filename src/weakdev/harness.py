@@ -130,8 +130,8 @@ def build_model(doc: dict | str) -> ProcessModel:
 
 
 def _build(registry: dict, doc: dict, tag: str, path: str, noun: str, needs: str):
-    """registry[doc[tag]], each of its dataclass fields parsed from doc by _FIELDS;
-    a value the class refuses is a ConfigError on that field's path."""
+    """registry[doc[tag]], each dataclass field parsed from doc by its declared
+    type's _PARSERS entry; a value the class refuses is a ConfigError on its path."""
     name = doc[tag]
     if not isinstance(name, str) or name not in registry:
         raise ConfigError(f"unknown {noun} {tag} {name!r}", field=f"{path}{tag}")
@@ -139,7 +139,7 @@ def _build(registry: dict, doc: dict, tag: str, path: str, noun: str, needs: str
     params = fields(cls)
     required = {p.name for p in params if p.default is MISSING}
     _check_keys(doc, {tag, *(p.name for p in params)}, path, noun, required, needs.format(name))
-    values = {p.name: _FIELDS[p.name](doc[p.name], path + p.name)
+    values = {p.name: _PARSERS[p.type](doc[p.name], path + p.name)
               for p in params if p.name in doc}
     try:
         return cls(**values)
@@ -180,15 +180,11 @@ def _integer(value, field: str) -> int:
     raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
 
 
-# one parser per dataclass field of a model or weight family
-_FIELDS = {
-    "kappa": _number,
-    "theta": _number,
-    "c": _number,
-    "ratio": _number,
-    "power": _number,
-    "weights": lambda v, _field: build_weights(v),
-    "truncation": lambda v, field: None if v is None else _integer(v, field),
+# one parser per declared type (annotation text) of a model or weight-family field
+_PARSERS = {
+    "float": _number,
+    "int | None": lambda v, field: None if v is None else _integer(v, field),
+    "WeightSequence": lambda v, _field: build_weights(v),
 }
 
 

@@ -4,9 +4,10 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -20,11 +21,12 @@ from weakdev.bounds import (
     thm1_threshold,
     thm2_threshold,
 )
-from weakdev.cli import emit_report, main, parse_x_grid, write_profile_csv
+from weakdev.cli import _model_options, emit_report, main, parse_x_grid, write_profile_csv
 from weakdev.coefficients import (
     WEIGHTS,
     GeometricWeights,
     PolynomialWeights,
+    WeightSequence,
     doubling_map_profile,
     infinite_memory_profile,
     markov_contraction_profile,
@@ -1174,6 +1176,57 @@ def test_cli_stray_weight_flags_are_refused(tmp_path, flags, named):
     res = CliRunner().invoke(main, ["profile", *flags, "--n", "4", "--out", str(out)])
     assert res.exit_code == 2 and named in res.output
     assert not out.exists()
+
+
+# A model and a weight family declared outside the package, each with a field
+# no class there declares; annotations as text, as the package's modules
+# (which defer annotations) declare them.
+@dataclass(frozen=True)
+class _Damped(ProcessModel):
+    damping: "float"
+    name = "damped"
+    b0 = property(lambda self: 1.0 - self.damping)
+    ar = property(lambda self: (self.damping,))
+
+
+@dataclass(frozen=True)
+class _HalvingWeights(WeightSequence):
+    c: "float"
+    first: "float"
+    family = "halving"
+
+    def _term(self, j: int) -> float:
+        return self.c * self.first * 0.5 ** (j - 1)
+
+    def _tail(self, p: int) -> float:
+        return self.c * self.first * 0.5 ** (p - 2)
+
+
+def test_a_new_model_and_weight_family_build_from_their_classes_alone(monkeypatch):
+    monkeypatch.setitem(MODELS, "damped", _Damped)
+    monkeypatch.setitem(WEIGHTS, "halving", _HalvingWeights)
+    want = [_Damped(damping=0.3),
+            InfiniteMemoryChain(weights=_HalvingWeights(c=0.5, first=0.25), truncation=8)]
+    docs = [{"variant": "damped", "damping": 0.3},
+            {"variant": "infinite-memory", "weights": {"family": "halving", "c": 0.5, "first": 0.25},
+             "truncation": 8}]
+    assert [parse_config(_doc(model=d)).model for d in docs] == want
+
+    built = []
+
+    @click.command()
+    @_model_options
+    def probe(m):
+        built.append(m)
+
+    for flags in (["--model", "damped", "--damping", "0.3"],
+                  ["--model", "infinite-memory", "--weight-family", "halving", "--weight-c", "0.5",
+                   "--weight-first", "0.25", "--truncation", "8"]):
+        res = CliRunner().invoke(probe, flags)
+        assert res.exit_code == 0, res.output
+    assert built == want
+    helped = CliRunner().invoke(probe, ["--help"]).output
+    assert "field of damped" in helped and "field of halving" in helped
 
 
 def test_cli_simulate_writes_csv(tmp_path):

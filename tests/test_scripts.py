@@ -1,6 +1,7 @@
 """Smoke runs of the example scripts and of the benchmark's trace targets,
 each in its own interpreter."""
 
+import json
 import os
 import subprocess
 import sys
@@ -50,3 +51,42 @@ def test_benchmark_trace_targets_resolve():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert res.returncode == 0, res.stderr
+
+
+_BENCHMARK_MODEL_FLAGS = """
+import json
+import workloads
+print(json.dumps({label: workloads.model_flags(label) for label in workloads.MODELS}))
+"""
+
+
+def test_model_flags_are_the_declared_fields_and_serve_the_benchmark(tmp_path):
+    # the model flags are worked out from the dataclass fields, so a renamed
+    # field renames its flag; the benchmark's flags must still build its models
+    import click
+    from click.testing import CliRunner
+
+    from weakdev.cli import _model_options, main
+
+    params = click.command()(_model_options(lambda m: None)).params
+    assert [(p.opts, p.type.name, p.default) for p in params if p.name != "model"] == [
+        (["--kappa"], "float", None),
+        (["--theta"], "float", None),
+        (["--truncation"], "integer", None),
+        (["--weight-family"], "choice", None),
+        (["--weight-c"], "float", None),
+        (["--weight-ratio"], "float", None),
+        (["--weight-power"], "float", None),
+    ]
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    res = subprocess.run(
+        [sys.executable, "-c", _BENCHMARK_MODEL_FLAGS],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    for label, flags in json.loads(res.stdout).items():
+        out = tmp_path / f"{label}.csv"
+        res = CliRunner().invoke(main, ["profile", *flags, "--n", "8", "--out", str(out)])
+        assert res.exit_code == 0, (label, res.output)
