@@ -40,6 +40,7 @@ from .coefficients import (
     DependenceProfile,
     GeometricWeights,
     WeightSequence,
+    _check_n,
     bernoulli_shift_linf_profile,
     doubling_map_profile,
     infinite_memory_profile,
@@ -240,7 +241,7 @@ def dependence_profile_for(model: ProcessModel, n: int) -> DependenceProfile:
     """The linf dependence profile each simulator provably satisfies; any
     other model is refused."""
     if isinstance(model, IidUniform):
-        return DependenceProfile(delta=np.zeros(n), kind="linf")
+        return DependenceProfile(delta=np.zeros(_check_n(n)), kind="linf")
     if isinstance(model, DoublingMap):
         return doubling_map_profile(n)
     if isinstance(model, LipschitzKernelChain):

@@ -1229,6 +1229,19 @@ def test_a_new_model_and_weight_family_build_from_their_classes_alone(monkeypatc
     assert "field of damped" in helped and "field of halving" in helped
 
 
+_MODEL_FLAGS = {variant: flags for variant, flags, _ in _PROFILE_FLAGS}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("variant", MODELS)
+def test_cli_profile_refuses_n_below_one_alike_for_every_model(tmp_path, variant, n):
+    out = tmp_path / "p.csv"
+    res = CliRunner().invoke(main, ["profile", "--model", variant, *_MODEL_FLAGS[variant],
+                                    "--n", str(n), "--out", str(out)])
+    assert res.exit_code == 1 and f"need integer n >= 1, got {n}\n" in res.output
+    assert not out.exists()
+
+
 def test_cli_simulate_writes_csv(tmp_path):
     out = tmp_path / "traj.csv"
     runner = CliRunner()
