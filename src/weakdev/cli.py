@@ -35,7 +35,7 @@ from .bounds import (
 )
 from .coefficients import WEIGHTS
 from .errors import DomainError, ValidationError
-from .estimation import estimate_coupling_delta, estimate_sigma_profile
+from .estimation import coupling_seeds, estimate_coupling_delta, estimate_sigma_profile
 from .harness import (
     THEOREMS,
     ReportRow,
@@ -326,7 +326,7 @@ def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out
 @_THREADS
 @_out_option("--out", default=None)
 @_out_option("--block-out", default=None,
-              help="also export one coupled block (first r, first j) as CSV")
+              help="also export the first r's block of replication 0 of the first j as CSV")
 @_friendly_errors
 def estimate_coupling_cmd(m, r_grid, j_grid, reps, seed, threads, out, block_out):
     """Empirical coupled-block distance maxima over (r, j) grids."""
@@ -341,12 +341,12 @@ def estimate_coupling_cmd(m, r_grid, j_grid, reps, seed, threads, out, block_out
         write_estimates_csv([[m.name, None, f"r={e.r},j={e.j}", "coupling_max_sum", e.max_sum,
                               e.witness, None, e.reps, seed] for e in ests], out)
         _echo(f"wrote {out}")
-    if block_out is not None:
-        block = simulate_coupled_block(m, rs[0], seed)
+    if block_out is not None:  # a pair the first j's estimate maximizes over
+        block = simulate_coupled_block(m, rs[0], coupling_seeds(seed, js[0], 0, 1)[0])
         pairs = zip(block.original.tolist(), block.starred.tolist())
         write_csv(["i", "x", "x_star", "dist"],
-                  ([block.r + js[0] + off, xo, xs, abs(xo - xs)]
-                   for off, (xo, xs) in enumerate(pairs)), block_out)
+                  ([i, xo, xs, abs(xo - xs)] for i, (xo, xs) in enumerate(pairs, block.r)),
+                  block_out)
         _echo(f"wrote coupled block r={rs[0]} j={js[0]} to {block_out}")
 
 

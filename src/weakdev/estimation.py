@@ -190,6 +190,11 @@ def estimate_sigma_profile(
     return out
 
 
+def coupling_seeds(seed: int, j: int, lo: int, hi: int) -> np.ndarray:
+    """Seeds of replications lo..hi-1 of the coupled pairs that split j reads."""
+    return replication_seeds(derive_seed(seed, j), lo, hi)
+
+
 def estimate_coupling_delta(
     model: ProcessModel,
     r_list,
@@ -204,8 +209,8 @@ def estimate_coupling_delta(
     below; profiles must dominate it. Every model starts stationary, so a
     pair split at j has the same law for every j and processes splits each
     pair at its start; j keys the seeds alone, replication i of j reading
-    replication_seeds(derive_seed(seed, j), i, i + 1), so rows at different j
-    are independent replicates. The pairs of every distinct j are laid end to
+    coupling_seeds(seed, j, i, i + 1), so rows at different j are
+    independent replicates. The pairs of every distinct j are laid end to
     end and cut into chunks of at most _CHUNK, one coupled run per chunk,
     whose rows fold into per-j running maxima; so memory does not grow with
     reps. Each lane is its own stream, every step is elementwise and a
@@ -230,7 +235,7 @@ def estimate_coupling_delta(
         qs = range(lo // reps, (hi - 1) // reps + 1)
         starts = [max(lo, q * reps) for q in qs]
         seeds = np.concatenate([
-            replication_seeds(derive_seed(seed, keys[q]), a - q * reps, b - q * reps)
+            coupling_seeds(seed, keys[q], a - q * reps, b - q * reps)
             for q, a, b in zip(qs, starts, starts[1:] + [hi])
         ])
         sums = coupled_distance_sums(model, rs, seeds)

@@ -1292,6 +1292,25 @@ def test_cli_estimate_coupling_with_block_out(tmp_path):
     assert len(brows) == 3  # r = 2 block
 
 
+@pytest.mark.parametrize("j", [1, 7])
+def test_block_out_is_a_pair_the_coupling_estimate_maximizes_over(tmp_path, j):
+    # at --reps 1 the maximum is the one pair's distance sum
+    out, block_out = tmp_path / "coup.csv", tmp_path / "block.csv"
+    res = CliRunner().invoke(
+        main,
+        ["estimate-coupling", "--model", "kernel-chain", "--kappa", "0.7", "--r-grid", "3",
+         "--j-grid", str(j), "--reps", "1", "--seed", "5",
+         "--out", str(out), "--block-out", str(block_out)],
+    )
+    assert res.exit_code == 0, res.output
+    with open(out, newline="") as fh:
+        max_sum = float(list(csv.DictReader(fh))[0]["estimate"])
+    with open(block_out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["i"]) for row in rows] == [3, 4, 5]
+    assert sum(float(row["dist"]) for row in rows) == pytest.approx(max_sum, rel=1e-12, abs=0)
+
+
 def test_cli_verify_pass_and_reference_exclusion(tmp_path):
     cfg = tmp_path / "cfg.json"
     report = tmp_path / "report.csv"

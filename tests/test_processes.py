@@ -21,7 +21,7 @@ from weakdev.coefficients import (
     WeightSequence,
 )
 from weakdev.errors import DomainError, ValidationError
-from weakdev.estimation import estimate_coupling_delta, estimate_sigma_profile
+from weakdev.estimation import coupling_seeds, estimate_coupling_delta, estimate_sigma_profile
 from weakdev.processes import (
     BernoulliShiftGeometric,
     CoupledBlock,
@@ -927,9 +927,10 @@ def test_write_coupled_block_csv(tmp_path):
     rows = _cli_rows(tmp_path, ["estimate-coupling", "--model", "doubling-map", "--r-grid", "4",
                                 "--j-grid", "3", "--reps", "2", "--seed", "55",
                                 "--block-out", "{out}"])
-    block = simulate_coupled_block(DoublingMap(), 4, 55)
+    # replication 0 of j = 3, over its block i = r .. 2r - 1
+    block = simulate_coupled_block(DoublingMap(), 4, coupling_seeds(55, 3, 0, 1)[0])
     assert rows[0] == ["i", "x", "x_star", "dist"]
-    assert [int(r[0]) for r in rows[1:]] == [7, 8, 9, 10]
+    assert [int(r[0]) for r in rows[1:]] == [4, 5, 6, 7]
     for off, row in enumerate(rows[1:]):
         assert float(row[1]) == block.original[off]
         assert float(row[2]) == block.starred[off]
