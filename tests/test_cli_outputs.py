@@ -71,9 +71,9 @@ GOLDEN = {
     "simulate": "0abd7a0b9d9306b7",
     "estimate-variance": "e31316da0cb77766",
     "estimate-coupling.doubling.out": "aba558c4389554de",
-    "estimate-coupling.doubling.block-out": "87768ab6101e840b",
+    "estimate-coupling.doubling.block-out": "1a4e216b0f094795",
     "estimate-coupling.geometric.out": "9c9cea1b77026397",
-    "estimate-coupling.geometric.block-out": "7812e958a91070c3",
+    "estimate-coupling.geometric.block-out": "ed7c8e152bbdf2eb",
     "asymptotics.stdout": "78d47efdbe9428c5",
     "asymptotics.out": "b3184a4a70288f2d",
 }
