@@ -123,20 +123,17 @@ def _given(**values) -> dict:
 _FLAG_TYPES = {"float": float, "int | None": int}
 
 
-def _declared(registry: dict) -> dict:
-    """Field name -> (declared type, the registry names that declare it)."""
-    out = {}
-    for name, cls in registry.items():
-        for f in fields(cls):
-            out.setdefault(f.name, (f.type, []))[1].append(name)
-    return out
+def _declaring(registry: dict, field: str) -> str:
+    """The names of the registry's classes that declare field."""
+    return ", ".join(name for name, cls in registry.items() if field in cls.__dataclass_fields__)
 
 
 def _model_options(cmd):
     """Add --model and a --<field> flag per model field, the weights set by
     --weight-family and --weight-<field>; the command receives the model as m."""
-    model_fields, weight_fields = _declared(MODELS), _declared(WEIGHTS)
-    weighted = model_fields.pop("weights")[1]
+    model_fields = {f.name: f.type for cls in MODELS.values() for f in fields(cls)}
+    weight_fields = {f.name: f.type for cls in WEIGHTS.values() for f in fields(cls)}
+    del model_fields["weights"]
 
     @functools.wraps(cmd)
     def with_model(model, weight_family, **kwargs):
@@ -151,16 +148,16 @@ def _model_options(cmd):
             raise click.UsageError(str(exc)) from exc
         return cmd(m=m, **kwargs)
 
-    def field_flag(flag, declared, owners):
-        return click.option(flag, type=_FLAG_TYPES[declared], default=None,
-                            help=f"field of {', '.join(owners)}")
+    def field_flag(registry, prefix, field, declared):
+        return click.option(f"--{prefix}{field}", type=_FLAG_TYPES[declared], default=None,
+                            help=f"field of {_declaring(registry, field)}")
 
     opts = [
         click.option("--model", required=True, type=click.Choice(list(MODELS))),
-        *(field_flag(f"--{k}", *v) for k, v in model_fields.items()),
+        *(field_flag(MODELS, "", *item) for item in model_fields.items()),
         click.option("--weight-family", type=click.Choice(list(WEIGHTS)), default=None,
-                     help=f"weight family of {', '.join(weighted)}"),
-        *(field_flag(f"--weight-{k}", *v) for k, v in weight_fields.items()),
+                     help=f"weight family of {_declaring(MODELS, 'weights')}"),
+        *(field_flag(WEIGHTS, "weight-", *item) for item in weight_fields.items()),
     ]
     for opt in reversed(opts):
         with_model = opt(with_model)

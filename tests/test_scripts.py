@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts and of the benchmark's trace targets,
-each in its own interpreter."""
+each in its own interpreter, and a check of the model flags the benchmark
+passes."""
 
 import json
 import os
@@ -7,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
+from click.testing import CliRunner
+
+from weakdev.cli import _model_options, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,11 +68,6 @@ print(json.dumps({label: workloads.model_flags(label) for label in workloads.MOD
 def test_model_flags_are_the_declared_fields_and_serve_the_benchmark(tmp_path):
     # the model flags are worked out from the dataclass fields, so a renamed
     # field renames its flag; the benchmark's flags must still build its models
-    import click
-    from click.testing import CliRunner
-
-    from weakdev.cli import _model_options, main
-
     params = click.command()(_model_options(lambda m: None)).params
     assert [(p.opts, p.type.name, p.default) for p in params if p.name != "model"] == [
         (["--kappa"], "float", None),
