@@ -19,16 +19,16 @@ import argparse
 
 import numpy as np
 
-from weakdev.coefficients import doubling_map_profile, markov_contraction_profile
+from weakdev.estimation import coupling_seeds
 from weakdev.processes import DoublingMap, LipschitzKernelChain, coupled_distance_sums
-from weakdev.rng import derive_seed, replication_seeds
 
 
-def sweep(name, model, profile, pathwise_cap, r_max, j_list, reps, seed) -> None:
+def sweep(name, model, pathwise_cap, r_max, j_list, reps, seed) -> None:
     print(f"# {name}")
     rs = range(1, r_max + 1)
+    profile = model.linf_profile(r_max)
     # one coupled run over every j's seeds serves every r; rows are pairs over all j
-    seeds = np.concatenate([replication_seeds(derive_seed(seed, j), 0, reps) for j in j_list])
+    seeds = np.concatenate([coupling_seeds(seed, j, 0, reps) for j in j_list])
     sums = coupled_distance_sums(model, rs, seeds)
     for r, col in zip(rs, sums.T):
         cap = pathwise_cap(r)
@@ -52,7 +52,6 @@ def main() -> None:
     sweep(
         "doubling map",
         DoublingMap(),
-        doubling_map_profile(args.r_max),
         lambda r: 2.0 ** (1 - r),
         args.r_max,
         j_list,
@@ -63,7 +62,6 @@ def main() -> None:
     sweep(
         f"kernel chain (kappa={kappa})",
         LipschitzKernelChain(kappa=kappa),
-        markov_contraction_profile(kappa, args.r_max),
         lambda r: sum(kappa**m for m in range(r, 2 * r)),
         args.r_max,
         j_list,

@@ -165,8 +165,8 @@ def _model_options(cmd):
 
 
 def _friendly_errors(fn):
-    """Surface library rejections and unwritable outputs as clean CLI errors,
-    not tracebacks."""
+    """Surface library rejections, unwritable outputs and sizes no process can
+    allocate as clean CLI errors, not tracebacks."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -174,7 +174,7 @@ def _friendly_errors(fn):
             return fn(*args, **kwargs)
         except click.ClickException:
             raise
-        except (ValidationError, ValueError, OSError) as exc:
+        except (ValidationError, ValueError, OSError, MemoryError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapper

@@ -1,9 +1,9 @@
 """Experiment orchestration: configs, verification runs, report rows.
 
-A verification run ties the layers together: build the model's dependence
-profile and its exact variance profile (from psi and the innovation law),
-select block sizes, evaluate thresholds, and compare each bound against the
-empirical tail of S(f) with an exact binomial interval.
+A verification run ties the layers together: take the model's own dependence
+profile (model.linf_profile) and its exact variance profile (from psi and the
+innovation law), select block sizes, evaluate thresholds, and compare each
+bound against the empirical tail of S(f) with an exact binomial interval.
 
 Seed layout (derived from config.base_seed, so reports are functions of the
 config document alone): lane 1 feeds the tail simulation, and its child 0
@@ -38,9 +38,8 @@ from .bounds import (
 from .coefficients import (
     WEIGHTS,
     DependenceProfile,
-    GeometricWeights,
     WeightSequence,
-    _check_n,
+    # not called here; perfbench/layers.py rebinds these names
     bernoulli_shift_linf_profile,
     doubling_map_profile,
     infinite_memory_profile,
@@ -54,11 +53,6 @@ from .estimation import (
     tail_from_sums,
 )
 from .processes import (
-    BernoulliShiftGeometric,
-    DoublingMap,
-    IidUniform,
-    InfiniteMemoryChain,
-    LipschitzKernelChain,
     MODELS,
     OBSERVABLES,
     ProcessModel,
@@ -238,24 +232,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def dependence_profile_for(model: ProcessModel, n: int) -> DependenceProfile:
-    """The linf dependence profile each simulator provably satisfies; any
-    other model is refused."""
-    if isinstance(model, IidUniform):
-        return DependenceProfile(delta=np.zeros(_check_n(n)), kind="linf")
-    if isinstance(model, DoublingMap):
-        return doubling_map_profile(n)
-    if isinstance(model, LipschitzKernelChain):
-        return markov_contraction_profile(model.kappa, n)
-    if isinstance(model, BernoulliShiftGeometric):
-        th = model.theta
-        # lag-i innovation weight (1-theta) theta^i gives block tails
-        # r delta'_r = theta^r / (1-theta)
-        return bernoulli_shift_linf_profile(
-            th / (1.0 - th), GeometricWeights((1.0 - th) / th, th), n
-        )
-    if isinstance(model, InfiniteMemoryChain):
-        return infinite_memory_profile(model.weights, n)
-    raise ValidationError(f"no dependence profile for model {type(model).__name__}", field="model")
+    """The linf dependence profile the model's simulator provably satisfies:
+    model.linf_profile(n), which refuses a model that declares none."""
+    return model.linf_profile(n)
 
 
 def hoeffding_phi(profile: DependenceProfile, n: int) -> np.ndarray:

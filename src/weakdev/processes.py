@@ -7,6 +7,8 @@ innovation law, run by one engine, which starts from rest and draws burn_in
 presample innovations: enough that the psi tail, a bound on the start's
 distance from the stationary state, is at most 2^-40. The doubling map
 alone starts exactly. psi and the law give every moment exactly (second_order).
+Each model also states the linf dependence profile its simulator satisfies
+(linf_profile, by a generator in coefficients); ProcessModel's own refuses.
 
 Observable sums take one of two paths. Where a model has a closed form for
 sum_{t<=k} f(X_t) in its draws (exact_prefix_sums: today the doubling map's
@@ -42,8 +44,10 @@ from operator import mul
 
 import numpy as np
 
-from .bounds import VarianceProfile, variance_profile
-from .coefficients import TRUNCATION_TAIL, WeightSequence
+from .bounds import DependenceProfile, VarianceProfile, variance_profile
+from .coefficients import (TRUNCATION_TAIL, GeometricWeights, WeightSequence, _check_n,
+                           bernoulli_shift_linf_profile, doubling_map_profile,
+                           infinite_memory_profile, markov_contraction_profile)
 from .errors import DomainError, ValidationError
 from .rng import VectorXoshiro, derive_child_array
 
@@ -211,12 +215,20 @@ class ProcessModel:
         run. Each row must depend on its own k alone."""
         return None
 
+    def linf_profile(self, n: int) -> DependenceProfile:
+        """The linf profile delta'_1..delta'_n the simulator provably satisfies."""
+        raise ValidationError(f"no dependence profile for model {type(self).__name__}",
+                              field="model")
+
 
 @dataclass(frozen=True)
 class IidUniform(ProcessModel):
     """Independent Uniform[0, 1] draws."""
 
     name = "iid-uniform"
+
+    def linf_profile(self, n):
+        return DependenceProfile(delta=np.zeros(_check_n(n)), kind="linf")
 
 
 @dataclass(frozen=True)
@@ -235,6 +247,9 @@ class DoublingMap(ProcessModel):
 
     def start(self, gen):
         return gen.next_u64().astype(np.float64) * 2.0**-64, lambda x, b: 0.5 * (x + b)
+
+    def linf_profile(self, n):
+        return doubling_map_profile(n)
 
     def exact_prefix_sums(self, f, ends, seeds):
         """The centered identity (mu = 1/2, where no clip binds), summed in
@@ -288,6 +303,9 @@ class LipschitzKernelChain(ProcessModel):
         if not 0.0 < self.kappa < 1.0:
             raise DomainError(f"need 0 < kappa < 1, got {self.kappa}", field="kappa")
 
+    def linf_profile(self, n):
+        return markov_contraction_profile(self.kappa, n)
+
 
 @dataclass(frozen=True)
 class BernoulliShiftGeometric(ProcessModel):
@@ -314,6 +332,14 @@ class BernoulliShiftGeometric(ProcessModel):
         if self.truncation is not None:
             return self.truncation
         return math.ceil(40.0 * math.log(2.0) / math.log(1.0 / self.theta))
+
+    def linf_profile(self, n):
+        # lag-i innovation weight (1-theta) theta^i gives block tails
+        # r delta'_r = theta^r / (1-theta)
+        th = self.theta
+        return bernoulli_shift_linf_profile(
+            th / (1.0 - th), GeometricWeights((1.0 - th) / th, th), n
+        )
 
 
 @dataclass(frozen=True)
@@ -346,6 +372,9 @@ class InfiniteMemoryChain(ProcessModel):
             return self.truncation
         return self.weights.suggest_truncation(TRUNCATION_TAIL)
 
+    def linf_profile(self, n):
+        return infinite_memory_profile(self.weights, n)
+
 
 MODELS = {
     cls.name: cls
@@ -376,8 +405,11 @@ def stationary_init_batch(model: ProcessModel, seeds: np.ndarray) -> np.ndarray:
 
 
 def simulate_batch(model: ProcessModel, n: int, seeds: np.ndarray) -> np.ndarray:
-    """(R, n) trajectories, one row per seed."""
-    return np.stack(list(_states(model, n, seeds)), axis=1)
+    """(R, n) trajectories, one row per seed, filled one column per step."""
+    out = np.empty((len(seeds), max(n, 0)))  # n < 1 is refused by _states
+    for t, x in enumerate(_states(model, n, seeds)):
+        out[:, t] = x
+    return out
 
 
 def simulate(model: ProcessModel, n: int, seed: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -475,6 +476,16 @@ def test_dependence_profile_for_refuses_a_model_it_has_no_profile_for():
     with pytest.raises(ValidationError, match="Toy") as ei:
         dependence_profile_for(Toy(), 10)
     assert ei.value.field == "model"
+
+
+def test_harness_names_no_model_class():
+    # each model owns its profile (linf_profile), so harness needs no branch per model
+    tree = ast.parse(Path(harness.__file__).read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not named & {cls.__name__ for cls in MODELS.values()}
 
 
 def test_hoeffding_phi_zeros_and_dyadic():
@@ -1188,6 +1199,9 @@ class _Damped(ProcessModel):
     b0 = property(lambda self: 1.0 - self.damping)
     ar = property(lambda self: (self.damping,))
 
+    def linf_profile(self, n):
+        return markov_contraction_profile(self.damping, n)
+
 
 @dataclass(frozen=True)
 class _HalvingWeights(WeightSequence):
@@ -1202,7 +1216,7 @@ class _HalvingWeights(WeightSequence):
         return self.c * self.first * 0.5 ** (p - 2)
 
 
-def test_a_new_model_and_weight_family_build_from_their_classes_alone(monkeypatch):
+def test_a_new_model_and_weight_family_build_from_their_classes_alone(tmp_path, monkeypatch):
     monkeypatch.setitem(MODELS, "damped", _Damped)
     monkeypatch.setitem(WEIGHTS, "halving", _HalvingWeights)
     want = [_Damped(damping=0.3),
@@ -1227,6 +1241,15 @@ def test_a_new_model_and_weight_family_build_from_their_classes_alone(monkeypatc
     assert built == want
     helped = CliRunner().invoke(probe, ["--help"]).output
     assert "field of damped" in helped and "field of halving" in helped
+
+    # its profile and a verification come from the class too
+    prof = dependence_profile_for(_Damped(damping=0.3), 50)
+    assert np.array_equal(prof.delta, markov_contraction_profile(0.3, 50).delta)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_doc(model=docs[0], out=str(tmp_path / "r.csv"))))
+    res = CliRunner().invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert "thm2 x=1: threshold=" in res.output and " fail" not in res.output
 
 
 _MODEL_FLAGS = {variant: flags for variant, flags, _ in _PROFILE_FLAGS}
@@ -1459,6 +1482,28 @@ def test_cli_verify_rejects_non_string_names_cleanly(tmp_path, model, named):
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert f"Error: {named}" in res.output
     assert "Traceback" not in res.output
+
+
+_HUGE = 2**58  # 2 EiB of float64: more address space than any process has
+
+
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (["profile", "--model", "doubling-map", "--n", str(_HUGE), "--out", "{out}"], None),
+        (["verify", "--config", "{cfg}"], {"n": _HUGE}),
+        (["verify", "--config", "{cfg}"], {"reps": _HUGE}),
+    ],
+)
+def test_cli_reports_a_size_no_process_can_allocate_cleanly(tmp_path, args, doc):
+    out, cfg = tmp_path / "r.csv", tmp_path / "cfg.json"
+    if doc is not None:
+        cfg.write_text(json.dumps(_doc(**doc, out=str(out))))
+    res = CliRunner().invoke(main, [a.format(out=out, cfg=cfg) for a in args])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "Unable to allocate" in errors[0]
+    assert "Traceback" not in res.output and not out.exists()
 
 
 def test_cli_asymptotics():

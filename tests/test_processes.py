@@ -2,6 +2,7 @@ import cmath
 import csv
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from unittest import mock
@@ -271,8 +272,21 @@ def test_batch_matches_single(model):
 
 
 def test_simulate_rejects_bad_n():
-    with pytest.raises(DomainError):
-        simulate(DoublingMap(), 0, 1)
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            simulate(DoublingMap(), n, 1)
+
+
+def test_simulate_batch_keeps_one_float_per_lane_step():
+    # the (R, n) result is filled in place, so no step's state outlives its column
+    model, n, seeds = DoublingMap(), 20000, _seeds(3, 1)
+    tracemalloc.start()
+    try:
+        simulate_batch(model, n, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n, peak / n
 
 
 # ---------------------------------------------------------------------------
