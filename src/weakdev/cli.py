@@ -56,7 +56,11 @@ _MAX_GRID = 10**6
 def parse_x_grid(text: str) -> list[float]:
     """Comma list or start:stop:step range, inclusive of stop."""
     if ":" not in text:
-        return _parse_list(text, "x-grid")
+        xs = _parse_list(text, "x-grid")
+        for x in xs:
+            if not math.isfinite(x):
+                raise click.BadParameter(f"need x finite, got {x}")
+        return xs
     try:
         parts = text.split(":")
         if len(parts) != 3:

@@ -35,9 +35,10 @@ TRUNCATION_TAIL = 2.0**-40
 class WeightSequence:
     """Summable nonnegative weights a_j, j >= 1, one subclass per family.
 
-    A family's dataclass fields are its config keys and its class attribute
-    `family` is its name in WEIGHTS.  Tails are exact or rigorous upper
-    bounds; a family with c == 0 has zero tails without evaluating them.
+    A family's dataclass fields are its config keys, its class attribute
+    `family` is its name in WEIGHTS, and it defines _term, _tail and _tails.
+    Tails are exact or rigorous upper bounds; a family with c == 0 has zero
+    tails without evaluating them.
     """
 
     def __post_init__(self):
@@ -61,9 +62,6 @@ class WeightSequence:
         if m < 1:
             raise DomainError(f"need m >= 1, got {m}")
         return np.zeros(m) if self.c == 0.0 else self._tails(m)
-
-    def _tails(self, m: int) -> np.ndarray:
-        return np.array([self._tail(p) for p in range(1, m + 1)])
 
     @property
     def total(self) -> float:
@@ -110,6 +108,10 @@ class GeometricWeights(WeightSequence):
 
     def _tail(self, p: int) -> float:
         return self.c * self.ratio**p / (1.0 - self.ratio)
+
+    def _tails(self, m: int) -> np.ndarray:
+        # Python's ** per term, as _tail takes it: numpy's may differ in the last bit
+        return self.c * np.array([self.ratio**p for p in range(1, m + 1)]) / (1.0 - self.ratio)
 
 
 @dataclass(frozen=True)

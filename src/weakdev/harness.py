@@ -59,7 +59,7 @@ from .processes import (
     analytic_sigma_profile,
     observable_for,
 )
-from .rng import derive_seed
+from .rng import MASK64, derive_seed
 
 THEOREMS = ("iid_eq1", "thm1", "thm2", "hoeffding")
 
@@ -96,6 +96,9 @@ class ExperimentConfig:
         for name in ("n", "reps"):
             if getattr(self, name) > _MAX_SIZE:
                 raise ConfigError(f"{name} must be at most {_MAX_SIZE}", field=name)
+        if not 0 <= self.base_seed <= MASK64:
+            raise ConfigError(f"need 0 <= base_seed <= 2^64 - 1, got {self.base_seed}",
+                              field="base_seed")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"need 0 < alpha < 1, got {self.alpha}", field="alpha")
         if any(not 0.0 < x < math.inf for x in self.x_grid):

@@ -49,7 +49,7 @@ from .coefficients import (TRUNCATION_TAIL, GeometricWeights, WeightSequence, _c
                            bernoulli_shift_linf_profile, doubling_map_profile,
                            infinite_memory_profile, markov_contraction_profile)
 from .errors import DomainError, ValidationError
-from .rng import VectorXoshiro, derive_child_array
+from .rng import VectorXoshiro, derive_seed
 
 _U = np.uint64
 _ONE = _U(1)
@@ -478,8 +478,7 @@ def _coupled_pairs(model: ProcessModel, r: int, seeds: np.ndarray):
     if r < 1:
         raise DomainError(f"need block length r >= 1, got {r}")
     R = len(seeds)
-    gen = VectorXoshiro(np.concatenate([derive_child_array(seeds, _LANE_ORIGINAL),
-                                        derive_child_array(seeds, _LANE_STARRED)]))
+    gen = VectorXoshiro(derive_seed(seeds, [[_LANE_ORIGINAL], [_LANE_STARRED]]).ravel())
     x, step = model.start(gen)
     innov = model.law.draw(gen.head(R))
     for _ in range(2 * r - 1):

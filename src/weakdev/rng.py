@@ -3,6 +3,8 @@
 Two generators cooperate here.  SplitMix64 derives seeds: every Monte Carlo
 replication gets its own 64-bit seed from the base seed and its replication
 index alone, so fan-out order and worker count cannot change any stream.
+Its one mixer, mix64, and its one derivation, derive_seed, each take python
+ints or uint64 arrays and agree bit for bit between the two.
 xoshiro256++ produces the draws; the vectorised variant advances one
 independent stream per replication in lockstep, which keeps the inner loops
 in numpy while preserving bit-for-bit reproducibility.
@@ -26,46 +28,37 @@ _M2 = 0x94D049BB133111EB
 _U = np.uint64
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a python int, wrapping at 64 bits."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _M1) & MASK64
-    z = ((z ^ (z >> 27)) * _M2) & MASK64
-    return z ^ (z >> 31)
-
-
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorised SplitMix64 finalizer; matches mix64 bit-for-bit."""
-    z = np.asarray(z, dtype=np.uint64).copy()
+def mix64(z):
+    """SplitMix64 finalizer, wrapping at 64 bits: an int gives an int, an
+    array (or list) of uint64 gives an array of the same shape."""
+    if isinstance(z, int):
+        z &= MASK64
+        z = ((z ^ (z >> 30)) * _M1) & MASK64
+        z = ((z ^ (z >> 27)) * _M2) & MASK64
+        return z ^ (z >> 31)
+    z = np.asarray(z, dtype=np.uint64)
     z = (z ^ (z >> _U(30))) * _U(_M1)
     z = (z ^ (z >> _U(27))) * _U(_M2)
     return z ^ (z >> _U(31))
 
 
-def derive_seed(base_seed: int, index: int) -> int:
-    """Child seed for a given index.
+def derive_seed(base_seed, index):
+    """Child seed mix64(base ^ (index * gamma)), wrapping at 64 bits.
 
-    rep_seed = mix64(base ^ (index * gamma)); depends only on (base, index),
-    never on the order in which siblings are derived.
+    It depends only on (base, index), never on the order in which siblings
+    are derived. Two ints give an int; otherwise base and index broadcast
+    like numpy arrays of uint64, and an int operand is first taken mod 2^64.
     """
-    return mix64((base_seed ^ ((index * GOLDEN_GAMMA) & MASK64)) & MASK64)
-
-
-def derive_seed_array(base_seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorised derive_seed over an array of indices."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    return mix64_array(_U(base_seed & MASK64) ^ (idx * _U(GOLDEN_GAMMA)))
+    if isinstance(base_seed, int) and isinstance(index, int):
+        return mix64(base_seed ^ (index * GOLDEN_GAMMA))
+    base, idx = (np.asarray(v & MASK64 if isinstance(v, int) else v, dtype=np.uint64)
+                 for v in (base_seed, index))
+    return mix64(base ^ idx * _U(GOLDEN_GAMMA))
 
 
 def replication_seeds(base_seed: int, lo: int, hi: int) -> np.ndarray:
     """Seeds for replication indices lo..hi-1."""
-    return derive_seed_array(base_seed, np.arange(lo, hi, dtype=np.uint64))
-
-
-def derive_child_array(seeds: np.ndarray, index: int) -> np.ndarray:
-    """One fixed-index child per seed; matches derive_seed elementwise."""
-    base = np.asarray(seeds, dtype=np.uint64)
-    return mix64_array(base ^ _U((index * GOLDEN_GAMMA) & MASK64))
+    return derive_seed(base_seed, np.arange(lo, hi, dtype=np.uint64))
 
 
 class VectorXoshiro:
@@ -77,12 +70,10 @@ class VectorXoshiro:
     """
 
     def __init__(self, seeds: np.ndarray | list[int]):
-        sm = np.atleast_1d(np.asarray(seeds, dtype=np.uint64)).copy()
-        state = []
-        for _ in range(4):
-            sm = sm + _U(GOLDEN_GAMMA)
-            state.append(mix64_array(sm))
-        self.s0, self.s1, self.s2, self.s3 = state
+        sm = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
+        # the i-th SplitMix64 step from state `seed` mixes seed + i * gamma
+        steps = (sm + _U(i * GOLDEN_GAMMA & MASK64) for i in range(1, 5))
+        self.s0, self.s1, self.s2, self.s3 = map(mix64, steps)
         self._scratch = np.empty_like(sm)
 
     @property

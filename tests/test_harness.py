@@ -226,6 +226,14 @@ def test_parse_config_refuses_sizes_numpy_cannot_index(field, value):
     assert ei.value.field == field
 
 
+@pytest.mark.parametrize("bad, edge", [(-1, 0), (2**64, 2**64 - 1)])
+def test_parse_config_refuses_a_base_seed_outside_64_bits(bad, edge):
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_doc(base_seed=bad))
+    assert ei.value.field == "base_seed"
+    assert parse_config(_doc(base_seed=edge)).base_seed == edge
+
+
 def test_parse_config_accepts_sizes_up_to_intp_max():
     big = int(np.iinfo(np.intp).max)
     cfg = parse_config(_doc(n=big, reps=big, x_grid=[]))
@@ -1019,7 +1027,8 @@ def test_parse_x_grid_forms():
         parse_x_grid("")
 
 
-@pytest.mark.parametrize("text", ["0:inf:1", "-inf:0:1", "nan:1:1", "0:nan:1", "0:1:nan"])
+@pytest.mark.parametrize("text", ["0:inf:1", "-inf:0:1", "nan:1:1", "0:nan:1", "0:1:nan",
+                                  "1,inf", "-inf", "nan,1"])
 def test_parse_x_grid_refuses_non_finite_ranges(text):
     import click
 

@@ -45,7 +45,7 @@ from weakdev.processes import (
     simulate_coupled_block,
     stationary_init_batch,
 )
-from weakdev.rng import VectorXoshiro, derive_child_array, replication_seeds
+from weakdev.rng import VectorXoshiro, derive_seed, replication_seeds
 
 _MODELS = [
     IidUniform(),
@@ -500,8 +500,8 @@ def _coupled_pairs_two_generators(model, r, seeds, presplit=0):
     splits at the start (presplit = 0). presplit = j > 0 first steps each run
     j times on its own innovations, the split-after-j construction that the
     split at the start must match in law."""
-    gen_o = VectorXoshiro(derive_child_array(seeds, processes._LANE_ORIGINAL))
-    gen_s = VectorXoshiro(derive_child_array(seeds, processes._LANE_STARRED))
+    gen_o = VectorXoshiro(derive_seed(seeds, processes._LANE_ORIGINAL))
+    gen_s = VectorXoshiro(derive_seed(seeds, processes._LANE_STARRED))
     xo, step_o = model.start(gen_o)
     xs, step_s = model.start(gen_s)
     innov_o = model.law.draw(gen_o)

@@ -6,11 +6,8 @@ from weakdev.rng import (
     GOLDEN_GAMMA,
     MASK64,
     VectorXoshiro,
-    derive_child_array,
     derive_seed,
-    derive_seed_array,
     mix64,
-    mix64_array,
     replication_seeds,
 )
 
@@ -25,21 +22,20 @@ def test_mix64_matches_splitmix64_reference():
         assert mix64(s) == want
 
 
-@given(U64)
-def test_mix64_array_matches_scalar(z):
-    assert int(mix64_array(np.array([z], dtype=np.uint64))[0]) == mix64(z)
-
-
-@given(U64, st.integers(min_value=0, max_value=2**32))
-def test_derive_seed_array_matches_scalar(base, idx):
-    arr = derive_seed_array(base, np.array([idx], dtype=np.uint64))
-    assert int(arr[0]) == derive_seed(base, idx)
-
-
-@given(st.lists(U64, min_size=1, max_size=8), st.integers(min_value=0, max_value=100))
-def test_derive_child_array_matches_scalar(seeds, lane):
-    arr = derive_child_array(np.array(seeds, dtype=np.uint64), lane)
-    assert [int(v) for v in arr] == [derive_seed(s, lane) for s in seeds]
+@given(U64, st.lists(U64, min_size=1, max_size=6),
+       st.lists(st.integers(min_value=0, max_value=2**66), min_size=1, max_size=4))
+@example(base=5, seeds=[0, MASK64], indices=[2**64 + 3, 1])
+def test_int_and_array_forms_agree(base, seeds, indices):
+    assert [int(v) for v in mix64(np.array(seeds, dtype=np.uint64))] == [mix64(s) for s in seeds]
+    want = [[derive_seed(s, i) for s in seeds] for i in indices]
+    # a 2-D broadcast: one row per index, one column per seed; an index
+    # past 2^64 wraps alike in the int form and in a uint64 array
+    wrapped = np.array([[i & MASK64] for i in indices], dtype=np.uint64)
+    grid = derive_seed(np.array(seeds, dtype=np.uint64), wrapped)
+    assert grid.shape == (len(indices), len(seeds))
+    assert grid.tolist() == want
+    assert [derive_seed(seeds, i).tolist() for i in indices] == want
+    assert derive_seed(base, wrapped[:, 0]).tolist() == [derive_seed(base, i) for i in indices]
 
 
 def test_replication_seeds_are_index_keyed():
