@@ -22,6 +22,23 @@ def test_mix64_matches_splitmix64_reference():
         assert mix64(s) == want
 
 
+@given(U64)
+def test_mix64_array_matches_scalar(z):
+    assert int(mix64(np.array([z], dtype=np.uint64))[0]) == mix64(z)
+
+
+@given(U64, st.integers(min_value=0, max_value=2**32))
+def test_derive_seed_array_matches_scalar(base, idx):
+    arr = derive_seed(base, np.array([idx], dtype=np.uint64))
+    assert int(arr[0]) == derive_seed(base, idx)
+
+
+@given(st.lists(U64, min_size=1, max_size=8), st.integers(min_value=0, max_value=100))
+def test_derive_child_array_matches_scalar(seeds, lane):
+    arr = derive_seed(np.array(seeds, dtype=np.uint64), lane)
+    assert [int(v) for v in arr] == [derive_seed(s, lane) for s in seeds]
+
+
 @given(U64, st.lists(U64, min_size=1, max_size=6),
        st.lists(st.integers(min_value=0, max_value=2**66), min_size=1, max_size=4))
 @example(base=5, seeds=[0, MASK64], indices=[2**64 + 3, 1])
