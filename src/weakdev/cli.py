@@ -132,6 +132,26 @@ def _declaring(registry: dict, field: str) -> str:
     return ", ".join(name for name, cls in registry.items() if field in cls.__dataclass_fields__)
 
 
+def _refuse_stray_flags(model: str, doc: dict, weights: dict) -> None:
+    """A usage error naming the first given flag that sets no field of the
+    model, or of its weight family."""
+    declared = MODELS[model].__dataclass_fields__
+    owner = f"model {model!r}"
+    stray = [(f"--{k}", k, MODELS) for k in doc if k != "variant" and k not in declared]
+    if weights and "weights" not in declared:
+        flag = "--weight-family" if "family" in weights else f"--weight-{next(iter(weights))}"
+        stray.append((flag, "weights", MODELS))
+    family = weights.get("family")
+    if not stray and family is not None:
+        owner = f"weight family {family!r}"
+        stray = [(f"--weight-{k}", k, WEIGHTS) for k in weights
+                 if k != "family" and k not in WEIGHTS[family].__dataclass_fields__]
+    if stray:
+        flag, field, registry = stray[0]
+        raise click.UsageError(f"{flag} is not a flag of {owner}: it sets field {field!r} "
+                               f"of {_declaring(registry, field)}")
+
+
 def _model_options(cmd):
     """Add --model and a --<field> flag per model field, the weights set by
     --weight-family and --weight-<field>; the command receives the model as m."""
@@ -144,6 +164,7 @@ def _model_options(cmd):
         doc = _given(variant=model, **{k: kwargs.pop(k) for k in model_fields})
         weights = _given(family=weight_family,
                          **{k: kwargs.pop(f"weight_{k}") for k in weight_fields})
+        _refuse_stray_flags(model, doc, weights)
         if weights:  # build_model refuses them on a model without weights
             doc["weights"] = weights
         try:

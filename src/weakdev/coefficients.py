@@ -185,22 +185,31 @@ def markov_contraction_profile(kappa: float, n: int) -> DependenceProfile:
 def infinite_memory_profile(weights: WeightSequence, n: int) -> DependenceProfile:
     """Chain with infinite memory, contraction total a = sum a_j < 1.
 
-    r delta'_r = sum_{j=r}^{2r-1} min_{0 < p <= j} (a^(r/p) + tail_sum(p)).
-    The inner minimum is a prefix minimum over p, so the r summands are
-    nonincreasing in j, and delta'_r is evaluated as their minimum (the
-    j = 2r - 1 one) plus their mean excess over it.  The lags are scanned in
-    blocks of _BLOCK_ROWS rows: each chunk of p fills one rows x chunk array
-    of a^(r/p) + tail_sum(p), and every row keeps its running minimum m.
-    After a chunk, a row leaves the scan if a^(r/p) at p = min(chunk end,
-    r - 1) reaches m: the tails are nonnegative and a^(r/p) rises with p, so
-    no later p lowers m, all r prefix minima for j = r..2r-1 equal m, the
-    excess is zero and delta'_r = m exactly.  A chunk may run past
-    p = r - 1, but those terms exceed a^(r/(r-1)), so they never set the m
-    of a row that leaves.  A row that reaches p = r - 1 without leaving
-    forms the full prefix minimum over p <= 2r - 1.  A block's first chunk
-    ends where a row of the previous block last left, the later chunks
-    double in width, and the tail table is computed only as far as the scan
-    reads it.
+    r delta'_r = sum_{j=r}^{2r-1} min_{0 < p <= j} g_r(p), where
+    g_r(p) = a^(r/p) + A_p and A_p = tail_sum(p).  The inner minimum is a
+    prefix minimum over p, so the r summands are nonincreasing in j, and
+    delta'_r is evaluated as their minimum (the j = 2r - 1 one) plus their
+    mean excess over it.
+
+    Each lag is bracketed around a guessed p: q, interpolated between the
+    minimizing p of the anchor lags 1, 2, 4, ..., n, gives the upper bound
+    m0 = g_r(q), and two cuts exclude the p where g_r(p) cannot fall below
+    m0:
+    - tail cut: before p_lo, the first p where the running minimum of the
+      tails falls below m0, every A_p >= m0, so g_r(p) >= A_p >= m0, as
+      rounding a sum of nonnegative numbers is monotone;
+    - power cut: from p_hi <= r - 1, where a^(r/p) >= m0 * _EXIT_SLACK (plus
+      one subnormal ulp), on, every a^(r/p) >= m0, as a^(r/p) rises with p
+      and the slack covers a non-monotone last bit of np.exp; the tails are
+      nonnegative, so g_r(p) >= m0.
+    So the minimum m over all p <= 2r - 1 is min(m0, min over
+    p_lo <= p < p_hi).  Every prefix minimum for j = r..2r-1 covers all
+    p < p_hi, q among them (g_r(q) = m0 > 0 puts q below p_hi; m0 = 0 with
+    q >= r needs a = 0, where every term is 0), so all r of them equal m,
+    the excess is zero and delta'_r = m exactly.  A lag with no power cut,
+    as r = 1, forms the full prefix minimum over p <= 2r - 1.  The tail
+    table reaches the last lag's power cut, or 2r - 1 for the largest lag
+    without one.
     """
     n = _check_n(n)
     a = weights.total
@@ -208,71 +217,133 @@ def infinite_memory_profile(weights: WeightSequence, n: int) -> DependenceProfil
         raise ValidationError(f"need sum of weights < 1, got {a}", field="weights")
     # a = 0: exp(-inf) = 0 gives the zero powers
     log_a = math.log(a) if a > 0.0 else -math.inf
-    tails = _TailTable(weights, 2 * n - 1)
+    tails = _tail_table(weights, n, log_a)
+    floor = -np.minimum.accumulate(tails)  # nondecreasing, for searchsorted
+    # the minimizing p of the anchor lags 1, 2, 4, ..., n; q <= 2r - 1 holds
+    # at the anchors, so also for the lags interpolated between them
+    anchors = np.unique(np.minimum(2 ** np.arange(n.bit_length() + 1), n))
+    anchor_q = [np.argmin(_terms(r, tails[: 2 * r - 1], log_a)) + 1.0 for r in anchors.tolist()]
     delta = np.empty(n)
-    first = 16  # end of the first block's first chunk
-    for r0 in range(1, n + 1, _BLOCK_ROWS):
-        rs = np.arange(r0, min(r0 + _BLOCK_ROWS, n + 1))
-        first = _scan_block(rs, log_a, tails, first, delta)
+    full = [1]
+    for r0 in range(2, n + 1, _BLOCK_ROWS):
+        rs = np.arange(r0, min(r0 + _BLOCK_ROWS, n + 1), dtype=np.float64)
+        full += _bracket(rs, np.rint(np.interp(rs, anchors, anchor_q)), tails, floor, log_a, delta)
+    if 2 * full[-1] - 1 > tails.size:
+        tails = weights.tail_sums(2 * full[-1] - 1)
+    for r in full:
+        best = np.minimum.accumulate(_terms(r, tails[: 2 * r - 1], log_a))
+        delta[r - 1] = best[-1] + float((best[r - 1 :] - best[-1]).sum()) / r
     return _finalize(delta, "linf")
 
 
-# Rows per block of the double-minimum scan: a chunk's array holds
-# _BLOCK_ROWS x (chunk width) floats.
-_BLOCK_ROWS = 64
+# Lags per block of infinite_memory_profile, and the most terms one chunk of
+# a block's band evaluates at a time.
+_BLOCK_ROWS = 2048
+_CHUNK_TERMS = 2**14
 
-# The early exit needs a^(r/p) a few ulps above the running minimum, so a
-# non-monotone last bit of np.exp cannot let a later p undercut it.
+# The power cut needs a^(r/p) a few ulps above m0, so a non-monotone last bit
+# of np.exp cannot let a later p undercut it; one subnormal ulp more covers
+# powers that underflow, where a relative slack rounds away.
 _EXIT_SLACK = 1.0 + 8.0 * np.finfo(np.float64).eps
+_TINY = float(np.nextafter(0.0, 1.0))
+
+# Tails read to size the table from the last lag's power cut.
+_FIRST_TAILS = 64
 
 
-class _TailTable:
-    """tail_sum(1..m) as far as it is read; it grows at least twofold at a
-    time, up to `cap` entries."""
-
-    def __init__(self, weights: WeightSequence, cap: int):
-        self.weights, self.cap, self.table = weights, cap, np.empty(0)
-
-    def __getitem__(self, span: slice) -> np.ndarray:
-        if span.stop > self.table.size:
-            size = min(max(span.stop, 2 * self.table.size), self.cap)
-            self.table = self.weights.tail_sums(size)
-        return self.table[span]
+def _powers(r, p, log_a: float) -> np.ndarray:
+    """a^(r/p) as exp((r/p) log a), r and p broadcasting float operands."""
+    vals = np.divide(r, p)
+    vals *= log_a
+    return np.exp(vals, out=vals)
 
 
-def _scan_block(rs: np.ndarray, log_a: float, tails: _TailTable, first: int, delta: np.ndarray) -> int:
-    """Set delta[r - 1] for the lags rs of infinite_memory_profile; the first
-    chunk ends at p = `first`.  Returns the chunk end where a row last left.
+def _terms(r, tails: np.ndarray, log_a: float) -> np.ndarray:
+    """g_r(p) = a^(r/p) + A_p for p = 1..tails.size."""
+    return _powers(r, np.arange(1.0, tails.size + 1), log_a) + tails
 
-    Every row is the minimum of its window of prefix minima plus the window's
-    mean excess; a leaving row's window is constant, so its delta is m."""
-    m = np.full(rs.size, math.inf)
-    live = np.flatnonzero(rs > 1)  # r = 1 has no p < r to scan
-    full = rs[rs == 1].tolist()
-    lo, hi = 0, first
-    while live.size:
-        r = rs[live]
-        lim = r - 1
-        hi = min(hi, int(lim[-1]))
-        # float rows: an int64 operand would be cast element by element
-        vals = np.divide(r[:, None].astype(np.float64), np.arange(lo + 1, hi + 1, dtype=np.float64))
+
+def _tail_table(weights: WeightSequence, n: int, log_a: float) -> np.ndarray:
+    """tail_sum(1..m), m the power cut of lag n for the bound g_n(p) at the
+    best p <= _FIRST_TAILS, or 2n - 1 if lag n has no power cut."""
+    tails = weights.tail_sums(min(_FIRST_TAILS, 2 * n - 1))
+    m0 = _terms(n, tails, log_a).min()
+    size = _power_cut(np.array([float(n)]), np.array([m0]), log_a, np.array([n - 1.0]))[0]
+    size = 2 * n - 1 if size > n - 1 else int(size)
+    return tails if size <= tails.size else weights.tail_sums(size)
+
+
+def _power_cut(r: np.ndarray, m0: np.ndarray, log_a: float, limit: np.ndarray) -> np.ndarray:
+    """Per lag, a p <= limit with a^(r/p) >= m0 * _EXIT_SLACK + _TINY (any p
+    if m0 = 0), or limit + 1 for none.
+
+    The first such p is about r log(a) / log(m0 * _EXIT_SLACK); a few steps
+    up absorb its rounding, and a lag that needs more gets none.
+    """
+    t = m0 * _EXIT_SLACK + _TINY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.ceil(r * log_a / np.log(t))
+    t[m0 == 0.0] = 0.0
+    p[m0 == 0.0] = 1.0  # no g_r(p) is below 0, even for a = 0
+    # a NaN, a p below 1 (t > 1) or past the limit: no power cut
+    none = ~((p >= 1.0) & (p <= limit))
+    p[none] = limit[none] + 1.0
+    for _ in range(4):
+        check = np.flatnonzero(p <= limit)
+        short = check[_powers(r[check], p[check], log_a) < t[check]]
+        if not short.size:
+            return p
+        p[short] += 1.0
+    p[short] = limit[short] + 1.0
+    return p
+
+
+def _bracket(rs: np.ndarray, q: np.ndarray, tails: np.ndarray, floor: np.ndarray,
+             log_a: float, delta: np.ndarray) -> list:
+    """Set delta[r - 1] for the lags rs of infinite_memory_profile that have a
+    power cut within the tail table, from their guesses q; returns the others.
+
+    Each lag's bracket [p_lo, p_hi) starts a band of the block's widest
+    bracket, moved down where it would pass p = 2r - 1 or the table, so
+    every p it holds is a term of the lag.  The band is evaluated in chunks;
+    a chunk is skipped when a^(r/p) at its first p plus the running tail
+    minimum at its last p already reaches every lag's minimum.
+    """
+    m = _powers(rs, q, log_a)
+    m += tails[q.astype(np.intp) - 1]
+    limit = np.minimum(rs - 1.0, tails.size)
+    hi = _power_cut(rs, m, log_a, limit)
+    cut = hi <= limit
+    lost = rs[~cut].astype(int).tolist()
+    rs, m, hi = rs[cut], m[cut], hi[cut]
+    lo = np.searchsorted(floor, -m, side="right")  # p_lo - 1
+    width = int(np.max(hi - 1 - lo, initial=0))
+    # a band that would pass p = 2r - 1 or the table starts lower; a band
+    # wider than 2r - 1 is clipped at p = 2r - 1
+    last = 2 * rs.astype(np.intp) - 2
+    start = np.maximum(np.minimum(np.minimum(lo, last + 1 - width), tails.size - width), 0)
+    clip = rs.size and 2 * rs[0] - 1 < width
+    step = max(1, _CHUNK_TERMS // max(rs.size, 1))
+    for k0 in range(0, width, step):
+        k1 = min(k0 + step, width)
+        if k0:
+            low = _powers(rs, start + (k0 + 1.0), log_a)
+            low /= _EXIT_SLACK
+            low -= _TINY
+            low -= floor[start + k1 - 1]
+            if np.all(low >= m):
+                continue
+        j = start + np.arange(k0, k1)[:, None]
+        if clip:
+            np.minimum(j, last, out=j)
+        vals = np.add(j, 1.0)
+        np.divide(rs, vals, out=vals)
         vals *= log_a
         np.exp(vals, out=vals)
-        vals += tails[lo:hi]
-        m[live] = np.minimum(m[live], vals.min(axis=1))
-        end = np.minimum(lim, hi)
-        leave = np.exp((r / end) * log_a) >= m[live] * _EXIT_SLACK
-        if leave.any():
-            first = hi
-            delta[r[leave] - 1] = m[live[leave]]
-        full += r[~leave & (end == lim)].tolist()
-        live = live[~leave & (end < lim)]
-        lo, hi = hi, 2 * hi
-    for r in full:
-        powers = np.exp((r / np.arange(1, 2 * r, dtype=np.float64)) * log_a)
-        best = np.minimum.accumulate(powers + tails[: 2 * r - 1])
-        delta[r - 1] = best[-1] + float((best[r - 1 :] - best[-1]).sum()) / r
-    return first
+        vals += tails[j]
+        np.minimum(m, vals.min(axis=0), out=m)
+    delta[rs.astype(np.intp) - 1] = m
+    return lost
 
 
 def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> DependenceProfile:

@@ -9,8 +9,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
+from weakdev import coefficients
 from weakdev.coefficients import (
-    _BLOCK_ROWS,
     TRUNCATION_TAIL,
     GeometricWeights,
     PolynomialWeights,
@@ -288,19 +288,42 @@ def test_profile_path_matches_reference_loops_bit_for_bit(w, n):
 
 
 @pytest.mark.parametrize(
-    "w", [GeometricWeights(0.5, 0.5), PolynomialWeights(0.25, 3.0)]
+    "w",
+    [
+        GeometricWeights(0.5, 0.5),
+        PolynomialWeights(0.25, 3.0),
+        PolynomialWeights(0.05, 1.1),
+        GeometricWeights(0.01, 0.9),
+    ],
 )
 def test_infinite_memory_profile_matches_reference_at_n_8000(w):
     assert np.array_equal(infinite_memory_profile(w, 8000).delta, _infinite_memory_reference(w, 8000))
 
 
 # Polynomial weights with power 1.1 and total 0.99: at n = 600 the rows
-# r <= 471 reach p = r - 1 without leaving the scan and take the full branch.
+# r <= 471 have no power cut below p = r - 1 and take the full branch.
 _SLOW_POLYNOMIAL = PolynomialWeights(0.99 / PolynomialWeights(1.0, 1.1).total, 1.1)
+
+# Small blocks and chunks, so that lags of a few hundred cross block edges and
+# bands run over several chunks, some of them skipped.
+_EDGE_BLOCK_ROWS = 64
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(coefficients, "_BLOCK_ROWS", _EDGE_BLOCK_ROWS)
+    monkeypatch.setattr(coefficients, "_CHUNK_TERMS", 4 * _EDGE_BLOCK_ROWS)
 
 
 @pytest.mark.parametrize(
-    "n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    "n",
+    [
+        _EDGE_BLOCK_ROWS - 1,
+        _EDGE_BLOCK_ROWS,
+        _EDGE_BLOCK_ROWS + 1,
+        _EDGE_BLOCK_ROWS + 2,
+        2 * _EDGE_BLOCK_ROWS + 1,
+    ],
 )
 @pytest.mark.parametrize(
     "w",
@@ -310,9 +333,13 @@ _SLOW_POLYNOMIAL = PolynomialWeights(0.99 / PolynomialWeights(1.0, 1.1).total, 1
         PolynomialWeights(0.25, 3.0),
         _SLOW_POLYNOMIAL,
         ZeroWeights(),
+        # a^(r/p) underflows to 0 for p < 0.93 r, so the tails decide
+        GeometricWeights(1e-300, 0.5),
+        # total 0.9995: the first lags have no power cut and take the full branch
+        GeometricWeights(0.9995, 0.5),
     ],
 )
-def test_infinite_memory_profile_matches_reference_at_block_edges(w, n):
+def test_infinite_memory_profile_matches_reference_at_block_edges(small_blocks, w, n):
     assert np.array_equal(infinite_memory_profile(w, n).delta, _infinite_memory_reference(w, n))
 
 
@@ -370,17 +397,31 @@ def test_constant_windows_give_their_minimum_bit_for_bit(w, n):
     assert all(got[r - 1] == low for r, low in constant)
 
 
-def test_infinite_memory_profile_temporaries_stay_small():
-    # the blocked scan peaked at 0.71 MiB here; one array over every lag and
-    # stop point would take about 45 MiB
-    w = PolynomialWeights(0.25, 3.0)
+def _profile_peak_bytes(w: WeightSequence, n: int) -> int:
     tracemalloc.start()
     try:
-        infinite_memory_profile(w, 8000)
-        _, peak = tracemalloc.get_traced_memory()
+        infinite_memory_profile(w, n)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+
+
+def test_infinite_memory_profile_temporaries_stay_small():
+    # the bracketed bands peaked at 0.76 MiB here; one array over every lag
+    # and stop point would take about 45 MiB
+    assert _profile_peak_bytes(PolynomialWeights(0.25, 3.0), 8000) < 1.5 * 2**20
+
+
+@pytest.mark.parametrize(
+    "w, n",
+    [
+        (PolynomialWeights(0.25, 3.0), 16000),
+        (GeometricWeights(0.5, 0.5), 8000),
+        (GeometricWeights(0.5, 0.5), 16000),
+    ],
+)
+def test_infinite_memory_profile_temporaries_stay_small_at_other_sizes(w, n):
+    assert _profile_peak_bytes(w, n) < 1.5 * 2**20
 
 
 def test_tail_sums_validation():

@@ -1198,6 +1198,27 @@ def test_cli_stray_weight_flags_are_refused(tmp_path, flags, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--model", "kernel-chain", "--kappa", "0.7", "--weight-family", "geometric"],
+         "--weight-family is not a flag of model 'kernel-chain'"),
+        (["--model", "doubling-map", "--kappa", "0.5"],
+         "--kappa is not a flag of model 'doubling-map'"),
+        (["--model", "infinite-memory", "--weight-family", "geometric", "--weight-c", "0.5",
+          "--weight-power", "2"],
+         "--weight-power is not a flag of weight family 'geometric'"),
+    ],
+)
+def test_cli_stray_model_flags_are_named_as_flags(tmp_path, flags, named):
+    # a flag the model does not declare is reported as that flag, not as the
+    # config key build_model would refuse ("unknown model key 'kappa'")
+    out = tmp_path / "p.csv"
+    res = CliRunner().invoke(main, ["profile", *flags, "--n", "3", "--out", str(out)])
+    assert res.exit_code == 2 and named in res.output, res.output
+    assert "key" not in res.output and not out.exists()
+
+
 # A model and a weight family declared outside the package, each with a field
 # no class there declares; annotations as text, as the package's modules
 # (which defer annotations) declare them.
