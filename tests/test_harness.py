@@ -1172,6 +1172,15 @@ def test_cli_profile_flags_build_the_config_model(tmp_path, variant, flags, fiel
         (["--model", "infinite-memory", "--weight-family", "geometric", "--weight-c", "0.5"],
          "ratio"),
         (["--model", "doubling-map", "--theta", "0.5"], "theta"),
+        # a flag the model or weight family does not declare is named as that
+        # flag, not as the config key build_model would refuse
+        (["--model", "kernel-chain", "--kappa", "0.7", "--weight-family", "geometric"],
+         "--weight-family is not a flag of model 'kernel-chain'"),
+        (["--model", "doubling-map", "--kappa", "0.5"],
+         "--kappa is not a flag of model 'doubling-map'"),
+        (["--model", "infinite-memory", "--weight-family", "geometric", "--weight-c", "0.5",
+          "--weight-power", "2"],
+         "--weight-power is not a flag of weight family 'geometric'"),
     ],
 )
 def test_cli_model_flag_errors_name_the_field(tmp_path, flags, named):
@@ -1196,27 +1205,6 @@ def test_cli_stray_weight_flags_are_refused(tmp_path, flags, named):
     res = CliRunner().invoke(main, ["profile", *flags, "--n", "4", "--out", str(out)])
     assert res.exit_code == 2 and named in res.output
     assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "flags, named",
-    [
-        (["--model", "kernel-chain", "--kappa", "0.7", "--weight-family", "geometric"],
-         "--weight-family is not a flag of model 'kernel-chain'"),
-        (["--model", "doubling-map", "--kappa", "0.5"],
-         "--kappa is not a flag of model 'doubling-map'"),
-        (["--model", "infinite-memory", "--weight-family", "geometric", "--weight-c", "0.5",
-          "--weight-power", "2"],
-         "--weight-power is not a flag of weight family 'geometric'"),
-    ],
-)
-def test_cli_stray_model_flags_are_named_as_flags(tmp_path, flags, named):
-    # a flag the model does not declare is reported as that flag, not as the
-    # config key build_model would refuse ("unknown model key 'kappa'")
-    out = tmp_path / "p.csv"
-    res = CliRunner().invoke(main, ["profile", *flags, "--n", "3", "--out", str(out)])
-    assert res.exit_code == 2 and named in res.output, res.output
-    assert "key" not in res.output and not out.exists()
 
 
 # A model and a weight family declared outside the package, each with a field
