@@ -207,9 +207,10 @@ def infinite_memory_profile(weights: WeightSequence, n: int) -> DependenceProfil
     p < p_hi, q among them (g_r(q) = m0 > 0 puts q below p_hi; m0 = 0 with
     q >= r needs a = 0, where every term is 0), so all r of them equal m,
     the excess is zero and delta'_r = m exactly.  A lag with no power cut,
-    as r = 1, forms the full prefix minimum over p <= 2r - 1.  The tail
-    table reaches the last lag's power cut, or 2r - 1 for the largest lag
-    without one.
+    as r = 1, forms the full prefix minimum over p <= 2r - 1.  The guesses
+    read the tail table as far as the last lag's power cut; the brackets
+    then read it as far as the largest power cut, or 2r - 1 for the largest
+    lag without one.
     """
     n = _check_n(n)
     a = weights.total
@@ -218,18 +219,31 @@ def infinite_memory_profile(weights: WeightSequence, n: int) -> DependenceProfil
     # a = 0: exp(-inf) = 0 gives the zero powers
     log_a = math.log(a) if a > 0.0 else -math.inf
     tails = _tail_table(weights, n, log_a)
-    floor = -np.minimum.accumulate(tails)  # nondecreasing, for searchsorted
-    # the minimizing p of the anchor lags 1, 2, 4, ..., n; q <= 2r - 1 holds
-    # at the anchors, so also for the lags interpolated between them
+    # the minimizing p <= r - 1 of the anchor lags 1, 2, 4, ..., n: a guess
+    # past r - 1 leaves no power cut; q <= r - 1 holds at the anchors, so also
+    # for the lags interpolated between them
     anchors = np.unique(np.minimum(2 ** np.arange(n.bit_length() + 1), n))
-    anchor_q = [np.argmin(_terms(r, tails[: 2 * r - 1], log_a)) + 1.0 for r in anchors.tolist()]
-    delta = np.empty(n)
-    full = [1]
+    anchor_q = [np.argmin(_terms(r, tails[: max(r - 1, 1)], log_a)) + 1.0 for r in anchors.tolist()]
+    delta = np.empty(n)  # each lag's bound m0, then its minimum
+    hi = np.full(n, np.inf)  # each lag's power cut; r = 1 has none
     for r0 in range(2, n + 1, _BLOCK_ROWS):
         rs = np.arange(r0, min(r0 + _BLOCK_ROWS, n + 1), dtype=np.float64)
-        full += _bracket(rs, np.rint(np.interp(rs, anchors, anchor_q)), tails, floor, log_a, delta)
-    if 2 * full[-1] - 1 > tails.size:
-        tails = weights.tail_sums(2 * full[-1] - 1)
+        q = np.rint(np.interp(rs, anchors, anchor_q))
+        m0 = _powers(rs, q, log_a)
+        m0 += tails[q.astype(np.intp) - 1]
+        delta[r0 - 1 : r0 - 1 + rs.size] = m0
+        hi[r0 - 1 : r0 - 1 + rs.size] = _power_cut(rs, m0, log_a, rs - 1.0)
+    cut = hi < np.arange(1, n + 1)
+    full = (np.flatnonzero(~cut) + 1).tolist()
+    size = max(int(np.max(hi, where=cut, initial=1.0)), 2 * full[-1] - 1)
+    if size > tails.size:
+        tails = weights.tail_sums(size)
+    floor = -np.minimum.accumulate(tails)  # nondecreasing, for searchsorted
+    for r0 in range(2, n + 1, _BLOCK_ROWS):
+        rs = np.arange(r0, min(r0 + _BLOCK_ROWS, n + 1), dtype=np.float64)
+        block = slice(r0 - 1, r0 - 1 + rs.size)
+        keep = cut[block]
+        delta[block][keep] = _bracket(rs[keep], delta[block][keep], hi[block][keep], tails, floor, log_a)
     for r in full:
         best = np.minimum.accumulate(_terms(r, tails[: 2 * r - 1], log_a))
         delta[r - 1] = best[-1] + float((best[r - 1 :] - best[-1]).sum()) / r
@@ -298,10 +312,10 @@ def _power_cut(r: np.ndarray, m0: np.ndarray, log_a: float, limit: np.ndarray) -
     return p
 
 
-def _bracket(rs: np.ndarray, q: np.ndarray, tails: np.ndarray, floor: np.ndarray,
-             log_a: float, delta: np.ndarray) -> list:
-    """Set delta[r - 1] for the lags rs of infinite_memory_profile that have a
-    power cut within the tail table, from their guesses q; returns the others.
+def _bracket(rs: np.ndarray, m: np.ndarray, hi: np.ndarray, tails: np.ndarray,
+             floor: np.ndarray, log_a: float) -> np.ndarray:
+    """Lower the bounds m0 = m of the lags rs of infinite_memory_profile, in
+    place, to the minimum over all p of g_r(p), given their power cuts hi.
 
     Each lag's bracket [p_lo, p_hi) starts a band of the block's widest
     bracket, moved down where it would pass p = 2r - 1 or the table, so
@@ -309,13 +323,6 @@ def _bracket(rs: np.ndarray, q: np.ndarray, tails: np.ndarray, floor: np.ndarray
     a chunk is skipped when a^(r/p) at its first p plus the running tail
     minimum at its last p already reaches every lag's minimum.
     """
-    m = _powers(rs, q, log_a)
-    m += tails[q.astype(np.intp) - 1]
-    limit = np.minimum(rs - 1.0, tails.size)
-    hi = _power_cut(rs, m, log_a, limit)
-    cut = hi <= limit
-    lost = rs[~cut].astype(int).tolist()
-    rs, m, hi = rs[cut], m[cut], hi[cut]
     lo = np.searchsorted(floor, -m, side="right")  # p_lo - 1
     width = int(np.max(hi - 1 - lo, initial=0))
     # a band that would pass p = 2r - 1 or the table starts lower; a band
@@ -342,8 +349,7 @@ def _bracket(rs: np.ndarray, q: np.ndarray, tails: np.ndarray, floor: np.ndarray
         np.exp(vals, out=vals)
         vals += tails[j]
         np.minimum(m, vals.min(axis=0), out=m)
-    delta[rs.astype(np.intp) - 1] = m
-    return lost
+    return m
 
 
 def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> DependenceProfile:
