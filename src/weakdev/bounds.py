@@ -135,13 +135,6 @@ class BlockSelection:
     k: int | None
     variance_at_k: float | None
 
-    def require(self) -> tuple[int, float | None]:
-        if self.k is None:
-            raise NoValidBlockSizeError("no admissible block size; cannot form a bound")
-        # coupling-route selections carry no variance alongside the block size
-        var = None if self.variance_at_k is None else float(self.variance_at_k)
-        return self.k, var
-
 
 # ---------------------------------------------------------------------------
 # block-size selectors
@@ -218,14 +211,14 @@ def iid_bernstein_threshold(n: int, sigma1_sq: float, x: float) -> float:
 def thm1_threshold(n: int, envelope_at_k_star: float, k_star: int, x: float) -> float:
     """Bernstein-type threshold 5.8 sqrt(n sigma_bar^2 x) + 1.5 k* x."""
     _check_threshold_args(n, envelope_at_k_star, x, "envelope_at_k_star")
-    _check_k(k_star)
+    _check_k(k_star, n)
     return max(0.0, 5.8 * math.sqrt(n * envelope_at_k_star * x) + 1.5 * k_star * x)
 
 
 def thm2_threshold(n: int, sigma_sq_at_kp: float, k_star_prime: int, x: float) -> float:
     """Coupling-route threshold 2 sqrt(n sigma_k^2 x) + 1.34 k*' x."""
     _check_threshold_args(n, sigma_sq_at_kp, x, "sigma_sq_at_kp")
-    _check_k(k_star_prime)
+    _check_k(k_star_prime, n)
     return max(0.0, 2.0 * math.sqrt(n * sigma_sq_at_kp * x) + 1.34 * k_star_prime * x)
 
 
@@ -310,7 +303,10 @@ def log_mgf_bound_thm2(t: float, n: int, k: int, sigma_k_sq: float, delta_prime_
     _require("sigma_k_sq", sigma_k_sq, 0)
     _require("delta_prime_k", delta_prime_k, 0)
     kt = k * t
-    return (2.0 * n * sigma_k_sq / (k * k)) * (math.expm1(kt) - kt) + n * delta_prime_k * t
+    try:
+        return (2.0 * n * sigma_k_sq / (k * k)) * (math.expm1(kt) - kt) + n * delta_prime_k * t
+    except OverflowError:  # e^{kt} past the largest float: no finite bound
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +324,10 @@ def _check_threshold_args(n: int, variance: float, x: float, name: str) -> None:
     _require("x", x, 0)
 
 
-def _check_k(k) -> None:
+def _check_k(k, n=None) -> None:
     if k is None:
         raise NoValidBlockSizeError("block size is the no-selection sentinel; refuse to compute")
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"block size must be a positive integer, got {k!r}", field="k")
+    if n is not None and k > n:
+        raise DomainError(f"block size k = {k} exceeds n = {n}", field="k")

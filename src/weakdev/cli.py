@@ -26,13 +26,7 @@ from dataclasses import astuple, fields
 
 import click
 
-from .bounds import (
-    DependenceProfile,
-    hoeffding_threshold,
-    iid_bernstein_threshold,
-    thm1_threshold,
-    thm2_threshold,
-)
+from .bounds import DependenceProfile
 from .coefficients import WEIGHTS
 from .errors import DomainError, ValidationError
 from .estimation import coupling_seeds, estimate_coupling_delta, estimate_sigma_profile
@@ -271,23 +265,18 @@ def main():
 @_friendly_errors
 def bounds_cmd(theorem, n, xs, sigma_sq, k, phi, out):
     """Evaluate a threshold formula over an x-grid (no simulation)."""
-    if theorem == "hoeffding":
-        if phi is None:
-            raise click.UsageError("hoeffding needs --phi")
-        phis = _parse_list(phi, "phi")
-        thr = lambda x: hoeffding_threshold(n, phis, x)
-    elif theorem == "iid_eq1":
-        if sigma_sq is None:
-            raise click.UsageError("iid_eq1 needs --sigma-sq")
-        thr = lambda x: iid_bernstein_threshold(n, sigma_sq, x)
-    else:
-        if sigma_sq is None or k is None:
-            raise click.UsageError(f"{theorem} needs --sigma-sq and --k")
-        if theorem == "thm1":
-            thr = lambda x: thm1_threshold(n, sigma_sq, k, x)
-        else:
-            thr = lambda x: thm2_threshold(n, sigma_sq, k, x)
-    rows = [[theorem, x, thr(x), math.exp(-x)] for x in xs]
+    entry = THEOREMS[theorem]
+    given = _given(sigma_sq=sigma_sq, k=k, phi=phi)
+    flag = lambda name: "--" + name.replace("_", "-")
+    if any(name not in given for name in entry.reads):
+        raise click.UsageError(f"{theorem} needs {' and '.join(map(flag, entry.reads))}")
+    stray = [name for name in given if name not in entry.reads]
+    if stray:
+        raise click.UsageError(f"{flag(stray[0])} is not a flag of theorem {theorem!r}")
+    if phi is not None:
+        given["phi"] = _parse_list(phi, "phi")
+    inputs = [given[name] for name in entry.reads]
+    rows = [[theorem, x, entry.threshold(n, *inputs, x), math.exp(-x)] for x in xs]
     write_csv(["theorem", "x", "threshold", "bound_value"], rows, out)
 
 
@@ -388,7 +377,7 @@ def verify_cmd(ctx, config_path, out, threads):
     rows = run_verification(cfg, threads)
     emit_report(rows, out)
     for row in rows:
-        note = " (reference curve, not a claimed bound)" if row.theorem == "iid_eq1_ref" else ""
+        note = "" if row.theorem in THEOREMS else " (reference curve, not a claimed bound)"
         if row.verdict == "skipped":
             _echo(f"{row.theorem} x={row.x:g}: skipped (no admissible block size)")
         else:
@@ -399,7 +388,7 @@ def verify_cmd(ctx, config_path, out, threads):
             )
     _echo(f"wrote {out}")
     # reference rows are informational; only claimed bounds decide the exit code
-    if any(row.verdict == "fail" and row.theorem != "iid_eq1_ref" for row in rows):
+    if any(row.verdict == "fail" and row.theorem in THEOREMS for row in rows):
         ctx.exit(1)
 
 

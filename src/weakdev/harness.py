@@ -10,8 +10,8 @@ config document alone): lane 1 feeds the tail simulation, and its child 0
 draws the one sample of S(f) that every x-grid entry reads. Nothing else is
 simulated. A row therefore does not depend on which other x were requested,
 while rows at different x share their sample.
-Whenever the configured theorem is a blockwise bound, each x also gets a
-plain iid-formula row on the same simulated sample, tagged iid_eq1_ref; it
+Whenever the configured theorem reads a dependence profile, each x also gets
+a plain iid-formula row on the same simulated sample, tagged iid_eq1_ref; it
 is a reference curve, not a claimed bound. The harness returns rows and
 writes no file: `cli` writes every report.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,8 +61,6 @@ from .processes import (
     observable_for,
 )
 from .rng import MASK64, derive_seed
-
-THEOREMS = ("iid_eq1", "thm1", "thm2", "hoeffding")
 
 _LANE_TAILS = 1
 
@@ -280,6 +279,36 @@ def mc_variance_profile(model: ProcessModel, f, n: int, reps: int, seed: int,
 # verification
 
 
+class Theorem(NamedTuple):
+    """threshold(n, *inputs, x) takes the inputs named by reads (the `bounds` flags);
+    inputs(profile, varprof, n, xs), for a bound that reads a dependence profile,
+    lists a verification run's inputs per x (None: no admissible k). Both look up
+    names here when called, so the names perfbench/layers.py rebinds are traced."""
+
+    reads: tuple[str, ...]
+    threshold: Callable
+    inputs: Callable | None = None
+
+
+def _thm1_inputs(profile, varprof, n, xs):
+    sel = select_k_star(profile, varprof)
+    return [None if sel.k is None else (sel.variance_at_k, sel.k)] * len(xs)
+
+
+def _thm2_inputs(profile, varprof, n, xs):
+    ks = [select_k_star_prime(profile, n, x).k for x in xs]
+    return [None if k is None else (varprof.sigma_at(k), k) for k in ks]
+
+
+THEOREMS = {
+    "iid_eq1": Theorem(("sigma_sq",), lambda *a: iid_bernstein_threshold(*a)),
+    "thm1": Theorem(("sigma_sq", "k"), lambda *a: thm1_threshold(*a), _thm1_inputs),
+    "thm2": Theorem(("sigma_sq", "k"), lambda *a: thm2_threshold(*a), _thm2_inputs),
+    "hoeffding": Theorem(("phi",), lambda *a: hoeffding_threshold(*a),
+                         lambda profile, varprof, n, xs: [(hoeffding_phi(profile, n),)] * len(xs)),
+}
+
+
 @dataclass(frozen=True)
 class ReportRow:
     theorem: str
@@ -295,56 +324,37 @@ class ReportRow:
 
 
 def run_verification(config: ExperimentConfig, threads: int = 1) -> list[ReportRow]:
-    """One ReportRow per x (plus an iid reference row for blockwise bounds)."""
-    model, n, theorem, xs = config.model, config.n, config.theorem, config.x_grid
+    """One ReportRow per x (plus an iid reference row for a profile-reading bound)."""
+    model, n, xs, entry = config.model, config.n, config.x_grid, THEOREMS[config.theorem]
     f = observable_for(model, config.observable, config.omega)
     if not xs:
         return []
     varprof = analytic_sigma_profile(model, f, n)
-    profile = dependence_profile_for(model, n) if theorem != "iid_eq1" else None
-
-    # one block size per x (None: no admissible k, so the claim is skipped)
-    if theorem == "thm1":
-        selection = select_k_star(profile, varprof)
-        ks = [selection.k] * len(xs)
-    elif theorem == "thm2":
-        ks = [select_k_star_prime(profile, n, x).k for x in xs]
-    else:
-        ks = [None] * len(xs)
-    s1 = varprof.sigma_at(1)
-    phis = hoeffding_phi(profile, n) if theorem == "hoeffding" else None
+    iid = (varprof.sigma_at(1),)
+    claims = [iid] * len(xs) if entry.inputs is None else entry.inputs(
+        dependence_profile_for(model, n), varprof, n, xs)
 
     # one sample of S(f) serves every x
     tail_lane = derive_seed(config.base_seed, _LANE_TAILS)
     sums = per_rep_sums(model, f, n, config.reps, derive_seed(tail_lane, 0), threads)
 
-    def row(theorem, x, k=None, var=None, threshold=None) -> ReportRow:
-        """The claim's row, checked on the sample; no threshold marks it skipped."""
+    def row(tag, theorem, x, inputs) -> ReportRow:
+        """The claim's row, checked on the sample; no inputs mark it skipped."""
         bound = math.exp(-x)
-        if threshold is None:
-            return ReportRow(theorem, x, None, None, "", None, bound, None, None, "skipped")
+        if inputs is None:
+            return ReportRow(tag, x, None, None, "", None, bound, None, None, "skipped")
+        threshold = theorem.threshold(n, *inputs, x)
         est = tail_from_sums(sums, threshold, x=x, alpha=config.alpha)
-        source = "" if var is None else varprof.source
-        return ReportRow(theorem, x, k, var, source, threshold, bound, est.p_hat, est.ci_high,
-                         "pass" if est.ci_high <= bound else "fail")
+        named = dict(zip(theorem.reads, inputs))
+        source = varprof.source if "sigma_sq" in named else ""
+        return ReportRow(tag, x, named.get("k"), named.get("sigma_sq"), source, threshold, bound,
+                         est.p_hat, est.ci_high, "pass" if est.ci_high <= bound else "fail")
 
     rows = []
-    for x, k in zip(xs, ks):
-        iid = (None, s1, iid_bernstein_threshold(n, s1, x))
-        if theorem == "iid_eq1":
-            rows.append(row(theorem, x, *iid))
-            continue
-        if theorem == "hoeffding":
-            rows.append(row(theorem, x, threshold=hoeffding_threshold(n, phis, x)))
-        elif k is None:
-            rows.append(row(theorem, x))
-        elif theorem == "thm1":
-            var = selection.variance_at_k
-            rows.append(row(theorem, x, k, var, thm1_threshold(n, var, k, x)))
-        else:
-            var = varprof.sigma_at(k)
-            rows.append(row(theorem, x, k, var, thm2_threshold(n, var, k, x)))
-        rows.append(row("iid_eq1_ref", x, *iid))
+    for x, inputs in zip(xs, claims):
+        rows.append(row(config.theorem, entry, x, inputs))
+        if entry.inputs is not None:
+            rows.append(row("iid_eq1_ref", THEOREMS["iid_eq1"], x, iid))
     return rows
 
 

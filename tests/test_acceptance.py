@@ -72,8 +72,7 @@ def test_criterion_02_block_size_selectors():
     analytic = analytic_sigma_profile(DoublingMap(), f, 1000)
     assert select_k_star(prof, analytic).k == 1
     assert select_k_star(prof, variance_profile(np.full(1000, 0.25))).k == 1
-    k_prime, _ = select_k_star_prime(prof, 1000, 1.0).require()
-    assert k_prime == 5
+    assert select_k_star_prime(prof, 1000, 1.0).k == 5
 
 
 def test_criterion_03_block_variance_oracle():

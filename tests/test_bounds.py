@@ -163,9 +163,7 @@ def test_select_k_star_examples():
     ones = DependenceProfile(delta=np.ones(n), kind="phi")
     zero_var = variance_profile(np.zeros(n))
     sel = select_k_star(ones, zero_var)
-    assert sel.k is None
-    with pytest.raises(NoValidBlockSizeError):
-        sel.require()
+    assert sel.k is None and sel.variance_at_k is None
 
 
 def test_select_k_star_length_mismatch():
@@ -185,7 +183,8 @@ def test_select_k_star_prime_examples():
     assert select_k_star_prime(prof, n, 0.5).k == 6
     assert select_k_star_prime(prof, n, 2.0).k == 4
     # the coupling-route selection has no variance attached
-    assert select_k_star_prime(prof, n, 1.0).require() == (5, None)
+    sel = select_k_star_prime(prof, n, 1.0)
+    assert (sel.k, sel.variance_at_k) == (5, None)
 
     stuck = DependenceProfile(delta=np.ones(10), kind="linf")
     assert select_k_star_prime(stuck, 10, 0.5).k is None
@@ -270,6 +269,16 @@ def test_thresholds_reject_missing_block_size():
         thm1_threshold(10, 0.1, 0, 1.0)
     with pytest.raises(DomainError):
         thm2_threshold(10, 0.1, 1.5, 1.0)
+
+
+@pytest.mark.parametrize("thr", [thm1_threshold, thm2_threshold])
+def test_thresholds_refuse_a_block_larger_than_n(thr):
+    # both selectors return k in 1..n, so a larger k is no block size of the sum
+    assert thr(10, 0.1, 10, 1.0) > 0.0
+    for k in (11, 100, np.int64(11)):
+        with pytest.raises(DomainError) as ei:
+            thr(10, 0.1, k, 1.0)
+        assert ei.value.field == "k"
 
 
 def test_hoeffding_threshold_examples():
@@ -477,6 +486,11 @@ def test_log_mgf_thm2():
     assert got == pytest.approx(5.0 * (math.e - 2.0), abs=1e-12)
     assert got == pytest.approx(3.5914091422952255, abs=1e-12)
     assert log_mgf_bound_thm2(2.0, 100, 7, 0.0, 0.01) == pytest.approx(2.0, abs=1e-15)
+    # e^{kt} overflows a float past kt = ln(max float), about 709.78: the bound is
+    # then infinite, so it still dominates every finite log-MGF
+    assert math.isfinite(log_mgf_bound_thm2(1.0, 10, 709, 0.1, 0.0))
+    assert log_mgf_bound_thm2(1.0, 10, 800, 0.1, 0.0) == math.inf
+    assert log_mgf_bound_thm2(1.0, 10, 800, 0.0, 0.0) == math.inf
     with pytest.raises(DomainError):
         log_mgf_bound_thm2(-0.5, 100, 2, 0.1, 0.0)
 

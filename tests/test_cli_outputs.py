@@ -23,6 +23,7 @@ import pytest
 from click.testing import CliRunner
 
 import weakdev.cli as cli
+import weakdev.harness as harness
 from weakdev.cli import main
 
 DOUBLING = ["--model", "doubling-map"]
@@ -161,10 +162,13 @@ def _verify_config(tmp_path, **extra) -> Path:
     return config
 
 
-# every function a command computes its output with
-COMPUTE = ("hoeffding_threshold", "thm2_threshold", "dependence_profile_for", "simulate",
-           "estimate_sigma_profile", "estimate_coupling_delta", "simulate_coupled_block",
-           "run_blocksize_asymptotics")
+# every function a command computes its output with, by the module it is called
+# through (`bounds` calls its threshold through the table in harness)
+COMPUTE = {
+    cli: ("dependence_profile_for", "simulate", "estimate_sigma_profile",
+          "estimate_coupling_delta", "simulate_coupled_block", "run_blocksize_asymptotics"),
+    harness: ("hoeffding_threshold", "thm2_threshold"),
+}
 
 
 @pytest.mark.parametrize("label", [label for label, (_args, flag) in COMMANDS.items() if flag])
@@ -177,8 +181,9 @@ def test_unwritable_output_is_a_one_line_error(tmp_path, monkeypatch, label):
     args, flag = COMMANDS[label]
     missing = tmp_path / "missing" / "out.csv"
     with monkeypatch.context() as patched:
-        for name in COMPUTE:
-            patched.setattr(cli, name, no_run)
+        for module, names in COMPUTE.items():
+            for name in names:
+                patched.setattr(module, name, no_run)
         res = CliRunner().invoke(main, [a.replace("{out}", str(missing)) for a in args])
     assert res.exit_code == 2, res.output
     assert f"Invalid value for '{flag}': the directory of {missing} does not exist" in res.output

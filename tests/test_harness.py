@@ -650,6 +650,40 @@ def test_run_verification_skips_when_no_block_size():
     assert rows[1].variance_source == "analytic"
 
 
+# the harness names each theorem calls; perfbench/layers.py rebinds every one of
+# them on harness, so the table must look them up there when it runs
+_THEOREM_CALLS = {
+    "iid_eq1": {"iid_bernstein_threshold"},
+    "thm1": {"dependence_profile_for", "select_k_star", "thm1_threshold",
+             "iid_bernstein_threshold"},
+    "thm2": {"dependence_profile_for", "select_k_star_prime", "thm2_threshold",
+             "iid_bernstein_threshold"},
+    "hoeffding": {"dependence_profile_for", "hoeffding_phi", "hoeffding_threshold",
+                  "iid_bernstein_threshold"},
+}
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_run_verification_calls_the_names_rebound_on_harness(monkeypatch, theorem):
+    names = ("select_k_star", "select_k_star_prime", "hoeffding_phi", "dependence_profile_for",
+             "iid_bernstein_threshold", "thm1_threshold", "thm2_threshold",
+             "hoeffding_threshold")
+    called = set()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    cfg = parse_config(_doc(n=16, x_grid=[0.5, 1.0], theorem=theorem, reps=50))
+    rows = run_verification(cfg)
+    assert all(r.verdict != "skipped" for r in rows)
+    assert called == _THEOREM_CALLS[theorem]
+
+
 def test_thm1_computes_one_exact_profile_out_to_n(monkeypatch):
     real = harness.analytic_sigma_profile
     profiles = []
@@ -1119,6 +1153,47 @@ def test_cli_bounds_requires_theorem_inputs():
     runner = CliRunner()
     res = runner.invoke(main, ["bounds", "--theorem", "thm2", "--n", "10", "--x-grid", "1"])
     assert res.exit_code != 0
+    # the message names every input the theorem reads, also when only one is missing
+    for theorem, given, message in [
+        ("iid_eq1", [], "iid_eq1 needs --sigma-sq"),
+        ("thm1", [], "thm1 needs --sigma-sq and --k"),
+        ("thm1", ["--sigma-sq", "0.1"], "thm1 needs --sigma-sq and --k"),
+        ("thm1", ["--k", "2"], "thm1 needs --sigma-sq and --k"),
+        ("thm2", [], "thm2 needs --sigma-sq and --k"),
+        ("thm2", ["--sigma-sq", "0.1"], "thm2 needs --sigma-sq and --k"),
+        ("thm2", ["--k", "2"], "thm2 needs --sigma-sq and --k"),
+        ("hoeffding", [], "hoeffding needs --phi"),
+    ]:
+        res = runner.invoke(main, ["bounds", "--theorem", theorem, "--n", "10", "--x-grid", "1",
+                                   *given])
+        assert res.exit_code == 2
+        assert res.output.splitlines()[-1] == f"Error: {message}"
+
+
+@pytest.mark.parametrize("theorem, flags, stray", [
+    ("iid_eq1", ["--sigma-sq", "0.1", "--k", "5", "--phi", "oops"], "--k"),
+    ("iid_eq1", ["--sigma-sq", "0.1", "--phi", "0.5"], "--phi"),
+    ("thm1", ["--sigma-sq", "0.1", "--k", "2", "--phi", "0.5"], "--phi"),
+    ("thm2", ["--sigma-sq", "0.1", "--k", "2", "--phi", "0.5"], "--phi"),
+    ("hoeffding", ["--phi", "0.5", "--sigma-sq", "0.1"], "--sigma-sq"),
+    ("hoeffding", ["--phi", "0.5", "--k", "1"], "--k"),
+])
+def test_cli_bounds_refuses_a_flag_its_theorem_does_not_read(theorem, flags, stray):
+    res = CliRunner().invoke(main, ["bounds", "--theorem", theorem, "--n", "2", "--x-grid", "1",
+                                    *flags])
+    assert res.exit_code == 2
+    assert res.output.splitlines()[-1] == f"Error: {stray} is not a flag of theorem {theorem!r}"
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm2"])
+def test_cli_bounds_refuses_a_block_larger_than_n(theorem):
+    res = CliRunner().invoke(main, ["bounds", "--theorem", theorem, "--n", "10", "--k", "100",
+                                    "--sigma-sq", "0.1", "--x-grid", "1"])
+    assert res.exit_code == 1
+    assert res.output == "Error: block size k = 100 exceeds n = 10\n"
+    res = CliRunner().invoke(main, ["bounds", "--theorem", theorem, "--n", "10", "--k", "10",
+                                    "--sigma-sq", "0.1", "--x-grid", "1"])
+    assert res.exit_code == 0, res.output
 
 
 def test_cli_profile_writes_csv(tmp_path):
