@@ -230,8 +230,8 @@ def thm2_bennett_tail(
     Defined for x >= n*delta'_k.  A degenerate block variance gives the
     limiting point mass: 0 for x strictly above n*delta'_k, 1 at equality.
     """
-    _check_k(k)
     _require("n", n, 1)
+    _check_k(k, n)
     _require("sigma_k_sq", sigma_k_sq, 0)
     _require("delta_prime_k", delta_prime_k, 0)
     shift = n * delta_prime_k
@@ -249,20 +249,20 @@ def hoeffding_threshold(n: int, phi, x: float) -> float:
 
     phi_j bounds the dependence of the entire future block (X_{j+1},...,X_n)
     on the first j coordinates; the j = n summand is 1 by convention (the
-    factor n - j vanishes, so phi_n never enters).
+    factor n - j vanishes, so phi_n never enters). Every entry given must lie
+    in [0, 1], those past n - 1 too.
     """
     _require("n", n, 1)
     _require("x", x, 0)
     w = np.asarray(phi, dtype=np.float64)
     if w.size < n - 1:
         raise ValidationError(f"phi has {w.size} entries, need at least n-1 = {n-1}", field="phi")
-    w = w[: n - 1]
     outside = ~((w >= 0) & (w <= 1))  # NaN included
     if np.any(outside):
         j = int(np.argmax(outside)) + 1
         raise ValidationError(f"phi[{j}] = {w[j-1]} outside [0, 1]", field=f"phi[{j}]")
     j = np.arange(1, n, dtype=np.float64)
-    total = float(np.sum((1.0 + 2.0 * (n - j) * w) ** 2)) + 1.0
+    total = float(np.sum((1.0 + 2.0 * (n - j) * w[: n - 1]) ** 2)) + 1.0
     return max(0.0, math.sqrt(0.5 * total * x))
 
 

@@ -319,8 +319,8 @@ def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out
     f = observable_for(m, observable, omega)
     ks = _parse_list(k_grid, "k-grid", int)
     ests = estimate_sigma_profile(m, f, ks, reps, seed, threads)
-    for e in ests:
-        _echo(f"k={e.k} sigma_sq={e.sigma_sq_hat:.6g} se={e.std_error:.3g} reps={e.reps}")
+    _echo("\n".join(f"k={e.k} sigma_sq={e.sigma_sq_hat:.6g} se={e.std_error:.3g} reps={e.reps}"
+                     for e in ests))
     if out is not None:
         write_estimates_csv([[m.name, observable, e.k, "sigma_sq", e.sigma_sq_hat, e.std_error,
                               None, e.reps, seed] for e in ests], out)
@@ -344,20 +344,16 @@ def estimate_coupling_cmd(m, r_grid, j_grid, reps, seed, threads, out, block_out
     rs = _parse_list(r_grid, "r-grid", int)
     js = _parse_list(j_grid, "j-grid", int)
     ests = estimate_coupling_delta(m, rs, js, reps, seed, threads)
-    for e in ests:
-        _echo(
-            f"r={e.r} j={e.j} max_sum={e.max_sum:.6g} witness={e.witness:.6g} reps={e.reps}"
-        )
+    _echo("\n".join(f"r={e.r} j={e.j} max_sum={e.max_sum:.6g} witness={e.witness:.6g} "
+                     f"reps={e.reps}" for e in ests))
     if out is not None:
         write_estimates_csv([[m.name, None, f"r={e.r},j={e.j}", "coupling_max_sum", e.max_sum,
                               e.witness, None, e.reps, seed] for e in ests], out)
         _echo(f"wrote {out}")
     if block_out is not None:  # a pair the first j's estimate maximizes over
         block = simulate_coupled_block(m, rs[0], coupling_seeds(seed, js[0], 0, 1)[0])
-        pairs = zip(block.original.tolist(), block.starred.tolist())
-        write_csv(["i", "x", "x_star", "dist"],
-                  ([i, xo, xs, abs(xo - xs)] for i, (xo, xs) in enumerate(pairs, block.r)),
-                  block_out)
+        cols = (block.original.tolist(), block.starred.tolist(), block.distance.tolist())
+        write_csv(["i", "x", "x_star", "dist"], zip(range(block.r, 2 * block.r), *cols), block_out)
         _echo(f"wrote coupled block r={rs[0]} j={js[0]} to {block_out}")
 
 

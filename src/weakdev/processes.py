@@ -24,11 +24,15 @@ depend on j, and a pair is split at its start: the original and the starred
 trajectory start on their own child streams, and from the first step on the
 starred one shares every innovation of the original. So the starred block is
 independent of the original's time-0 state and everything before it, while
-keeping the original block's distribution. One stacked run of 2R lanes steps
-both trajectories: the original on lanes :R, the starred on lanes R:. Both
-start on all 2R streams; after that only the original's R streams draw, and
-each step feeds their innovations to both halves. Every step is elementwise
-over lanes, so each half equals a run of its own bit for bit.
+keeping the original block's distribution. One stacked start of 2R lanes
+serves both: the original on lanes :R, the starred on lanes R:. After it
+the pair is run as its difference D_i = X_i - X*_i alone. Every model is a
+linear recursion in which no clip binds in exact arithmetic, so the shared
+innovations cancel from D_i, which follows the recursion's own taps from the
+difference of the two starts' histories with no draw and no clip. A model
+added later must meet that condition too: a clip that can bind, or a
+nonlinear step, would make the pair's difference depend on the shared
+innovations, and the pair would have to be stepped.
 """
 
 from __future__ import annotations
@@ -119,8 +123,10 @@ class ProcessModel:
     its innovations xi_t in [0, 1] (UNIFORM or BIT), for the recursion
     X_t = clip(b0 xi_t + sum_j a_j X_{t-j} + sum_l b_l xi_{t-l}, 0, 1).
     start(gen) returns the time-0 state with step(x, innov), which maps the
-    state at t-1 and the innovation at t to the state at t; the history
-    lives in step's closure, so the model stays an immutable, hashable value.
+    state at t-1 and the innovation at t to the state at t, and the history
+    step keeps at time 0: the last p states and the last max-lag innovations,
+    newest first. The history lives in step's closure, so the model stays an
+    immutable, hashable value.
     """
 
     name: str  # CLI and config variant
@@ -195,7 +201,7 @@ class ProcessModel:
         x, innov = rest, self.law.draw(gen)
         for _ in range(self.burn_in):
             x = step(x, innov())
-        return x, step
+        return x, step, (tuple(xs), tuple(us))
 
     def stationary_mean(self) -> float:
         """E X_t = E xi sum_i psi_i = E xi B(1) / A(1)."""
@@ -246,7 +252,8 @@ class DoublingMap(ProcessModel):
     burn_in = 64  # start reads 64 presample bits in one draw
 
     def start(self, gen):
-        return gen.next_u64().astype(np.float64) * 2.0**-64, lambda x, b: 0.5 * (x + b)
+        x = gen.next_u64().astype(np.float64) * 2.0**-64
+        return x, lambda x, b: 0.5 * (x + b), ((x,), ())
 
     def linf_profile(self, n):
         return doubling_map_profile(n)
@@ -392,7 +399,7 @@ def _states(model: ProcessModel, n: int, seeds: np.ndarray):
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     gen = VectorXoshiro(seeds)
-    x, step = model.start(gen)
+    x, step, _ = model.start(gen)
     innov = model.law.draw(gen)
     for _ in range(n):
         x = step(x, innov())
@@ -455,44 +462,53 @@ def observable_sums(model: ProcessModel, f: "ObservableF", n: int, seeds: np.nda
 
 @dataclass(frozen=True, eq=False)
 class CoupledBlock:
-    """Original and starred values over block i = r .. 2r-1 after the split."""
+    """Original and starred values over block i = r .. 2r-1 after the split,
+    and their distances |X_i - X*_i|."""
 
     r: int
     original: np.ndarray
     starred: np.ndarray
+    distance: np.ndarray
 
 
-def _coupled_pairs(model: ProcessModel, r: int, seeds: np.ndarray):
-    """Yield (X_i, X*_i) for i = 1 .. 2r-1 after the split, one lane per seed.
+def _differences(model: ProcessModel, r: int, seeds: np.ndarray):
+    """Yield D_i = X_i - X*_i for i = 1 .. 2r-1 after the split, one lane per seed.
 
-    That covers every block i = r' .. 2r'-1 with r' <= r. One stacked run of
-    2R lanes serves the pair: lanes :R are the original on its child stream,
-    lanes R: the starred run, which starts on its own child stream. From the
-    first step on, only the original's R streams draw, through a view of the
-    generator's head that shares its state, and each step feeds those
-    innovations to both halves. Each lane is an independent stream and every
-    step is elementwise over lanes, so each half equals a run of its own bit
-    for bit, and the starred streams, idle after the start, are read by no
-    step.
+    That covers every block i = r' .. 2r'-1 with r' <= r. One stacked start
+    of 2R lanes serves the pair: lanes :R start the original on its child
+    stream, lanes R: the starred run on its own. After the split both share
+    every innovation, and no clip binds in exact arithmetic, so D_i =
+    sum_j a_j D_{i-j} + sum_l b_l (xi_{i-l} - xi*_{i-l}), in which only the
+    presample differences, i - l <= 0, are not zero. D is run from the
+    difference of the two starts' histories, its ar taps in lag order and
+    then its ma taps, with no draw and no clip.
     """
     if r < 1:
         raise DomainError(f"need block length r >= 1, got {r}")
     R = len(seeds)
     gen = VectorXoshiro(derive_seed(seeds, [[_LANE_ORIGINAL], [_LANE_STARRED]]).ravel())
-    x, step = model.start(gen)
-    innov = model.law.draw(gen.head(R))
-    for _ in range(2 * r - 1):
-        u = innov()
-        x = step(x, np.concatenate((u, u)))
-        yield x[:R], x[R:]
+    xs, us = model.start(gen)[2]
+    ds = deque([x[:R] - x[R:] for x in xs], maxlen=len(xs))  # ds[j] = D_{i-1-j}
+    dus = [u[:R] - u[R:] for u in us]  # dus[l] = xi_{-l} - xi*_{-l}
+    ar = [(a, j) for j, a in enumerate(model.ar) if a != 0.0]
+    for i in range(1, 2 * r):
+        taps = [(a, ds[j]) for a, j in ar] + [(c, dus[lag - i]) for lag, c in model.ma if lag >= i]
+        if not taps:
+            d = np.zeros(R)
+        else:
+            d = taps[0][0] * taps[0][1]
+            for c, h in taps[1:]:
+                d += c * h
+        ds.appendleft(d)
+        yield d
 
 
 def coupled_distance_sums(model: ProcessModel, rs, seeds: np.ndarray) -> np.ndarray:
     """sum_{i=r}^{2r-1} |X_i - X*_i| after the split, one row per seed and one
     column per r in rs.
 
-    One coupled run out to 2 max(rs) - 1 serves every r. Each column is
-    summed in time order as the run steps, so it equals the single-r sum bit
+    One difference run out to 2 max(rs) - 1 serves every r. Each column is
+    summed in time order as the run goes, so it equals the single-r sum bit
     for bit, and no path is stored.
     """
     rs = [int(r) for r in rs]
@@ -500,18 +516,20 @@ def coupled_distance_sums(model: ProcessModel, rs, seeds: np.ndarray) -> np.ndar
         raise DomainError(f"need block lengths r >= 1, got {rs}")
     ends = sorted(set(rs))
     acc = np.zeros((len(ends), len(seeds)))
-    for i, (xo, xs) in enumerate(_coupled_pairs(model, ends[-1], seeds), start=1):
+    for i, d in enumerate(_differences(model, ends[-1], seeds), start=1):
         # i lies in block r exactly when (i + 1) / 2 <= r <= i
-        acc[bisect_left(ends, (i + 2) // 2):bisect_right(ends, i)] += np.abs(xo - xs)
+        acc[bisect_left(ends, (i + 2) // 2):bisect_right(ends, i)] += np.abs(d)
     return acc[[ends.index(r) for r in rs]].T
 
 
 def simulate_coupled_block(model: ProcessModel, r: int, seed: int) -> CoupledBlock:
-    """One coupled block pair for one seed."""
-    pairs = np.array(
-        [(xo[0], xs[0]) for xo, xs in _coupled_pairs(model, r, np.array([seed], dtype=_U))]
-    )
-    return CoupledBlock(r=r, original=pairs[r - 1:, 0], starred=pairs[r - 1:, 1])
+    """One coupled block pair for one seed. The original is stepped on its own
+    child stream, the stream of the original half of the coupled run, and the
+    starred values are X_i - D_i."""
+    seeds = np.array([seed], dtype=_U)
+    d = np.array([d[0] for d in _differences(model, r, seeds)][r - 1:])
+    x = simulate_batch(model, 2 * r - 1, derive_seed(seeds, _LANE_ORIGINAL))[0, r - 1:]
+    return CoupledBlock(r=r, original=x, starred=x - d, distance=np.abs(d))
 
 
 # ---------------------------------------------------------------------------

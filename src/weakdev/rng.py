@@ -80,14 +80,6 @@ class VectorXoshiro:
     def n_streams(self) -> int:
         return self.s0.shape[0]
 
-    def head(self, k: int) -> "VectorXoshiro":
-        """The first k streams, sharing this generator's state: a draw from
-        either advances those streams for both."""
-        view = object.__new__(VectorXoshiro)
-        view.s0, view.s1, view.s2, view.s3 = self.s0[:k], self.s1[:k], self.s2[:k], self.s3[:k]
-        view._scratch = self._scratch[:k]
-        return view
-
     def next_u64(self) -> np.ndarray:
         """One u64 per stream, in a fresh array the caller may keep or overwrite.
 

@@ -281,6 +281,14 @@ def test_thresholds_refuse_a_block_larger_than_n(thr):
         assert ei.value.field == "k"
 
 
+def test_thm2_bennett_tail_refuses_a_block_larger_than_n():
+    assert 0.0 < thm2_bennett_tail(10, 10, 0.1, 0.0, 1.0) < 1.0
+    for k in (11, 100, np.int64(11)):
+        with pytest.raises(DomainError) as ei:
+            thm2_bennett_tail(10, k, 0.1, 0.0, 1.0)
+        assert ei.value.field == "k"
+
+
 def test_hoeffding_threshold_examples():
     assert hoeffding_threshold(100, np.zeros(99), 2.0) == pytest.approx(10.0, abs=1e-12)
     assert hoeffding_threshold(2, [1.0], 2.0) == pytest.approx(math.sqrt(10.0), abs=1e-12)
@@ -296,6 +304,10 @@ def test_hoeffding_threshold_validation():
         hoeffding_threshold(3, [0.5, 1.5], 1.0)
     with pytest.raises(ValidationError):
         hoeffding_threshold(5, [0.1, 0.1], 1.0)  # needs n-1 = 4 entries
+    # phi_n and later entries never enter the sum, but each is still checked
+    with pytest.raises(ValidationError) as ei:
+        hoeffding_threshold(3, [0.5, 0.5, 7.0], 1.0)
+    assert ei.value.field == "phi[3]"
     assert hoeffding_threshold(1, [], 3.0) == pytest.approx(math.sqrt(1.5))
 
 

@@ -25,6 +25,8 @@ from click.testing import CliRunner
 import weakdev.cli as cli
 import weakdev.harness as harness
 from weakdev.cli import main
+from weakdev.estimation import estimate_coupling_delta, estimate_sigma_profile
+from weakdev.processes import MODELS, observable_for
 
 DOUBLING = ["--model", "doubling-map"]
 GEOMETRIC = ["--model", "infinite-memory", "--weight-family", "geometric",
@@ -95,6 +97,26 @@ def _command_digest(workdir: Path, label: str) -> str:
 @pytest.mark.parametrize("label", COMMANDS)
 def test_command_output_matches_golden_digest(tmp_path, label):
     assert _command_digest(tmp_path, label) == GOLDEN[label]
+
+
+def test_estimate_commands_print_one_line_per_estimate(tmp_path):
+    # stdout is one line per estimate, in the order the library returns them,
+    # then the line naming the file written
+    out = tmp_path / "est.csv"
+    kernel = MODELS["kernel-chain"](kappa=0.6)
+    ests = estimate_sigma_profile(kernel, observable_for(kernel, "centered-cosine", 2),
+                                  [1, 2, 4, 8], 300, 5)
+    want = "".join(f"k={e.k} sigma_sq={e.sigma_sq_hat:.6g} se={e.std_error:.3g} reps={e.reps}\n"
+                   for e in ests)
+    args, _ = COMMANDS["estimate-variance"]
+    res = CliRunner().invoke(main, [a.replace("{out}", str(out)) for a in args])
+    assert res.exit_code == 0 and res.stdout == want + f"wrote {out}\n"
+    ests = estimate_coupling_delta(MODELS["doubling-map"](), [1, 2, 5], [1, 3], 200, 4)
+    want = "".join(f"r={e.r} j={e.j} max_sum={e.max_sum:.6g} witness={e.witness:.6g} "
+                   f"reps={e.reps}\n" for e in ests)
+    args, _ = COMMANDS["estimate-coupling.doubling.out"]
+    res = CliRunner().invoke(main, [a.replace("{out}", str(out)) for a in args])
+    assert res.exit_code == 0 and res.stdout == want + f"wrote {out}\n"
 
 
 # theorem -> (exit code, report digest); x = 6 fails at every theorem, since

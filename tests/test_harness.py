@@ -1196,6 +1196,14 @@ def test_cli_bounds_refuses_a_block_larger_than_n(theorem):
     assert res.exit_code == 0, res.output
 
 
+def test_cli_bounds_refuses_a_phi_entry_past_n_minus_1_outside_0_1():
+    # phi_n never enters the Hoeffding sum, but every entry given is checked
+    res = CliRunner().invoke(main, ["bounds", "--theorem", "hoeffding", "--n", "3",
+                                    "--phi", "0.5,0.5,7", "--x-grid", "1"])
+    assert res.exit_code == 1
+    assert res.output == "Error: phi[3] = 7.0 outside [0, 1]\n"
+
+
 def test_cli_profile_writes_csv(tmp_path):
     out = tmp_path / "prof.csv"
     runner = CliRunner()

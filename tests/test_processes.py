@@ -33,7 +33,7 @@ from weakdev.processes import (
     ObservableF,
     MODELS,
     ProcessModel,
-    _coupled_pairs,
+    _differences,
     analytic_sigma_profile,
     coupled_distance_sums,
     observable_for,
@@ -495,15 +495,15 @@ def test_stationary_mean_formulas():
 
 
 def _coupled_pairs_two_generators(model, r, seeds, presplit=0):
-    """The coupled pair as two side-by-side runs, yielding (X_i, X*_i) for
-    i = 1 .. 2r-1 after the split: the oracle for the stacked run, which
-    splits at the start (presplit = 0). presplit = j > 0 first steps each run
-    j times on its own innovations, the split-after-j construction that the
+    """The coupled pair as two side-by-side stepped runs, yielding (X_i, X*_i)
+    for i = 1 .. 2r-1 after the split: the oracle that the difference run
+    must follow within rounding. presplit = j > 0 first steps each run j
+    times on its own innovations, the split-after-j construction that the
     split at the start must match in law."""
     gen_o = VectorXoshiro(derive_seed(seeds, processes._LANE_ORIGINAL))
     gen_s = VectorXoshiro(derive_seed(seeds, processes._LANE_STARRED))
-    xo, step_o = model.start(gen_o)
-    xs, step_s = model.start(gen_s)
+    xo, step_o, _ = model.start(gen_o)
+    xs, step_s, _ = model.start(gen_s)
     innov_o = model.law.draw(gen_o)
     innov_s = model.law.draw(gen_s)
     for t in range(1, 2 * r + presplit):
@@ -512,6 +512,25 @@ def _coupled_pairs_two_generators(model, r, seeds, presplit=0):
         xs = step_s(xs, innov_s() if t <= presplit else io)
         if t > presplit:
             yield xo, xs
+
+
+def _differences_two_generators(model, r, seeds):
+    """D_i = X_i - X*_i for i = 1 .. 2r-1 from two separate starts: the
+    difference of their histories run through the recursion's taps, ar in
+    lag order, then ma, with every post-split innovation difference zero."""
+    hists = [model.start(VectorXoshiro(derive_seed(seeds, lane)))[2]
+             for lane in (processes._LANE_ORIGINAL, processes._LANE_STARRED)]
+    (xo, uo), (xs, us) = hists
+    ds = [a - b for a, b in zip(xo, xs)]  # ds[j] = D_{i-1-j}
+    du = [a - b for a, b in zip(uo, us)]  # du[l] = xi_{-l} - xi*_{-l}
+    for i in range(1, 2 * r):
+        terms = [a * ds[j] for j, a in enumerate(model.ar) if a != 0.0]
+        terms += [c * du[lag - i] for lag, c in model.ma if lag >= i]
+        d = terms[0] if terms else np.zeros(len(seeds))
+        for t in terms[1:]:
+            d += t
+        ds = [d, *ds][:len(model.ar)]
+        yield d
 
 
 def test_model_fixtures_cover_every_registered_class():
@@ -530,22 +549,65 @@ def test_model_fixtures_cover_every_registered_class():
 @example(rs=[33, 3, 33], reps=2, base=2)
 @example(rs=[70, 1, 70], reps=1, base=3)
 def test_stacked_coupled_run_equals_two_generators(model, rs, reps, base):
-    # one stacked 2R-lane run must give every coupled sum and block of the
-    # two side-by-side runs bit for bit; r runs to 70, so the 2r - 1 steps
-    # after the split cross the doubling map's 64-bit innovation words
+    # the difference run from one stacked 2R-lane start must give every
+    # coupled sum and block of two separate starts bit for bit; r runs to
+    # 70, so the 2r - 1 steps after the split would cross the doubling
+    # map's 64-bit innovation words
     seeds = _seeds(base, reps)
     got = coupled_distance_sums(model, rs, seeds)
     for col, r in zip(got.T, rs):
-        dist = [np.abs(xo - xs) for xo, xs in _coupled_pairs_two_generators(model, r, seeds)]
         ref = np.zeros(reps)
-        for d in dist[r - 1:]:  # i = r .. 2r-1
-            ref += d
+        for d in list(_differences_two_generators(model, r, seeds))[r - 1:]:  # i = r .. 2r-1
+            ref += np.abs(d)
         assert np.array_equal(col, ref)
     r, seed = rs[0], seeds[:1]
     block = simulate_coupled_block(model, r, int(seed[0]))
-    pairs = list(_coupled_pairs_two_generators(model, r, seed))[r - 1:]
-    assert np.array_equal(block.original, [xo[0] for xo, _ in pairs])
-    assert np.array_equal(block.starred, [xs[0] for _, xs in pairs])
+    ds = np.array([d[0] for d in _differences_two_generators(model, r, seed)][r - 1:])
+    xo = np.array([xo[0] for xo, _ in _coupled_pairs_two_generators(model, r, seed)][r - 1:])
+    assert np.array_equal(block.original, xo)
+    assert np.array_equal(block.starred, xo - ds)
+    assert np.array_equal(block.distance, np.abs(ds))
+
+
+# the difference run and the stepped pair round differently. Every step of
+# the stepped pair sums at most p + w + 1 products of coefficients with
+# values in [-1, 1] (p = len(ar), w = the largest ma lag), so each of X_i,
+# X*_i and D_i picks up at most 2 (p + w + 1) C u per step, C = |b0| +
+# sum |a_j| + sum |b_l| and u = 2^-53, and an earlier error is carried
+# through the ar taps, which contract by A = sum |a_j| < 1. So |D_i - (X_i -
+# X*_i)| <= 6 (p + w + 1) C u / (1 - A) at every i, and a block sum of r
+# terms moves by r times that.
+def _difference_rounding_bound(model, r):
+    a = sum(map(abs, model.ar))
+    width = max((lag for lag, _ in model.ma), default=0)
+    c = abs(model.b0) + a + sum(abs(b) for _, b in model.ma)
+    return r * 6 * (len(model.ar) + width + 1) * c * 2.0**-53 / (1.0 - a)
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=_name)
+@pytest.mark.parametrize("base", [3, 31])
+def test_difference_run_follows_the_stepped_pair(model, base):
+    # the stepped two-generator pair stays the oracle: every block sum of the
+    # difference run lies within the rounding bound of its stepped sum; iid
+    # draws have no taps, so their differences are exact zeros; the doubling
+    # map halves exactly, so D_i = 2^-i (X_0 - X*_0) to the bit
+    rs, reps = [1, 2, 5, 9, 40, 70], 64
+    seeds = _seeds(base, reps)
+    got = coupled_distance_sums(model, rs, seeds)
+    stepped = [np.abs(xo - xs) for xo, xs in _coupled_pairs_two_generators(model, max(rs), seeds)]
+    for col, r in zip(got.T, rs):
+        ref = np.zeros(reps)
+        for d in stepped[r - 1:2 * r - 1]:
+            ref += d
+        assert np.max(np.abs(col - ref)) <= _difference_rounding_bound(model, r)
+    ds = list(_differences(model, max(rs), seeds))
+    if isinstance(model, IidUniform):
+        assert all(np.all(d == 0.0) for d in ds)
+    if isinstance(model, DoublingMap):
+        x0, xs0 = (stationary_init_batch(model, derive_seed(seeds, lane))
+                   for lane in (processes._LANE_ORIGINAL, processes._LANE_STARRED))
+        for i, d in enumerate(ds, start=1):
+            assert np.array_equal(d, 2.0**-i * (x0 - xs0))
 
 
 @pytest.mark.parametrize("model", _MODELS, ids=_name)
@@ -555,7 +617,7 @@ def test_split_at_the_start_matches_the_split_after_j_in_law(model):
     # the block r = 4 of each, over independent seeds
     r, j, reps = 4, 100, 4000
     after = list(_coupled_pairs_two_generators(model, r, _seeds(4100, reps), presplit=j))
-    start = list(_coupled_pairs(model, r, _seeds(4200, reps)))
+    start = list(_coupled_pairs_two_generators(model, r, _seeds(4200, reps)))
     for side in (lambda xo, xs: np.abs(xo - xs), lambda xo, xs: xs):
         sums = [sum(side(xo, xs) for xo, xs in pairs[r - 1:]) for pairs in (after, start)]
         assert stats.ks_2samp(*sums).pvalue > 1e-3
@@ -563,8 +625,8 @@ def test_split_at_the_start_matches_the_split_after_j_in_law(model):
 
 @pytest.mark.parametrize("model", _MODELS, ids=_name)
 def test_innovations_are_fresh_writable_arrays(model):
-    # the stacked coupled run overwrites the starred lanes of each innovation
-    # array, so no array may alias the generator, an earlier draw or a later one
+    # a step keeps each innovation array in its history, so no array may
+    # alias the generator, an earlier draw or a later one
     gen, twin = VectorXoshiro(_seeds(5, 16)), VectorXoshiro(_seeds(5, 16))
     innov, twin_innov = model.law.draw(gen), model.law.draw(twin)
     prev = None
@@ -646,8 +708,10 @@ def test_coupled_block_sums_marginals_agree():
     # the starred start is stationary too, so block sums from both runs
     # should be indistinguishable in distribution
     # the pairs run from i = 1; the block i = r .. 2r-1 is the last r
-    pairs = list(_coupled_pairs(DoublingMap(), 10, _seeds(2718, 10_000)))[9:]
-    so, ss = (sum(p[side] for p in pairs) for side in (0, 1))
+    model, r, seeds = DoublingMap(), 10, _seeds(2718, 10_000)
+    xo = simulate_batch(model, 2 * r - 1, derive_seed(seeds, processes._LANE_ORIGINAL))[:, r - 1:]
+    ds = np.array(list(_differences(model, r, seeds))[r - 1:]).T
+    so, ss = xo.sum(axis=1), (xo - ds).sum(axis=1)
     assert stats.ks_2samp(so, ss).pvalue > 1e-3
     assert np.all(np.abs(so - ss) <= 10 * 2.0**-9)
 
@@ -948,4 +1012,4 @@ def test_write_coupled_block_csv(tmp_path):
     for off, row in enumerate(rows[1:]):
         assert float(row[1]) == block.original[off]
         assert float(row[2]) == block.starred[off]
-        assert float(row[3]) == abs(block.original[off] - block.starred[off])
+        assert float(row[3]) == block.distance[off]

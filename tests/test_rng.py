@@ -124,23 +124,6 @@ def test_draws_are_fresh_arrays_the_caller_may_overwrite():
         prev = got
 
 
-@pytest.mark.parametrize("k", [1, 5, 9])
-def test_head_view_draws_the_first_streams_and_shares_their_state(k):
-    seeds = replication_seeds(23, 0, 9)
-    gen, ref = VectorXoshiro(seeds), VectorXoshiro(seeds)
-    head = gen.head(k)
-    assert head.n_streams == k
-    for draw in ["next_u64", "next_uniform"] * 3:
-        want = getattr(ref, draw)()
-        assert np.array_equal(getattr(head, draw)(), want[:k])
-    # the head's draws advanced gen's first k streams; its other streams stayed put
-    rest = VectorXoshiro(seeds[k:])
-    for _ in range(4):
-        got = gen.next_u64()
-        assert np.array_equal(got[:k], ref.next_u64()[:k])
-        assert np.array_equal(got[k:], rest.next_u64())
-
-
 def test_streams_are_independent_of_batch_composition():
     a = VectorXoshiro([3, 9])
     b3, b9 = VectorXoshiro([3]), VectorXoshiro([9])

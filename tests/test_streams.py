@@ -22,7 +22,7 @@ from weakdev.processes import (
     InfiniteMemoryChain,
     LipschitzKernelChain,
     ObservableF,
-    _coupled_pairs,
+    _differences,
     coupled_distance_sums,
     observable_for,
     observable_sums,
@@ -207,7 +207,7 @@ def test_coupling_estimates_read_one_run_per_split(name, rs, js, reps, seed):
         seeds = replication_seeds(derive_seed(seed, j), 0, reps)
         shared = coupled_distance_sums(model, rs, seeds)
         assert shared.shape == (reps, len(rs))
-        dist = [np.abs(xo - xs) for xo, xs in _coupled_pairs(model, max(rs), seeds)]
+        dist = [np.abs(d) for d in _differences(model, max(rs), seeds)]
         for col, r in zip(shared.T, rs):
             assert np.array_equal(col, coupled_distance_sums(model, [r], seeds)[:, 0])
             ref = np.zeros(reps)
