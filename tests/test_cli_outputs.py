@@ -73,10 +73,10 @@ GOLDEN = {
     "profile": "111027cdfd06266a",
     "simulate": "0abd7a0b9d9306b7",
     "estimate-variance": "e31316da0cb77766",
-    "estimate-coupling.doubling.out": "aba558c4389554de",
+    "estimate-coupling.doubling.out": "b339c0b9ae249f5c",
     "estimate-coupling.doubling.block-out": "1a4e216b0f094795",
-    "estimate-coupling.geometric.out": "9c9cea1b77026397",
-    "estimate-coupling.geometric.block-out": "ed7c8e152bbdf2eb",
+    "estimate-coupling.geometric.out": "acdef2dc60693933",
+    "estimate-coupling.geometric.block-out": "961fe4f3ffc1ecc7",
     "asymptotics.stdout": "78d47efdbe9428c5",
     "asymptotics.out": "b3184a4a70288f2d",
 }

@@ -98,11 +98,11 @@ GOLDEN = {
         "mu.cosine": "af5570f5a1810b7a",
         "init": "870b28f2d65fee18",
         "simulate": "c2595eaa87dd54c1",
-        "distance.1": "af58dcce6b9b97d3",
+        "distance.1": "b95763a3f32a184c",
         "block.1": "dda690f3cbcbcf19",
-        "distance.4": "d5127f1db326d730",
+        "distance.4": "6d8760221bcb40dc",
         "block.4": "79ba79e5969ae1b3",
-        "distance.7": "8bf8133107368330",
+        "distance.7": "2b106dfecfcf7e99",
         "block.7": "ab46db29690d7639",
     },
     "kernel-chain": {
@@ -113,12 +113,12 @@ GOLDEN = {
         "mu.cosine": "fd003641510a3ae1",
         "init": "aa960fdc24ad9d00",
         "simulate": "4e0b901208a1726a",
-        "distance.1": "cd73c6d237d10eb0",
+        "distance.1": "505a321da19e6b96",
         "block.1": "918563a3df6c50cc",
-        "distance.4": "6357b5365cda64eb",
-        "block.4": "76e65a0dda9653a1",
-        "distance.7": "3d856f6bbf8a491e",
-        "block.7": "c0b8141c446e925f",
+        "distance.4": "d18932a796914130",
+        "block.4": "f2786a55bcdd2209",
+        "distance.7": "5028b2b2ab19f88d",
+        "block.7": "bf387f12a7ec25a5",
     },
     "bernoulli-shift": {
         "sums.identity": "2874956f2fdcafa5",
@@ -128,12 +128,12 @@ GOLDEN = {
         "mu.cosine": "48eaf9183c7af9b5",
         "init": "ce950ca2a919857f",
         "simulate": "f36c00eb30132179",
-        "distance.1": "c9c1495b5bda594b",
-        "block.1": "9064fd6ecf9f8577",
-        "distance.4": "5413e5ed5bd5b0ad",
-        "block.4": "b5fcc08b2aaf4212",
-        "distance.7": "1dce9d7001cc08cf",
-        "block.7": "96d3f3b43c6e0187",
+        "distance.1": "7f902fa46da46235",
+        "block.1": "0767c5a011e5d3e4",
+        "distance.4": "5050c97e2b78f86a",
+        "block.4": "079479604e3fb6b3",
+        "distance.7": "7aa1cb9843e917a5",
+        "block.7": "337df65a752c9960",
     },
     "bernoulli-shift-truncated": {
         "sums.identity": "38cd5007b5c87859",
@@ -143,12 +143,12 @@ GOLDEN = {
         "mu.cosine": "c225801ae2bb1245",
         "init": "9df667ee73da3268",
         "simulate": "4fb374644da02837",
-        "distance.1": "c3846a3695c2e2f6",
+        "distance.1": "5a36855e9eaf0d75",
         "block.1": "85c574fb5b8ee15b",
-        "distance.4": "3d7095d4d56a1f51",
-        "block.4": "6e716bdd288a57f5",
-        "distance.7": "7846611235f84365",
-        "block.7": "253fb9d4b915b613",
+        "distance.4": "a6b7aa11a67fdb19",
+        "block.4": "1bfcd308fc0a9db4",
+        "distance.7": "4d9205c7e47ac7a4",
+        "block.7": "bbd5832bd773f868",
     },
     "infinite-memory-geometric": {
         "sums.identity": "3f05a7c3c07b68bc",
@@ -158,12 +158,12 @@ GOLDEN = {
         "mu.cosine": "3e5071e87234bc6f",
         "init": "e2c59c6cfb1e34de",
         "simulate": "f24a6782a6f15925",
-        "distance.1": "6cc642345af71808",
-        "block.1": "6b21f43d5d155092",
-        "distance.4": "528388ae4c73aba1",
-        "block.4": "c95a015f1db1efa4",
-        "distance.7": "ff228f2e78fca202",
-        "block.7": "dec662e0afa7b6b2",
+        "distance.1": "5ece769cc026c709",
+        "block.1": "ea9a15c28b2f9cbb",
+        "distance.4": "10a28e86d5953779",
+        "block.4": "789b443a30d61426",
+        "distance.7": "0e35f7a75a3cadf0",
+        "block.7": "94e2f3d43be16d84",
     },
     "infinite-memory-polynomial": {
         "sums.identity": "5746d0a364862935",
@@ -173,12 +173,12 @@ GOLDEN = {
         "mu.cosine": "970ca23a35afd5af",
         "init": "13e1ea87bc493ea3",
         "simulate": "448eb2c1af3cc7b7",
-        "distance.1": "262502859066597f",
-        "block.1": "ff4560328d111e63",
-        "distance.4": "0932b7b07a8558e8",
-        "block.4": "35132c2136bd8920",
-        "distance.7": "72f48e24dd05fa81",
-        "block.7": "a2eb3d43f8b7c3b8",
+        "distance.1": "29231cb5a047ad1d",
+        "block.1": "a48c5129fd37a95c",
+        "distance.4": "c2656df2bf7f61e4",
+        "block.4": "a4802fa6a8056961",
+        "distance.7": "5e01d1c1488fc4de",
+        "block.7": "4d00a3f10c2d0bde",
     },
 }
 
