@@ -488,8 +488,10 @@ def _differences(model: ProcessModel, r: int, seeds: np.ndarray):
     R = len(seeds)
     gen = VectorXoshiro(derive_seed(seeds, [[_LANE_ORIGINAL], [_LANE_STARRED]]).ravel())
     xs, us = model.start(gen)[2]
-    ds = deque([x[:R] - x[R:] for x in xs], maxlen=len(xs))  # ds[j] = D_{i-1-j}
-    dus = [u[:R] - u[R:] for u in us]  # dus[l] = xi_{-l} - xi*_{-l}
+    # the history is this run's own, so each difference is taken in place, in
+    # its original half, and the run holds no more memory than the start
+    ds = deque([np.subtract(x[:R], x[R:], out=x[:R]) for x in xs], maxlen=len(xs))  # D_{i-1-j}
+    dus = [np.subtract(u[:R], u[R:], out=u[:R]) for u in us]  # dus[l] = xi_{-l} - xi*_{-l}
     ar = [(a, j) for j, a in enumerate(model.ar) if a != 0.0]
     for i in range(1, 2 * r):
         taps = [(a, ds[j]) for a, j in ar] + [(c, dus[lag - i]) for lag, c in model.ma if lag >= i]
