@@ -574,9 +574,11 @@ def test_stacked_coupled_run_equals_two_generators(model, rs, reps, base):
 # values in [-1, 1] (p = len(ar), w = the largest ma lag), so each of X_i,
 # X*_i and D_i picks up at most 2 (p + w + 1) C u per step, C = |b0| +
 # sum |a_j| + sum |b_l| and u = 2^-53, and an earlier error is carried
-# through the ar taps, which contract by A = sum |a_j| < 1. So |D_i - (X_i -
-# X*_i)| <= 6 (p + w + 1) C u / (1 - A) at every i, and a block sum of r
-# terms moves by r times that.
+# through the ar taps, which contract by A = sum |a_j| < 1; a clip that
+# binds in floating point moves a state by no more than its rounding error,
+# since the exact state lies in [0, 1]. So |D_i - (X_i - X*_i)| <=
+# 6 (p + w + 1) C u / (1 - A) at every i, and a block sum of r terms moves
+# by r times that.
 def _difference_rounding_bound(model, r):
     a = sum(map(abs, model.ar))
     width = max((lag for lag, _ in model.ma), default=0)
