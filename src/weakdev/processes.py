@@ -3,12 +3,14 @@
 Every model is driven by the package RNG (one xoshiro256++ stream per
 replication), so a (model, n, seed) triple fixes the trajectory bit for bit.
 Each model is a linear recursion declared by its coefficients and its
-innovation law, run by one engine, which starts from rest and draws burn_in
-presample innovations: enough that the psi tail, a bound on the start's
-distance from the stationary state, is at most 2^-40. The doubling map
-alone starts exactly. psi and the law give every moment exactly (second_order).
-Each model also states the linf dependence profile its simulator satisfies
-(linf_profile, by a generator in coefficients); ProcessModel's own refuses.
+innovation law, run by one step, ProcessModel.stepper: for the start, which
+is from rest and draws burn_in presample innovations (enough that the psi
+tail, a bound on the start's distance from the stationary state, is at most
+2^-40), for the per-step run and for the coupled difference run. The
+doubling map alone starts exactly; its start returns the same stepper. psi
+and the law give every moment exactly (second_order). Each model also
+states the linf dependence profile its simulator satisfies (linf_profile,
+by a generator in coefficients); ProcessModel's own refuses.
 
 Observable sums take one of two paths. Where a model has a closed form for
 sum_{t<=k} f(X_t) in its draws (exact_prefix_sums: today the doubling map's
@@ -26,13 +28,8 @@ starred one shares every innovation of the original. So the starred block is
 independent of the original's time-0 state and everything before it, while
 keeping the original block's distribution. One stacked start of 2R lanes
 serves both: the original on lanes :R, the starred on lanes R:. After it
-the pair is run as its difference D_i = X_i - X*_i alone. Every model is a
-linear recursion in which no clip binds in exact arithmetic, so the shared
-innovations cancel from D_i, which follows the recursion's own taps from the
-difference of the two starts' histories with no draw and no clip. A model
-added later must meet that condition too: a clip that can bind, or a
-nonlinear step, would make the pair's difference depend on the shared
-innovations, and the pair would have to be stepped.
+the pair is run as its difference D_i = X_i - X*_i alone, by the stepper
+unclipped on a zero innovation (_differences states when that is exact).
 """
 
 from __future__ import annotations
@@ -122,11 +119,11 @@ class ProcessModel:
     A model declares b0, ar = (a_1..a_p), ma = ((l, b_l), ...) and the law of
     its innovations xi_t in [0, 1] (UNIFORM or BIT), for the recursion
     X_t = clip(b0 xi_t + sum_j a_j X_{t-j} + sum_l b_l xi_{t-l}, 0, 1).
-    start(gen) returns the time-0 state with step(x, innov), which maps the
-    state at t-1 and the innovation at t to the state at t, and the history
-    step keeps at time 0: the last p states and the last max-lag innovations,
-    newest first. The history lives in step's closure, so the model stays an
-    immutable, hashable value.
+    stepper builds the one step(u) that runs it: the start's burn-in, the
+    per-step run and the coupled difference run. start(gen) returns the
+    time-0 state, its step and the history step keeps at time 0; an exact
+    start draws its state and returns self.stepper(...) on that history.
+    The history lives in step's closure, so the model stays a hashable value.
     """
 
     name: str  # CLI and config variant
@@ -169,24 +166,24 @@ class ProcessModel:
         return next(i for i, (_, tail) in enumerate(self.psi())
                     if i >= reach and tail <= TRUNCATION_TAIL)
 
-    def start(self, gen: VectorXoshiro):
-        """From rest (zero history), then burn_in innovations through step.
+    def stepper(self, xs: deque, us: deque, clip: bool = True):
+        """step(u), which maps the innovation xi_t = u to the state X_t and then
+        records both in xs and us: the last p states and the last max-lag
+        innovations, newest first (xs[j] = X_{t-1-j}, us[l] = xi_{t-1-l}).
 
-        A clip bound is applied only where it can bind: 0 when a coefficient
-        is negative, 1 when the positive ones' float sum in step order exceeds
-        1. Otherwise, by monotone rounding, X_t stays in [0, 1] unclipped.
+        With clip, a bound is applied only where it can bind: 0 when a
+        coefficient is negative, 1 when the positive ones' float sum in step
+        order exceeds 1. Otherwise, by monotone rounding, X_t stays in [0, 1]
+        unclipped.
         """
-        rest = np.zeros(gen.n_streams)
-        xs = deque([rest] * len(self.ar), maxlen=len(self.ar))  # xs[j] = X_{t-1-j}
-        width = max((lag for lag, _ in self.ma), default=0)
-        us = deque([rest] * width, maxlen=width)  # us[l] = xi_{t-1-l}
         b0 = self.b0
         taps = [(a, xs, j) for j, a in enumerate(self.ar) if a != 0.0]
         taps += [(c, us, lag - 1) for lag, c in self.ma]
         coefs = [b0, *(c for c, _, _ in taps)]
-        floor, cap = min(coefs) < 0.0, sum(max(c, 0.0) for c in coefs) > 1.0
+        floor = clip and min(coefs) < 0.0
+        cap = clip and sum(max(c, 0.0) for c in coefs) > 1.0
 
-        def step(_x, u):
+        def step(u):
             x = b0 * u
             for c, hist, j in taps:
                 x += c * hist[j]
@@ -198,9 +195,18 @@ class ProcessModel:
             us.appendleft(u)
             return x
 
-        x, innov = rest, self.law.draw(gen)
+        return step
+
+    def start(self, gen: VectorXoshiro):
+        """The time-0 state, its step and the history step keeps at time 0:
+        from rest (zero history), burn_in innovations through the stepper."""
+        rest = np.zeros(gen.n_streams)
+        xs = deque([rest] * len(self.ar), maxlen=len(self.ar))
+        width = max((lag for lag, _ in self.ma), default=0)
+        us = deque([rest] * width, maxlen=width)
+        x, step, innov = rest, self.stepper(xs, us), self.law.draw(gen)
         for _ in range(self.burn_in):
-            x = step(x, innov())
+            x = step(innov())
         return x, step, (tuple(xs), tuple(us))
 
     def stationary_mean(self) -> float:
@@ -253,7 +259,7 @@ class DoublingMap(ProcessModel):
 
     def start(self, gen):
         x = gen.next_u64().astype(np.float64) * 2.0**-64
-        return x, lambda x, b: 0.5 * (x + b), ((x,), ())
+        return x, self.stepper(deque([x], maxlen=1), deque(maxlen=0)), ((x,), ())
 
     def linf_profile(self, n):
         return doubling_map_profile(n)
@@ -399,11 +405,9 @@ def _states(model: ProcessModel, n: int, seeds: np.ndarray):
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     gen = VectorXoshiro(seeds)
-    x, step, _ = model.start(gen)
-    innov = model.law.draw(gen)
+    step, innov = model.start(gen)[1], model.law.draw(gen)
     for _ in range(n):
-        x = step(x, innov())
-        yield x
+        yield step(innov())
 
 
 def stationary_init_batch(model: ProcessModel, seeds: np.ndarray) -> np.ndarray:
@@ -477,32 +481,26 @@ def _differences(model: ProcessModel, r: int, seeds: np.ndarray):
     That covers every block i = r' .. 2r'-1 with r' <= r. One stacked start
     of 2R lanes serves the pair: lanes :R start the original on its child
     stream, lanes R: the starred run on its own. After the split both share
-    every innovation, and no clip binds in exact arithmetic, so D_i =
+    every innovation. Every model is a linear recursion in which no clip
+    binds in exact arithmetic, so the shared innovations cancel: D_i =
     sum_j a_j D_{i-j} + sum_l b_l (xi_{i-l} - xi*_{i-l}), in which only the
-    presample differences, i - l <= 0, are not zero. D is run from the
-    difference of the two starts' histories, its ar taps in lag order and
-    then its ma taps, with no draw and no clip.
+    presample differences, i - l <= 0, are not zero. So D is the model's own
+    stepper, run unclipped on a zero innovation from the difference of the
+    two starts' histories. A model added later must meet that condition too:
+    a binding clip or a nonlinear step would leave the shared innovations in
+    D, and the pair would have to be stepped.
     """
     if r < 1:
         raise DomainError(f"need block length r >= 1, got {r}")
     R = len(seeds)
     gen = VectorXoshiro(derive_seed(seeds, [[_LANE_ORIGINAL], [_LANE_STARRED]]).ravel())
-    xs, us = model.start(gen)[2]
     # the history is this run's own, so each difference is taken in place, in
     # its original half, and the run holds no more memory than the start
-    ds = deque([np.subtract(x[:R], x[R:], out=x[:R]) for x in xs], maxlen=len(xs))  # D_{i-1-j}
-    dus = [np.subtract(u[:R], u[R:], out=u[:R]) for u in us]  # dus[l] = xi_{-l} - xi*_{-l}
-    ar = [(a, j) for j, a in enumerate(model.ar) if a != 0.0]
-    for i in range(1, 2 * r):
-        taps = [(a, ds[j]) for a, j in ar] + [(c, dus[lag - i]) for lag, c in model.ma if lag >= i]
-        if not taps:
-            d = np.zeros(R)
-        else:
-            d = taps[0][0] * taps[0][1]
-            for c, h in taps[1:]:
-                d += c * h
-        ds.appendleft(d)
-        yield d
+    xs, us = (deque([np.subtract(h[:R], h[R:], out=h[:R]) for h in hist], maxlen=len(hist))
+              for hist in model.start(gen)[2])
+    step, zero = model.stepper(xs, us, clip=False), np.zeros(R)
+    for _ in range(2 * r - 1):
+        yield step(zero)
 
 
 def coupled_distance_sums(model: ProcessModel, rs, seeds: np.ndarray) -> np.ndarray:

@@ -593,7 +593,11 @@ def test_run_verification_thm2_doubling():
         assert r.verdict == "pass"
     ref_rows = [r for r in rows if r.theorem == "iid_eq1_ref"]
     assert all(r.threshold == iid_bernstein_threshold(1000, 1.0 / 12.0, r.x) for r in ref_rows)
-    # the iid formula is only a reference on dependent data; x = 2 exceeds it
+    # the iid formula is only a reference on dependent data, yet the process
+    # does not exceed it at x = 2: with S = (N - n/2) + (X_0 - X_n), N ~
+    # Binomial(n, 1/2), the exact bracket puts P(S >= 18.591) in [0.1087,
+    # 0.1342], below e^-2 = 0.1353. The fail is the Clopper-Pearson upper
+    # limit at 500 replications, which cannot certify a margin that thin
     assert ref_rows[2].verdict == "fail"
 
 

@@ -323,6 +323,23 @@ def test_doubling_simulate_replay():
     assert np.array_equal(doubling_path(x0, bits), simulate(DoublingMap(), 64, seed))
 
 
+def test_doubling_run_equals_the_halving_recurrence():
+    # the doubling map steps through the shared stepper, 0.5 b + 0.5 x; halving
+    # is exact, so that rounds once to the same double as x = 0.5 (x + b), the
+    # recurrence it replaced, here the oracle over the run's own draws (the
+    # exact start, then the bits) on 64 lanes and across 47 innovation words
+    n, seeds = 3000, _seeds(2800, 64)
+    got = simulate_batch(DoublingMap(), n, seeds)
+    gen = VectorXoshiro(seeds)
+    x = gen.next_u64().astype(np.float64) * 2.0**-64
+    bits = processes._bits(gen)
+    ref = np.empty_like(got)
+    for t in range(n):
+        x = 0.5 * (x + bits())
+        ref[:, t] = x
+    assert np.array_equal(got, ref)
+
+
 def test_kernel_chain_replay():
     # from rest: burn_in draws, then the path, all through one recursion
     kappa, seed, n = 0.5, 9876, 10
@@ -508,8 +525,8 @@ def _coupled_pairs_two_generators(model, r, seeds, presplit=0):
     innov_s = model.law.draw(gen_s)
     for t in range(1, 2 * r + presplit):
         io = innov_o()
-        xo = step_o(xo, io)
-        xs = step_s(xs, innov_s() if t <= presplit else io)
+        xo = step_o(io)
+        xs = step_s(innov_s() if t <= presplit else io)
         if t > presplit:
             yield xo, xs
 
