@@ -27,7 +27,7 @@ from .processes import (
     observable_sums,
     stationary_init_batch,  # not called here; perfbench/layers.py rebinds this name
 )
-from .rng import derive_seed, replication_seeds
+from .rng import MASK64, derive_seed, replication_seeds
 
 DEFAULT_ALPHA = 0.01
 
@@ -210,13 +210,14 @@ def estimate_coupling_delta(
     pair split at j has the same law for every j and processes splits each
     pair at its start; j keys the seeds alone, replication i of j reading
     coupling_seeds(seed, j, i, i + 1), so rows at different j are
-    independent replicates. The pairs of every distinct j are laid end to
-    end and cut into chunks of at most _CHUNK, one coupled run per chunk,
-    whose rows fold into per-j running maxima; so memory does not grow with
-    reps. Each lane is its own stream, every step is elementwise and a
-    maximum does not depend on how rows are grouped, so each estimate is
-    still a maximum over reps independent pairs, bit for bit the one its j
-    alone gives, whichever other r or j were requested alongside.
+    independent replicates. The pairs of every distinct j are numbered by
+    one flat index q * reps + i, replication i of the q-th distinct j, and
+    cut into chunks of at most _CHUNK, one coupled run per chunk, whose rows
+    fold into per-j running maxima; so memory does not grow with reps. Each
+    lane is its own stream, every step is elementwise and a maximum does not
+    depend on how rows are grouped, so each estimate is still a maximum over
+    reps independent pairs, bit for bit the one its j alone gives, whichever
+    other r or j were requested alongside.
     """
     if reps < 1:
         raise DomainError(f"need reps >= 1, got {reps}")
@@ -226,24 +227,22 @@ def estimate_coupling_delta(
     for j in js:
         if j < 1:
             raise DomainError(f"need split j >= 1, got {j}", field="j_list")
+        if j > MASK64:  # derive_seed keys by j mod 2^64
+            raise DomainError(f"need split j <= 2^64 - 1, got {j}", field="j_list")
     if not rs or min(rs) < 1:
         raise DomainError(f"need block lengths r >= 1, got {rs}", field="r_list")
     keys = list(dict.fromkeys(js))  # a repeated j reads the same pairs
+    lanes = derive_seed(seed, np.array(keys, dtype=np.uint64))  # derive_seed(seed, j) per key
 
     def chunk_maxima(lo, hi):
-        # flat index q * reps + i is replication i of keys[q]
-        qs = range(lo // reps, (hi - 1) // reps + 1)
-        starts = [max(lo, q * reps) for q in qs]
-        seeds = np.concatenate([
-            coupling_seeds(seed, keys[q], a - q * reps, b - q * reps)
-            for q, a, b in zip(qs, starts, starts[1:] + [hi])
-        ])
-        sums = coupled_distance_sums(model, rs, seeds)
-        return slice(qs[0], qs[-1] + 1), np.maximum.reduceat(sums, np.subtract(starts, lo), axis=0)
+        q, i = np.divmod(np.arange(lo, hi), reps)  # flat index q * reps + i
+        sums = coupled_distance_sums(model, rs, derive_seed(lanes[q], i))
+        firsts = np.flatnonzero(np.diff(q, prepend=-1))  # each key's first row
+        return q[firsts], np.maximum.reduceat(sums, firsts, axis=0)
 
     maxima = np.full((len(keys), len(rs)), -np.inf)
     for part, part_max in _map_chunks(chunk_maxima, len(keys) * reps, threads):
-        np.maximum(maxima[part], part_max, out=maxima[part])
+        maxima[part] = np.maximum(maxima[part], part_max)
     out = []
     for c, r in enumerate(rs):
         for j in js:

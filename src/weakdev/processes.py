@@ -6,11 +6,11 @@ Each model is a linear recursion declared by its coefficients and its
 innovation law, run by one step, ProcessModel.stepper: for the start, which
 is from rest and draws burn_in presample innovations (enough that the psi
 tail, a bound on the start's distance from the stationary state, is at most
-2^-40), for the per-step run and for the coupled difference run. The
-doubling map alone starts exactly; its start returns the same stepper. psi
-and the law give every moment exactly (second_order). Each model also
-states the linf dependence profile its simulator satisfies (linf_profile,
-by a generator in coefficients); ProcessModel's own refuses.
+2^-40), for the per-step run and for the coupled difference run; a run
+continues a start's history (xs, us) as model.stepper(*history). The
+doubling map alone starts exactly, drawing that history. psi and the law
+give every moment exactly (second_order), and linf_profile gives the linf
+profile each simulator satisfies (by a generator in coefficients).
 
 Observable sums take one of two paths. Where a model has a closed form for
 sum_{t<=k} f(X_t) in its draws (exact_prefix_sums: today the doubling map's
@@ -121,9 +121,9 @@ class ProcessModel:
     X_t = clip(b0 xi_t + sum_j a_j X_{t-j} + sum_l b_l xi_{t-l}, 0, 1).
     stepper builds the one step(u) that runs it: the start's burn-in, the
     per-step run and the coupled difference run. start(gen) returns the
-    time-0 state, its step and the history step keeps at time 0; an exact
-    start draws its state and returns self.stepper(...) on that history.
-    The history lives in step's closure, so the model stays a hashable value.
+    history (xs, us) at time 0, X_0 first, and every run continues it as
+    self.stepper(*history); an exact start returns the history it draws.
+    The history belongs to the run, so the model stays a hashable value.
     """
 
     name: str  # CLI and config variant
@@ -168,8 +168,8 @@ class ProcessModel:
 
     def stepper(self, xs: deque, us: deque, clip: bool = True):
         """step(u), which maps the innovation xi_t = u to the state X_t and then
-        records both in xs and us: the last p states and the last max-lag
-        innovations, newest first (xs[j] = X_{t-1-j}, us[l] = xi_{t-1-l}).
+        records both in xs and us: the last max(p, 1) states and the last
+        max-lag innovations, newest first (xs[j] = X_{t-1-j}, us[l] = xi_{t-1-l}).
 
         With clip, a bound is applied only where it can bind: 0 when a
         coefficient is negative, 1 when the positive ones' float sum in step
@@ -198,16 +198,15 @@ class ProcessModel:
         return step
 
     def start(self, gen: VectorXoshiro):
-        """The time-0 state, its step and the history step keeps at time 0:
-        from rest (zero history), burn_in innovations through the stepper."""
-        rest = np.zeros(gen.n_streams)
-        xs = deque([rest] * len(self.ar), maxlen=len(self.ar))
+        """The history (xs, us) at time 0, so xs[0] = X_0: from rest (zero
+        history), burn_in innovations through the stepper."""
+        rest, depth = np.zeros(gen.n_streams), max(len(self.ar), 1)
         width = max((lag for lag, _ in self.ma), default=0)
-        us = deque([rest] * width, maxlen=width)
-        x, step, innov = rest, self.stepper(xs, us), self.law.draw(gen)
+        xs, us = deque([rest] * depth, maxlen=depth), deque([rest] * width, maxlen=width)
+        step, innov = self.stepper(xs, us), self.law.draw(gen)
         for _ in range(self.burn_in):
-            x = step(innov())
-        return x, step, (tuple(xs), tuple(us))
+            step(innov())
+        return xs, us
 
     def stationary_mean(self) -> float:
         """E X_t = E xi sum_i psi_i = E xi B(1) / A(1)."""
@@ -259,7 +258,7 @@ class DoublingMap(ProcessModel):
 
     def start(self, gen):
         x = gen.next_u64().astype(np.float64) * 2.0**-64
-        return x, self.stepper(deque([x], maxlen=1), deque(maxlen=0)), ((x,), ())
+        return deque([x], maxlen=1), deque(maxlen=0)
 
     def linf_profile(self, n):
         return doubling_map_profile(n)
@@ -405,14 +404,14 @@ def _states(model: ProcessModel, n: int, seeds: np.ndarray):
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     gen = VectorXoshiro(seeds)
-    step, innov = model.start(gen)[1], model.law.draw(gen)
+    step, innov = model.stepper(*model.start(gen)), model.law.draw(gen)
     for _ in range(n):
         yield step(innov())
 
 
 def stationary_init_batch(model: ProcessModel, seeds: np.ndarray) -> np.ndarray:
     """Time-0 state for each replication seed."""
-    return model.start(VectorXoshiro(seeds))[0]
+    return model.start(VectorXoshiro(seeds))[0][0]
 
 
 def simulate_batch(model: ProcessModel, n: int, seeds: np.ndarray) -> np.ndarray:
@@ -442,16 +441,15 @@ def observable_prefix_sums(model: ProcessModel, f: "ObservableF", ks, seeds: np.
         raise DomainError(f"need sum lengths k >= 1, got {ks}")
     ends = sorted(set(ks))
     out = model.exact_prefix_sums(f, ends, seeds)
-    if out is not None:
-        return out[[ends.index(k) for k in ks]].T
-    out = np.empty((len(ends), len(seeds)))
-    acc = np.zeros(len(seeds))
-    c = 0
-    for t, x in enumerate(_states(model, ends[-1], seeds), start=1):
-        acc += f.values(x)
-        if t == ends[c]:
-            out[c] = acc
-            c += 1
+    if out is None:
+        out = np.empty((len(ends), len(seeds)))
+        acc = np.zeros(len(seeds))
+        c = 0
+        for t, x in enumerate(_states(model, ends[-1], seeds), start=1):
+            acc += f.values(x)
+            if t == ends[c]:
+                out[c] = acc
+                c += 1
     return out[[ends.index(k) for k in ks]].T
 
 
@@ -494,11 +492,12 @@ def _differences(model: ProcessModel, r: int, seeds: np.ndarray):
         raise DomainError(f"need block length r >= 1, got {r}")
     R = len(seeds)
     gen = VectorXoshiro(derive_seed(seeds, [[_LANE_ORIGINAL], [_LANE_STARRED]]).ravel())
-    # the history is this run's own, so each difference is taken in place, in
-    # its original half, and the run holds no more memory than the start
-    xs, us = (deque([np.subtract(h[:R], h[R:], out=h[:R]) for h in hist], maxlen=len(hist))
-              for hist in model.start(gen)[2])
-    step, zero = model.stepper(xs, us, clip=False), np.zeros(R)
+    # the history is this run's own: each difference is taken in place, in its
+    # original half, and a start's deques are full, so extend replaces each item
+    hist = model.start(gen)
+    for h in hist:
+        h.extend([np.subtract(v[:R], v[R:], out=v[:R]) for v in h])
+    step, zero = model.stepper(*hist, clip=False), np.zeros(R)
     for _ in range(2 * r - 1):
         yield step(zero)
 

@@ -293,6 +293,7 @@ def test_coupling_refuses_an_empty_or_sub_1_grid_up_front():
     for rs, js, field, msg in (
         ([0], [], "j_list", "need split j >= 1, got no j"),
         ([3], [2, 0], "j_list", "need split j >= 1, got 0"),
+        ([3], [1, 2**64 + 1], "j_list", rf"need split j <= 2\^64 - 1, got {2**64 + 1}"),
         ([], [1], "r_list", r"need block lengths r >= 1, got \[\]"),
         ([2, 0], [1], "r_list", r"need block lengths r >= 1, got \[2, 0\]"),
     ):

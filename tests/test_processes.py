@@ -519,8 +519,8 @@ def _coupled_pairs_two_generators(model, r, seeds, presplit=0):
     split at the start must match in law."""
     gen_o = VectorXoshiro(derive_seed(seeds, processes._LANE_ORIGINAL))
     gen_s = VectorXoshiro(derive_seed(seeds, processes._LANE_STARRED))
-    xo, step_o, _ = model.start(gen_o)
-    xs, step_s, _ = model.start(gen_s)
+    step_o = model.stepper(*model.start(gen_o))
+    step_s = model.stepper(*model.start(gen_s))
     innov_o = model.law.draw(gen_o)
     innov_s = model.law.draw(gen_s)
     for t in range(1, 2 * r + presplit):
@@ -535,7 +535,7 @@ def _differences_two_generators(model, r, seeds):
     """D_i = X_i - X*_i for i = 1 .. 2r-1 from two separate starts: the
     difference of their histories run through the recursion's taps, ar in
     lag order, then ma, with every post-split innovation difference zero."""
-    hists = [model.start(VectorXoshiro(derive_seed(seeds, lane)))[2]
+    hists = [model.start(VectorXoshiro(derive_seed(seeds, lane)))
              for lane in (processes._LANE_ORIGINAL, processes._LANE_STARRED)]
     (xo, uo), (xs, us) = hists
     ds = [a - b for a, b in zip(xo, xs)]  # ds[j] = D_{i-1-j}
@@ -714,6 +714,11 @@ def test_coupled_block_arguments(tmp_path):
                                     "1", "--j-grid", "2,0", "--reps", "3", "--out", str(out)])
     assert res.exit_code == 1 and res.output == "Error: need split j >= 1, got 0\n"
     assert not out.exists()
+    # derive_seed keys by j mod 2^64, so a j past it would read a smaller j's pairs
+    res = CliRunner().invoke(main, ["estimate-coupling", "--model", "doubling-map", "--r-grid",
+                                    "1", "--j-grid", f"1,{2**64 + 1}", "--reps", "3"])
+    assert res.exit_code == 1
+    assert res.output == f"Error: need split j <= 2^64 - 1, got {2**64 + 1}\n"
 
 
 def test_simulate_coupled_block_matches_batch():
