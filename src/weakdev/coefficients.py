@@ -36,7 +36,8 @@ class WeightSequence:
     """Summable nonnegative weights a_j, j >= 1, one subclass per family.
 
     A family's dataclass fields are its config keys, its class attribute
-    `family` is its name in WEIGHTS, and it defines _term, _tail and _tails.
+    `family` is its name in WEIGHTS, and it defines _term(j) and _tails(p, m)
+    = [A_p, ..., A_{p+m-1}], A_p = sum_{i >= p} a_i, which every tail reads.
     Tails are exact or rigorous upper bounds; a family with c == 0 has zero
     tails without evaluating them.
     """
@@ -55,13 +56,13 @@ class WeightSequence:
         """sum_{i >= p} a_i, exact or a rigorous upper bound."""
         if p < 1:
             raise DomainError(f"need p >= 1, got {p}")
-        return 0.0 if self.c == 0.0 else self._tail(p)
+        return 0.0 if self.c == 0.0 else float(self._tails(p, 1)[0])
 
     def tail_sums(self, m: int) -> np.ndarray:
-        """[tail_sum(1), ..., tail_sum(m)], equal to the scalar calls bit for bit."""
+        """[tail_sum(1), ..., tail_sum(m)], from the same _tails."""
         if m < 1:
             raise DomainError(f"need m >= 1, got {m}")
-        return np.zeros(m) if self.c == 0.0 else self._tails(m)
+        return np.zeros(m) if self.c == 0.0 else self._tails(1, m)
 
     @property
     def total(self) -> float:
@@ -106,12 +107,9 @@ class GeometricWeights(WeightSequence):
     def _term(self, j: int) -> float:
         return self.c * self.ratio**j
 
-    def _tail(self, p: int) -> float:
-        return self.c * self.ratio**p / (1.0 - self.ratio)
-
-    def _tails(self, m: int) -> np.ndarray:
-        # Python's ** per term, as _tail takes it: numpy's may differ in the last bit
-        return self.c * np.array([self.ratio**p for p in range(1, m + 1)]) / (1.0 - self.ratio)
+    def _tails(self, p: int, m: int) -> np.ndarray:
+        # Python's ** per term, as _term takes it: numpy's may differ in the last bit
+        return self.c * np.array([self.ratio**q for q in range(p, p + m)]) / (1.0 - self.ratio)
 
 
 @dataclass(frozen=True)
@@ -135,23 +133,16 @@ class PolynomialWeights(WeightSequence):
     def _term(self, j: int) -> float:
         return self.c * float(j) ** (-self.power)
 
-    def _tail(self, p: int) -> float:
-        s = self.power
-        top = p + self._PARTIAL_TERMS
-        i = np.arange(p, top, dtype=np.float64)
-        partial = self.c * float(np.sum(i**-s))
-        # integral bound: sum_{i >= top} i^-s <= int_{top-1}^inf x^-s dx
-        return partial + self.c * (top - 1.0) ** (1.0 - s) / (s - 1.0)
-
-    def _tails(self, m: int) -> np.ndarray:
+    def _tails(self, p: int, m: int) -> np.ndarray:
         """Raises each index to -power once and sums every window of
         _PARTIAL_TERMS of them; the integral term stays in Python floats,
         whose ** differs from numpy's in the last bit."""
         c, s, K = self.c, self.power, self._PARTIAL_TERMS
-        powers = np.arange(1, m + K, dtype=np.float64) ** -s
+        powers = np.arange(p, p + m + K - 1, dtype=np.float64) ** -s
         partial = sliding_window_view(powers, K).sum(axis=1).tolist()
+        # integral bound: sum_{i >= q+K} i^-s <= int_{q+K-1}^inf x^-s dx
         return np.array(
-            [c * w + c * (p + K - 1.0) ** (1.0 - s) / (s - 1.0) for p, w in enumerate(partial, 1)]
+            [c * w + c * (q + K - 1.0) ** (1.0 - s) / (s - 1.0) for q, w in enumerate(partial, p)]
         )
 
 

@@ -66,6 +66,9 @@ _PSI_BUDGET = 10**6
 # second_order cuts psi at the first L with Psi_L below this
 _CUT_TAIL = 2.0**-60
 
+# the most steps one run may take; a longer one is refused before it draws
+_MAX_STEPS = 2**32
+
 
 # ---------------------------------------------------------------------------
 # models
@@ -400,13 +403,12 @@ MODELS = {
 
 
 def _states(model: ProcessModel, n: int, seeds: np.ndarray):
-    """Yield X_1..X_n over one stream per seed."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    """X_1..X_n over one stream per seed, n refused before the start draws."""
+    if not 1 <= n <= _MAX_STEPS:
+        raise DomainError(f"need 1 <= n <= 2^32 steps, got {n}")
     gen = VectorXoshiro(seeds)
     step, innov = model.stepper(*model.start(gen)), model.law.draw(gen)
-    for _ in range(n):
-        yield step(innov())
+    return (step(innov()) for _ in range(n))
 
 
 def stationary_init_batch(model: ProcessModel, seeds: np.ndarray) -> np.ndarray:
@@ -416,8 +418,9 @@ def stationary_init_batch(model: ProcessModel, seeds: np.ndarray) -> np.ndarray:
 
 def simulate_batch(model: ProcessModel, n: int, seeds: np.ndarray) -> np.ndarray:
     """(R, n) trajectories, one row per seed, filled one column per step."""
-    out = np.empty((len(seeds), max(n, 0)))  # n < 1 is refused by _states
-    for t, x in enumerate(_states(model, n, seeds)):
+    states = _states(model, n, seeds)  # refuses a bad n before the allocation
+    out = np.empty((len(seeds), n))
+    for t, x in enumerate(states):
         out[:, t] = x
     return out
 
@@ -437,8 +440,8 @@ def observable_prefix_sums(model: ProcessModel, f: "ObservableF", ks, seeds: np.
     so every column is summed in time order, and no path is stored.
     """
     ks = [int(k) for k in ks]
-    if not ks or min(ks) < 1:
-        raise DomainError(f"need sum lengths k >= 1, got {ks}")
+    if not ks or min(ks) < 1 or max(ks) > _MAX_STEPS:
+        raise DomainError(f"need sum lengths 1 <= k <= 2^32 steps, got {ks}")
     ends = sorted(set(ks))
     out = model.exact_prefix_sums(f, ends, seeds)
     if out is None:
@@ -488,8 +491,8 @@ def _differences(model: ProcessModel, r: int, seeds: np.ndarray):
     a binding clip or a nonlinear step would leave the shared innovations in
     D, and the pair would have to be stepped.
     """
-    if r < 1:
-        raise DomainError(f"need block length r >= 1, got {r}")
+    if not 1 <= 2 * r - 1 <= _MAX_STEPS:
+        raise DomainError(f"need block length r >= 1 and 2r - 1 <= 2^32 steps, got {r}")
     R = len(seeds)
     gen = VectorXoshiro(derive_seed(seeds, [[_LANE_ORIGINAL], [_LANE_STARRED]]).ravel())
     # the history is this run's own: each difference is taken in place, in its

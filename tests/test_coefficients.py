@@ -75,6 +75,44 @@ def test_tails_non_increasing():
         assert all(t >= 0.0 for t in tails)
 
 
+# The scalar tail formulas each family once coded beside its tail table, kept
+# as oracles now that tail_sum and tail_sums both read _tails(p, m).
+
+
+def _geometric_tail_reference(w: GeometricWeights, p: int) -> float:
+    return w.c * w.ratio**p / (1.0 - w.ratio)
+
+
+def _polynomial_tail_reference(w: PolynomialWeights, p: int) -> float:
+    s = w.power
+    top = p + w._PARTIAL_TERMS
+    i = np.arange(p, top, dtype=np.float64)
+    partial = w.c * float(np.sum(i**-s))
+    # integral bound: sum_{i >= top} i^-s <= int_{top-1}^inf x^-s dx
+    return partial + w.c * (top - 1.0) ** (1.0 - s) / (s - 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["geometric", "polynomial"]),
+    c=st.floats(1e-3, 10.0),
+    shape=st.floats(0.01, 0.99),
+    far=st.lists(st.integers(61, 10**7), min_size=1, max_size=4),
+)
+def test_tails_match_the_scalar_formulas_bit_for_bit(family, c, shape, far):
+    if family == "geometric":
+        w, tail = GeometricWeights(c, shape), _geometric_tail_reference
+    else:
+        w, tail = PolynomialWeights(c, 1.0 + 5.0 * shape), _polynomial_tail_reference
+    near = range(1, 61)
+    assert w.tail_sums(60).tolist() == [tail(w, p) for p in near]
+    # suggest_truncation reads single tails out to p = 10^7
+    for p in [*near, *far]:
+        assert w.tail_sum(p) == tail(w, p)
+    for p in far:
+        assert w._tails(p, 3).tolist() == [tail(w, q) for q in range(p, p + 3)]
+
+
 def test_zero_weights():
     w = ZeroWeights()
     assert w.term(5) == 0.0 and w.tail_sum(1) == 0.0 and w.total == 0.0

@@ -1317,8 +1317,8 @@ class _HalvingWeights(WeightSequence):
     def _term(self, j: int) -> float:
         return self.c * self.first * 0.5 ** (j - 1)
 
-    def _tail(self, p: int) -> float:
-        return self.c * self.first * 0.5 ** (p - 2)
+    def _tails(self, p: int, m: int) -> np.ndarray:
+        return np.array([self.c * self.first * 0.5 ** (q - 2) for q in range(p, p + m)])
 
 
 def test_a_new_model_and_weight_family_build_from_their_classes_alone(tmp_path, monkeypatch):
@@ -1350,6 +1350,10 @@ def test_a_new_model_and_weight_family_build_from_their_classes_alone(tmp_path, 
     # its profile and a verification come from the class too
     prof = dependence_profile_for(_Damped(damping=0.3), 50)
     assert np.array_equal(prof.delta, markov_contraction_profile(0.3, 50).delta)
+    # the weight family's tails feed the profile `weakdev profile` writes
+    lags = want[1].linf_profile(8).delta
+    assert lags.shape == (8,) and np.all((lags >= 0.0) & (lags <= 1.0))
+    assert np.all(np.diff(lags) <= 0.0)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(_doc(model=docs[0], out=str(tmp_path / "r.csv"))))
     res = CliRunner().invoke(main, ["verify", "--config", str(cfg)])

@@ -275,6 +275,9 @@ def test_simulate_rejects_bad_n():
     for n in (0, -1):
         with pytest.raises(DomainError):
             simulate(DoublingMap(), n, 1)
+    # refused before the (1, n) result is allocated
+    with pytest.raises(DomainError, match=rf"need 1 <= n <= 2\^32 steps, got {2**32 + 1}$"):
+        simulate(DoublingMap(), 2**32 + 1, 1)
 
 
 def test_simulate_batch_keeps_one_float_per_lane_step():
@@ -705,6 +708,10 @@ def test_coupled_block_arguments(tmp_path):
         coupled_distance_sums(DoublingMap(), [], _seeds(1, 4))
     with pytest.raises(DomainError):
         simulate_coupled_block(DoublingMap(), 0, 1)
+    # a run of 2r - 1 = 2^32 + 1 steps is refused
+    too_long = rf"need block length r >= 1 and 2r - 1 <= 2\^32 steps, got {2**31 + 1}$"
+    with pytest.raises(DomainError, match=too_long):
+        coupled_distance_sums(DoublingMap(), [2, 2**31 + 1], _seeds(1, 4))
     # the split j keys the estimator's seeds alone, and it refuses j < 1
     for js, bad in (([0], 0), ([2, -1], -1), ([3, 0, -2], 0)):
         with pytest.raises(DomainError, match=f"need split j >= 1, got {bad}$"):
@@ -922,6 +929,16 @@ def test_observable_prefix_sums_arguments():
             observable_prefix_sums(IidUniform(), f, ks, _seeds(1, 4))
     with pytest.raises(DomainError):
         observable_sums(IidUniform(), f, 0, _seeds(1, 4))
+    # a run past 2^32 steps is refused, also where a closed form would walk it
+    too_long = rf"need sum lengths 1 <= k <= 2\^32 steps, got \[3, {2**64 + 1}\]$"
+    for model in (IidUniform(), DoublingMap()):
+        g = observable_for(model, "centered-identity")
+        with pytest.raises(DomainError, match=too_long):
+            observable_prefix_sums(model, g, [3, 2**64 + 1], _seeds(1, 4))
+    res = CliRunner().invoke(main, ["estimate-variance", "--model", "doubling-map", "--k-grid",
+                                    str(2**64 + 1), "--reps", "2"])
+    assert res.exit_code == 1
+    assert res.output == f"Error: need sum lengths 1 <= k <= 2^32 steps, got [{2**64 + 1}]\n"
 
 
 # ---------------------------------------------------------------------------
