@@ -4,7 +4,8 @@ Subcommands mirror the library layers: pure formula evaluation (bounds),
 profile emission, simulation, MC estimation, end-to-end verification, and
 block-size asymptotics. All flags are long-form; x-grids accept either a
 comma list (0.5,1,2) or an inclusive range (start:stop:step). The model flags
-are worked out from the dataclass fields of MODELS and WEIGHTS.
+are worked out from the dataclass fields of MODELS and WEIGHTS, each typed by
+its declared type's harness.FIELD_TYPES entry.
 
 This is the one module that writes files: the library returns values, and
 every CSV table goes through write_csv (write_profile_csv writes the same
@@ -31,6 +32,7 @@ from .coefficients import WEIGHTS
 from .errors import DomainError, ValidationError
 from .estimation import coupling_seeds, estimate_coupling_delta, estimate_sigma_profile
 from .harness import (
+    FIELD_TYPES,
     THEOREMS,
     ReportRow,
     build_model,
@@ -117,10 +119,6 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
-# the click type of a field's flag, by the field's declared type
-_FLAG_TYPES = {"float": float, "int | None": int}
-
-
 def _declaring(registry: dict, field: str) -> str:
     """The names of the registry's classes that declare field."""
     return ", ".join(name for name, cls in registry.items() if field in cls.__dataclass_fields__)
@@ -168,7 +166,7 @@ def _model_options(cmd):
         return cmd(m=m, **kwargs)
 
     def field_flag(registry, prefix, field, declared):
-        return click.option(f"--{prefix}{field}", type=_FLAG_TYPES[declared], default=None,
+        return click.option(f"--{prefix}{field}", type=FIELD_TYPES[declared].flag, default=None,
                             help=f"field of {_declaring(registry, field)}")
 
     opts = [
@@ -194,7 +192,7 @@ def _friendly_errors(fn):
         except click.ClickException:
             raise
         except (ValidationError, ValueError, OSError, MemoryError) as exc:
-            raise click.ClickException(str(exc)) from exc
+            raise click.ClickException(str(exc) or type(exc).__name__) from exc
 
     return wrapper
 

@@ -43,8 +43,8 @@ class WeightSequence:
     """
 
     def __post_init__(self):
-        if self.c < 0:
-            raise DomainError(f"need c >= 0, got {self.c}", field="c")
+        if not 0.0 <= self.c < math.inf:  # positive form, so a NaN fails it
+            raise DomainError(f"need finite c >= 0, got {self.c}", field="c")
 
     def term(self, j: int) -> float:
         """a_j."""
@@ -71,8 +71,8 @@ class WeightSequence:
 
     def suggest_truncation(self, tol: float = TRUNCATION_TAIL) -> int:
         """Smallest M >= 1 with tail_sum(M + 1) <= tol."""
-        if tol <= 0:
-            raise DomainError(f"need tol > 0, got {tol}")
+        if not 0.0 < tol < math.inf:
+            raise DomainError(f"need finite tol > 0, got {tol}", field="tol")
         m = smallest_k_meeting(lambda k: self.tail_sum(k + 1), tol, 10**7)
         if m is None:
             raise ValidationError(f"no truncation below tol={tol} within 1e7 terms; "
@@ -125,9 +125,9 @@ class PolynomialWeights(WeightSequence):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.power <= 1.0:
+        if not 1.0 < self.power < math.inf:
             raise DomainError(
-                f"need power > 1 for summability, got {self.power}", field="power"
+                f"need finite power > 1 for summability, got {self.power}", field="power"
             )
 
     def _term(self, j: int) -> float:
@@ -205,7 +205,7 @@ def infinite_memory_profile(weights: WeightSequence, n: int) -> DependenceProfil
     """
     n = _check_n(n)
     a = weights.total
-    if a >= 1.0:
+    if not a < 1.0:
         raise ValidationError(f"need sum of weights < 1, got {a}", field="weights")
     # a = 0: exp(-inf) = 0 gives the zero powers
     log_a = math.log(a) if a > 0.0 else -math.inf

@@ -13,8 +13,10 @@ count.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice, starmap
 
 import numpy as np
 
@@ -86,18 +88,24 @@ def clopper_pearson(hits: int, reps: int, alpha: float = DEFAULT_ALPHA) -> tuple
     return lo, hi
 
 
-def _map_chunks(fn, total: int, threads: int) -> list:
-    """[fn(lo, hi) for each chunk lo..hi-1 of 0..total-1], in chunk order.
+def _map_chunks(fn, total: int, threads: int):
+    """Yield fn(lo, hi) for each chunk lo..hi-1 of 0..total-1, in chunk order.
 
-    Chunks hold at most _CHUNK indices and cover disjoint ranges; threads > 1
-    runs them over a pool of that size. Whatever fn computes depends on its
-    own range alone, so scheduling cannot reorder or change anything.
+    Chunks hold at most _CHUNK indices, cover disjoint ranges and are made
+    lazily; threads > 1 runs at most that many at once on a pool. Whatever fn
+    computes depends on its own range alone, so scheduling cannot reorder or
+    change anything.
     """
-    spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if threads <= 1 or len(spans) == 1:
-        return [fn(lo, hi) for lo, hi in spans]
+    spans = ((lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK))
+    if threads <= 1 or total <= _CHUNK:
+        yield from starmap(fn, spans)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *zip(*spans)))
+        futures = (pool.submit(fn, *span) for span in spans)
+        running = deque(islice(futures, threads))
+        while running:
+            yield running.popleft().result()
+            running.extend(islice(futures, 1))
 
 
 def _per_rep_values(fn, reps: int, seed: int, threads: int, width: int = 0) -> np.ndarray:
@@ -112,7 +120,7 @@ def _per_rep_values(fn, reps: int, seed: int, threads: int, width: int = 0) -> n
     def fill(lo, hi):
         out[lo:hi] = fn(replication_seeds(seed, lo, hi))
 
-    _map_chunks(fill, reps, threads)
+    deque(_map_chunks(fill, reps, threads), maxlen=0)
     return out
 
 

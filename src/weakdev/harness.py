@@ -72,20 +72,26 @@ _MAX_SIZE = int(np.iinfo(np.intp).max)
 # configuration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """A verification run; its fields but omega are the config's keys."""
+
     model: ProcessModel
-    observable: str
-    omega: int
+    observable: str = "centered-identity"
+    omega: int = 1  # set by the {"id": ..., "omega": ...} form of observable
     n: int
     x_grid: tuple[float, ...]
     theorem: str
     reps: int
     base_seed: int
-    alpha: float
-    out: str | None
+    alpha: float = DEFAULT_ALPHA
+    out: str | None = None
 
     def __post_init__(self):
+        if self.observable not in OBSERVABLES:
+            raise ConfigError(f"unknown observable {self.observable!r}", field="observable")
+        if self.omega < 1:
+            raise ConfigError(f"need omega >= 1, got {self.omega}", field="observable.omega")
         if self.theorem not in THEOREMS:
             raise ConfigError(f"unknown theorem {self.theorem!r}", field="theorem")
         if self.n < 1:
@@ -108,38 +114,39 @@ class ExperimentConfig:
 
 def build_weights(doc: dict) -> WeightSequence:
     """A weight sequence from {"family": name, <field>: value, ...}."""
-    if not isinstance(doc, dict):
-        raise ConfigError("weights must be an object", field="model.weights")
-    if "family" not in doc:
-        raise ConfigError("weights need a 'family' key", field="model.weights.family")
-    return _build(WEIGHTS, doc, "family", "model.weights.", "weight", "weight family {!r} needs")
+    return _build(WEIGHTS, doc, "family", "model.weights", "weight")
 
 
 def build_model(doc: dict | str) -> ProcessModel:
     """A model from {"variant": name, <field>: value, ...} or a bare variant name."""
-    if isinstance(doc, str):
-        doc = {"variant": doc}
+    return _build(MODELS, {"variant": doc} if isinstance(doc, str) else doc, "variant", "model",
+                  "model")
+
+
+def _build(registry: dict, doc: dict, tag: str, path: str, noun: str):
+    """registry[doc[tag]], built by _from_fields from the rest of doc."""
     if not isinstance(doc, dict):
-        raise ConfigError("model must be an object or a variant name", field="model")
-    if "variant" not in doc:
-        raise ConfigError("model needs a 'variant' key", field="model.variant")
-    return _build(MODELS, doc, "variant", "model.", "model", "{} needs")
-
-
-def _build(registry: dict, doc: dict, tag: str, path: str, noun: str, needs: str):
-    """registry[doc[tag]], each dataclass field parsed from doc by its declared
-    type's _PARSERS entry; a value the class refuses is a ConfigError on its path."""
+        raise ConfigError(f"{path} must be an object", field=path)
+    if tag not in doc:
+        raise ConfigError(f"{path} needs a {tag!r} key", field=f"{path}.{tag}")
     name = doc[tag]
     if not isinstance(name, str) or name not in registry:
-        raise ConfigError(f"unknown {noun} {tag} {name!r}", field=f"{path}{tag}")
-    cls = registry[name]
-    params = fields(cls)
+        raise ConfigError(f"unknown {noun} {tag} {name!r}", field=f"{path}.{tag}")
+    rest = {k: v for k, v in doc.items() if k != tag}
+    return _from_fields(registry[name], rest, path + ".", noun, f"{noun} {tag} {name!r} needs")
+
+
+def _from_fields(cls, doc: dict, path: str, noun: str, needs: str, **fixed):
+    """cls(**fixed, ...), each other field a key of doc, parsed by its declared
+    type's FIELD_TYPES entry and required unless it has a default; a value cls
+    refuses is a ConfigError on its path."""
+    params = [p for p in fields(cls) if p.name not in fixed]
     required = {p.name for p in params if p.default is MISSING}
-    _check_keys(doc, {tag, *(p.name for p in params)}, path, noun, required, needs.format(name))
-    values = {p.name: _PARSERS[p.type](doc[p.name], path + p.name)
+    _check_keys(doc, {p.name for p in params}, path, noun, required, needs)
+    values = {p.name: FIELD_TYPES[p.type].parse(doc[p.name], path + p.name)
               for p in params if p.name in doc}
     try:
-        return cls(**values)
+        return cls(**fixed, **values)
     except (DomainError, ValidationError) as exc:
         field = path + exc.field if exc.field else path.rstrip(".")
         raise ConfigError(str(exc), field=field) from exc
@@ -177,51 +184,48 @@ def _integer(value, field: str) -> int:
     raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
 
 
-# one parser per declared type (annotation text) of a model or weight-family field
-_PARSERS = {
-    "float": _number,
-    "int | None": lambda v, field: None if v is None else _integer(v, field),
-    "WeightSequence": lambda v, _field: build_weights(v),
+def _string(value, field: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{field} must be a string, got {value!r}", field=field)
+
+
+def _numbers(value, field: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{field} must be a list", field=field)
+    return tuple(_number(x, field) for x in value)
+
+
+class FieldType(NamedTuple):
+    parse: Callable  # parse(config value, field path) -> field value
+    flag: type | None = None  # click type of a model or weight-family field's flag
+
+
+# one entry per declared type (annotation text) of a config, model or weight-family field
+FIELD_TYPES = {
+    "float": FieldType(_number, float),
+    "int": FieldType(_integer, int),
+    "int | None": FieldType(lambda v, field: None if v is None else _integer(v, field), int),
+    "str": FieldType(_string, str),
+    "str | None": FieldType(lambda v, field: None if v is None else _string(v, field), str),
+    "tuple[float, ...]": FieldType(_numbers),
+    "WeightSequence": FieldType(lambda v, _field: build_weights(v)),
+    "ProcessModel": FieldType(lambda v, _field: build_model(v)),
 }
 
 
-_TOP_KEYS = {"model", "observable", "n", "x_grid", "theorem", "reps", "base_seed", "alpha", "out"}
-_REQUIRED_KEYS = {"model", "n", "x_grid", "theorem", "reps", "base_seed"}
-
-
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a JSON config document; unknown keys are hard errors."""
+    """An ExperimentConfig from a JSON config document; unknown keys are hard
+    errors. observable is the one key that sets two fields: a name, or
+    {"id": name, "omega": w}."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object", field="<root>")
-    _check_keys(doc, _TOP_KEYS, "", "config", _REQUIRED_KEYS, "missing config key")
-    obs = doc.get("observable", "centered-identity")
-    omega = 1
+    obs, omega = doc.get("observable"), 1
     if isinstance(obs, dict):
         _check_keys(obs, {"id", "omega"}, "observable.", "observable")
         omega = _integer(obs.get("omega", 1), "observable.omega")
-        if omega < 1:
-            raise ConfigError(f"need omega >= 1, got {omega}", field="observable.omega")
-        obs = obs.get("id", "centered-identity")
-    if obs not in OBSERVABLES:
-        raise ConfigError(f"unknown observable {obs!r}", field="observable")
-    x_grid = doc["x_grid"]
-    if not isinstance(x_grid, (list, tuple)):
-        raise ConfigError("x_grid must be a list", field="x_grid")
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out must be a path string, got {out!r}", field="out")
-    return ExperimentConfig(
-        model=build_model(doc["model"]),
-        observable=obs,
-        omega=omega,
-        n=_integer(doc["n"], "n"),
-        x_grid=tuple(_number(x, "x_grid") for x in x_grid),
-        theorem=doc["theorem"],
-        reps=_integer(doc["reps"], "reps"),
-        base_seed=_integer(doc["base_seed"], "base_seed"),
-        alpha=_number(doc.get("alpha", DEFAULT_ALPHA), "alpha"),
-        out=out,
-    )
+        doc = {**doc, "observable": obs.get("id", ExperimentConfig.observable)}
+    return _from_fields(ExperimentConfig, doc, "", "config", "missing config key", omega=omega)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -371,7 +371,7 @@ class InfiniteMemoryChain(ProcessModel):
     ar = cached_property(lambda self: tuple(map(self.weights.term, range(1, self.window + 1))))
 
     def __post_init__(self):
-        if self.weights.total >= 1.0:
+        if not self.weights.total < 1.0:  # positive form, so a NaN total fails it
             raise ValidationError(
                 f"need sum of weights < 1, got {self.weights.total}", field="weights"
             )
@@ -517,11 +517,11 @@ def coupled_distance_sums(model: ProcessModel, rs, seeds: np.ndarray) -> np.ndar
     if not rs or min(rs) < 1:
         raise DomainError(f"need block lengths r >= 1, got {rs}")
     ends = sorted(set(rs))
-    acc = np.zeros((len(ends), len(seeds)))
+    acc, dist = np.zeros((len(ends), len(seeds))), np.empty(len(seeds))
     for i, d in enumerate(_differences(model, ends[-1], seeds), start=1):
         # i lies in block r exactly when (i + 1) / 2 <= r <= i
-        acc[bisect_left(ends, (i + 2) // 2):bisect_right(ends, i)] += np.abs(d)
-    return acc[[ends.index(r) for r in rs]].T
+        acc[bisect_left(ends, (i + 2) // 2):bisect_right(ends, i)] += np.abs(d, out=dist)
+    return (acc if rs == ends else acc[[ends.index(r) for r in rs]]).T
 
 
 def simulate_coupled_block(model: ProcessModel, r: int, seed: int) -> CoupledBlock:

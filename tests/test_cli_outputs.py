@@ -215,6 +215,17 @@ def test_unwritable_output_is_a_one_line_error(tmp_path, monkeypatch, label):
     assert f"Error: cannot write {tmp_path}: " in res.output and "Traceback" not in res.output
 
 
+def test_a_memory_error_without_a_message_is_a_one_line_error(monkeypatch):
+    def no_memory(*_args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "estimate_coupling_delta", no_memory)
+    res = CliRunner().invoke(main, ["estimate-coupling", "--model", "doubling-map",
+                                    "--r-grid", "1", "--j-grid", "1", "--reps", "2"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+    assert res.output == "Error: MemoryError\n"
+
+
 def test_verify_refuses_an_out_in_a_missing_directory_before_it_simulates(tmp_path, monkeypatch):
     def no_run(*_args):
         raise AssertionError("simulated a run whose report cannot be written")

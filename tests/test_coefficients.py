@@ -3,6 +3,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from weakdev import coefficients
 from weakdev.coefficients import (
     TRUNCATION_TAIL,
+    WEIGHTS,
     GeometricWeights,
     PolynomialWeights,
     WeightSequence,
@@ -118,6 +120,29 @@ def test_zero_weights():
     assert w.term(5) == 0.0 and w.tail_sum(1) == 0.0 and w.total == 0.0
     # a zero sequence truncates after a single term
     assert w.suggest_truncation() == 1
+
+
+# a valid value for every field of a weight family
+_VALID_WEIGHT_FIELDS = {"c": 0.1, "ratio": 0.5, "power": 3.0}
+_WEIGHT_FIELDS = [(family, f.name) for family, cls in WEIGHTS.items() for f in fields(cls)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family, field", _WEIGHT_FIELDS)
+def test_weight_families_refuse_non_finite_fields(family, field, bad):
+    cls = WEIGHTS[family]
+    valid = {f.name: _VALID_WEIGHT_FIELDS[f.name] for f in fields(cls)}
+    cls(**valid)
+    with pytest.raises(DomainError) as ei:
+        cls(**{**valid, field: bad})
+    assert ei.value.field == field
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_suggest_truncation_refuses_a_non_finite_tol(bad):
+    with pytest.raises(DomainError) as ei:
+        GeometricWeights(0.5, 0.5).suggest_truncation(bad)
+    assert ei.value.field == "tol"
 
 
 def test_suggest_truncation_boundary():

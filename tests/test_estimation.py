@@ -1,5 +1,6 @@
 import ast
 import csv
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -271,6 +272,22 @@ def test_coupling_chunks_match_one_run_per_j(monkeypatch, chunk, reps, model, th
                              witness=float(oracle[j][c]) / r, reps=reps)
             for c, r in enumerate(rs) for j in js]
     assert got == want
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_chunks_walks_its_chunks_lazily(threads):
+    # 2^62 replications are 2^48 chunks: a list of them could not be built
+    calls = itertools.count()
+
+    def fn(lo, hi):
+        if next(calls) == 1:
+            raise RuntimeError("second chunk")
+        return lo
+
+    with pytest.raises(RuntimeError, match="second chunk"):
+        for _ in estimation._map_chunks(fn, 2**62, threads):
+            pass
+    assert next(calls) <= threads + 1  # at most threads chunks in flight
 
 
 def test_coupling_memory_does_not_grow_with_reps(monkeypatch):

@@ -240,6 +240,52 @@ def test_parse_config_accepts_sizes_up_to_intp_max():
     assert cfg.n == cfg.reps == big
 
 
+# every JSON kind of value, and the kinds each top-level config key accepts
+_JSON_KINDS = {
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats().filter(lambda x: not x.is_integer()),
+    "string": st.text(max_size=8),
+    "list": st.lists(st.integers(), max_size=2),
+    "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+    "null": st.none(),
+}
+_ACCEPTS = {
+    "model": {"string", "object"},
+    "observable": {"string", "object"},
+    "n": {"int"},
+    "x_grid": {"list"},
+    "theorem": {"string"},
+    "reps": {"int"},
+    "base_seed": {"int"},
+    "alpha": {"int", "float"},
+    "out": {"string", "null"},
+}
+
+
+def test_the_config_keys_are_the_config_fields_but_omega():
+    assert set(_ACCEPTS) == {f.name for f in fields(ExperimentConfig)} - {"omega"}
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_parse_config_names_each_key_given_a_value_of_the_wrong_type(data):
+    key = data.draw(st.sampled_from(sorted(_ACCEPTS)))
+    kind = data.draw(st.sampled_from(sorted(set(_JSON_KINDS) - _ACCEPTS[key])))
+    value = data.draw(_JSON_KINDS[kind])
+    with pytest.raises(ConfigError) as ei:
+        parse_config(_doc(**{key: value}))
+    assert ei.value.field == key
+
+
+def test_verify_refuses_a_theorem_list_in_one_line(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_doc(theorem=["thm2"], out=str(tmp_path / "r.csv"))))
+    res = CliRunner().invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+    assert res.output == "Error: theorem must be a string, got ['thm2']\n"
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
