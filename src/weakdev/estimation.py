@@ -92,9 +92,9 @@ def _map_chunks(fn, total: int, threads: int):
     """Yield fn(lo, hi) for each chunk lo..hi-1 of 0..total-1, in chunk order.
 
     Chunks hold at most _CHUNK indices, cover disjoint ranges and are made
-    lazily; threads > 1 runs at most that many at once on a pool. Whatever fn
-    computes depends on its own range alone, so scheduling cannot reorder or
-    change anything.
+    lazily; threads > 1 runs at most that many at once on a pool, the next
+    one started before a result is yielded. Whatever fn computes depends on
+    its own range alone, so scheduling cannot reorder or change anything.
     """
     spans = ((lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK))
     if threads <= 1 or total <= _CHUNK:
@@ -104,8 +104,9 @@ def _map_chunks(fn, total: int, threads: int):
         futures = (pool.submit(fn, *span) for span in spans)
         running = deque(islice(futures, threads))
         while running:
-            yield running.popleft().result()
+            result = running.popleft().result()
             running.extend(islice(futures, 1))
+            yield result
 
 
 def _per_rep_values(fn, reps: int, seed: int, threads: int, width: int = 0) -> np.ndarray:

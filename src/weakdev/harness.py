@@ -94,11 +94,9 @@ class ExperimentConfig:
             raise ConfigError(f"need omega >= 1, got {self.omega}", field="observable.omega")
         if self.theorem not in THEOREMS:
             raise ConfigError(f"unknown theorem {self.theorem!r}", field="theorem")
-        if self.n < 1:
-            raise ConfigError(f"need n >= 1, got {self.n}", field="n")
-        if self.reps < 1:
-            raise ConfigError(f"need reps >= 1, got {self.reps}", field="reps")
         for name in ("n", "reps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"need {name} >= 1, got {getattr(self, name)}", field=name)
             if getattr(self, name) > _MAX_SIZE:
                 raise ConfigError(f"{name} must be at most {_MAX_SIZE}", field=name)
         if not 0 <= self.base_seed <= MASK64:
@@ -198,16 +196,16 @@ def _numbers(value, field: str) -> tuple[float, ...]:
 
 class FieldType(NamedTuple):
     parse: Callable  # parse(config value, field path) -> field value
-    flag: type | None = None  # click type of a model or weight-family field's flag
+    flag: type | None = None  # click type of the flag of a model or weight-family field
 
 
 # one entry per declared type (annotation text) of a config, model or weight-family field
 FIELD_TYPES = {
     "float": FieldType(_number, float),
-    "int": FieldType(_integer, int),
+    "int": FieldType(_integer),
     "int | None": FieldType(lambda v, field: None if v is None else _integer(v, field), int),
-    "str": FieldType(_string, str),
-    "str | None": FieldType(lambda v, field: None if v is None else _string(v, field), str),
+    "str": FieldType(_string),
+    "str | None": FieldType(lambda v, field: None if v is None else _string(v, field)),
     "tuple[float, ...]": FieldType(_numbers),
     "WeightSequence": FieldType(lambda v, _field: build_weights(v)),
     "ProcessModel": FieldType(lambda v, _field: build_model(v)),

@@ -521,7 +521,7 @@ def coupled_distance_sums(model: ProcessModel, rs, seeds: np.ndarray) -> np.ndar
     for i, d in enumerate(_differences(model, ends[-1], seeds), start=1):
         # i lies in block r exactly when (i + 1) / 2 <= r <= i
         acc[bisect_left(ends, (i + 2) // 2):bisect_right(ends, i)] += np.abs(d, out=dist)
-    return (acc if rs == ends else acc[[ends.index(r) for r in rs]]).T
+    return acc[[ends.index(r) for r in rs]].T
 
 
 def simulate_coupled_block(model: ProcessModel, r: int, seed: int) -> CoupledBlock:

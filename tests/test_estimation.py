@@ -2,6 +2,7 @@ import ast
 import csv
 import itertools
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -288,6 +289,20 @@ def test_map_chunks_walks_its_chunks_lazily(threads):
         for _ in estimation._map_chunks(fn, 2**62, threads):
             pass
     assert next(calls) <= threads + 1  # at most threads chunks in flight
+
+
+def test_map_chunks_starts_the_next_chunk_before_it_yields():
+    started = [threading.Event() for _ in range(3)]
+
+    def fn(lo, hi):
+        started[lo // estimation._CHUNK].set()
+        return lo
+
+    chunks = estimation._map_chunks(fn, 3 * estimation._CHUNK, 2)
+    assert next(chunks) == 0
+    # chunk 2 runs while the caller still holds chunk 0's result
+    assert started[2].wait(timeout=10)
+    assert list(chunks) == [estimation._CHUNK, 2 * estimation._CHUNK]
 
 
 def test_coupling_memory_does_not_grow_with_reps(monkeypatch):
