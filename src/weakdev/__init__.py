@@ -33,7 +33,6 @@ from .coefficients import (
     doubling_map_profile,
     infinite_memory_profile,
     markov_contraction_profile,
-    validate_profile,
 )
 from .errors import ConfigError, DomainError, NoValidBlockSizeError, ValidationError
 from .estimation import (

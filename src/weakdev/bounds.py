@@ -23,6 +23,8 @@ from .errors import DomainError, NoValidBlockSizeError, ValidationError
 
 PROFILE_KINDS = ("phi", "linf")
 VARIANCE_SOURCES = ("analytic", "estimated")
+# A profile may rise by round-off only.
+_MONOTONE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,11 @@ def h1_inverse(x: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DependenceProfile:
-    """Dependence coefficients delta_r, r = 1..n, non-increasing in [0, 1]."""
+    """Dependence coefficients delta_r, r = 1..n, non-increasing in [0, 1].
+
+    Construction refuses a NaN or negative delta_r or a rise beyond round-off,
+    naming the first such lag, and clips delta at 1, above which a coefficient
+    tells nothing of bounded observables."""
 
     delta: np.ndarray
     kind: str
@@ -75,7 +81,18 @@ class DependenceProfile:
         arr = np.asarray(self.delta, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("delta must be a non-empty 1-d array", field="delta")
-        object.__setattr__(self, "delta", arr)
+        # positive form: NaN clips to NaN and passes the rise test
+        bad = ~(arr >= 0)
+        clipped = np.clip(arr, 0.0, 1.0)
+        rises = np.diff(clipped, prepend=clipped[0]) > _MONOTONE_TOL
+        offending = bad | rises
+        if np.any(offending):
+            r = int(np.argmax(offending)) + 1
+            if bad[r - 1]:
+                raise ValidationError(f"delta[{r}] = {arr[r-1]} is not >= 0", field=f"delta[{r}]")
+            raise ValidationError(f"profile increases at r = {r}: delta[{r}] = {clipped[r-1]} "
+                                  f"> delta[{r-1}] = {clipped[r-2]}", field=f"delta[{r}]")
+        object.__setattr__(self, "delta", clipped)
         object.__setattr__(self, "n", int(arr.size))
 
     def at(self, r: int) -> float:

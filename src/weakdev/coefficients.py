@@ -1,8 +1,7 @@
 """Dependence-coefficient profiles for the example processes.
 
-Each generator returns a DependenceProfile over lags r = 1..n.  Values are
-clipped into [0, 1] (a coefficient above 1 carries no information for
-bounded observables) and checked to be non-increasing.
+Each generator returns a linf DependenceProfile over lags r = 1..n, which
+checks and clips its own values.
 
 Weight sequences represent summable Lipschitz coefficients a_j of a shift
 functional: finitely many explicit terms plus a tail that is either an exact
@@ -20,8 +19,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import DependenceProfile, smallest_k_meeting
 from .errors import DomainError, ValidationError
-
-_MONOTONE_TOL = 1e-12
 
 # Default truncation keeps neglected tail weight at or below this.
 TRUNCATION_TAIL = 2.0**-40
@@ -157,7 +154,7 @@ def doubling_map_profile(n: int) -> DependenceProfile:
     """Doubling-map coefficients delta_r = (4/9) 2^-r / r (linf kind)."""
     r = np.arange(1, _check_n(n) + 1, dtype=np.float64)
     delta = (4.0 / 9.0) * np.power(0.5, r) / r
-    return _finalize(delta, "linf")
+    return DependenceProfile(delta, "linf")
 
 
 def markov_contraction_profile(kappa: float, n: int) -> DependenceProfile:
@@ -170,7 +167,7 @@ def markov_contraction_profile(kappa: float, n: int) -> DependenceProfile:
         raise DomainError(f"need 0 < kappa < 1, got {kappa}")
     r = np.arange(1, _check_n(n) + 1, dtype=np.float64)
     rdelta = np.power(kappa, r) * (1.0 - np.power(kappa, r + 1.0)) / (1.0 - kappa)
-    return _finalize(rdelta / r, "linf")
+    return DependenceProfile(rdelta / r, "linf")
 
 
 def infinite_memory_profile(weights: WeightSequence, n: int) -> DependenceProfile:
@@ -238,7 +235,7 @@ def infinite_memory_profile(weights: WeightSequence, n: int) -> DependenceProfil
     for r in full:
         best = np.minimum.accumulate(_terms(r, tails[: 2 * r - 1], log_a))
         delta[r - 1] = best[-1] + float((best[r - 1 :] - best[-1]).sum()) / r
-    return _finalize(delta, "linf")
+    return DependenceProfile(delta, "linf")
 
 
 # Lags per block of infinite_memory_profile, and the most terms one chunk of
@@ -350,37 +347,10 @@ def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> D
     n = _check_n(n)
     r = np.arange(1, n + 1)
     delta = C * weights.tail_sums(n) / r
-    return _finalize(delta, "linf")
-
-
-def validate_profile(profile: DependenceProfile) -> DependenceProfile:
-    """Refuse a NaN or negative delta, clip delta into [0, 1], then insist it
-    is non-increasing.
-
-    The first offending lag is reported on failure; the tolerance absorbs
-    round-off only (1e-12).
-    """
-    # positive form: NaN clips to NaN and passes the monotonicity test
-    bad = ~(profile.delta >= 0)
-    if np.any(bad):
-        r = int(np.argmax(bad)) + 1
-        raise ValidationError(f"delta[{r}] = {profile.delta[r-1]} is not >= 0", field=f"delta[{r}]")
-    clipped = np.clip(profile.delta, 0.0, 1.0)
-    rises = np.diff(clipped) > _MONOTONE_TOL
-    if np.any(rises):
-        r = int(np.argmax(rises)) + 2
-        raise ValidationError(
-            f"profile increases at r = {r}: delta[{r}] = {clipped[r-1]} > delta[{r-1}] = {clipped[r-2]}",
-            field=f"delta[{r}]",
-        )
-    return DependenceProfile(delta=clipped, kind=profile.kind)
+    return DependenceProfile(delta, "linf")
 
 
 # ---------------------------------------------------------------------------
-
-
-def _finalize(delta: np.ndarray, kind: str) -> DependenceProfile:
-    return validate_profile(DependenceProfile(delta=np.asarray(delta, dtype=np.float64), kind=kind))
 
 
 def _check_n(n: int) -> int:

@@ -35,6 +35,10 @@ DEFAULT_ALPHA = 0.01
 
 _CHUNK = 16384
 
+# the most replications one estimate may run (processes caps a run's steps
+# alike); more are refused before a seed is derived or an array allocated
+_MAX_REPS = 2**32
+
 # variance runs read derive_seed(seed, 1), the lane of sigma_1^2, for every k
 _LANE_SIGMA = 1
 
@@ -134,8 +138,8 @@ def per_rep_sums(
     threads: int = 1,
 ) -> np.ndarray:
     """S(f) = sum_{t<=n} f(X_t) for each replication, in replication order."""
-    if reps < 1:
-        raise DomainError(f"need reps >= 1, got {reps}")
+    if not 1 <= reps <= _MAX_REPS:
+        raise DomainError(f"need 1 <= reps <= 2^32, got {reps}", field="reps")
     return _per_rep_values(lambda s: observable_sums(model, f, n, s), reps, seed, threads)
 
 
@@ -174,8 +178,8 @@ def estimate_sigma_profile(
     which other block lengths were requested alongside, and estimates at
     different k share their replications.
     """
-    if reps < 2:
-        raise DomainError(f"need reps >= 2, got {reps}")
+    if not 2 <= reps <= _MAX_REPS:
+        raise DomainError(f"need 2 <= reps <= 2^32, got {reps}", field="reps")
     ks = [int(k) for k in k_list]
     if not ks:
         return []
@@ -228,8 +232,6 @@ def estimate_coupling_delta(
     reps independent pairs, bit for bit the one its j alone gives, whichever
     other r or j were requested alongside.
     """
-    if reps < 1:
-        raise DomainError(f"need reps >= 1, got {reps}")
     rs, js = [int(r) for r in r_list], [int(j) for j in j_list]
     if not js:
         raise DomainError("need split j >= 1, got no j", field="j_list")
@@ -241,6 +243,9 @@ def estimate_coupling_delta(
     if not rs or min(rs) < 1:
         raise DomainError(f"need block lengths r >= 1, got {rs}", field="r_list")
     keys = list(dict.fromkeys(js))  # a repeated j reads the same pairs
+    if not 1 <= reps <= _MAX_REPS // len(keys):  # 2^32 pairs over every distinct j
+        raise DomainError(f"need 1 <= reps <= 2^32 / {len(keys)} distinct j, got {reps}",
+                          field="reps")
     lanes = derive_seed(seed, np.array(keys, dtype=np.uint64))  # derive_seed(seed, j) per key
 
     def chunk_maxima(lo, hi):

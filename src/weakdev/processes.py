@@ -554,11 +554,12 @@ class ObservableF:
     def __post_init__(self):
         if self.kind not in OBSERVABLES:
             raise ValidationError(f"unknown observable kind {self.kind!r}", field="kind")
+        if not math.isfinite(self.mu):
+            raise ValidationError(f"need a finite mu, got {self.mu}", field="mu")
         if self.kind == "centered-identity":
             return
         if self.omega < 1:
             raise DomainError(f"need omega >= 1, got {self.omega}", field="omega")
-        # positive form, so a NaN mu fails it too
         if not 1.0 / (4.0 * math.pi * self.omega) + abs(self.mu) <= 0.5:
             raise ValidationError(f"cosine observable needs 1/(4 pi omega) + |mu| <= 1/2, "
                                   f"got omega={self.omega}, mu={self.mu}", field="mu")

@@ -3,7 +3,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weakdev.bounds import (
     BlockSelection,
@@ -145,6 +145,49 @@ def test_dependence_profile_indexing():
         p.at(3)
     with pytest.raises(ValidationError):
         DependenceProfile(delta=np.array([0.5]), kind="tau")
+
+
+@st.composite
+def _raw_profile(draw):
+    """A non-increasing array with a few entries overwritten by NaN, negative
+    values, values above 1 or rises, some within round-off."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    vals = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=n, max_size=n))
+    delta = np.sort(np.asarray(vals))[::-1].copy()
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        r = draw(st.integers(min_value=0, max_value=n - 1))
+        delta[r] = draw(st.one_of(
+            st.just(math.nan),
+            st.floats(min_value=-1.0, max_value=2.0),
+            st.sampled_from([-0.0, 0.0, 1.0]),
+            st.sampled_from([5e-13, 2e-12]).map(lambda eps: delta[r - 1] + eps),
+        ))
+    return delta
+
+
+def _first_offending_lag(delta) -> int | None:
+    """The first r with delta_r NaN or negative, or above delta_{r-1} by more
+    than 1e-12 once both are clipped at 1."""
+    for r, d in enumerate(delta, start=1):
+        if not d >= 0 or (r > 1 and min(d, 1.0) - min(delta[r - 2], 1.0) > 1e-12):
+            return r
+    return None
+
+
+@settings(max_examples=300)
+@given(_raw_profile(), st.sampled_from(["phi", "linf"]))
+@example(np.array([math.nan, 0.5, 0.9]), "linf")
+@example(np.array([0.1, 0.4]), "linf")
+@example(np.array([1.5, 0.5]), "linf")
+def test_dependence_profile_refuses_the_first_offending_lag_and_clips(delta, kind):
+    r = _first_offending_lag(delta)
+    if r is None:
+        got = DependenceProfile(delta=delta, kind=kind).delta
+        assert got.tobytes() == np.clip(delta, 0.0, 1.0).tobytes()
+    else:
+        with pytest.raises(ValidationError) as ei:
+            DependenceProfile(delta=delta, kind=kind)
+        assert ei.value.field == f"delta[{r}]"
 
 
 # ---------------------------------------------------------------------------

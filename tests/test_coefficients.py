@@ -22,7 +22,6 @@ from weakdev.coefficients import (
     doubling_map_profile,
     infinite_memory_profile,
     markov_contraction_profile,
-    validate_profile,
 )
 from weakdev.bounds import DependenceProfile, select_k_star, select_k_star_prime, variance_profile
 from weakdev.cli import main, write_profile_csv
@@ -304,7 +303,7 @@ def _prefix_minima(w: WeightSequence, n: int):
 
 
 def _clipped(delta) -> np.ndarray:
-    return validate_profile(DependenceProfile(delta=np.array(delta), kind="linf")).delta
+    return DependenceProfile(delta=np.array(delta), kind="linf").delta
 
 
 def _infinite_memory_reference(w: WeightSequence, n: int) -> np.ndarray:
@@ -347,7 +346,7 @@ def test_profile_path_matches_reference_loops_bit_for_bit(w, n):
     r = np.arange(1, n + 1)
     want = np.array([0.5 * w.tail_sum(int(q)) for q in r]) / r
     got = bernoulli_shift_linf_profile(0.5, w, n).delta
-    assert np.array_equal(got, validate_profile(DependenceProfile(delta=want, kind="linf")).delta)
+    assert np.array_equal(got, DependenceProfile(delta=want, kind="linf").delta)
 
 
 @pytest.mark.parametrize(
@@ -510,15 +509,15 @@ def test_shift_linf_profile():
 
 
 def test_validate_profile_accepts_and_clips():
-    ok = validate_profile(DependenceProfile(delta=np.array([0.9, 0.9, 0.2]), kind="phi"))
+    ok = DependenceProfile(delta=np.array([0.9, 0.9, 0.2]), kind="phi")
     assert np.array_equal(ok.delta, [0.9, 0.9, 0.2])
-    clipped = validate_profile(DependenceProfile(delta=np.array([1.5, 0.5]), kind="linf"))
+    clipped = DependenceProfile(delta=np.array([1.5, 0.5]), kind="linf")
     assert np.array_equal(clipped.delta, [1.0, 0.5])
 
 
 def test_validate_profile_rejects_increase():
     with pytest.raises(ValidationError, match="r = 2") as ei:
-        validate_profile(DependenceProfile(delta=np.array([0.1, 0.4, 0.2]), kind="phi"))
+        DependenceProfile(delta=np.array([0.1, 0.4, 0.2]), kind="phi")
     assert ei.value.field == "delta[2]"
 
 
@@ -530,7 +529,7 @@ def test_validate_profile_refuses_nan_and_negative_delta(r, bad):
     delta = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
     delta[r - 1] = bad
     with pytest.raises(ValidationError, match=rf"delta\[{r}\] = {bad}") as ei:
-        validate_profile(DependenceProfile(delta=delta, kind="linf"))
+        DependenceProfile(delta=delta, kind="linf")
     assert ei.value.field == f"delta[{r}]"
 
 
@@ -545,7 +544,7 @@ def test_validate_profile_refuses_nan_and_negative_delta(r, bad):
 )
 def test_generators_produce_valid_profiles(make):
     p = make(10)
-    validate_profile(p)
+    DependenceProfile(delta=p.delta, kind=p.kind)
     assert p.n == 10
     assert np.all(p.delta >= 0.0) and np.all(p.delta <= 1.0)
 
@@ -615,7 +614,7 @@ _CSV_PROFILES = {
 @pytest.mark.parametrize("label", _PROFILE_MODELS)
 def test_every_model_profile_still_validates(label, n):
     p = dependence_profile_for(build_model(_PROFILE_MODELS[label]), n)
-    assert np.array_equal(validate_profile(p).delta, p.delta)
+    assert np.array_equal(DependenceProfile(delta=p.delta, kind=p.kind).delta, p.delta)
 
 
 @pytest.mark.parametrize("label", _CSV_PROFILES)

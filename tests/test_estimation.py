@@ -1,7 +1,11 @@
 import ast
 import csv
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -332,6 +336,61 @@ def test_coupling_refuses_an_empty_or_sub_1_grid_up_front():
         with pytest.raises(DomainError, match=f"^{msg}$") as exc:
             estimate_coupling_delta(_DBL, rs, js, reps=4, seed=1)
         assert exc.value.field == field
+
+
+def test_oversized_reps_are_refused_before_any_seed_is_derived(monkeypatch):
+    f = _identity(_DBL)
+
+    def no_seeds(*args):
+        raise AssertionError("a seed was derived")
+
+    monkeypatch.setattr(estimation, "derive_seed", no_seeds)
+    monkeypatch.setattr(estimation, "replication_seeds", no_seeds)
+    for call in (
+        lambda: per_rep_sums(_DBL, f, 5, 2**32 + 1, seed=1),
+        lambda: estimate_sigma_profile(_DBL, f, [3], reps=2**32 + 1, seed=1),
+        lambda: estimate_coupling_delta(_DBL, [1], [1], reps=10**13, seed=1),
+        lambda: estimate_coupling_delta(_DBL, [1], [1, 2], reps=2**31 + 1, seed=1),
+    ):
+        with pytest.raises(DomainError, match=r"2\^32") as exc:
+            call()
+        assert exc.value.field == "reps"
+
+
+def test_reps_cap_is_inclusive_and_counts_the_pairs_of_distinct_j(monkeypatch):
+    monkeypatch.setattr(estimation, "_MAX_REPS", 8)
+    f = _identity(_DBL)
+    assert per_rep_sums(_DBL, f, 5, 8, seed=1).size == 8
+    assert len(estimate_sigma_profile(_DBL, f, [3], reps=8, seed=1)) == 1
+    assert len(estimate_coupling_delta(_DBL, [1], [1, 2, 1], reps=4, seed=1)) == 3
+    for call in (
+        lambda: per_rep_sums(_DBL, f, 5, 9, seed=1),
+        lambda: estimate_sigma_profile(_DBL, f, [3], reps=9, seed=1),
+        lambda: estimate_coupling_delta(_DBL, [1], [1, 2, 3], reps=3, seed=1),
+    ):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert exc.value.field == "reps"
+
+
+def test_oversized_reps_are_a_one_line_cli_error(tmp_path):
+    # in its own interpreter with a timeout: the unbounded coupling walk of
+    # 10^13 pairs would otherwise hang the suite, not fail it
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"theorem": "thm2", "n": 64, "x_grid": [1.0], "reps": 10**11,
+                                  "base_seed": 1, "model": {"variant": "doubling-map"},
+                                  "out": str(tmp_path / "report.csv")}))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    common = ["--model", "doubling-map"]
+    for args in (["estimate-coupling", *common, "--r-grid", "1", "--j-grid", "1",
+                  "--reps", "10000000000000"],
+                 ["estimate-variance", *common, "--k-grid", "1", "--reps", "100000000000"],
+                 ["verify", "--config", str(config)]):
+        res = subprocess.run([sys.executable, "-c", "from weakdev.cli import main; main()", *args],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 1, res.stderr
+        (line,) = res.stderr.splitlines()
+        assert line.startswith("Error: need ") and "reps" in line and "2^32" in line
 
 
 def _pool_calls(tree: ast.AST) -> list[str]:

@@ -785,6 +785,15 @@ def test_observable_validation():
             assert ei.value.field == "omega"
 
 
+@pytest.mark.parametrize("kind", ["centered-identity", "centered-cosine"])
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_observable_refuses_a_non_finite_mu(kind, mu):
+    # a NaN mu made every identity sum NaN, which no threshold counts as a hit
+    with pytest.raises(ValidationError, match="finite mu") as ei:
+        ObservableF(kind=kind, mu=mu)
+    assert ei.value.field == "mu"
+
+
 @pytest.mark.parametrize("model", _MODELS, ids=_name)
 def test_observable_for_identity_centering(model):
     f = observable_for(model, "centered-identity")

@@ -90,3 +90,36 @@ def test_model_flags_are_the_declared_fields_and_serve_the_benchmark(tmp_path):
         out = tmp_path / f"{label}.csv"
         res = CliRunner().invoke(main, ["profile", *flags, "--n", "8", "--out", str(out)])
         assert res.exit_code == 0, (label, res.output)
+
+
+_ONE_ROUND_PER_WORKLOAD = """
+import json, sys
+from pathlib import Path
+import workloads
+out = {}
+for spec in json.loads(Path(sys.argv[1]).read_text())["workloads"]:
+    workdir = Path(spec["name"])
+    workdir.mkdir()
+    wl = workloads.make(spec["name"], workdir, 1)
+    wl.prepare()
+    wl.build()
+    rnd = wl.run_round(0, lambda rnd, fn, *args: fn(*args))
+    out[spec["name"]] = [rnd.problems, rnd.attempted, rnd.failed]
+print(json.dumps(out))
+"""
+
+
+def test_one_round_of_each_gated_workload_runs_correct(tmp_path):
+    # a change to src/ that breaks a benchmark workload would otherwise show
+    # only when the benchmark runs; coupling's failed third is the doubling
+    # map's profile lying below the coupling its simulator realizes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    res = subprocess.run(
+        [sys.executable, "-c", _ONE_ROUND_PER_WORKLOAD, str(ROOT / "BENCHMARK.json")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    for name, (problems, attempted, failed) in json.loads(res.stdout).items():
+        assert not problems and attempted > 0, (name, problems)
+        assert failed == (attempted / 3 if name == "coupling" else 0), (name, attempted, failed)
