@@ -34,7 +34,7 @@ from .coefficients import (
     infinite_memory_profile,
     markov_contraction_profile,
 )
-from .errors import ConfigError, DomainError, NoValidBlockSizeError, ValidationError
+from .errors import ConfigError, ValidationError
 from .estimation import (
     CouplingEstimate,
     SigmaEstimate,

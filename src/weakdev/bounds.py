@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NoValidBlockSizeError, ValidationError
+from .errors import ValidationError
 
 PROFILE_KINDS = ("phi", "linf")
 VARIANCE_SOURCES = ("analytic", "estimated")
@@ -34,7 +34,7 @@ _MONOTONE_TOL = 1e-12
 def bennett_h(x: float) -> float:
     """h(x) = (1+x) ln(1+x) - x for x >= 0."""
     if not x >= 0:
-        raise DomainError(f"bennett_h needs x >= 0, got {x}", field="x")
+        raise ValidationError(f"bennett_h needs x >= 0, got {x}", field="x")
     if x < 1e-4:
         # series sum_{k>=2} (-1)^k x^k / (k(k-1)); truncation error < x^6/30
         return x * x * (0.5 - x / 6.0 + x * x / 12.0 - x * x * x / 20.0)
@@ -48,14 +48,14 @@ def bernstein_h1(x: float) -> float:
     form avoids the subtraction of nearly equal numbers for small x.
     """
     if not x >= 0:
-        raise DomainError(f"bernstein_h1 needs x >= 0, got {x}", field="x")
+        raise ValidationError(f"bernstein_h1 needs x >= 0, got {x}", field="x")
     return x * x / (1.0 + x + math.sqrt(1.0 + 2.0 * x))
 
 
 def h1_inverse(x: float) -> float:
     """Inverse of h1 on [0, inf): h1^{-1}(x) = sqrt(2x) + x."""
     if not x >= 0:
-        raise DomainError(f"h1_inverse needs x >= 0, got {x}", field="x")
+        raise ValidationError(f"h1_inverse needs x >= 0, got {x}", field="x")
     return math.sqrt(2.0 * x) + x
 
 
@@ -98,7 +98,7 @@ class DependenceProfile:
     def at(self, r: int) -> float:
         """delta_r with mathematical (1-based) indexing."""
         if not 1 <= r <= self.n:
-            raise DomainError(f"lag r={r} outside 1..{self.n}")
+            raise ValidationError(f"lag r={r} outside 1..{self.n}")
         return float(self.delta[r - 1])
 
 
@@ -117,7 +117,7 @@ class VarianceProfile:
 
     def sigma_at(self, k: int) -> float:
         if not 1 <= k <= self.n:
-            raise DomainError(f"block length k={k} outside 1..{self.n}")
+            raise ValidationError(f"block length k={k} outside 1..{self.n}")
         return float(self.sigma_sq[k - 1])
 
 
@@ -183,9 +183,9 @@ def select_k_star_prime(delta_prime: DependenceProfile, n: int, x: float) -> Blo
             f"selector needs a linf profile, got kind={delta_prime.kind!r}", field="kind"
         )
     if not x > 0:
-        raise DomainError(f"select_k_star_prime needs x > 0, got {x}", field="x")
+        raise ValidationError(f"select_k_star_prime needs x > 0, got {x}", field="x")
     if not n >= 1:
-        raise DomainError(f"select_k_star_prime needs n >= 1, got {n}", field="n")
+        raise ValidationError(f"select_k_star_prime needs n >= 1, got {n}", field="n")
     if delta_prime.n < n:
         raise ValidationError(
             f"profile covers lags 1..{delta_prime.n}, need 1..{n}", field="n"
@@ -253,7 +253,7 @@ def thm2_bennett_tail(
     _require("delta_prime_k", delta_prime_k, 0)
     shift = n * delta_prime_k
     if not x >= shift:
-        raise DomainError(f"need x >= n*delta'_k = {shift}, got x = {x}", field="x")
+        raise ValidationError(f"need x >= n*delta'_k = {shift}, got x = {x}", field="x")
     if sigma_k_sq == 0.0:
         return 1.0 if x == shift else 0.0
     scale = 2.0 * n * sigma_k_sq
@@ -289,7 +289,7 @@ def varest_bound(sigma1_sq: float, mean_abs_f: float, delta: DependenceProfile, 
     _require("mean_abs_f", mean_abs_f, 0)
     _check_k(k)
     if k > delta.n:
-        raise DomainError(f"k = {k} exceeds profile length n = {delta.n}")
+        raise ValidationError(f"k = {k} exceeds profile length n = {delta.n}")
     return sigma1_sq + 2.0 * mean_abs_f * float(np.sum(delta.delta[: k - 1]))
 
 
@@ -304,7 +304,7 @@ def log_mgf_bound_thm1(t: float, n: int, k: int, sigma_k_sq: float, delta_k: flo
     whatever k the caller supplies so both sides of that choice can be probed.
     """
     if not 0.0 <= t <= 1.0:
-        raise DomainError(f"need 0 <= t <= 1, got {t}", field="t")
+        raise ValidationError(f"need 0 <= t <= 1, got {t}", field="t")
     _check_k(k)
     _require("n", n, 1)
     _require("sigma_k_sq", sigma_k_sq, 0)
@@ -332,7 +332,7 @@ def log_mgf_bound_thm2(t: float, n: int, k: int, sigma_k_sq: float, delta_prime_
 def _require(name: str, value, low) -> None:
     # positive form, so a NaN fails it instead of slipping through
     if not value >= low:
-        raise DomainError(f"need {name} >= {low}, got {value}", field=name)
+        raise ValidationError(f"need {name} >= {low}, got {value}", field=name)
 
 
 def _check_threshold_args(n: int, variance: float, x: float, name: str) -> None:
@@ -343,8 +343,8 @@ def _check_threshold_args(n: int, variance: float, x: float, name: str) -> None:
 
 def _check_k(k, n=None) -> None:
     if k is None:
-        raise NoValidBlockSizeError("block size is the no-selection sentinel; refuse to compute")
+        raise ValidationError("block size is the no-selection sentinel; refuse to compute", field="k")
     if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"block size must be a positive integer, got {k!r}", field="k")
+        raise ValidationError(f"block size must be a positive integer, got {k!r}", field="k")
     if n is not None and k > n:
-        raise DomainError(f"block size k = {k} exceeds n = {n}", field="k")
+        raise ValidationError(f"block size k = {k} exceeds n = {n}", field="k")

@@ -29,7 +29,7 @@ import click
 
 from .bounds import DependenceProfile
 from .coefficients import WEIGHTS
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .estimation import coupling_seeds, estimate_coupling_delta, estimate_sigma_profile
 from .harness import (
     FIELD_TYPES,
@@ -161,7 +161,7 @@ def _model_options(cmd):
             doc["weights"] = weights
         try:
             m = build_model(doc)
-        except (ValidationError, ValueError) as exc:
+        except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
         return cmd(m=m, **kwargs)
 
@@ -191,7 +191,7 @@ def _friendly_errors(fn):
             return fn(*args, **kwargs)
         except click.ClickException:
             raise
-        except (ValidationError, ValueError, OSError, MemoryError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             raise click.ClickException(str(exc) or type(exc).__name__) from exc
 
     return wrapper
@@ -399,7 +399,7 @@ def asymptotics_cmd(family, c, decay, targets, out):
     vs = _parse_list(targets, "targets")
     try:
         rows = run_blocksize_asymptotics(family, vs, c=c, decay=decay)
-    except DomainError as exc:
+    except ValidationError as exc:
         raise click.BadParameter(str(exc), param_hint=f"--{exc.field}") from exc
     write_csv(["target", "k_star", "ratio"], map(astuple, rows), out)
     _echo(f"ratio spread (max/min): {ratio_spread(rows):.4f}", err=(out is None))

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import DependenceProfile, smallest_k_meeting
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 # Default truncation keeps neglected tail weight at or below this.
 TRUNCATION_TAIL = 2.0**-40
@@ -41,24 +41,24 @@ class WeightSequence:
 
     def __post_init__(self):
         if not 0.0 <= self.c < math.inf:  # positive form, so a NaN fails it
-            raise DomainError(f"need finite c >= 0, got {self.c}", field="c")
+            raise ValidationError(f"need finite c >= 0, got {self.c}", field="c")
 
     def term(self, j: int) -> float:
         """a_j."""
         if j < 1:
-            raise DomainError(f"need j >= 1, got {j}")
+            raise ValidationError(f"need j >= 1, got {j}")
         return self._term(j)
 
     def tail_sum(self, p: int) -> float:
         """sum_{i >= p} a_i, exact or a rigorous upper bound."""
         if p < 1:
-            raise DomainError(f"need p >= 1, got {p}")
+            raise ValidationError(f"need p >= 1, got {p}")
         return 0.0 if self.c == 0.0 else float(self._tails(p, 1)[0])
 
     def tail_sums(self, m: int) -> np.ndarray:
         """[tail_sum(1), ..., tail_sum(m)], from the same _tails."""
         if m < 1:
-            raise DomainError(f"need m >= 1, got {m}")
+            raise ValidationError(f"need m >= 1, got {m}")
         return np.zeros(m) if self.c == 0.0 else self._tails(1, m)
 
     @property
@@ -69,7 +69,7 @@ class WeightSequence:
     def suggest_truncation(self, tol: float = TRUNCATION_TAIL) -> int:
         """Smallest M >= 1 with tail_sum(M + 1) <= tol."""
         if not 0.0 < tol < math.inf:
-            raise DomainError(f"need finite tol > 0, got {tol}", field="tol")
+            raise ValidationError(f"need finite tol > 0, got {tol}", field="tol")
         m = smallest_k_meeting(lambda k: self.tail_sum(k + 1), tol, 10**7)
         if m is None:
             raise ValidationError(f"no truncation below tol={tol} within 1e7 terms; "
@@ -99,7 +99,7 @@ class GeometricWeights(WeightSequence):
     def __post_init__(self):
         super().__post_init__()
         if not 0.0 < self.ratio < 1.0:
-            raise DomainError(f"need 0 < ratio < 1, got {self.ratio}", field="ratio")
+            raise ValidationError(f"need 0 < ratio < 1, got {self.ratio}", field="ratio")
 
     def _term(self, j: int) -> float:
         return self.c * self.ratio**j
@@ -123,7 +123,7 @@ class PolynomialWeights(WeightSequence):
     def __post_init__(self):
         super().__post_init__()
         if not 1.0 < self.power < math.inf:
-            raise DomainError(
+            raise ValidationError(
                 f"need finite power > 1 for summability, got {self.power}", field="power"
             )
 
@@ -164,7 +164,7 @@ def markov_contraction_profile(kappa: float, n: int) -> DependenceProfile:
     above 1 are clipped.
     """
     if not 0.0 < kappa < 1.0:
-        raise DomainError(f"need 0 < kappa < 1, got {kappa}")
+        raise ValidationError(f"need 0 < kappa < 1, got {kappa}")
     r = np.arange(1, _check_n(n) + 1, dtype=np.float64)
     rdelta = np.power(kappa, r) * (1.0 - np.power(kappa, r + 1.0)) / (1.0 - kappa)
     return DependenceProfile(rdelta / r, "linf")
@@ -343,7 +343,7 @@ def _bracket(rs: np.ndarray, m: np.ndarray, hi: np.ndarray, tails: np.ndarray,
 def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> DependenceProfile:
     """Shift with bounded innovations: r delta'_r = C * tail_sum(r)."""
     if C < 0:
-        raise DomainError(f"need C >= 0, got {C}")
+        raise ValidationError(f"need C >= 0, got {C}")
     n = _check_n(n)
     r = np.arange(1, n + 1)
     delta = C * weights.tail_sums(n) / r
@@ -355,5 +355,5 @@ def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> D
 
 def _check_n(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"need integer n >= 1, got {n!r}")
+        raise ValidationError(f"need integer n >= 1, got {n!r}")
     return int(n)

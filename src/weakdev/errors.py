@@ -1,30 +1,15 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation.
-
-    ``field`` names the offending argument or field when one exists.
-    """
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
-
-
 class ValidationError(ValueError):
-    """Structured input validation failure.
+    """An input lies outside the domain of an operation.
 
-    ``field`` names the offending field or index when one exists.
+    ``field`` names the offending argument, field or index when one exists.
     """
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
-
-
-class NoValidBlockSizeError(ValueError):
-    """A block-size selection found no admissible k and a bound was requested anyway."""
 
 
 class ConfigError(ValidationError):

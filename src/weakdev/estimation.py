@@ -20,7 +20,7 @@ from itertools import islice, starmap
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ValidationError
 from .processes import (
     ObservableF,
     ProcessModel,
@@ -81,9 +81,9 @@ class CouplingEstimate:
 def clopper_pearson(hits: int, reps: int, alpha: float = DEFAULT_ALPHA) -> tuple[float, float]:
     """Exact two-sided binomial interval at confidence 1 - alpha."""
     if not 0 <= hits <= reps:
-        raise DomainError(f"need 0 <= hits <= reps, got {hits}/{reps}")
+        raise ValidationError(f"need 0 <= hits <= reps, got {hits}/{reps}")
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"need 0 < alpha < 1, got {alpha}")
+        raise ValidationError(f"need 0 < alpha < 1, got {alpha}")
     # beta quantiles; scipy.special spares importing scipy.stats, and importing
     # it only here keeps scipy out of every command's start-up
     from scipy.special import betaincinv
@@ -139,7 +139,7 @@ def per_rep_sums(
 ) -> np.ndarray:
     """S(f) = sum_{t<=n} f(X_t) for each replication, in replication order."""
     if not 1 <= reps <= _MAX_REPS:
-        raise DomainError(f"need 1 <= reps <= 2^32, got {reps}", field="reps")
+        raise ValidationError(f"need 1 <= reps <= 2^32, got {reps}", field="reps")
     return _per_rep_values(lambda s: observable_sums(model, f, n, s), reps, seed, threads)
 
 
@@ -179,7 +179,7 @@ def estimate_sigma_profile(
     different k share their replications.
     """
     if not 2 <= reps <= _MAX_REPS:
-        raise DomainError(f"need 2 <= reps <= 2^32, got {reps}", field="reps")
+        raise ValidationError(f"need 2 <= reps <= 2^32, got {reps}", field="reps")
     ks = [int(k) for k in k_list]
     if not ks:
         return []
@@ -234,18 +234,18 @@ def estimate_coupling_delta(
     """
     rs, js = [int(r) for r in r_list], [int(j) for j in j_list]
     if not js:
-        raise DomainError("need split j >= 1, got no j", field="j_list")
+        raise ValidationError("need split j >= 1, got no j", field="j_list")
     for j in js:
         if j < 1:
-            raise DomainError(f"need split j >= 1, got {j}", field="j_list")
+            raise ValidationError(f"need split j >= 1, got {j}", field="j_list")
         if j > MASK64:  # derive_seed keys by j mod 2^64
-            raise DomainError(f"need split j <= 2^64 - 1, got {j}", field="j_list")
+            raise ValidationError(f"need split j <= 2^64 - 1, got {j}", field="j_list")
     if not rs or min(rs) < 1:
-        raise DomainError(f"need block lengths r >= 1, got {rs}", field="r_list")
+        raise ValidationError(f"need block lengths r >= 1, got {rs}", field="r_list")
     keys = list(dict.fromkeys(js))  # a repeated j reads the same pairs
     if not 1 <= reps <= _MAX_REPS // len(keys):  # 2^32 pairs over every distinct j
-        raise DomainError(f"need 1 <= reps <= 2^32 / {len(keys)} distinct j, got {reps}",
-                          field="reps")
+        raise ValidationError(f"need 1 <= reps <= 2^32 / {len(keys)} distinct j, got {reps}",
+                              field="reps")
     lanes = derive_seed(seed, np.array(keys, dtype=np.uint64))  # derive_seed(seed, j) per key
 
     def chunk_maxima(lo, hi):

@@ -46,7 +46,7 @@ from .coefficients import (
     infinite_memory_profile,
     markov_contraction_profile,
 )
-from .errors import ConfigError, DomainError, ValidationError
+from .errors import ConfigError, ValidationError
 from .estimation import (
     DEFAULT_ALPHA,
     estimate_sigma_profile,
@@ -145,7 +145,7 @@ def _from_fields(cls, doc: dict, path: str, noun: str, needs: str, **fixed):
               for p in params if p.name in doc}
     try:
         return cls(**fixed, **values)
-    except (DomainError, ValidationError) as exc:
+    except ValidationError as exc:
         field = path + exc.field if exc.field else path.rstrip(".")
         raise ConfigError(str(exc), field=field) from exc
 
@@ -253,9 +253,9 @@ def hoeffding_phi(profile: DependenceProfile, n: int) -> np.ndarray:
     terms, which np.cumsum adds left to right.
     """
     if profile.kind != "linf":
-        raise DomainError("per-lag construction needs an linf profile")
+        raise ValidationError("per-lag construction needs an linf profile")
     if profile.n < n:
-        raise DomainError(f"profile covers {profile.n} lags, need {n}")
+        raise ValidationError(f"profile covers {profile.n} lags, need {n}")
     r = 1 << np.arange((n - 1).bit_length())
     totals = np.cumsum(r * profile.delta[r - 1])
     L = np.arange(n - 1, 0, -1)
@@ -385,31 +385,31 @@ def run_blocksize_asymptotics(
     # would pass every comparison as k* = 1 or end in math.log(0.0)
     targets = [float(v) for v in targets]
     if not all(0.0 < v < math.inf for v in targets):
-        raise DomainError(f"targets must be positive and finite, got {targets}", field="targets")
+        raise ValidationError(f"targets must be positive and finite, got {targets}", field="targets")
     if any(b >= a for a, b in zip(targets, targets[1:])):
-        raise DomainError("targets must be strictly decreasing", field="targets")
+        raise ValidationError("targets must be strictly decreasing", field="targets")
     if family == "geometric":
         if not 0.0 < decay < 1.0:
-            raise DomainError(f"need 0 < decay < 1, got {decay}", field="decay")
+            raise ValidationError(f"need 0 < decay < 1, got {decay}", field="decay")
         kdelta = lambda ks: c * decay**ks
         norm = lambda v: math.log(1.0 / v)
     elif family == "polynomial":
         if not 1.0 < decay < math.inf:
-            raise DomainError(f"need finite decay > 1, got {decay}", field="decay")
+            raise ValidationError(f"need finite decay > 1, got {decay}", field="decay")
         kdelta = lambda ks: c * ks ** (1.0 - decay)
         norm = lambda v: v ** (1.0 / (1.0 - decay))
     else:
-        raise DomainError(f"unknown profile family {family!r}", field="family")
+        raise ValidationError(f"unknown profile family {family!r}", field="family")
     if not 0.0 < c < math.inf:
-        raise DomainError(f"need finite c > 0, got {c}", field="c")
+        raise ValidationError(f"need finite c > 0, got {c}", field="c")
 
     # numpy's power on a float64 array: Python's ** can differ in the last bit
     g = lambda k: kdelta(np.array([k], dtype=np.float64))[0]
     ks = [smallest_k_meeting(g, v, _K_CAP) for v in targets]
     # the smallest target needs the largest k*; refuse it before any row
     if ks[-1] is None:
-        raise DomainError(f"no block size up to {_K_CAP} meets target {targets[-1]}",
-                          field="targets")
+        raise ValidationError(f"no block size up to {_K_CAP} meets target {targets[-1]}",
+                              field="targets")
     rows = []
     for v, k in zip(targets, ks):
         # ln(1/v) is 0 at v = 1 and negative above; v^(1/(1-decay)) can overflow
@@ -418,8 +418,8 @@ def run_blocksize_asymptotics(
         except (OverflowError, ZeroDivisionError):
             ratio = math.nan
         if not 0.0 < ratio < math.inf:
-            raise DomainError(f"target {v} gives no finite, positive {family} ratio "
-                              f"(k* = {k}, decay = {decay})", field="targets")
+            raise ValidationError(f"target {v} gives no finite, positive {family} ratio "
+                                  f"(k* = {k}, decay = {decay})", field="targets")
         rows.append(AsymptoticsRow(target=v, k_star=k, ratio=ratio))
     return rows
 

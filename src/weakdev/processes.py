@@ -49,7 +49,7 @@ from .bounds import DependenceProfile, VarianceProfile, variance_profile
 from .coefficients import (TRUNCATION_TAIL, GeometricWeights, WeightSequence, _check_n,
                            bernoulli_shift_linf_profile, doubling_map_profile,
                            infinite_memory_profile, markov_contraction_profile)
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .rng import VectorXoshiro, derive_seed
 
 _U = np.uint64
@@ -316,7 +316,7 @@ class LipschitzKernelChain(ProcessModel):
 
     def __post_init__(self):
         if not 0.0 < self.kappa < 1.0:
-            raise DomainError(f"need 0 < kappa < 1, got {self.kappa}", field="kappa")
+            raise ValidationError(f"need 0 < kappa < 1, got {self.kappa}", field="kappa")
 
     def linf_profile(self, n):
         return markov_contraction_profile(self.kappa, n)
@@ -336,10 +336,10 @@ class BernoulliShiftGeometric(ProcessModel):
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
-            raise DomainError(f"need 0 < theta < 1, got {self.theta}", field="theta")
+            raise ValidationError(f"need 0 < theta < 1, got {self.theta}", field="theta")
         if self.truncation is not None and self.truncation < 1:
-            raise DomainError(f"need truncation >= 1, got {self.truncation}",
-                              field="truncation")
+            raise ValidationError(f"need truncation >= 1, got {self.truncation}",
+                                  field="truncation")
 
     @cached_property
     def window(self) -> int:
@@ -376,8 +376,8 @@ class InfiniteMemoryChain(ProcessModel):
                 f"need sum of weights < 1, got {self.weights.total}", field="weights"
             )
         if self.truncation is not None and self.truncation < 1:
-            raise DomainError(f"need truncation >= 1, got {self.truncation}",
-                              field="truncation")
+            raise ValidationError(f"need truncation >= 1, got {self.truncation}",
+                                  field="truncation")
         if self.truncation is None:
             self.window  # resolve the default now, so a config without one fails when built
 
@@ -405,7 +405,7 @@ MODELS = {
 def _states(model: ProcessModel, n: int, seeds: np.ndarray):
     """X_1..X_n over one stream per seed, n refused before the start draws."""
     if not 1 <= n <= _MAX_STEPS:
-        raise DomainError(f"need 1 <= n <= 2^32 steps, got {n}")
+        raise ValidationError(f"need 1 <= n <= 2^32 steps, got {n}")
     gen = VectorXoshiro(seeds)
     step, innov = model.stepper(*model.start(gen)), model.law.draw(gen)
     return (step(innov()) for _ in range(n))
@@ -441,7 +441,7 @@ def observable_prefix_sums(model: ProcessModel, f: "ObservableF", ks, seeds: np.
     """
     ks = [int(k) for k in ks]
     if not ks or min(ks) < 1 or max(ks) > _MAX_STEPS:
-        raise DomainError(f"need sum lengths 1 <= k <= 2^32 steps, got {ks}")
+        raise ValidationError(f"need sum lengths 1 <= k <= 2^32 steps, got {ks}")
     ends = sorted(set(ks))
     out = model.exact_prefix_sums(f, ends, seeds)
     if out is None:
@@ -492,7 +492,7 @@ def _differences(model: ProcessModel, r: int, seeds: np.ndarray):
     D, and the pair would have to be stepped.
     """
     if not 1 <= 2 * r - 1 <= _MAX_STEPS:
-        raise DomainError(f"need block length r >= 1 and 2r - 1 <= 2^32 steps, got {r}")
+        raise ValidationError(f"need block length r >= 1 and 2r - 1 <= 2^32 steps, got {r}")
     R = len(seeds)
     gen = VectorXoshiro(derive_seed(seeds, [[_LANE_ORIGINAL], [_LANE_STARRED]]).ravel())
     # the history is this run's own: each difference is taken in place, in its
@@ -515,7 +515,7 @@ def coupled_distance_sums(model: ProcessModel, rs, seeds: np.ndarray) -> np.ndar
     """
     rs = [int(r) for r in rs]
     if not rs or min(rs) < 1:
-        raise DomainError(f"need block lengths r >= 1, got {rs}")
+        raise ValidationError(f"need block lengths r >= 1, got {rs}")
     ends = sorted(set(rs))
     acc, dist = np.zeros((len(ends), len(seeds))), np.empty(len(seeds))
     for i, d in enumerate(_differences(model, ends[-1], seeds), start=1):
@@ -559,7 +559,7 @@ class ObservableF:
         if self.kind == "centered-identity":
             return
         if self.omega < 1:
-            raise DomainError(f"need omega >= 1, got {self.omega}", field="omega")
+            raise ValidationError(f"need omega >= 1, got {self.omega}", field="omega")
         if not 1.0 / (4.0 * math.pi * self.omega) + abs(self.mu) <= 0.5:
             raise ValidationError(f"cosine observable needs 1/(4 pi omega) + |mu| <= 1/2, "
                                   f"got omega={self.omega}, mu={self.mu}", field="mu")
@@ -580,7 +580,7 @@ def observable_for(model: ProcessModel, kind: str, omega: int = 1) -> Observable
     if kind == "centered-identity":
         return ObservableF(kind, model.stationary_mean())
     if omega < 1:
-        raise DomainError(f"need omega >= 1, got {omega}", field="omega")
+        raise ValidationError(f"need omega >= 1, got {omega}", field="omega")
     return ObservableF(kind, second_order(model, kind, omega, 1)[0], omega)
 
 
@@ -607,7 +607,7 @@ def second_order(model: ProcessModel, kind: str, omega: int, n: int) -> tuple[fl
     at k = 1000). psi() refuses a cut over _PSI_BUDGET multiply-adds.
     """
     if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+        raise ValidationError(f"need n >= 1, got {n}")
     psi = np.array([p for p, _ in takewhile(lambda pt: pt[1] >= _CUT_TAIL, model.psi())])
     lags = min(n, psi.size)
     if kind == "centered-identity":

@@ -24,7 +24,7 @@ from weakdev.bounds import (
     variance_profile,
 )
 from weakdev.coefficients import doubling_map_profile
-from weakdev.errors import DomainError, NoValidBlockSizeError, ValidationError
+from weakdev.errors import ValidationError
 
 from test_processes import doubling_sigma_sq
 
@@ -48,7 +48,7 @@ def test_bennett_h_values():
 
 
 def test_bennett_h_rejects_negative():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         bennett_h(-0.1)
 
 
@@ -64,9 +64,9 @@ def test_bernstein_h1_values():
     assert bernstein_h1(0.0) == 0.0
     assert abs(bernstein_h1(1.0) - (2.0 - math.sqrt(3.0))) < 1e-15
     assert abs(bernstein_h1(1.0) - 0.2679491924311227) < 1e-10
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         bernstein_h1(-1e-9)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         h1_inverse(-1e-9)
 
 
@@ -139,9 +139,9 @@ def test_envelope_law(sig):
 def test_dependence_profile_indexing():
     p = DependenceProfile(delta=np.array([0.5, 0.25]), kind="linf")
     assert p.at(1) == 0.5 and p.at(2) == 0.25
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         p.at(0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         p.at(3)
     with pytest.raises(ValidationError):
         DependenceProfile(delta=np.array([0.5]), kind="tau")
@@ -235,7 +235,7 @@ def test_select_k_star_prime_examples():
 
 def test_select_k_star_prime_domain():
     prof = doubling_map_profile(10)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         select_k_star_prime(prof, 10, 0.0)
     with pytest.raises(ValidationError):
         select_k_star_prime(DependenceProfile(delta=np.zeros(10), kind="phi"), 10, 1.0)
@@ -304,13 +304,13 @@ def test_thm2_threshold_examples():
 
 
 def test_thresholds_reject_missing_block_size():
-    with pytest.raises(NoValidBlockSizeError):
+    with pytest.raises(ValidationError):
         thm1_threshold(10, 0.1, None, 1.0)
-    with pytest.raises(NoValidBlockSizeError):
+    with pytest.raises(ValidationError):
         thm2_threshold(10, 0.1, BlockSelection(k=None, variance_at_k=None).k, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         thm1_threshold(10, 0.1, 0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         thm2_threshold(10, 0.1, 1.5, 1.0)
 
 
@@ -319,7 +319,7 @@ def test_thresholds_refuse_a_block_larger_than_n(thr):
     # both selectors return k in 1..n, so a larger k is no block size of the sum
     assert thr(10, 0.1, 10, 1.0) > 0.0
     for k in (11, 100, np.int64(11)):
-        with pytest.raises(DomainError) as ei:
+        with pytest.raises(ValidationError) as ei:
             thr(10, 0.1, k, 1.0)
         assert ei.value.field == "k"
 
@@ -327,7 +327,7 @@ def test_thresholds_refuse_a_block_larger_than_n(thr):
 def test_thm2_bennett_tail_refuses_a_block_larger_than_n():
     assert 0.0 < thm2_bennett_tail(10, 10, 0.1, 0.0, 1.0) < 1.0
     for k in (11, 100, np.int64(11)):
-        with pytest.raises(DomainError) as ei:
+        with pytest.raises(ValidationError) as ei:
             thm2_bennett_tail(10, k, 0.1, 0.0, 1.0)
         assert ei.value.field == "k"
 
@@ -379,7 +379,7 @@ _NAN = float("nan")
 def test_thresholds_refuse_nan_naming_the_argument(thr, args, field):
     # NaN fails every comparison, so a check written as `x < 0` let it through
     # and max(0.0, nan) then reported a threshold of 0.0
-    with pytest.raises((DomainError, ValidationError)) as ei:
+    with pytest.raises(ValidationError) as ei:
         thr(*args)
     assert ei.value.field == field
 
@@ -393,7 +393,7 @@ _LINF = DependenceProfile(delta=np.array([0.5, 0.1, 0.01]), kind="linf")
 
 
 def _refuses_nan(fn, args, field):
-    with pytest.raises(DomainError) as ei:
+    with pytest.raises(ValidationError) as ei:
         fn(*args)
     assert ei.value.field == field
 
@@ -469,7 +469,7 @@ def test_thm2_bennett_tail_examples():
 
 
 def test_thm2_bennett_tail_domain_and_degenerate():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         thm2_bennett_tail(100, 2, 0.1, 0.02, 1.9)
     assert thm2_bennett_tail(100, 2, 0.0, 0.02, 2.0) == 1.0
     assert thm2_bennett_tail(100, 2, 0.0, 0.02, 2.1) == 0.0
@@ -518,7 +518,7 @@ def test_varest_bound_examples():
     zeros = DependenceProfile(delta=np.zeros(8), kind="phi")
     assert varest_bound(0.07, 0.25, zeros, 5) == 0.07
     assert varest_bound(0.07, 0.25, prof, 1) == 0.07
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         varest_bound(0.07, 0.25, zeros, 9)
 
 
@@ -529,9 +529,9 @@ def test_log_mgf_thm1():
     assert log_mgf_bound_thm1(0.1, 100, 10, 0.2, 0.0) == pytest.approx(want, abs=1e-14)
     assert want == pytest.approx(1.1492509255344725, abs=1e-12)
     assert log_mgf_bound_thm1(1.0, 10, 1, 0.0, 0.5) == pytest.approx(20.0 * math.e, abs=1e-12)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         log_mgf_bound_thm1(1.1, 10, 1, 0.1, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         log_mgf_bound_thm1(-0.1, 10, 1, 0.1, 0.0)
 
 
@@ -546,7 +546,7 @@ def test_log_mgf_thm2():
     assert math.isfinite(log_mgf_bound_thm2(1.0, 10, 709, 0.1, 0.0))
     assert log_mgf_bound_thm2(1.0, 10, 800, 0.1, 0.0) == math.inf
     assert log_mgf_bound_thm2(1.0, 10, 800, 0.0, 0.0) == math.inf
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         log_mgf_bound_thm2(-0.5, 100, 2, 0.1, 0.0)
 
 

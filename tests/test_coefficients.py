@@ -26,7 +26,7 @@ from weakdev.coefficients import (
 from weakdev.bounds import DependenceProfile, select_k_star, select_k_star_prime, variance_profile
 from weakdev.cli import main, write_profile_csv
 from weakdev.harness import build_model, dependence_profile_for
-from weakdev.errors import DomainError, ValidationError
+from weakdev.errors import ValidationError
 
 # ---------------------------------------------------------------------------
 # weight sequences
@@ -44,11 +44,11 @@ def test_geometric_weights():
 
 
 def test_geometric_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         GeometricWeights(-1.0, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         GeometricWeights(1.0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         GeometricWeights(1.0, 1.0)
 
 
@@ -61,11 +61,11 @@ def test_polynomial_weights():
     got = w.tail_sum(4)
     assert truth <= got <= truth + 1e-6
     assert got == pytest.approx(0.04001986658392494, abs=1e-15)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         PolynomialWeights(1.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         w.term(0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         w.tail_sum(0)
 
 
@@ -132,14 +132,14 @@ def test_weight_families_refuse_non_finite_fields(family, field, bad):
     cls = WEIGHTS[family]
     valid = {f.name: _VALID_WEIGHT_FIELDS[f.name] for f in fields(cls)}
     cls(**valid)
-    with pytest.raises(DomainError) as ei:
+    with pytest.raises(ValidationError) as ei:
         cls(**{**valid, field: bad})
     assert ei.value.field == field
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_suggest_truncation_refuses_a_non_finite_tol(bad):
-    with pytest.raises(DomainError) as ei:
+    with pytest.raises(ValidationError) as ei:
         GeometricWeights(0.5, 0.5).suggest_truncation(bad)
     assert ei.value.field == "tol"
 
@@ -151,7 +151,7 @@ def test_suggest_truncation_boundary():
     assert m == 40
     assert w.tail_sum(m + 1) <= TRUNCATION_TAIL < w.tail_sum(m)
     assert w.suggest_truncation(tol=0.3) == 2
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         w.suggest_truncation(tol=0.0)
 
 
@@ -247,9 +247,9 @@ def test_markov_profile():
     assert p.at(1) == pytest.approx(0.5 * (1.0 - 0.25) / 0.5, abs=1e-15)
     assert markov_contraction_profile(0.9, 4).at(1) == 1.0
     assert markov_contraction_profile(1e-9, 3).at(1) == pytest.approx(1e-9, rel=1e-6)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         markov_contraction_profile(0.0, 5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         markov_contraction_profile(1.0, 5)
 
 
@@ -487,7 +487,7 @@ def test_infinite_memory_profile_temporaries_stay_small_at_other_sizes(w, n):
 
 
 def test_tail_sums_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         GeometricWeights(0.5, 0.5).tail_sums(0)
 
 
@@ -500,7 +500,7 @@ def test_shift_linf_profile():
     assert poly.at(4) == pytest.approx(0.02000993329196247, abs=1e-15)
     z = bernoulli_shift_linf_profile(1.0, ZeroWeights(), 4)
     assert np.all(z.delta == 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         bernoulli_shift_linf_profile(-1.0, w, 4)
 
 
@@ -557,11 +557,11 @@ def test_doubling_profile_any_length(n):
 
 
 def test_check_n_rejects_bad_input():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         doubling_map_profile(0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         doubling_map_profile(-3)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         doubling_map_profile(2.5)
 
 

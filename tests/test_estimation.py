@@ -19,7 +19,7 @@ from scipy import stats
 from weakdev.bounds import iid_bernstein_threshold, varest_bound
 from weakdev.cli import main
 from weakdev.coefficients import doubling_map_profile
-from weakdev.errors import DomainError
+from weakdev.errors import ValidationError
 import weakdev.estimation as estimation
 from weakdev.estimation import (
     DEFAULT_ALPHA,
@@ -89,13 +89,13 @@ def test_clopper_pearson_edges():
     assert lo == 0.0 and 0.0 < hi < 0.1
     lo, hi = clopper_pearson(100, 100)
     assert hi == 1.0 and 0.9 < lo < 1.0
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         clopper_pearson(-1, 10)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         clopper_pearson(11, 10)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         clopper_pearson(5, 10, alpha=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         clopper_pearson(5, 10, alpha=1.0)
 
 
@@ -149,7 +149,7 @@ def test_tail_from_sums_counts_hits():
 
 
 def test_tail_rejects_bad_reps():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         per_rep_sums(_IID, _identity(_IID), 5, 0, seed=1)
 
 
@@ -184,9 +184,9 @@ def test_sigma_estimate_independent_of_other_block_lengths():
 
 
 def test_sigma_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         estimate_sigma_profile(_IID, _identity(_IID), [3], reps=1, seed=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         estimate_sigma_profile(_IID, _identity(_IID), [0], reps=10, seed=1)
 
 
@@ -228,7 +228,7 @@ def test_coupling_seed_keyed_by_j():
     # the lane is the split's alone: other r and j leave an estimate as it is
     wider = estimate_coupling_delta(_DBL, [5, 4, 1], [7, 3], reps=500, seed=16)
     assert wider[3] == alone
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         estimate_coupling_delta(_DBL, [2], [1], reps=0, seed=1)
 
 
@@ -333,7 +333,7 @@ def test_coupling_refuses_an_empty_or_sub_1_grid_up_front():
         ([], [1], "r_list", r"need block lengths r >= 1, got \[\]"),
         ([2, 0], [1], "r_list", r"need block lengths r >= 1, got \[2, 0\]"),
     ):
-        with pytest.raises(DomainError, match=f"^{msg}$") as exc:
+        with pytest.raises(ValidationError, match=f"^{msg}$") as exc:
             estimate_coupling_delta(_DBL, rs, js, reps=4, seed=1)
         assert exc.value.field == field
 
@@ -352,7 +352,7 @@ def test_oversized_reps_are_refused_before_any_seed_is_derived(monkeypatch):
         lambda: estimate_coupling_delta(_DBL, [1], [1], reps=10**13, seed=1),
         lambda: estimate_coupling_delta(_DBL, [1], [1, 2], reps=2**31 + 1, seed=1),
     ):
-        with pytest.raises(DomainError, match=r"2\^32") as exc:
+        with pytest.raises(ValidationError, match=r"2\^32") as exc:
             call()
         assert exc.value.field == "reps"
 
@@ -368,7 +368,7 @@ def test_reps_cap_is_inclusive_and_counts_the_pairs_of_distinct_j(monkeypatch):
         lambda: estimate_sigma_profile(_DBL, f, [3], reps=9, seed=1),
         lambda: estimate_coupling_delta(_DBL, [1], [1, 2, 3], reps=3, seed=1),
     ):
-        with pytest.raises(DomainError) as exc:
+        with pytest.raises(ValidationError) as exc:
             call()
         assert exc.value.field == "reps"
 

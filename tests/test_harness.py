@@ -32,7 +32,7 @@ from weakdev.coefficients import (
     infinite_memory_profile,
     markov_contraction_profile,
 )
-from weakdev.errors import ConfigError, DomainError, ValidationError
+from weakdev.errors import ConfigError, ValidationError
 import weakdev.estimation as estimation
 import weakdev.harness as harness
 from weakdev.harness import (
@@ -558,9 +558,9 @@ def test_hoeffding_phi_zeros_and_dyadic():
 def test_hoeffding_phi_requires_linf():
     linf = dependence_profile_for(DoublingMap(), 8)
 
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         hoeffding_phi(DependenceProfile(delta=linf.delta, kind="phi"), 8)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         hoeffding_phi(doubling_map_profile(4), 8)
 
 
@@ -899,17 +899,17 @@ def test_asymptotics_trivial_target():
 
 
 def test_asymptotics_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         run_blocksize_asymptotics("geometric", [1e-2, 1e-2])
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         run_blocksize_asymptotics("geometric", [-1.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         run_blocksize_asymptotics("exponential", [1e-2])
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         run_blocksize_asymptotics("geometric", [1e-2], decay=1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         run_blocksize_asymptotics("polynomial", [1e-2], decay=1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         run_blocksize_asymptotics("geometric", [1e-2], c=0.0)
 
 
@@ -930,7 +930,7 @@ _NON_FINITE_ASYMPTOTICS = [
 
 @pytest.mark.parametrize("args, kwargs, field", _NON_FINITE_ASYMPTOTICS)
 def test_asymptotics_refuses_non_finite_input(args, kwargs, field):
-    with pytest.raises(DomainError, match="finite|< 1") as ei:
+    with pytest.raises(ValidationError, match="finite|< 1") as ei:
         run_blocksize_asymptotics(*args, **kwargs)
     assert ei.value.field == field
 
@@ -981,7 +981,7 @@ def _assert_refused_by_search(searches, cap):
 def test_asymptotics_refuses_a_block_size_above_the_scan_cap(monkeypatch, family, target, c,
                                                              decay):
     searches = _count_evaluations(monkeypatch)
-    with pytest.raises(DomainError, match="no block size up to 1073741824 meets target") as ei:
+    with pytest.raises(ValidationError, match="no block size up to 1073741824 meets target") as ei:
         run_blocksize_asymptotics(family, [1.0, target], c=c, decay=decay)
     assert ei.value.field == "targets"
     _assert_refused_by_search(searches, harness._K_CAP)
@@ -1006,7 +1006,7 @@ def test_asymptotics_scans_up_to_the_cap_and_refuses_beyond_it(monkeypatch, fami
     (row,) = run_blocksize_asymptotics(family, [at_cap], decay=decay)
     assert abs(row.k_star - k_at_cap) <= (0 if family == "polynomial" else 1)
     searches = _count_evaluations(monkeypatch)
-    with pytest.raises(DomainError, match="no block size up to 4096 meets target"):
+    with pytest.raises(ValidationError, match="no block size up to 4096 meets target"):
         run_blocksize_asymptotics(family, [above_cap], decay=decay)
     _assert_refused_by_search(searches, 1 << 12)
 
@@ -1028,7 +1028,7 @@ def _scan_first_k(kdelta, v: float) -> int:
             return lo + int(ok[0])
         lo = hi
         chunk = min(2 * chunk, _SCAN_CHUNK)
-    raise DomainError(f"no block size up to {_SCAN_CAP} meets target {v}", field="targets")
+    raise ValidationError(f"no block size up to {_SCAN_CAP} meets target {v}", field="targets")
 
 
 @settings(max_examples=60, deadline=None)
@@ -1069,7 +1069,7 @@ def test_asymptotics_k_star_matches_the_exhaustive_scan(profile, c, k0, slack):
 def test_asymptotics_ratio_is_a_row_or_a_refusal(family, target, c, decay):
     try:
         (row,) = run_blocksize_asymptotics(family, [target], c=c, decay=decay)
-    except DomainError as exc:
+    except ValidationError as exc:
         assert exc.field == "targets"
     else:
         assert math.isfinite(row.ratio)

@@ -21,7 +21,7 @@ from weakdev.coefficients import (
     PolynomialWeights,
     WeightSequence,
 )
-from weakdev.errors import DomainError, ValidationError
+from weakdev.errors import ValidationError
 from weakdev.estimation import coupling_seeds, estimate_coupling_delta, estimate_sigma_profile
 from weakdev.processes import (
     BernoulliShiftGeometric,
@@ -75,7 +75,7 @@ def doubling_init_from_bits(bits64: int) -> float:
     (which rounds to 1.0 in binary64).
     """
     if not 0 <= bits64 < 1 << 64:
-        raise DomainError("bits64 must fit in 64 bits")
+        raise ValidationError("bits64 must fit in 64 bits")
     return float(bits64) * 2.0**-64
 
 
@@ -98,7 +98,7 @@ def doubling_sigma_sq(k) -> np.ndarray | float:
     """
     karr = np.asarray(k, dtype=np.float64)
     if np.any(karr < 1):
-        raise DomainError("need k >= 1")
+        raise ValidationError("need k >= 1")
     val = (1.0 + (2.0 / karr) * (karr - 2.0 + np.power(2.0, 1.0 - karr))) / 12.0
     return val if isinstance(k, np.ndarray) else float(val)
 
@@ -164,19 +164,19 @@ def exact_psi(model, length: int) -> tuple[list[Fraction], list[Fraction]]:
 
 
 def test_kernel_chain_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         LipschitzKernelChain(kappa=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         LipschitzKernelChain(kappa=1.0)
     assert LipschitzKernelChain(kappa=0.5).burn_in == 40  # 0.5^40 = 2^-40
 
 
 def test_shift_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         BernoulliShiftGeometric(theta=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         BernoulliShiftGeometric(theta=1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         BernoulliShiftGeometric(theta=0.5, truncation=0)
     assert BernoulliShiftGeometric(theta=0.5).window == 40
     assert BernoulliShiftGeometric(theta=0.5, truncation=7).window == 7
@@ -186,7 +186,7 @@ def test_infinite_memory_validation():
     with pytest.raises(ValidationError) as ei:
         InfiniteMemoryChain(weights=GeometricWeights(1.0, 0.6))
     assert ei.value.field == "weights"
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5), truncation=0)
     m = InfiniteMemoryChain(weights=GeometricWeights(0.5, 0.5))
     assert m.window == 39  # tail 2^-p crosses 2^-40 at p = 40
@@ -273,10 +273,10 @@ def test_batch_matches_single(model):
 
 def test_simulate_rejects_bad_n():
     for n in (0, -1):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             simulate(DoublingMap(), n, 1)
     # refused before the (1, n) result is allocated
-    with pytest.raises(DomainError, match=rf"need 1 <= n <= 2\^32 steps, got {2**32 + 1}$"):
+    with pytest.raises(ValidationError, match=rf"need 1 <= n <= 2\^32 steps, got {2**32 + 1}$"):
         simulate(DoublingMap(), 2**32 + 1, 1)
 
 
@@ -301,9 +301,9 @@ def test_doubling_init_from_bits():
     # 1 - 2^-64 rounds up to 1.0 in binary64
     assert doubling_init_from_bits(2**64 - 1) == 1.0
     assert doubling_init_from_bits(1 << 63) == 0.5
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         doubling_init_from_bits(-1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         doubling_init_from_bits(1 << 64)
 
 
@@ -700,21 +700,21 @@ def test_iid_coupled_paths_share_post_split_innovations(r, base):
 
 
 def test_coupled_block_arguments(tmp_path):
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         coupled_distance_sums(DoublingMap(), [0], _seeds(1, 4))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         coupled_distance_sums(DoublingMap(), [2, 0], _seeds(1, 4))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         coupled_distance_sums(DoublingMap(), [], _seeds(1, 4))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         simulate_coupled_block(DoublingMap(), 0, 1)
     # a run of 2r - 1 = 2^32 + 1 steps is refused
     too_long = rf"need block length r >= 1 and 2r - 1 <= 2\^32 steps, got {2**31 + 1}$"
-    with pytest.raises(DomainError, match=too_long):
+    with pytest.raises(ValidationError, match=too_long):
         coupled_distance_sums(DoublingMap(), [2, 2**31 + 1], _seeds(1, 4))
     # the split j keys the estimator's seeds alone, and it refuses j < 1
     for js, bad in (([0], 0), ([2, -1], -1), ([3, 0, -2], 0)):
-        with pytest.raises(DomainError, match=f"need split j >= 1, got {bad}$"):
+        with pytest.raises(ValidationError, match=f"need split j >= 1, got {bad}$"):
             estimate_coupling_delta(DoublingMap(), [3], js, reps=4, seed=1)
     out = tmp_path / "coup.csv"
     res = CliRunner().invoke(main, ["estimate-coupling", "--model", "doubling-map", "--r-grid",
@@ -770,7 +770,7 @@ def test_centered_cosine_values():
 def test_observable_validation():
     with pytest.raises(ValidationError):
         ObservableF(kind="weird", mu=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         ObservableF(kind="centered-cosine", mu=0.0, omega=0)
     # |f| reaches 1/(4 pi) + 10 > 1/2
     with pytest.raises(ValidationError, match="1/2") as ei:
@@ -780,7 +780,7 @@ def test_observable_validation():
         observable_for(DoublingMap(), "nope")
     for model in (DoublingMap(), LipschitzKernelChain(kappa=0.5)):
         for omega in (0, -2):
-            with pytest.raises(DomainError) as ei:
+            with pytest.raises(ValidationError) as ei:
                 observable_for(model, "centered-cosine", omega)
             assert ei.value.field == "omega"
 
@@ -934,15 +934,15 @@ def test_closed_form_draws_what_the_per_step_run_draws(n):
 def test_observable_prefix_sums_arguments():
     f = observable_for(IidUniform(), "centered-identity")
     for ks in ([], [0], [3, 0]):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             observable_prefix_sums(IidUniform(), f, ks, _seeds(1, 4))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         observable_sums(IidUniform(), f, 0, _seeds(1, 4))
     # a run past 2^32 steps is refused, also where a closed form would walk it
     too_long = rf"need sum lengths 1 <= k <= 2\^32 steps, got \[3, {2**64 + 1}\]$"
     for model in (IidUniform(), DoublingMap()):
         g = observable_for(model, "centered-identity")
-        with pytest.raises(DomainError, match=too_long):
+        with pytest.raises(ValidationError, match=too_long):
             observable_prefix_sums(model, g, [3, 2**64 + 1], _seeds(1, 4))
     res = CliRunner().invoke(main, ["estimate-variance", "--model", "doubling-map", "--k-grid",
                                     str(2**64 + 1), "--reps", "2"])
@@ -969,7 +969,7 @@ def test_doubling_sigma_sq_monotone_to_quarter():
     assert vals[0] == pytest.approx(1.0 / 12.0, abs=1e-16)
     # sigma_k^2 = 1/4 - 1/(3k) + o(1/k) from below
     assert 0.25 - 1.0 / (3.0 * 2000.0) - 1e-6 < vals[-1] < 0.25
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         doubling_sigma_sq(0)
 
 
