@@ -305,7 +305,7 @@ def simulate_cmd(m, n, seed, out):
 @main.command("estimate-variance")
 @_model_options
 @click.option("--observable", type=click.Choice(OBSERVABLES), default="centered-identity")
-@click.option("--omega", type=click.IntRange(min=1), default=1)
+@click.option("--omega", type=click.IntRange(min=1), default=None)
 @click.option("--k-grid", required=True, help="comma list of block lengths")
 @click.option("--reps", type=int, default=10000)
 @_SEED
@@ -314,7 +314,9 @@ def simulate_cmd(m, n, seed, out):
 @_friendly_errors
 def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out):
     """Estimate sigma_k^2 over a grid of block lengths."""
-    f = observable_for(m, observable, omega)
+    if omega is not None and observable == "centered-identity":
+        raise click.BadParameter("sets nothing for the identity", param_hint="--omega")
+    f = observable_for(m, observable, omega or 1)
     ks = _parse_list(k_grid, "k-grid", int)
     ests = estimate_sigma_profile(m, f, ks, reps, seed, threads)
     _echo("\n".join(f"k={e.k} sigma_sq={e.sigma_sq_hat:.6g} se={e.std_error:.3g} reps={e.reps}"

@@ -129,6 +129,12 @@ def _per_rep_values(fn, reps: int, seed: int, threads: int, width: int = 0) -> n
     return out
 
 
+def check_reps(reps: int, least: int = 1) -> None:
+    """Refuse a replication count outside least..2^32, on field reps."""
+    if not least <= reps <= _MAX_REPS:
+        raise ValidationError(f"need {least} <= reps <= 2^32, got {reps}", field="reps")
+
+
 def per_rep_sums(
     model: ProcessModel,
     f: ObservableF,
@@ -138,8 +144,7 @@ def per_rep_sums(
     threads: int = 1,
 ) -> np.ndarray:
     """S(f) = sum_{t<=n} f(X_t) for each replication, in replication order."""
-    if not 1 <= reps <= _MAX_REPS:
-        raise ValidationError(f"need 1 <= reps <= 2^32, got {reps}", field="reps")
+    check_reps(reps)
     return _per_rep_values(lambda s: observable_sums(model, f, n, s), reps, seed, threads)
 
 
@@ -148,6 +153,11 @@ def tail_from_sums(
 ) -> TailEstimate:
     """Exceedance estimate over an already-simulated S(f) sample."""
     reps = int(sums.size)
+    if not reps:
+        raise ValidationError("need a non-empty sample of sums", field="sums")
+    if not np.isfinite(sums).all():  # a NaN sum would count as a miss, an infinite one as a hit
+        i = int(np.argmin(np.isfinite(sums)))  # the first replication whose sum is not finite
+        raise ValidationError(f"need a finite sum, got {sums[i]}", field=f"sums[{i}]")
     hits = int(np.count_nonzero(sums >= threshold))
     lo, hi = clopper_pearson(hits, reps, alpha)
     return TailEstimate(
@@ -178,8 +188,7 @@ def estimate_sigma_profile(
     which other block lengths were requested alongside, and estimates at
     different k share their replications.
     """
-    if not 2 <= reps <= _MAX_REPS:
-        raise ValidationError(f"need 2 <= reps <= 2^32, got {reps}", field="reps")
+    check_reps(reps, least=2)
     ks = [int(k) for k in k_list]
     if not ks:
         return []

@@ -49,6 +49,7 @@ from .coefficients import (
 from .errors import ConfigError, ValidationError
 from .estimation import (
     DEFAULT_ALPHA,
+    check_reps,
     estimate_sigma_profile,
     per_rep_sums,
     tail_from_sums,
@@ -221,6 +222,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     obs, omega = doc.get("observable"), 1
     if isinstance(obs, dict):
         _check_keys(obs, {"id", "omega"}, "observable.", "observable")
+        if "omega" in obs and obs.get("id", ExperimentConfig.observable) == "centered-identity":
+            raise ConfigError("omega sets nothing for the identity", field="observable.omega")
         omega = _integer(obs.get("omega", 1), "observable.omega")
         doc = {**doc, "observable": obs.get("id", ExperimentConfig.observable)}
     return _from_fields(ExperimentConfig, doc, "", "config", "missing config key", omega=omega)
@@ -327,6 +330,7 @@ class ReportRow:
 
 def run_verification(config: ExperimentConfig, threads: int = 1) -> list[ReportRow]:
     """One ReportRow per x (plus an iid reference row for a profile-reading bound)."""
+    check_reps(config.reps)  # before the profiles, whose work grows with n
     model, n, xs, entry = config.model, config.n, config.x_grid, THEOREMS[config.theorem]
     f = observable_for(model, config.observable, config.omega)
     if not xs:
@@ -384,6 +388,8 @@ def run_blocksize_asymptotics(
     # positive forms with finite caps: a NaN or infinite target, c or decay
     # would pass every comparison as k* = 1 or end in math.log(0.0)
     targets = [float(v) for v in targets]
+    if not targets:
+        raise ValidationError("need at least one target", field="targets")
     if not all(0.0 < v < math.inf for v in targets):
         raise ValidationError(f"targets must be positive and finite, got {targets}", field="targets")
     if any(b >= a for a, b in zip(targets, targets[1:])):

@@ -575,12 +575,9 @@ class ObservableF:
 def observable_for(model: ProcessModel, kind: str, omega: int = 1) -> ObservableF:
     """Observable centered under the model's stationary law: the identity by
     stationary_mean(), the cosine by the exact mu of second_order."""
-    if kind not in OBSERVABLES:
-        raise ValidationError(f"unknown observable kind {kind!r}", field="kind")
     if kind == "centered-identity":
         return ObservableF(kind, model.stationary_mean())
-    if omega < 1:
-        raise ValidationError(f"need omega >= 1, got {omega}", field="omega")
+    ObservableF(kind, 0.0, omega)  # refuses an unknown kind or omega < 1 before second_order
     return ObservableF(kind, second_order(model, kind, omega, 1)[0], omega)
 
 

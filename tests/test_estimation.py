@@ -148,6 +148,21 @@ def test_tail_from_sums_counts_hits():
     assert (est.ci_low, est.ci_high) == clopper_pearson(hits, 1000)
 
 
+@pytest.mark.parametrize("sums, field", [
+    (np.array([]), "sums"),
+    (np.full(1000, math.nan), "sums[0]"),
+    (np.array([1.0, math.inf, math.nan]), "sums[1]"),
+    (np.array([0.5, 2.0, -math.inf]), "sums[2]"),
+])
+def test_tail_from_sums_refuses_an_empty_or_non_finite_sample(sums, field):
+    # sums >= threshold is false for NaN, so an all-NaN sample read as 0 hits
+    # and a certified pass; an infinite sum counted as a hit, and an empty
+    # sample ended in ZeroDivisionError
+    with pytest.raises(ValidationError) as ei:
+        tail_from_sums(sums, 0.0)
+    assert ei.value.field == field
+
+
 def test_tail_rejects_bad_reps():
     with pytest.raises(ValidationError):
         per_rep_sums(_IID, _identity(_IID), 5, 0, seed=1)

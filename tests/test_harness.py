@@ -102,6 +102,10 @@ def test_parse_config_observable_forms():
     with pytest.raises(ConfigError) as ei:
         parse_config(_doc(observable={"id": "centered-cosine", "phase": 1}))
     assert ei.value.field == "observable.phase"
+    for obs in ({"id": "centered-identity", "omega": 5}, {"omega": 1}):  # omega sets nothing
+        with pytest.raises(ConfigError) as ei:
+            parse_config(_doc(observable=obs))
+        assert ei.value.field == "observable.omega"
     with pytest.raises(ConfigError) as ei:
         parse_config(_doc(observable="sine"))
     assert ei.value.field == "observable"
@@ -898,6 +902,13 @@ def test_asymptotics_trivial_target():
     assert rows[0].k_star == 1  # k delta_k = 0.5 at k = 1 already meets 0.6
 
 
+def test_asymptotics_refuses_an_empty_target_list():
+    # ks[-1] of no targets ended in IndexError
+    with pytest.raises(ValidationError) as ei:
+        run_blocksize_asymptotics("geometric", [])
+    assert ei.value.field == "targets"
+
+
 def test_asymptotics_validation():
     with pytest.raises(ValidationError):
         run_blocksize_asymptotics("geometric", [1e-2, 1e-2])
@@ -1605,6 +1616,33 @@ def test_cli_refuses_omega_below_one(tmp_path):
                                     "--k-grid", "1"])
     assert res.exit_code == 2 and "--omega" in res.output
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_cli_refuses_omega_beside_the_identity(tmp_path):
+    # omega sets nothing for the identity, so a given one is refused, not ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_doc(observable={"id": "centered-identity", "omega": 5},
+                                   out=str(tmp_path / "r.csv"))))
+    res = CliRunner().invoke(main, ["verify", "--config", str(cfg)])
+    assert res.exit_code == 1 and "omega" in res.output and "Traceback" not in res.output
+    res = CliRunner().invoke(main, ["estimate-variance", "--model", "kernel-chain", "--kappa", "0.5",
+                                    "--observable", "centered-identity", "--omega", "9",
+                                    "--k-grid", "1,2", "--reps", "100"])
+    assert res.exit_code == 2 and "--omega" in res.output
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_run_verification_refuses_oversized_reps_before_any_profile(monkeypatch):
+    # both profiles' work grows with n, so the reps cap is checked first
+    def no_profile(*args):
+        raise AssertionError("a profile was built")
+
+    monkeypatch.setattr(harness, "analytic_sigma_profile", no_profile)
+    monkeypatch.setattr(harness, "dependence_profile_for", no_profile)
+    cfg = parse_config(_doc(n=4_000_000, reps=2**33))
+    with pytest.raises(ValidationError, match=r"2\^32") as ei:
+        run_verification(cfg)
+    assert ei.value.field == "reps"
 
 
 def test_cli_verify_rejects_bad_config_cleanly(tmp_path):

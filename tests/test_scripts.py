@@ -2,6 +2,7 @@
 each in its own interpreter, and a check of the model flags the benchmark
 passes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -56,6 +57,26 @@ def test_benchmark_trace_targets_resolve():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert res.returncode == 0, res.stderr
+
+
+def test_every_library_refusal_is_a_validation_error():
+    # one refusal type: errors.py declares ValidationError and its config
+    # subclass alone, and only the CLI raises anything else (click's errors)
+    src = ROOT / "src" / "weakdev"
+    errors = ast.parse((src / "errors.py").read_text())
+    assert [n.name for n in errors.body if isinstance(n, ast.ClassDef)] == [
+        "ValidationError", "ConfigError"]
+    others = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                call = node.exc
+                name = getattr(getattr(call, "func", None), "id", None)
+                if name not in ("ValidationError", "ConfigError"):
+                    others.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not others, others
 
 
 _BENCHMARK_MODEL_FLAGS = """
