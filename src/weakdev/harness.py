@@ -222,10 +222,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     obs, omega = doc.get("observable"), 1
     if isinstance(obs, dict):
         _check_keys(obs, {"id", "omega"}, "observable.", "observable")
-        if "omega" in obs and obs.get("id", ExperimentConfig.observable) == "centered-identity":
+        doc = {**doc, "observable": obs.get("id", ExperimentConfig.observable)}
+        if "omega" in obs and doc["observable"] == "centered-identity":
             raise ConfigError("omega sets nothing for the identity", field="observable.omega")
         omega = _integer(obs.get("omega", 1), "observable.omega")
-        doc = {**doc, "observable": obs.get("id", ExperimentConfig.observable)}
     return _from_fields(ExperimentConfig, doc, "", "config", "missing config key", omega=omega)
 
 
