@@ -104,16 +104,37 @@ class DependenceProfile:
 
 @dataclass(frozen=True, eq=False)
 class VarianceProfile:
-    """Per-term block variances sigma_k^2 and their upper envelope.
+    """Per-term block variances sigma_k^2, k = 1..n, and their upper envelope
+    envelope[k] = max_{j >= k} sigma_sq[j], computed by a backward pass.
 
-    envelope[k] = max_{j >= k} sigma_sq[j]; since |f| <= 1/2 forces
-    sigma_k^2 <= k/4, construction rejects values above that cap.
-    """
+    Construction refuses an unknown source and, naming the first such k, a NaN
+    or negative sigma_k^2 or one above k/4, the cap that |f| <= 1/2 forces."""
 
     sigma_sq: np.ndarray
-    envelope: np.ndarray
-    n: int
-    source: str
+    source: str = "analytic"
+    envelope: np.ndarray = field(init=False)
+    n: int = field(init=False)
+
+    def __post_init__(self):
+        if self.source not in VARIANCE_SOURCES:
+            raise ValidationError(f"unknown variance source {self.source!r}", field="source")
+        arr = np.asarray(self.sigma_sq, dtype=np.float64)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValidationError("sigma_sq must be a non-empty 1-d array", field="sigma_sq")
+        # positive form: a NaN would spread through the envelope to every smaller k
+        bad = ~(arr >= 0)
+        if np.any(bad):
+            k = int(np.argmax(bad)) + 1
+            raise ValidationError(f"sigma_sq[{k}] = {arr[k-1]} is not >= 0", field=f"sigma_sq[{k}]")
+        caps = np.arange(1, arr.size + 1, dtype=np.float64) / 4.0
+        over = arr > caps * (1.0 + 1e-9)
+        if np.any(over):
+            k = int(np.argmax(over)) + 1
+            raise ValidationError(f"sigma_sq[{k}] = {arr[k-1]} exceeds the cap k/4 = {caps[k-1]}",
+                                  field=f"sigma_sq[{k}]")
+        object.__setattr__(self, "sigma_sq", arr)
+        object.__setattr__(self, "envelope", np.maximum.accumulate(arr[::-1])[::-1])
+        object.__setattr__(self, "n", int(arr.size))
 
     def sigma_at(self, k: int) -> float:
         if not 1 <= k <= self.n:
@@ -121,28 +142,8 @@ class VarianceProfile:
         return float(self.sigma_sq[k - 1])
 
 
-def variance_profile(sigma_sq: np.ndarray, source: str = "analytic") -> VarianceProfile:
-    """Build a VarianceProfile, computing the envelope by a backward pass."""
-    if source not in VARIANCE_SOURCES:
-        raise ValidationError(f"unknown variance source {source!r}", field="source")
-    arr = np.asarray(sigma_sq, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("sigma_sq must be a non-empty 1-d array", field="sigma_sq")
-    # positive form: a NaN would spread through the envelope to every smaller k
-    bad = ~(arr >= 0)
-    if np.any(bad):
-        k = int(np.argmax(bad)) + 1
-        raise ValidationError(f"sigma_sq[{k}] = {arr[k-1]} is not >= 0", field=f"sigma_sq[{k}]")
-    caps = np.arange(1, arr.size + 1, dtype=np.float64) / 4.0
-    over = arr > caps * (1.0 + 1e-9)
-    if np.any(over):
-        k = int(np.argmax(over)) + 1
-        raise ValidationError(
-            f"sigma_sq[{k}] = {arr[k-1]} exceeds the cap k/4 = {caps[k-1]}",
-            field=f"sigma_sq[{k}]",
-        )
-    env = np.maximum.accumulate(arr[::-1])[::-1]
-    return VarianceProfile(sigma_sq=arr, envelope=env, n=int(arr.size), source=source)
+# the older name, which perfbench/layers.py rebinds in harness and processes
+variance_profile = VarianceProfile
 
 
 @dataclass(frozen=True)

@@ -316,7 +316,7 @@ def estimate_variance_cmd(m, observable, omega, k_grid, reps, seed, threads, out
     """Estimate sigma_k^2 over a grid of block lengths."""
     if omega is not None and observable == "centered-identity":
         raise click.BadParameter("sets nothing for the identity", param_hint="--omega")
-    f = observable_for(m, observable, omega or 1)
+    f = observable_for(m, observable, omega)
     ks = _parse_list(k_grid, "k-grid", int)
     ests = estimate_sigma_profile(m, f, ks, reps, seed, threads)
     _echo("\n".join(f"k={e.k} sigma_sq={e.sigma_sq_hat:.6g} se={e.std_error:.3g} reps={e.reps}"

@@ -56,7 +56,7 @@ from .estimation import (
 )
 from .processes import (
     MODELS,
-    OBSERVABLES,
+    ObservableF,
     ProcessModel,
     analytic_sigma_profile,
     observable_for,
@@ -79,7 +79,7 @@ class ExperimentConfig:
 
     model: ProcessModel
     observable: str = "centered-identity"
-    omega: int = 1  # set by the {"id": ..., "omega": ...} form of observable
+    omega: int | None = None  # set by the {"id": ..., "omega": ...} form of observable
     n: int
     x_grid: tuple[float, ...]
     theorem: str
@@ -89,10 +89,11 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.observable not in OBSERVABLES:
-            raise ConfigError(f"unknown observable {self.observable!r}", field="observable")
-        if self.omega < 1:
-            raise ConfigError(f"need omega >= 1, got {self.omega}", field="observable.omega")
+        try:
+            ObservableF(self.observable, 0.0, self.omega)
+        except ValidationError as exc:
+            raise ConfigError(str(exc), field="observable" if exc.field == "kind"
+                              else "observable.omega") from exc
         if self.theorem not in THEOREMS:
             raise ConfigError(f"unknown theorem {self.theorem!r}", field="theorem")
         for name in ("n", "reps"):
@@ -219,13 +220,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     {"id": name, "omega": w}."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object", field="<root>")
-    obs, omega = doc.get("observable"), 1
+    obs, omega = doc.get("observable"), None
     if isinstance(obs, dict):
         _check_keys(obs, {"id", "omega"}, "observable.", "observable")
         doc = {**doc, "observable": obs.get("id", ExperimentConfig.observable)}
-        if "omega" in obs and doc["observable"] == "centered-identity":
-            raise ConfigError("omega sets nothing for the identity", field="observable.omega")
-        omega = _integer(obs.get("omega", 1), "observable.omega")
+        omega = _integer(obs["omega"], "observable.omega") if "omega" in obs else None
     return _from_fields(ExperimentConfig, doc, "", "config", "missing config key", omega=omega)
 
 

@@ -545,19 +545,23 @@ OBSERVABLES = ("centered-identity", "centered-cosine")
 class ObservableF:
     """Centered observable with |f| <= 1/2 and Lipschitz constant <= 1: the
     identity clipped to [-1/2, 1/2] about mu, or cos(w x) / (2 w) - mu with
-    w = 2 pi omega, of Lipschitz constant 1/2 and |f| <= 1/(4 pi omega) + |mu|."""
+    w = 2 pi omega, of Lipschitz constant 1/2 and |f| <= 1/(4 pi omega) + |mu|.
+    The identity takes no omega; the cosine reads omega None as 1."""
 
     kind: str
     mu: float
-    omega: int = 1
+    omega: int | None = None
 
     def __post_init__(self):
         if self.kind not in OBSERVABLES:
-            raise ValidationError(f"unknown observable kind {self.kind!r}", field="kind")
+            raise ValidationError(f"unknown observable {self.kind!r}", field="kind")
         if not math.isfinite(self.mu):
             raise ValidationError(f"need a finite mu, got {self.mu}", field="mu")
         if self.kind == "centered-identity":
+            if self.omega is not None:
+                raise ValidationError("omega sets nothing for the identity", field="omega")
             return
+        object.__setattr__(self, "omega", 1 if self.omega is None else self.omega)
         if self.omega < 1:
             raise ValidationError(f"need omega >= 1, got {self.omega}", field="omega")
         if not 1.0 / (4.0 * math.pi * self.omega) + abs(self.mu) <= 0.5:
@@ -572,12 +576,12 @@ class ObservableF:
         return np.cos(w * x) / (2.0 * w) - self.mu
 
 
-def observable_for(model: ProcessModel, kind: str, omega: int = 1) -> ObservableF:
+def observable_for(model: ProcessModel, kind: str, omega: int | None = None) -> ObservableF:
     """Observable centered under the model's stationary law: the identity by
     stationary_mean(), the cosine by the exact mu of second_order."""
     if kind == "centered-identity":
-        return ObservableF(kind, model.stationary_mean())
-    ObservableF(kind, 0.0, omega)  # refuses an unknown kind or omega < 1 before second_order
+        return ObservableF(kind, model.stationary_mean(), omega)
+    omega = ObservableF(kind, 0.0, omega).omega  # refuses a bad kind or omega before second_order
     return ObservableF(kind, second_order(model, kind, omega, 1)[0], omega)
 
 

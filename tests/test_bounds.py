@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from weakdev.bounds import (
     BlockSelection,
     DependenceProfile,
+    VarianceProfile,
     bennett_h,
     bernstein_h1,
     h1_inverse,
@@ -123,6 +125,34 @@ def test_variance_profile_refuses_nan(k):
     with pytest.raises(ValidationError, match=rf"sigma_sq\[{k}\] = nan") as ei:
         variance_profile(sigma_sq)
     assert ei.value.field == f"sigma_sq[{k}]"
+
+
+@pytest.mark.parametrize("sigma_sq, source, field", [
+    ([math.nan, 0.1], "analytic", "sigma_sq[1]"),
+    ([0.1, -0.2], "estimated", "sigma_sq[2]"),
+    ([0.3], "analytic", "sigma_sq[1]"),  # above the cap k/4 = 1/4
+    ([0.1, 0.2, 0.8], "analytic", "sigma_sq[3]"),  # above the cap 3/4
+    ([0.1], "zzz", "source"),
+    ([], "analytic", "sigma_sq"),
+    ([[0.1]], "analytic", "sigma_sq"),
+])
+def test_variance_profile_built_directly_checks_itself(sigma_sq, source, field):
+    # the class is the one construction path, so no builder can be bypassed
+    with pytest.raises(ValidationError) as ei:
+        VarianceProfile(sigma_sq, source)
+    assert ei.value.field == field
+
+
+def test_variance_profile_derives_envelope_and_n():
+    assert variance_profile is VarianceProfile
+    assert [f.name for f in fields(VarianceProfile) if f.init] == ["sigma_sq", "source"]
+    p = VarianceProfile([0.1, 0.3, 0.2], source="estimated")
+    assert (p.n, p.source) == (3, "estimated")
+    assert p.sigma_sq.dtype == np.float64 and np.array_equal(p.sigma_sq, [0.1, 0.3, 0.2])
+    assert np.array_equal(p.envelope, [0.3, 0.3, 0.2])
+    assert VarianceProfile([0.25]).source == "analytic"
+    with pytest.raises(TypeError):
+        VarianceProfile([0.1, 0.1], envelope=np.zeros(2), n=2)
 
 
 @given(

@@ -89,7 +89,7 @@ def _doc(**overrides) -> dict:
 def test_parse_config_defaults():
     cfg = parse_config(_doc())
     assert isinstance(cfg.model, DoublingMap)
-    assert cfg.observable == "centered-identity" and cfg.omega == 1
+    assert cfg.observable == "centered-identity" and cfg.omega is None
     assert cfg.alpha == 0.01 and cfg.out is None
     assert cfg.x_grid == (0.5, 1.0)
 
@@ -109,6 +109,21 @@ def test_parse_config_observable_forms():
     with pytest.raises(ConfigError) as ei:
         parse_config(_doc(observable="sine"))
     assert ei.value.field == "observable"
+
+
+def test_experiment_config_built_directly_checks_its_observable():
+    base = dict(model=DoublingMap(), n=100, x_grid=(1.0,), theorem="thm2", reps=100, base_seed=7)
+    with pytest.raises(ConfigError, match="omega sets nothing for the identity") as ei:
+        ExperimentConfig(**base, observable="centered-identity", omega=5)
+    assert ei.value.field == "observable.omega"
+    with pytest.raises(ConfigError, match="need omega >= 1, got 0") as ei:
+        ExperimentConfig(**base, observable="centered-cosine", omega=0)
+    assert ei.value.field == "observable.omega"
+    with pytest.raises(ConfigError, match="unknown observable 'sine'") as ei:
+        ExperimentConfig(**base, observable="sine")
+    assert ei.value.field == "observable"
+    assert ExperimentConfig(**base).omega is None
+    assert ExperimentConfig(**base, observable="centered-cosine").omega is None
 
 
 def test_parse_config_unknown_and_missing_keys():

@@ -785,6 +785,26 @@ def test_observable_validation():
             assert ei.value.field == "omega"
 
 
+def test_the_identity_refuses_a_given_omega():
+    # omega sets nothing for the identity, so a given one is refused, not ignored
+    with pytest.raises(ValidationError, match="omega sets nothing for the identity") as ei:
+        ObservableF("centered-identity", 0.5, omega=7)
+    assert ei.value.field == "omega"
+    for omega in (1, 3):
+        with pytest.raises(ValidationError, match="sets nothing") as ei:
+            observable_for(DoublingMap(), "centered-identity", omega)
+        assert ei.value.field == "omega"
+    assert ObservableF("centered-identity", 0.5).omega is None
+    assert observable_for(DoublingMap(), "centered-identity").omega is None
+
+
+def test_a_cosine_reads_no_omega_as_one():
+    assert ObservableF("centered-cosine", 0.0) == ObservableF("centered-cosine", 0.0, 1)
+    assert ObservableF("centered-cosine", 0.0, None).omega == 1
+    kernel = LipschitzKernelChain(kappa=0.5)
+    assert observable_for(kernel, "centered-cosine") == observable_for(kernel, "centered-cosine", 1)
+
+
 @pytest.mark.parametrize("kind", ["centered-identity", "centered-cosine"])
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
 def test_observable_refuses_a_non_finite_mu(kind, mu):
@@ -1003,7 +1023,10 @@ def test_analytic_sigma_profile_cases():
 _Z_BOUND = 4.5
 
 
-@pytest.mark.parametrize("kind, omega", [("centered-identity", 1), ("centered-cosine", 1),
+# the identity's case keeps the id it had when ObservableF's omega defaulted to 1
+@pytest.mark.parametrize("kind, omega", [pytest.param("centered-identity", None,
+                                                      id="centered-identity-1"),
+                                         ("centered-cosine", 1),
                                          ("centered-cosine", 3)])
 @pytest.mark.parametrize("model", _MODELS, ids=_name)
 def test_second_order_is_exact(model, kind, omega):
