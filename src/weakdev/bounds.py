@@ -98,8 +98,8 @@ class DependenceProfile:
     def at(self, r: int) -> float:
         """delta_r with mathematical (1-based) indexing."""
         if not 1 <= r <= self.n:
-            raise ValidationError(f"lag r={r} outside 1..{self.n}")
-        return float(self.delta[r - 1])
+            raise ValidationError(f"lag r={r} outside 1..{self.n}", field="r")
+        return float(self.delta[_check_n(r, "r") - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +138,8 @@ class VarianceProfile:
 
     def sigma_at(self, k: int) -> float:
         if not 1 <= k <= self.n:
-            raise ValidationError(f"block length k={k} outside 1..{self.n}")
-        return float(self.sigma_sq[k - 1])
+            raise ValidationError(f"block length k={k} outside 1..{self.n}", field="k")
+        return float(self.sigma_sq[_check_n(k, "k") - 1])
 
 
 # the older name, which perfbench/layers.py rebinds in harness and processes
@@ -191,7 +191,7 @@ def select_k_star_prime(delta_prime: DependenceProfile, n: int, x: float) -> Blo
         raise ValidationError(
             f"profile covers lags 1..{delta_prime.n}, need 1..{n}", field="n"
         )
-    ks = np.arange(1, n + 1, dtype=np.float64)
+    ks = np.arange(1, _check_n(n) + 1, dtype=np.float64)
     hits = np.nonzero(n * delta_prime.delta[:n] <= ks * x)[0]
     if hits.size == 0:
         return BlockSelection(k=None, variance_at_k=None)
@@ -342,10 +342,18 @@ def _check_threshold_args(n: int, variance: float, x: float, name: str) -> None:
     _require("x", x, 0)
 
 
+def _check_n(n, field: str = "n", least: int = 1, need: str = "") -> int:
+    """n as an int, refusing a non-integer or one below least on field, with the
+    message "<need>, got <n>" (need defaults to "need integer <field> >= <least>")."""
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise ValidationError(f"{need or f'need integer {field} >= {least}'}, got {n!r}",
+                              field=field)
+    return int(n)
+
+
 def _check_k(k, n=None) -> None:
     if k is None:
         raise ValidationError("block size is the no-selection sentinel; refuse to compute", field="k")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError(f"block size must be a positive integer, got {k!r}", field="k")
+    _check_n(k, "k", need="block size must be a positive integer")
     if n is not None and k > n:
         raise ValidationError(f"block size k = {k} exceeds n = {n}", field="k")

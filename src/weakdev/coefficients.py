@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bounds import DependenceProfile, smallest_k_meeting
+from .bounds import DependenceProfile, _check_n, smallest_k_meeting
 from .errors import ValidationError
 
 # Default truncation keeps neglected tail weight at or below this.
@@ -348,12 +348,3 @@ def bernoulli_shift_linf_profile(C: float, weights: WeightSequence, n: int) -> D
     r = np.arange(1, n + 1)
     delta = C * weights.tail_sums(n) / r
     return DependenceProfile(delta, "linf")
-
-
-# ---------------------------------------------------------------------------
-
-
-def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"need integer n >= 1, got {n!r}")
-    return int(n)

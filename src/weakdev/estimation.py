@@ -20,6 +20,7 @@ from itertools import islice, starmap
 
 import numpy as np
 
+from .bounds import _check_n
 from .errors import ValidationError
 from .processes import (
     ObservableF,
@@ -82,6 +83,8 @@ def clopper_pearson(hits: int, reps: int, alpha: float = DEFAULT_ALPHA) -> tuple
     """Exact two-sided binomial interval at confidence 1 - alpha."""
     if not 0 <= hits <= reps:
         raise ValidationError(f"need 0 <= hits <= reps, got {hits}/{reps}")
+    _check_n(hits, "hits", least=0)
+    _check_n(reps, "reps", least=0)
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"need 0 < alpha < 1, got {alpha}")
     # beta quantiles; scipy.special spares importing scipy.stats, and importing
@@ -158,6 +161,8 @@ def tail_from_sums(
     if not np.isfinite(sums).all():  # a NaN sum would count as a miss, an infinite one as a hit
         i = int(np.argmin(np.isfinite(sums)))  # the first replication whose sum is not finite
         raise ValidationError(f"need a finite sum, got {sums[i]}", field=f"sums[{i}]")
+    if math.isnan(threshold):  # no sum is >= NaN, so every row would read as a pass
+        raise ValidationError("need a threshold that is not NaN", field="threshold")
     hits = int(np.count_nonzero(sums >= threshold))
     lo, hi = clopper_pearson(hits, reps, alpha)
     return TailEstimate(

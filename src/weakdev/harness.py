@@ -27,6 +27,7 @@ import numpy as np
 
 from .bounds import (
     VarianceProfile,
+    _check_n,
     hoeffding_threshold,
     iid_bernstein_threshold,
     select_k_star,
@@ -256,7 +257,7 @@ def hoeffding_phi(profile: DependenceProfile, n: int) -> np.ndarray:
     """
     if profile.kind != "linf":
         raise ValidationError("per-lag construction needs an linf profile")
-    if profile.n < n:
+    if profile.n < _check_n(n):
         raise ValidationError(f"profile covers {profile.n} lags, need {n}")
     r = 1 << np.arange((n - 1).bit_length())
     totals = np.cumsum(r * profile.delta[r - 1])

@@ -45,8 +45,8 @@ from operator import mul
 
 import numpy as np
 
-from .bounds import DependenceProfile, VarianceProfile, variance_profile
-from .coefficients import (TRUNCATION_TAIL, GeometricWeights, WeightSequence, _check_n,
+from .bounds import DependenceProfile, VarianceProfile, _check_n, variance_profile
+from .coefficients import (TRUNCATION_TAIL, GeometricWeights, WeightSequence,
                            bernoulli_shift_linf_profile, doubling_map_profile,
                            infinite_memory_profile, markov_contraction_profile)
 from .errors import ValidationError

@@ -25,6 +25,8 @@ from weakdev.bounds import (
     varest_bound,
     variance_profile,
 )
+from weakdev import coefficients, estimation, processes
+from weakdev.bounds import _check_n
 from weakdev.coefficients import doubling_map_profile
 from weakdev.errors import ValidationError
 
@@ -433,6 +435,24 @@ def _refuses_nan(fn, args, field):
 )
 def test_select_k_star_prime_refuses_nan(args, field):
     _refuses_nan(select_k_star_prime, args, field)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: _LINF.at(2.5), "r"),
+    (lambda: variance_profile([0.1, 0.2]).sigma_at(1.5), "k"),
+    (lambda: select_k_star_prime(_LINF, 2.5, 1.0), "n"),
+], ids=["at", "sigma_at", "select_k_star_prime"])
+def test_a_fractional_count_is_refused_by_name(call, field):
+    # 2.5 passed each range check, then ended in IndexError or TypeError
+    with pytest.raises(ValidationError, match=rf"need integer {field} >= 1, got \d\.5$") as ei:
+        call()
+    assert ei.value.field == field
+
+
+def test_one_integer_check_serves_every_module():
+    assert coefficients._check_n is processes._check_n is estimation._check_n is _check_n
+    with pytest.raises(ValidationError, match=r"^block size must be a positive integer, got 2\.5$"):
+        thm2_threshold(10, 0.1, 2.5, 1.0)
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,14 @@ def test_clopper_pearson_edges():
         clopper_pearson(5, 10, alpha=1.0)
 
 
+@pytest.mark.parametrize("hits, reps, field", [(2.5, 10, "hits"), (2, 10.0, "reps")])
+def test_clopper_pearson_refuses_a_fractional_count(hits, reps, field):
+    # 2.5 hits of 10 passed the range check and returned an interval
+    with pytest.raises(ValidationError, match=f"need integer {field} >= 0") as ei:
+        clopper_pearson(hits, reps)
+    assert ei.value.field == field
+
+
 @pytest.mark.parametrize("p", [0.01, 0.1, 0.5])
 def test_clopper_pearson_coverage(p):
     rng = np.random.default_rng(0)
@@ -161,6 +169,15 @@ def test_tail_from_sums_refuses_an_empty_or_non_finite_sample(sums, field):
     with pytest.raises(ValidationError) as ei:
         tail_from_sums(sums, 0.0)
     assert ei.value.field == field
+
+
+def test_tail_from_sums_refuses_a_nan_threshold_but_not_an_infinite_one():
+    # no sum is >= NaN, so a NaN threshold read as 0 hits and a certified pass
+    with pytest.raises(ValidationError, match="NaN") as ei:
+        tail_from_sums(np.zeros(1000), math.nan)
+    assert ei.value.field == "threshold"
+    assert tail_from_sums(np.zeros(1000), math.inf).hits == 0
+    assert tail_from_sums(np.zeros(1000), -math.inf).hits == 1000
 
 
 def test_tail_rejects_bad_reps():

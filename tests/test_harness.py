@@ -574,6 +574,14 @@ def test_hoeffding_phi_zeros_and_dyadic():
         assert phis[j - 1] == pytest.approx(min(1.0, total / L), abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5])
+def test_hoeffding_phi_refuses_a_count_below_one_or_fractional(n):
+    # n = 0 and n = -3 returned an empty array, a threshold over no lags
+    with pytest.raises(ValidationError, match=f"need integer n >= 1, got {n}") as ei:
+        hoeffding_phi(doubling_map_profile(4), n)
+    assert ei.value.field == "n"
+
+
 def test_hoeffding_phi_requires_linf():
     linf = dependence_profile_for(DoublingMap(), 8)
 
