@@ -564,6 +564,7 @@ class ObservableF:
         object.__setattr__(self, "omega", 1 if self.omega is None else self.omega)
         if self.omega < 1:
             raise ValidationError(f"need omega >= 1, got {self.omega}", field="omega")
+        _check_n(self.omega, "omega")  # an infinite omega made every value NaN
         if not 1.0 / (4.0 * math.pi * self.omega) + abs(self.mu) <= 0.5:
             raise ValidationError(f"cosine observable needs 1/(4 pi omega) + |mu| <= 1/2, "
                                   f"got omega={self.omega}, mu={self.mu}", field="mu")

@@ -798,6 +798,15 @@ def test_the_identity_refuses_a_given_omega():
     assert observable_for(DoublingMap(), "centered-identity").omega is None
 
 
+@pytest.mark.parametrize("omega", [math.inf, math.nan, 2.5])
+def test_a_cosine_refuses_a_fractional_or_non_finite_omega(omega):
+    # omega = inf built a cosine whose every value was NaN, and a NaN omega was
+    # refused on field mu
+    with pytest.raises(ValidationError, match=f"need integer omega >= 1, got {omega}") as ei:
+        ObservableF("centered-cosine", 0.0, omega)
+    assert ei.value.field == "omega"
+
+
 def test_a_cosine_reads_no_omega_as_one():
     assert ObservableF("centered-cosine", 0.0) == ObservableF("centered-cosine", 0.0, 1)
     assert ObservableF("centered-cosine", 0.0, None).omega == 1
