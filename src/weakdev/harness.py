@@ -257,7 +257,8 @@ def hoeffding_phi(profile: DependenceProfile, n: int) -> np.ndarray:
     """
     if profile.kind != "linf":
         raise ValidationError("per-lag construction needs an linf profile")
-    if profile.n < _check_n(n):
+    n = _check_n(n)  # an int: numpy integers have no bit_length
+    if profile.n < n:
         raise ValidationError(f"profile covers {profile.n} lags, need {n}")
     r = 1 << np.arange((n - 1).bit_length())
     totals = np.cumsum(r * profile.delta[r - 1])

@@ -582,6 +582,12 @@ def test_hoeffding_phi_refuses_a_count_below_one_or_fractional(n):
     assert ei.value.field == "n"
 
 
+def test_hoeffding_phi_takes_a_numpy_integer_n():
+    # n = np.int64(8) ended in AttributeError: numpy integers have no bit_length
+    prof = doubling_map_profile(8)
+    assert np.array_equal(hoeffding_phi(prof, np.int64(8)), hoeffding_phi(prof, 8))
+
+
 def test_hoeffding_phi_requires_linf():
     linf = dependence_profile_for(DoublingMap(), 8)
 
