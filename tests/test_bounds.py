@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from weakdev import coefficients, estimation, processes
 from weakdev.bounds import (
     BlockSelection,
     DependenceProfile,
     VarianceProfile,
+    _check_n,
     bennett_h,
     bernstein_h1,
     h1_inverse,
@@ -25,8 +27,6 @@ from weakdev.bounds import (
     varest_bound,
     variance_profile,
 )
-from weakdev import coefficients, estimation, processes
-from weakdev.bounds import _check_n
 from weakdev.coefficients import doubling_map_profile
 from weakdev.errors import ValidationError
 
