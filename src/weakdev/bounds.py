@@ -248,7 +248,7 @@ def thm2_bennett_tail(
     Defined for x >= n*delta'_k.  A degenerate block variance gives the
     limiting point mass: 0 for x strictly above n*delta'_k, 1 at equality.
     """
-    _require("n", n, 1)
+    _check_n(n, need="need n >= 1")
     _check_k(k, n)
     _require("sigma_k_sq", sigma_k_sq, 0)
     _require("delta_prime_k", delta_prime_k, 0)
@@ -270,7 +270,7 @@ def hoeffding_threshold(n: int, phi, x: float) -> float:
     factor n - j vanishes, so phi_n never enters). Every entry given must lie
     in [0, 1], those past n - 1 too.
     """
-    _require("n", n, 1)
+    _check_n(n, need="need n >= 1")
     _require("x", x, 0)
     w = np.asarray(phi, dtype=np.float64)
     if w.size < n - 1:
@@ -307,7 +307,7 @@ def log_mgf_bound_thm1(t: float, n: int, k: int, sigma_k_sq: float, delta_k: flo
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"need 0 <= t <= 1, got {t}", field="t")
     _check_k(k)
-    _require("n", n, 1)
+    _check_n(n, need="need n >= 1")
     _require("sigma_k_sq", sigma_k_sq, 0)
     _require("delta_k", delta_k, 0)
     return 4.0 * n * t * t * (2.0 * (math.e - 2.0) * sigma_k_sq + math.e * k * delta_k)
@@ -317,7 +317,7 @@ def log_mgf_bound_thm2(t: float, n: int, k: int, sigma_k_sq: float, delta_prime_
     """Coupling-route bound (2n sigma^2/k^2)(e^{kt} - kt - 1) + n delta'_k t."""
     _require("t", t, 0)
     _check_k(k)
-    _require("n", n, 1)
+    _check_n(n, need="need n >= 1")
     _require("sigma_k_sq", sigma_k_sq, 0)
     _require("delta_prime_k", delta_prime_k, 0)
     kt = k * t
@@ -337,17 +337,17 @@ def _require(name: str, value, low) -> None:
 
 
 def _check_threshold_args(n: int, variance: float, x: float, name: str) -> None:
-    _require("n", n, 1)
+    _check_n(n, need="need n >= 1")
     _require(name, variance, 0)
     _require("x", x, 0)
 
 
-def _check_n(n, field: str = "n", least: int = 1, need: str = "") -> int:
-    """n as an int, refusing a non-integer or one below least on field, with the
-    message "<need>, got <n>" (need defaults to "need integer <field> >= <least>")."""
-    if not isinstance(n, (int, np.integer)) or n < least:
-        raise ValidationError(f"{need or f'need integer {field} >= {least}'}, got {n!r}",
-                              field=field)
+def _check_n(n, field: str = "n", least: int = 1, need: str = "", most=math.inf) -> int:
+    """n as an int, refusing a bool, a non-integer or one outside least..most on field,
+    with the message "<need>, got <n>" (need defaults to "need integer <field> >= <least>")."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not least <= n <= most:
+        raise ValidationError(f"{need or f'need integer {field} >= {least}'}, got "
+                              f"{repr(n) if isinstance(n, str) else n}", field=field)
     return int(n)
 
 

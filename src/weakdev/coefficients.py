@@ -45,20 +45,16 @@ class WeightSequence:
 
     def term(self, j: int) -> float:
         """a_j."""
-        if j < 1:
-            raise ValidationError(f"need j >= 1, got {j}")
-        return self._term(j)
+        return self._term(_check_n(j, "j", need="need j >= 1"))
 
     def tail_sum(self, p: int) -> float:
         """sum_{i >= p} a_i, exact or a rigorous upper bound."""
-        if p < 1:
-            raise ValidationError(f"need p >= 1, got {p}")
+        p = _check_n(p, "p", need="need p >= 1")
         return 0.0 if self.c == 0.0 else float(self._tails(p, 1)[0])
 
     def tail_sums(self, m: int) -> np.ndarray:
         """[tail_sum(1), ..., tail_sum(m)], from the same _tails."""
-        if m < 1:
-            raise ValidationError(f"need m >= 1, got {m}")
+        m = _check_n(m, "m", need="need m >= 1")
         return np.zeros(m) if self.c == 0.0 else self._tails(1, m)
 
     @property

@@ -134,8 +134,7 @@ def _per_rep_values(fn, reps: int, seed: int, threads: int, width: int = 0) -> n
 
 def check_reps(reps: int, least: int = 1) -> None:
     """Refuse a replication count outside least..2^32, on field reps."""
-    if not least <= reps <= _MAX_REPS:
-        raise ValidationError(f"need {least} <= reps <= 2^32, got {reps}", field="reps")
+    _check_n(reps, "reps", least, f"need {least} <= reps <= 2^32", _MAX_REPS)
 
 
 def per_rep_sums(
@@ -246,20 +245,19 @@ def estimate_coupling_delta(
     reps independent pairs, bit for bit the one its j alone gives, whichever
     other r or j were requested alongside.
     """
-    rs, js = [int(r) for r in r_list], [int(j) for j in j_list]
-    if not js:
-        raise ValidationError("need split j >= 1, got no j", field="j_list")
-    for j in js:
-        if j < 1:
-            raise ValidationError(f"need split j >= 1, got {j}", field="j_list")
+    js = []
+    for j in j_list:
+        js.append(_check_n(j, "j_list", need="need split j >= 1"))
         if j > MASK64:  # derive_seed keys by j mod 2^64
             raise ValidationError(f"need split j <= 2^64 - 1, got {j}", field="j_list")
+    if not js:
+        raise ValidationError("need split j >= 1, got no j", field="j_list")
+    rs = [int(r) for r in r_list]
     if not rs or min(rs) < 1:
         raise ValidationError(f"need block lengths r >= 1, got {rs}", field="r_list")
     keys = list(dict.fromkeys(js))  # a repeated j reads the same pairs
-    if not 1 <= reps <= _MAX_REPS // len(keys):  # 2^32 pairs over every distinct j
-        raise ValidationError(f"need 1 <= reps <= 2^32 / {len(keys)} distinct j, got {reps}",
-                              field="reps")
+    _check_n(reps, "reps", 1, f"need 1 <= reps <= 2^32 / {len(keys)} distinct j",
+             _MAX_REPS // len(keys))  # 2^32 pairs over every distinct j
     lanes = derive_seed(seed, np.array(keys, dtype=np.uint64))  # derive_seed(seed, j) per key
 
     def chunk_maxima(lo, hi):

@@ -275,7 +275,7 @@ def mc_variance_profile(model: ProcessModel, f, n: int, reps: int, seed: int,
     the estimate at the nearest grid point below. One run out to n serves
     the whole grid.
     """
-    grid = [1 << p for p in range((n - 1).bit_length())] + [n]
+    grid = [1 << p for p in range((_check_n(n) - 1).bit_length())] + [n]
     ests = estimate_sigma_profile(model, f, grid, reps, seed, threads)
     filled = np.repeat([e.sigma_sq_hat for e in ests], np.diff(grid + [n + 1]))
     return variance_profile(filled, source="estimated")

@@ -337,9 +337,8 @@ class BernoulliShiftGeometric(ProcessModel):
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValidationError(f"need 0 < theta < 1, got {self.theta}", field="theta")
-        if self.truncation is not None and self.truncation < 1:
-            raise ValidationError(f"need truncation >= 1, got {self.truncation}",
-                                  field="truncation")
+        if self.truncation is not None:
+            _check_n(self.truncation, "truncation", need="need truncation >= 1")
 
     @cached_property
     def window(self) -> int:
@@ -375,10 +374,9 @@ class InfiniteMemoryChain(ProcessModel):
             raise ValidationError(
                 f"need sum of weights < 1, got {self.weights.total}", field="weights"
             )
-        if self.truncation is not None and self.truncation < 1:
-            raise ValidationError(f"need truncation >= 1, got {self.truncation}",
-                                  field="truncation")
-        if self.truncation is None:
+        if self.truncation is not None:
+            _check_n(self.truncation, "truncation", need="need truncation >= 1")
+        else:
             self.window  # resolve the default now, so a config without one fails when built
 
     @cached_property
@@ -404,8 +402,7 @@ MODELS = {
 
 def _states(model: ProcessModel, n: int, seeds: np.ndarray):
     """X_1..X_n over one stream per seed, n refused before the start draws."""
-    if not 1 <= n <= _MAX_STEPS:
-        raise ValidationError(f"need 1 <= n <= 2^32 steps, got {n}")
+    n = _check_n(n, need="need 1 <= n <= 2^32 steps", most=_MAX_STEPS)
     gen = VectorXoshiro(seeds)
     step, innov = model.stepper(*model.start(gen)), model.law.draw(gen)
     return (step(innov()) for _ in range(n))
@@ -491,8 +488,8 @@ def _differences(model: ProcessModel, r: int, seeds: np.ndarray):
     a binding clip or a nonlinear step would leave the shared innovations in
     D, and the pair would have to be stepped.
     """
-    if not 1 <= 2 * r - 1 <= _MAX_STEPS:
-        raise ValidationError(f"need block length r >= 1 and 2r - 1 <= 2^32 steps, got {r}")
+    r = _check_n(r, "r", need="need block length r >= 1 and 2r - 1 <= 2^32 steps",
+                 most=(_MAX_STEPS + 1) // 2)
     R = len(seeds)
     gen = VectorXoshiro(derive_seed(seeds, [[_LANE_ORIGINAL], [_LANE_STARRED]]).ravel())
     # the history is this run's own: each difference is taken in place, in its
@@ -608,8 +605,7 @@ def second_order(model: ProcessModel, kind: str, omega: int, n: int) -> tuple[fl
     most Psi_L in mu and in each Cov_r, and k Psi_L in sigma_k^2 (below 1e-15
     at k = 1000). psi() refuses a cut over _PSI_BUDGET multiply-adds.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    n = _check_n(n, need="need n >= 1")
     psi = np.array([p for p, _ in takewhile(lambda pt: pt[1] >= _CUT_TAIL, model.psi())])
     lags = min(n, psi.size)
     if kind == "centered-identity":
