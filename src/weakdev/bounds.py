@@ -351,6 +351,15 @@ def _check_n(n, field: str = "n", least: int = 1, need: str = "", most=math.inf)
     return int(n)
 
 
+def _check_counts(vals, need: str, most=math.inf, field=None) -> list[int]:
+    """A sequence as a non-empty list of ints, refused whole where _check_n refuses an entry."""
+    try:
+        _check_n(len(vals), need=need)  # an empty list
+        return [_check_n(v, field, 1, need, most) for v in vals]
+    except ValidationError:
+        raise ValidationError(f"{need}, got [{', '.join(map(str, vals))}]", field=field) from None
+
+
 def _check_k(k, n=None) -> None:
     if k is None:
         raise ValidationError("block size is the no-selection sentinel; refuse to compute", field="k")

@@ -20,11 +20,12 @@ from itertools import islice, starmap
 
 import numpy as np
 
-from .bounds import _check_n
+from .bounds import _check_counts, _check_n
 from .errors import ValidationError
 from .processes import (
     ObservableF,
     ProcessModel,
+    _sum_lengths,
     coupled_distance_sums,
     observable_prefix_sums,
     observable_sums,
@@ -193,9 +194,10 @@ def estimate_sigma_profile(
     different k share their replications.
     """
     check_reps(reps, least=2)
-    ks = [int(k) for k in k_list]
+    ks = list(k_list)
     if not ks:
         return []
+    ks = _sum_lengths(ks)
     block_sums = _per_rep_values(
         lambda s: observable_prefix_sums(model, f, ks, s),
         reps,
@@ -252,9 +254,7 @@ def estimate_coupling_delta(
             raise ValidationError(f"need split j <= 2^64 - 1, got {j}", field="j_list")
     if not js:
         raise ValidationError("need split j >= 1, got no j", field="j_list")
-    rs = [int(r) for r in r_list]
-    if not rs or min(rs) < 1:
-        raise ValidationError(f"need block lengths r >= 1, got {rs}", field="r_list")
+    rs = _check_counts(r_list, "need block lengths r >= 1", field="r_list")
     keys = list(dict.fromkeys(js))  # a repeated j reads the same pairs
     _check_n(reps, "reps", 1, f"need 1 <= reps <= 2^32 / {len(keys)} distinct j",
              _MAX_REPS // len(keys))  # 2^32 pairs over every distinct j

@@ -39,18 +39,18 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count, islice, takewhile
 from operator import mul
 
 import numpy as np
 
-from .bounds import DependenceProfile, VarianceProfile, _check_n, variance_profile
+from .bounds import DependenceProfile, VarianceProfile, _check_counts, _check_n, variance_profile
 from .coefficients import (TRUNCATION_TAIL, GeometricWeights, WeightSequence,
                            bernoulli_shift_linf_profile, doubling_map_profile,
                            infinite_memory_profile, markov_contraction_profile)
 from .errors import ValidationError
-from .rng import VectorXoshiro, derive_seed
+from .rng import MASK64, VectorXoshiro, derive_seed
 
 _U = np.uint64
 _ONE = _U(1)
@@ -68,6 +68,11 @@ _CUT_TAIL = 2.0**-60
 
 # the most steps one run may take; a longer one is refused before it draws
 _MAX_STEPS = 2**32
+_sum_lengths = partial(_check_counts, need="need sum lengths 1 <= k <= 2^32 steps",
+                       most=_MAX_STEPS)  # ks as ints; estimation checks its k grid by it
+# a seed as an int, refused outside 0..2^64 - 1 before numpy would overflow on it
+_check_seed = partial(_check_n, field="seed", least=0, need="need 0 <= seed <= 2^64 - 1",
+                      most=MASK64)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +429,7 @@ def simulate_batch(model: ProcessModel, n: int, seeds: np.ndarray) -> np.ndarray
 
 def simulate(model: ProcessModel, n: int, seed: int) -> np.ndarray:
     """Trajectory X_1..X_n for one seed."""
-    return simulate_batch(model, n, np.array([seed], dtype=np.uint64))[0]
+    return simulate_batch(model, n, np.array([_check_seed(seed)], dtype=_U))[0]
 
 
 def observable_prefix_sums(model: ProcessModel, f: "ObservableF", ks, seeds: np.ndarray) -> np.ndarray:
@@ -436,9 +441,7 @@ def observable_prefix_sums(model: ProcessModel, f: "ObservableF", ks, seeds: np.
     serves every k: the running sum is read off as the run passes each k,
     so every column is summed in time order, and no path is stored.
     """
-    ks = [int(k) for k in ks]
-    if not ks or min(ks) < 1 or max(ks) > _MAX_STEPS:
-        raise ValidationError(f"need sum lengths 1 <= k <= 2^32 steps, got {ks}")
+    ks = _sum_lengths(ks)
     ends = sorted(set(ks))
     out = model.exact_prefix_sums(f, ends, seeds)
     if out is None:
@@ -510,9 +513,7 @@ def coupled_distance_sums(model: ProcessModel, rs, seeds: np.ndarray) -> np.ndar
     summed in time order as the run goes, so it equals the single-r sum bit
     for bit, and no path is stored.
     """
-    rs = [int(r) for r in rs]
-    if not rs or min(rs) < 1:
-        raise ValidationError(f"need block lengths r >= 1, got {rs}")
+    rs = _check_counts(rs, "need block lengths r >= 1")
     ends = sorted(set(rs))
     acc, dist = np.zeros((len(ends), len(seeds))), np.empty(len(seeds))
     for i, d in enumerate(_differences(model, ends[-1], seeds), start=1):
@@ -525,7 +526,7 @@ def simulate_coupled_block(model: ProcessModel, r: int, seed: int) -> CoupledBlo
     """One coupled block pair for one seed. The original is stepped on its own
     child stream, the stream of the original half of the coupled run, and the
     starred values are X_i - D_i."""
-    seeds = np.array([seed], dtype=_U)
+    seeds = np.array([_check_seed(seed)], dtype=_U)
     d = np.array([d[0] for d in _differences(model, r, seeds)][r - 1:])
     x = simulate_batch(model, 2 * r - 1, derive_seed(seeds, _LANE_ORIGINAL))[0, r - 1:]
     return CoupledBlock(r=r, original=x, starred=x - d, distance=np.abs(d))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weakdev import coefficients, estimation, processes
+from weakdev import coefficients, estimation, harness, processes
 from weakdev.bounds import (
     BlockSelection,
     DependenceProfile,
@@ -451,8 +451,101 @@ def test_a_fractional_count_is_refused_by_name(call, field):
 
 def test_one_integer_check_serves_every_module():
     assert coefficients._check_n is processes._check_n is estimation._check_n is _check_n
+    assert harness._check_n is _check_n
     with pytest.raises(ValidationError, match=r"^block size must be a positive integer, got 2\.5$"):
         thm2_threshold(10, 0.1, 2.5, 1.0)
+
+
+_DBL = processes.DoublingMap()
+_F = processes.observable_for(_DBL, "centered-identity")
+_G = coefficients.GeometricWeights(0.5, 0.5)
+_SEEDS = np.array([1, 2], dtype=np.uint64)
+
+# every public entry point that takes a count, with the field its refusal
+# names (None where a whole list of lengths is refused without one)
+_COUNT_CALLS = {
+    "iid_bernstein_threshold.n": (lambda v: iid_bernstein_threshold(v, 0.1, 1.0), "n"),
+    "thm1_threshold.n": (lambda v: thm1_threshold(v, 0.1, 1, 1.0), "n"),
+    "thm1_threshold.k": (lambda v: thm1_threshold(10, 0.1, v, 1.0), "k"),
+    "thm2_threshold.n": (lambda v: thm2_threshold(v, 0.1, 1, 1.0), "n"),
+    "thm2_threshold.k": (lambda v: thm2_threshold(10, 0.1, v, 1.0), "k"),
+    "thm2_bennett_tail.n": (lambda v: thm2_bennett_tail(v, 1, 0.1, 0.01, 5.0), "n"),
+    "hoeffding_threshold.n": (lambda v: hoeffding_threshold(v, [0.1] * 3, 1.0), "n"),
+    "log_mgf_bound_thm1.n": (lambda v: log_mgf_bound_thm1(0.5, v, 1, 0.1, 0.1), "n"),
+    "log_mgf_bound_thm1.k": (lambda v: log_mgf_bound_thm1(0.5, 4, v, 0.1, 0.1), "k"),
+    "log_mgf_bound_thm2.n": (lambda v: log_mgf_bound_thm2(0.5, v, 1, 0.1, 0.1), "n"),
+    "varest_bound.k": (lambda v: varest_bound(0.1, 0.1, _LINF, v), "k"),
+    "select_k_star_prime.n": (lambda v: select_k_star_prime(_LINF, v, 1.0), "n"),
+    "DependenceProfile.at": (lambda v: _LINF.at(v), "r"),
+    "VarianceProfile.sigma_at": (lambda v: VarianceProfile([0.1, 0.2]).sigma_at(v), "k"),
+    "term": (lambda v: _G.term(v), "j"),
+    "tail_sum": (lambda v: _G.tail_sum(v), "p"),
+    "tail_sums": (lambda v: coefficients.PolynomialWeights(0.5, 3.0).tail_sums(v), "m"),
+    "doubling_map_profile": (lambda v: coefficients.doubling_map_profile(v), "n"),
+    "markov_contraction_profile": (lambda v: coefficients.markov_contraction_profile(0.5, v), "n"),
+    "infinite_memory_profile": (lambda v: coefficients.infinite_memory_profile(_G, v), "n"),
+    "bernoulli_shift_linf_profile": (
+        lambda v: coefficients.bernoulli_shift_linf_profile(1.0, _G, v), "n"),
+    "linf_profile": (lambda v: _DBL.linf_profile(v), "n"),
+    "BernoulliShiftGeometric.truncation": (
+        lambda v: processes.BernoulliShiftGeometric(0.5, truncation=v), "truncation"),
+    "InfiniteMemoryChain.truncation": (
+        lambda v: processes.InfiniteMemoryChain(_G, truncation=v), "truncation"),
+    "ObservableF.omega": (lambda v: processes.ObservableF("centered-cosine", 0.0, v), "omega"),
+    "simulate.n": (lambda v: processes.simulate(_DBL, v, 1), "n"),
+    "simulate.seed": (lambda v: processes.simulate(_DBL, 3, v), "seed"),
+    "simulate_batch.n": (lambda v: processes.simulate_batch(_DBL, v, _SEEDS), "n"),
+    "simulate_coupled_block.r": (lambda v: processes.simulate_coupled_block(_DBL, v, 1), "r"),
+    "simulate_coupled_block.seed": (
+        lambda v: processes.simulate_coupled_block(_DBL, 2, v), "seed"),
+    "observable_prefix_sums.ks": (
+        lambda v: processes.observable_prefix_sums(_DBL, _F, [v], _SEEDS), None),
+    "observable_sums.n": (lambda v: processes.observable_sums(_DBL, _F, v, _SEEDS), None),
+    "coupled_distance_sums.rs": (
+        lambda v: processes.coupled_distance_sums(_DBL, [v], _SEEDS), None),
+    "second_order.n": (lambda v: processes.second_order(_DBL, "centered-identity", None, v), "n"),
+    "analytic_sigma_profile.n": (lambda v: processes.analytic_sigma_profile(_DBL, _F, v), "n"),
+    "check_reps": (lambda v: estimation.check_reps(v), "reps"),
+    "clopper_pearson.hits": (lambda v: estimation.clopper_pearson(v, 3), "hits"),
+    "clopper_pearson.reps": (lambda v: estimation.clopper_pearson(0, v), "reps"),
+    "per_rep_sums.n": (lambda v: estimation.per_rep_sums(_DBL, _F, v, 4, 1), None),
+    "per_rep_sums.reps": (lambda v: estimation.per_rep_sums(_DBL, _F, 3, v, 1), "reps"),
+    "estimate_sigma_profile.k_list": (
+        lambda v: estimation.estimate_sigma_profile(_DBL, _F, [v], 10, 1), None),
+    "estimate_sigma_profile.reps": (
+        lambda v: estimation.estimate_sigma_profile(_DBL, _F, [2], v, 1), "reps"),
+    "estimate_coupling_delta.r_list": (
+        lambda v: estimation.estimate_coupling_delta(_DBL, [v], [1], 3, 1), "r_list"),
+    "estimate_coupling_delta.j_list": (
+        lambda v: estimation.estimate_coupling_delta(_DBL, [2], [v], 3, 1), "j_list"),
+    "estimate_coupling_delta.reps": (
+        lambda v: estimation.estimate_coupling_delta(_DBL, [2], [1], v, 1), "reps"),
+    "hoeffding_phi.n": (lambda v: harness.hoeffding_phi(_LINF, v), "n"),
+    "mc_variance_profile.n": (lambda v: harness.mc_variance_profile(_DBL, _F, v, 4, 1), "n"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["fractional", "bool"])
+@pytest.mark.parametrize("name", list(_COUNT_CALLS))
+def test_every_count_refuses_a_fraction_and_a_bool_by_field(name, value):
+    # at the parent a fraction was truncated, accepted or ended in TypeError,
+    # and a bool passed every range test as 0 or 1
+    call, field = _COUNT_CALLS[name]
+    with pytest.raises(ValidationError) as ei:
+        call(value)
+    assert type(ei.value) is ValidationError
+    assert ei.value.field == field
+
+
+def test_check_n_caps_inclusively_and_refuses_a_bool():
+    assert _check_n(5, "x", most=5) == 5 and type(_check_n(np.uint64(5), most=5)) is int
+    assert _check_n(0, "x", least=0, most=0) == 0
+    for bad in (6, True, False, np.bool_(True), 3.0):
+        with pytest.raises(ValidationError) as ei:
+            _check_n(bad, "x", least=0, most=5, need="need 0 <= x <= 5")
+        assert ei.value.field == "x" and str(ei.value) == f"need 0 <= x <= 5, got {bad}"
+    with pytest.raises(ValidationError, match=r"^need integer n >= 1, got '3'$"):
+        _check_n("3")
 
 
 @pytest.mark.parametrize(

@@ -357,6 +357,25 @@ def test_coupling_memory_does_not_grow_with_reps(monkeypatch):
     assert many < 1.5 * one, (one, many)
 
 
+def test_a_fractional_length_is_refused_not_truncated():
+    # int() read 2.5 as 2 (and 3.0 as 3): per_rep_sums gave the n = 2 sums,
+    # estimate_sigma_profile reported k = 2 and the coupling estimate r = 2
+    f = _identity(_DBL)
+    sums = r"need sum lengths 1 <= k <= 2\^32 steps, got "
+    for call, msg, field in (
+        (lambda: per_rep_sums(_DBL, f, 2.5, 4, 1), sums + r"\[2\.5\]", None),
+        (lambda: estimate_sigma_profile(_DBL, f, [2.5], 10, 1), sums + r"\[2\.5\]", None),
+        (lambda: estimate_sigma_profile(_DBL, f, [1, 3.0], 10, 1), sums + r"\[1, 3\.0\]", None),
+        (lambda: estimate_coupling_delta(_DBL, [2.5], [1], 10, 1),
+         r"need block lengths r >= 1, got \[2\.5\]", "r_list"),
+        (lambda: estimate_coupling_delta(_DBL, [2], [1.0], 10, 1),
+         r"need split j >= 1, got 1\.0", "j_list"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{msg}$") as exc:
+            call()
+        assert exc.value.field == field
+
+
 def test_coupling_refuses_an_empty_or_sub_1_grid_up_front():
     for rs, js, field, msg in (
         ([0], [], "j_list", "need split j >= 1, got no j"),

@@ -588,6 +588,14 @@ def test_hoeffding_phi_takes_a_numpy_integer_n():
     assert np.array_equal(hoeffding_phi(prof, np.int64(8)), hoeffding_phi(prof, 8))
 
 
+def test_mc_variance_profile_takes_a_numpy_integer_n():
+    # its dyadic grid read n.bit_length(), which numpy integers lack
+    model = DoublingMap()
+    f = observable_for(model, "centered-identity")
+    got = mc_variance_profile(model, f, np.int64(6), reps=20, seed=9)
+    assert np.array_equal(got.sigma_sq, mc_variance_profile(model, f, 6, reps=20, seed=9).sigma_sq)
+
+
 def test_hoeffding_phi_requires_linf():
     linf = dependence_profile_for(DoublingMap(), 8)
 

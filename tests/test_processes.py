@@ -280,6 +280,21 @@ def test_simulate_rejects_bad_n():
         simulate(DoublingMap(), 2**32 + 1, 1)
 
 
+def test_a_seed_outside_64_bits_is_refused_by_field():
+    # numpy's OverflowError is no ValueError, so the CLI's error handler missed it
+    model = DoublingMap()
+    for seed in (0, 2**64 - 1):
+        assert simulate(model, 3, seed).shape == (3,)
+        assert simulate_coupled_block(model, 2, seed).distance.shape == (2,)
+    for seed in (-1, 2**64):
+        for call in (lambda: simulate(model, 3, seed),
+                     lambda: simulate_coupled_block(model, 2, seed)):
+            with pytest.raises(ValidationError,
+                               match=rf"^need 0 <= seed <= 2\^64 - 1, got {seed}$") as ei:
+                call()
+            assert ei.value.field == "seed"
+
+
 def test_simulate_batch_keeps_one_float_per_lane_step():
     # the (R, n) result is filled in place, so no step's state outlives its column
     model, n, seeds = DoublingMap(), 20000, _seeds(3, 1)
